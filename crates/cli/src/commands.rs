@@ -433,6 +433,7 @@ fn consolidate_dataset(
         "groups reviewed",
         "approved",
         "cells updated",
+        "truncated searches",
     ]);
     for report in &reports {
         summary_table.push_row([
@@ -441,6 +442,7 @@ fn consolidate_dataset(
             report.groups_reviewed.to_string(),
             report.groups_approved.to_string(),
             report.cells_updated.to_string(),
+            report.searches_truncated.to_string(),
         ]);
     }
     let mut out = String::new();

@@ -146,6 +146,7 @@ impl Pipeline {
             groups_reviewed: reviewed,
             groups_approved: approved.len(),
             cells_updated: engine.cells_updated(),
+            searches_truncated: grouper.searches_truncated(),
         };
         dataset.set_column_values(col, engine.into_values());
         (report, approved)

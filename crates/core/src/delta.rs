@@ -494,13 +494,14 @@ fn prepared_for(
 
 /// Computes the group sequence a fresh `StructuredGrouper` would emit for
 /// `candidates` (truncated at `budget` — the review loop never looks
-/// further), reusing prepared partitions from the cache.
+/// further), reusing prepared partitions from the cache. Also returns how
+/// many pivot searches exhausted their step budget on the way.
 fn emit_groups(
     cache: &mut ColumnCache,
     candidates: &[Replacement],
     grouping: &GroupingConfig,
     budget: usize,
-) -> Vec<Group> {
+) -> (Vec<Group>, usize) {
     let compiled: Vec<(Vec<Replacement>, Arc<PreparedGraphs>)> =
         partition_replacements(candidates, grouping)
             .into_iter()
@@ -517,7 +518,7 @@ fn emit_groups(
             None => break,
         }
     }
-    seq
+    (seq, grouper.searches_truncated())
 }
 
 /// Standardizes one column of the snapshot in place — the delta twin of the
@@ -540,10 +541,14 @@ fn standardize_column_delta(
 
     let budget = config.budget;
     let replayed = matches!(&cache.groups, Some((key, _)) if *key == candidates);
-    if !replayed {
-        let seq = emit_groups(cache, &candidates, &config.grouping, budget);
+    // A replayed column runs no search, so nothing can be truncated.
+    let searches_truncated = if replayed {
+        0
+    } else {
+        let (seq, truncated) = emit_groups(cache, &candidates, &config.grouping, budget);
         cache.groups = Some((candidates.clone(), seq));
-    }
+        truncated
+    };
 
     // Resolver snapshots always carry ground truth (truth := observed), so
     // the oracle selection matches the one-shot path with `has_truth = true`.
@@ -578,6 +583,7 @@ fn standardize_column_delta(
         groups_reviewed: reviewed,
         groups_approved: approved.len(),
         cells_updated: engine.cells_updated(),
+        searches_truncated,
     };
     dataset.set_column_values(col, engine.into_values());
     for group in &approved {

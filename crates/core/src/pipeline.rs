@@ -67,6 +67,12 @@ pub struct ColumnReport {
     pub groups_approved: usize,
     /// Number of cells rewritten.
     pub cells_updated: usize,
+    /// Pivot searches that exhausted the step budget
+    /// ([`GroupingConfig::max_search_steps`]) while grouping this column;
+    /// their groups came from the best path found so far, not the exact
+    /// pivot. A column whose group sequence an incremental run replayed from
+    /// cache ran no search and reports 0.
+    pub searches_truncated: usize,
 }
 
 /// The outcome of a full golden-record creation run.
@@ -142,6 +148,7 @@ impl Pipeline {
             groups_reviewed: reviewed,
             groups_approved: approved.len(),
             cells_updated: engine.cells_updated(),
+            searches_truncated: grouper.searches_truncated(),
         };
         dataset.set_column_values(col, engine.into_values());
         (report, approved)

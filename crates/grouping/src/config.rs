@@ -24,8 +24,11 @@ pub struct GroupingConfig {
     /// search is too expensive one can cap the path length or sample; this cap
     /// plays the same role for pathological graphs (very long outputs whose
     /// pieces rarely occur in the input): when it is hit, the best complete
-    /// path found so far is used. Typical searches finish in a few hundred
-    /// extensions, orders of magnitude below the default.
+    /// path found so far is used. Dominance pruning (see the search module)
+    /// lets almost every search on the address workloads finish well inside
+    /// the default; the groupers count the searches that do not
+    /// ([`crate::StructuredGrouper::searches_truncated`]), and
+    /// `ec_pivot_budget_exhausted_total` counts them process-wide.
     ///
     /// **Determinism:** results are bit-identical for every
     /// [`GroupingConfig::parallelism`] even when this budget truncates a
@@ -39,17 +42,6 @@ pub struct GroupingConfig {
     /// Build transformation graphs on multiple threads (per-thread label
     /// interners merged afterwards). Deterministic regardless of the setting.
     pub parallel_graph_build: bool,
-    /// Run each pivot-path search through the explicit-frontier engine, whose
-    /// root-level subtrees are independent `SearchTask` subproblems that can
-    /// execute on the shared worker pool when there are more workers than
-    /// graphs to search — the only way `--threads` helps a *single* expensive
-    /// search (the mega-group shape). The engine's task decomposition is
-    /// fixed per search (deterministic waves, snapshot bounds, in-order
-    /// reduction), so results are bit-identical for every thread count;
-    /// disabling this restores the plain recursive DFS, which can differ from
-    /// the engine only on searches truncated by
-    /// [`GroupingConfig::max_search_steps`].
-    pub intra_search_sharding: bool,
     /// Worker threads for the sharded stages: graph preparation and the
     /// per-graph pivot-path searches of the one-shot and incremental
     /// groupers. Every setting produces bit-identical groups; only the
@@ -75,7 +67,6 @@ impl Default for GroupingConfig {
             structure_refinement: true,
             max_search_steps: 50_000,
             parallel_graph_build: true,
-            intra_search_sharding: true,
             parallelism: Parallelism::AUTO,
         }
     }
@@ -119,7 +110,6 @@ mod tests {
         assert!(c.early_termination);
         assert!(c.structure_refinement);
         assert!(c.graph.enable_affix);
-        assert!(c.intra_search_sharding);
     }
 
     #[test]

@@ -38,6 +38,8 @@ pub struct IncrementalGrouper {
     remaining: usize,
     /// Replacements without graphs, emitted as trailing singleton groups.
     skipped: Vec<Replacement>,
+    /// Pivot searches run so far that exhausted their step budget.
+    searches_truncated: usize,
 }
 
 impl IncrementalGrouper {
@@ -67,6 +69,7 @@ impl IncrementalGrouper {
             active: vec![true; n],
             remaining: n,
             skipped,
+            searches_truncated: 0,
         }
     }
 
@@ -78,6 +81,14 @@ impl IncrementalGrouper {
     /// Number of graphs not yet emitted in a group.
     pub fn remaining_graphs(&self) -> usize {
         self.remaining
+    }
+
+    /// How many of the pivot searches run so far exhausted
+    /// [`GroupingConfig::max_search_steps`] — each one contributed its best
+    /// path found so far rather than its exact pivot. Counts every search
+    /// the speculative batches ran, so it is the same at every thread count.
+    pub fn searches_truncated(&self) -> usize {
+        self.searches_truncated
     }
 
     /// Produces the next largest group (Algorithm 7), or `None` when every
@@ -106,8 +117,8 @@ impl IncrementalGrouper {
     /// mega-group partition (one huge cluster of lookalikes) used to pin a
     /// single worker while the rest of the pool idled. Those batches now
     /// engage the frontier engine's parallel wave scheduling *inside* each
-    /// search ([`GroupingConfig::intra_search_sharding`]), so `--threads`
-    /// cuts time-to-first-group on exactly the worst-case columns.
+    /// search, so `--threads` cuts time-to-first-group on exactly the
+    /// worst-case columns.
     pub fn next_group(&mut self) -> Option<Group> {
         if self.remaining == 0 {
             return self.skipped.pop().map(Group::singleton);
@@ -137,15 +148,16 @@ impl IncrementalGrouper {
             // occur in one graph only) by orders of magnitude.
             let batch_threshold = best.as_ref().map(|b| b.share_count).unwrap_or(0).max(1);
             let gids: Vec<GraphId> = batch.iter().map(|&g| GraphId(g as u32)).collect();
-            let results = searcher.search_many(
+            let searched = searcher.search_many(
                 &gids,
                 batch_threshold,
                 &self.active,
                 &mut lower_bounds,
                 self.config.parallelism,
             );
+            self.searches_truncated += searched.truncated;
             // Replay the sequential protocol over the speculative results.
-            for (result, &g) in results.into_iter().zip(batch) {
+            for (result, &g) in searched.results.into_iter().zip(batch) {
                 if let Some(b) = &best {
                     // Stop condition: no unvisited graph can beat the best
                     // group. Later batch results are discarded, exactly as the

@@ -47,8 +47,7 @@ impl OneShotGrouper {
     /// schedule, while bounds still propagate with at most one batch of lag.
     /// When a batch's tail leaves more workers than graphs (or the whole
     /// collection is a handful of huge graphs), each search also runs its
-    /// frontier waves in parallel — see
-    /// [`GroupingConfig::intra_search_sharding`].
+    /// frontier waves in parallel.
     pub fn group_all(&self) -> Vec<Group> {
         /// Graphs searched per bound-merge round.
         const SEARCH_BATCH: usize = 32;
@@ -59,13 +58,15 @@ impl OneShotGrouper {
         let gids: Vec<GraphId> = (0..n).map(|g| GraphId(g as u32)).collect();
         let mut by_pivot: HashMap<Vec<LabelId>, Vec<GraphId>> = HashMap::new();
         for batch in gids.chunks(SEARCH_BATCH) {
-            let results = searcher.search_many(
-                batch,
-                0,
-                &active,
-                &mut lower_bounds,
-                self.config.parallelism,
-            );
+            let results = searcher
+                .search_many(
+                    batch,
+                    0,
+                    &active,
+                    &mut lower_bounds,
+                    self.config.parallelism,
+                )
+                .results;
             for (&gid, result) in batch.iter().zip(results) {
                 let result = result.expect("every graph has at least one transformation path");
                 by_pivot.entry(result.path).or_default().push(gid);

@@ -21,14 +21,42 @@
 //! right-hand sides trivially share an all-constants path that conveys no
 //! transformation at all).
 //!
+//! ## Dominance pruning
+//!
+//! A search *state* is a node of the searched graph together with the
+//! [`PathList`] of the prefix that reached it. Everything below a state —
+//! which extensions exist, their lists and so their share counts — depends
+//! on the state alone, so two prefixes reaching the same state have
+//! identical subtrees; they differ only in the tie-break quality they carry
+//! into them. A prefix with no fewer constant characters *and* no shorter
+//! length than one already committed to the same state can only tie or lose
+//! on every completion, and [`beats`] is strict, so it is skipped.
+//!
+//! Each [`SearchState`] owns one hash-keyed state table (the whole search's
+//! root state, or one [`SearchTask`]). [`collect_candidates`] commits each
+//! extension to it in exploration order, after the local-threshold checks:
+//!
+//! * dominated *siblings* (labels on parallel edges producing the same list)
+//!   collapse before they become [`SearchTask`]s at the root;
+//! * inside a task it is a transposition table: a state reached again by a
+//!   different prefix is explored once, by the best prefix to arrive.
+//!
+//! Hash matches are confirmed on the full occurrence slice. The pruning
+//! never drops a prefix of the path the plain recursive DFS would return (a
+//! dominating state is either strictly better on every completion or was
+//! committed earlier in DFS order), so with a budget that does not bind the
+//! result — path, list and share count — is exactly the DFS's; the test
+//! module keeps that DFS as the differential oracle. A table is never shared
+//! across tasks or searches, so tasks stay pure functions of their snapshots
+//! and results stay bit-identical at every thread count. It holds at most one
+//! entry per step taken.
+//!
 //! ## The frontier engine
 //!
-//! The search used to be one recursive DFS — which made a single expensive
-//! search (the mega-group shape: one huge cluster whose graphs all share
-//! long inverted lists) impossible to parallelize: `search_many` shards
-//! across graphs-to-search, so one mega search pinned a single worker while
-//! the rest of the pool idled. The search now runs on an explicit-frontier
-//! engine ([`GroupingConfig::intra_search_sharding`], on by default):
+//! A single expensive search (the mega-group shape: one huge cluster whose
+//! graphs all share long inverted lists) must not pin one worker while the
+//! rest of the pool idles, so every search runs on an explicit-frontier
+//! engine:
 //!
 //! * the root's viable extensions are computed once and each becomes a
 //!   [`SearchTask`] — an independent subproblem carrying its path prefix,
@@ -56,6 +84,7 @@ use crate::prepared::PreparedGraphs;
 use ec_dsl::StringFn;
 use ec_graph::{LabelId, Parallelism, PoolTask};
 use ec_index::{GraphId, InvertedIndex, PathList};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Upper limit of the frontier's wave-size ramp (1, 2, 4, 8, 8, …). Waves are
@@ -103,6 +132,42 @@ pub struct PivotResult {
     /// The number of active graphs containing the path (the score the search
     /// maximises, the paper's `|ℓ|`).
     pub share_count: usize,
+}
+
+impl PivotResult {
+    /// Wraps a search's best path, listing the active graphs it completes.
+    fn new(
+        path: Vec<LabelId>,
+        list: PathList,
+        share_count: usize,
+        active: &[bool],
+        last_nodes: &[u32],
+    ) -> Self {
+        let mut complete: Vec<GraphId> = list
+            .occurrences()
+            .iter()
+            .filter(|occ| active[occ.graph.index()] && occ.end == last_nodes[occ.graph.index()])
+            .map(|occ| occ.graph)
+            .collect();
+        complete.dedup();
+        PivotResult {
+            path,
+            list,
+            complete,
+            share_count,
+        }
+    }
+}
+
+/// The results of one [`PivotSearcher::search_many`] call.
+#[derive(Debug, Clone)]
+pub struct SearchBatch {
+    /// One result per searched graph, in the order the graphs were given.
+    pub results: Vec<Option<PivotResult>>,
+    /// How many of the searches ran out of their step budget
+    /// ([`GroupingConfig::max_search_steps`]) and returned the best path
+    /// found so far instead of the exact pivot.
+    pub truncated: usize,
 }
 
 /// Searches pivot paths over one [`PreparedGraphs`] collection.
@@ -163,6 +228,9 @@ struct SearchState<'a> {
     /// task's best is `None` when nothing in its subtree beat its floor.
     best: Option<(Vec<LabelId>, PathList, usize, Quality)>,
     threshold: usize,
+    /// The states this search (or task) has committed to exploring; see the
+    /// module docs on dominance pruning.
+    table: StateTable,
 }
 
 impl SearchState<'_> {
@@ -203,6 +271,56 @@ fn beats(count: usize, quality: Quality, bar: &Option<(usize, Quality)>) -> bool
 struct Quality {
     constant_chars: usize,
     len: usize,
+}
+
+impl Quality {
+    /// Is every completion of a prefix of quality `self` at least as good as
+    /// the same completion of a prefix of quality `other`? Needs both
+    /// components, not just the lexicographic order: the shorter prefix also
+    /// has every completion of the longer one within the path-length cap.
+    fn dominates(self, other: Quality) -> bool {
+        self.constant_chars <= other.constant_chars && self.len <= other.len
+    }
+}
+
+/// The dominance table of one [`SearchState`]: every `(node, PathList)`
+/// state committed for exploration, with the Pareto front of the prefix
+/// qualities that reached it (see the module docs).
+#[derive(Default)]
+struct StateTable {
+    /// States bucketed by [`state_hash`]; equality is confirmed on the node
+    /// and the full occurrence slice.
+    buckets: HashMap<u64, Vec<(u32, PathList, Quality)>>,
+}
+
+impl StateTable {
+    /// Commits the state `(node, list)` reached by a prefix of `quality`.
+    /// Returns `false`, recording nothing, when an already committed prefix
+    /// of the same state dominates it.
+    fn commit(&mut self, node: u32, list: &PathList, quality: Quality) -> bool {
+        let bucket = self.buckets.entry(state_hash(node, list)).or_default();
+        let same_state = |&(n, ref l, _): &(u32, PathList, Quality)| n == node && l == list;
+        if bucket
+            .iter()
+            .any(|entry| same_state(entry) && entry.2.dominates(quality))
+        {
+            return false;
+        }
+        bucket.retain(|entry| !(same_state(entry) && quality.dominates(entry.2)));
+        bucket.push((node, list.clone(), quality));
+        true
+    }
+}
+
+/// A 64-bit hash of a search state (multiply-rotate over the occurrences).
+fn state_hash(node: u32, list: &PathList) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h = u64::from(node).wrapping_mul(K);
+    for occ in list.occurrences() {
+        let word = (u64::from(occ.graph.0) << 32) | u64::from(occ.end);
+        h = (h.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+    h
 }
 
 /// A sparse, write-only accumulator of global-threshold raises
@@ -307,6 +425,14 @@ struct TaskOutcome {
     steps_used: usize,
 }
 
+/// What one whole pivot search produced.
+struct SearchRun {
+    result: Option<PivotResult>,
+    /// Path extensions spent; equal to the budget when the search was
+    /// truncated.
+    steps: usize,
+}
+
 impl PivotSearcher {
     /// Creates a searcher over `prepared` using `config`'s path-length cap and
     /// early-termination setting.
@@ -355,7 +481,7 @@ impl PivotSearcher {
         let own_bound = lower_bounds[g.index()];
         let mut raised = BoundRaises::default();
         let active: Arc<[bool]> = active.into();
-        let result = self.search_with_bounds(
+        let run = self.search_with_bounds(
             g,
             threshold,
             &active,
@@ -364,7 +490,7 @@ impl PivotSearcher {
             Parallelism::SEQUENTIAL,
         );
         raised.merge_into(lower_bounds);
-        result
+        run.result
     }
 
     /// The core search: reads only `own_bound` (the searched graph's own
@@ -380,12 +506,13 @@ impl PivotSearcher {
         own_bound: u32,
         raised: &mut BoundRaises,
         waves: Parallelism,
-    ) -> Option<PivotResult> {
+    ) -> SearchRun {
         let graph = self.prepared.graph(g);
         // Minimum number of edges from each node of `graph` to its last node;
         // paths that cannot complete within the length cap are never
         // explored. Shared with the engine's subtree tasks.
         let dist_to_end = Arc::new(distance_to_end(graph));
+        let budget = self.config.max_search_steps.max(1);
         let mut state = SearchState {
             index: self.prepared.index(),
             active: &active[..],
@@ -393,13 +520,14 @@ impl PivotSearcher {
             max_path_len: self.config.max_path_len,
             early_termination: self.config.early_termination,
             dist_to_end: &dist_to_end[..],
-            steps_left: self.config.max_search_steps.max(1),
+            steps_left: budget,
             constant_chars: &self.constant_chars,
             own_bound,
             raised,
             bar: None,
             best: None,
             threshold,
+            table: StateTable::default(),
         };
         let universe = PathList::universe(self.prepared.len());
 
@@ -419,40 +547,25 @@ impl PivotSearcher {
             }
         }
 
-        let reachable =
-            state.dist_to_end.first().copied().unwrap_or(u32::MAX) as usize <= state.max_path_len;
-        if reachable {
-            if self.config.intra_search_sharding && graph.last_node() != 0 {
-                self.run_frontier(g, &mut state, &universe, active, &dist_to_end, waves);
-            } else {
-                let mut path = Vec::new();
-                dfs(graph, g, 0, &mut path, &universe, 0, &mut state);
-            }
+        if graph.last_node() == 0 {
+            // An empty output: the empty path is the only transformation
+            // path, and `dfs` at the last node just offers it.
+            dfs(graph, g, 0, &mut Vec::new(), &universe, 0, &mut state);
+        } else if state.dist_to_end[0] as usize <= state.max_path_len {
+            self.run_frontier(g, &mut state, &universe, active, &dist_to_end, waves);
         }
+        let steps = budget - state.steps_left;
         let metrics = search_metrics();
-        let initial_budget = self.config.max_search_steps.max(1);
-        metrics
-            .steps
-            .observe((initial_budget - state.steps_left) as u64);
+        metrics.steps.observe(steps as u64);
         if state.steps_left == 0 {
             metrics.budget_exhausted.inc();
         }
         let last_nodes = state.last_nodes;
-        let (path, list, count, _) = state.best.take()?;
-        let complete: Vec<GraphId> = list
-            .occurrences()
-            .iter()
-            .filter(|occ| active[occ.graph.index()] && occ.end == last_nodes[occ.graph.index()])
-            .map(|occ| occ.graph)
-            .collect();
-        let mut complete_dedup = complete;
-        complete_dedup.dedup();
-        Some(PivotResult {
-            path,
-            list,
-            complete: complete_dedup,
-            share_count: count,
-        })
+        let result = state
+            .best
+            .take()
+            .map(|(path, list, count, _)| PivotResult::new(path, list, count, active, last_nodes));
+        SearchRun { result, steps }
     }
 
     /// The explicit-frontier engine (see the module docs): computes the
@@ -574,6 +687,7 @@ impl PivotSearcher {
             bar: task.floor,
             best: None,
             threshold,
+            table: StateTable::default(),
         };
         let mut path = vec![task.label];
         dfs(
@@ -622,10 +736,10 @@ impl PivotSearcher {
     ///
     /// When workers outnumber the graphs to search (the mega-group shape —
     /// one or two huge searches pinning a single worker while the rest of
-    /// the pool idles) and [`GroupingConfig::intra_search_sharding`] is on,
-    /// each search additionally runs its frontier waves *in parallel* on the
-    /// same pool. That choice is scheduling-only: the engine computes the
-    /// same task tree either way, so it never affects results.
+    /// the pool idles), each search additionally runs its frontier waves
+    /// *in parallel* on the same pool. That choice is scheduling-only: the
+    /// engine computes the same task tree either way, so it never affects
+    /// results.
     pub fn search_many(
         &self,
         gids: &[GraphId],
@@ -633,22 +747,22 @@ impl PivotSearcher {
         active: &[bool],
         lower_bounds: &mut [u32],
         parallelism: ec_graph::Parallelism,
-    ) -> Vec<Option<PivotResult>> {
+    ) -> SearchBatch {
         let _span = ec_obs::span!("grouping.pivot_search", gids.len());
         let shards = parallelism.shards(gids.len());
         let chunk_size = gids.len().div_ceil(shards.max(1)).max(1);
         // Intra-search wave scheduling: worth paying for only when workers
         // outnumber the graphs to search; results are identical either way.
-        let waves = if self.config.intra_search_sharding && parallelism.threads() > gids.len() {
+        let waves = if parallelism.threads() > gids.len() {
             parallelism
         } else {
             Parallelism::SEQUENTIAL
         };
         let active: Arc<[bool]> = active.into();
-        type ShardOutput = (Vec<Option<PivotResult>>, BoundRaises);
+        type ShardOutput = (Vec<SearchRun>, BoundRaises);
         let shard_outputs: Vec<ShardOutput> = if shards <= 1 {
             let mut raised = BoundRaises::default();
-            let results = gids
+            let runs = gids
                 .iter()
                 // Snapshot each graph's own bound before any search runs, so
                 // the sequential path reads exactly what the sharded path
@@ -660,7 +774,7 @@ impl PivotSearcher {
                     self.search_with_bounds(g, threshold, &active, own_bound, &mut raised, waves)
                 })
                 .collect();
-            vec![(results, raised)]
+            vec![(runs, raised)]
         } else {
             // Snapshot only the searched graphs' own bounds, chunk by chunk,
             // before any search runs — the values every search reads are
@@ -674,7 +788,7 @@ impl PivotSearcher {
                     let active = Arc::clone(&active);
                     Box::new(move || {
                         let mut raised = BoundRaises::default();
-                        let results = chunk
+                        let runs = chunk
                             .iter()
                             .zip(&bounds)
                             .map(|(&g, &own_bound)| {
@@ -688,18 +802,25 @@ impl PivotSearcher {
                                 )
                             })
                             .collect();
-                        (results, raised)
+                        (runs, raised)
                     }) as PoolTask<ShardOutput>
                 })
                 .collect();
             parallelism.run_tasks(tasks)
         };
-        let mut out = Vec::with_capacity(gids.len());
-        for (results, raised) in shard_outputs {
-            out.extend(results);
+        let budget = self.config.max_search_steps.max(1);
+        let mut batch = SearchBatch {
+            results: Vec::with_capacity(gids.len()),
+            truncated: 0,
+        };
+        for (runs, raised) in shard_outputs {
+            for run in runs {
+                batch.truncated += usize::from(run.steps == budget);
+                batch.results.push(run.result);
+            }
             raised.merge_into(lower_bounds);
         }
-        out
+        batch
     }
 }
 
@@ -746,6 +867,11 @@ type Candidate = (LabelId, u32, PathList, usize, usize);
 /// fewer constant characters). Finding a high-share complete path early makes
 /// the local threshold bite on all remaining branches, which is where
 /// essentially all of the search time goes on real data.
+///
+/// The surviving extensions are then committed to the state table in that
+/// order, dropping every one dominated by a state committed before it: a
+/// sibling over a parallel label with the same list and more constant
+/// characters, or a state another prefix already reached (module docs).
 ///
 /// Consumes one step per examined label; returns `None` when the budget ran
 /// out mid-collection (the caller must stop, keeping its best so far).
@@ -816,6 +942,13 @@ fn collect_candidates(
         b.3.cmp(&a.3) // larger share count first
             .then_with(|| b.1.cmp(&a.1)) // longer jumps first (completes sooner)
             .then_with(|| a.4.cmp(&b.4)) // fewer constant characters first
+    });
+    candidates.retain(|(_, to, extended, _, next_chars)| {
+        let quality = Quality {
+            constant_chars: *next_chars,
+            len: path_len + 1,
+        };
+        state.table.commit(*to, extended, quality)
     });
     Some(candidates)
 }
@@ -1087,13 +1220,15 @@ mod tests {
             .collect();
         for threads in [1, 2, 4, 7] {
             let mut par_bounds = vec![1u32; prep.len()];
-            let parallel = searcher.search_many(
-                &gids,
-                0,
-                &active,
-                &mut par_bounds,
-                ec_graph::Parallelism::fixed(threads),
-            );
+            let parallel = searcher
+                .search_many(
+                    &gids,
+                    0,
+                    &active,
+                    &mut par_bounds,
+                    ec_graph::Parallelism::fixed(threads),
+                )
+                .results;
             assert_eq!(parallel.len(), sequential.len());
             for (a, b) in sequential.iter().zip(&parallel) {
                 let a = a.as_ref().unwrap();
@@ -1140,43 +1275,281 @@ mod tests {
         reps
     }
 
-    #[test]
-    fn frontier_engine_matches_the_plain_dfs_when_the_budget_is_unbound() {
-        // With a step budget the search never exhausts, the frontier engine
-        // must reproduce the recursive DFS exactly: pruning is sound in both,
-        // and the engine's in-order reduction preserves the DFS's tie-breaks.
-        let reps = family_replacements();
-        // The default 50k-step budget binds on this label-rich workload, and
-        // a bound budget is exactly where the two strategies may legitimately
-        // differ (shared pot vs per-task slices) — so lift it out of the way.
-        let engine_config = GroupingConfig {
+    /// The plain recursive pivot DFS — no frontier, no state table — that
+    /// the engine must reproduce whenever the step budget does not bind.
+    struct OracleDfs<'a> {
+        graph: &'a ec_graph::TransformationGraph,
+        g: usize,
+        index: &'a InvertedIndex,
+        active: &'a [bool],
+        last_nodes: &'a [u32],
+        constant_chars: &'a [usize],
+        dist_to_end: Vec<u32>,
+        max_path_len: usize,
+        early_termination: bool,
+        threshold: usize,
+        own_bound: u32,
+        steps_left: usize,
+        best: Option<(Vec<LabelId>, PathList, usize, Quality)>,
+    }
+
+    impl OracleDfs<'_> {
+        fn bar(&self) -> Option<(usize, Quality)> {
+            self.best.as_ref().map(|b| (b.2, b.3))
+        }
+
+        fn offer(&mut self, count: usize, quality: Quality, path: &[LabelId], list: &PathList) {
+            if count > self.threshold && beats(count, quality, &self.bar()) {
+                self.best = Some((path.to_vec(), list.clone(), count, quality));
+            }
+        }
+
+        /// The local and global thresholds of Algorithm 4.
+        fn viable(&self, count: usize, partial: Quality) -> bool {
+            !self.early_termination
+                || (count > self.threshold
+                    && count as u32 >= self.own_bound
+                    && beats(count, partial, &self.bar()))
+        }
+
+        fn dfs(&mut self, node: u32, path: &mut Vec<LabelId>, list: &PathList, chars: usize) {
+            let len = path.len();
+            if node == self.graph.last_node() {
+                let count = active_count(list, self.active);
+                self.offer(
+                    count,
+                    Quality {
+                        constant_chars: chars,
+                        len,
+                    },
+                    path,
+                    list,
+                );
+                let own_complete = list
+                    .occurrences()
+                    .iter()
+                    .any(|occ| occ.graph.index() == self.g && occ.end == self.last_nodes[self.g]);
+                if self.early_termination && self.active[self.g] && own_complete {
+                    self.own_bound = self.own_bound.max(count as u32);
+                }
+                return;
+            }
+            if len >= self.max_path_len {
+                return;
+            }
+            let mut children = Vec::new();
+            for edge in self.graph.out_edges(node) {
+                let to_end = self.dist_to_end[edge.to as usize];
+                if to_end == u32::MAX || len + 1 + to_end as usize > self.max_path_len {
+                    continue;
+                }
+                for &label in &edge.labels {
+                    if self.index.list_graph_count(label) <= self.threshold {
+                        continue;
+                    }
+                    if self.steps_left == 0 {
+                        return;
+                    }
+                    self.steps_left -= 1;
+                    let extended = self.index.extend(list, label);
+                    let count = active_count(&extended, self.active);
+                    let next = chars + self.constant_chars[label.index()];
+                    let partial = Quality {
+                        constant_chars: next,
+                        len: len + 1,
+                    };
+                    if count > 0 && self.viable(count, partial) {
+                        children.push((label, edge.to, extended, count, next));
+                    }
+                }
+            }
+            children.sort_by(|a, b| {
+                b.3.cmp(&a.3)
+                    .then_with(|| b.1.cmp(&a.1))
+                    .then_with(|| a.4.cmp(&b.4))
+            });
+            for (label, to, extended, count, next) in children {
+                if self.steps_left == 0 {
+                    return;
+                }
+                if !self.viable(
+                    count,
+                    Quality {
+                        constant_chars: next,
+                        len: len + 1,
+                    },
+                ) {
+                    continue;
+                }
+                path.push(label);
+                self.dfs(to, path, &extended, next);
+                path.pop();
+            }
+        }
+    }
+
+    /// Runs the oracle DFS for graph `g` from a fresh own bound of 1 with a
+    /// budget of `budget` steps; returns its result and the steps it spent.
+    fn oracle_search(
+        searcher: &PivotSearcher,
+        g: GraphId,
+        threshold: usize,
+        active: &[bool],
+        budget: usize,
+    ) -> (Option<PivotResult>, usize) {
+        let prepared = &searcher.prepared;
+        let graph = prepared.graph(g);
+        let mut oracle = OracleDfs {
+            graph,
+            g: g.index(),
+            index: prepared.index(),
+            active,
+            last_nodes: &searcher.last_nodes,
+            constant_chars: &searcher.constant_chars,
+            dist_to_end: distance_to_end(graph),
+            max_path_len: searcher.config.max_path_len,
+            early_termination: searcher.config.early_termination,
+            threshold,
+            own_bound: 1,
+            steps_left: budget,
+            best: None,
+        };
+        let universe = PathList::universe(prepared.len());
+        if let Some(full_edge) = graph.edge(0, graph.last_node()) {
+            for &label in &full_edge.labels {
+                let list = oracle.index.extend(&universe, label);
+                let count = active_count(&list, active);
+                let quality = Quality {
+                    constant_chars: oracle.constant_chars[label.index()],
+                    len: 1,
+                };
+                oracle.offer(count, quality, &[label], &list);
+            }
+        }
+        if oracle.dist_to_end[0] as usize <= oracle.max_path_len {
+            oracle.dfs(0, &mut Vec::new(), &universe, 0);
+        }
+        let steps = budget - oracle.steps_left;
+        let last_nodes = &searcher.last_nodes;
+        let result = oracle
+            .best
+            .map(|(path, list, count, _)| PivotResult::new(path, list, count, active, last_nodes));
+        (result, steps)
+    }
+
+    /// Step totals of one differential run.
+    #[derive(Default)]
+    struct Differential {
+        /// Searches whose results were compared (the oracle finished).
+        compared: usize,
+        searches: usize,
+        engine_steps: usize,
+        oracle_steps: usize,
+    }
+
+    /// Compares the engine (frontier + dominance pruning) with the oracle
+    /// DFS on every graph of `reps`. Wherever the oracle finishes inside
+    /// `oracle_budget`, the engine must return exactly its pivot without
+    /// spending more steps. Each search starts from a fresh own bound of 1,
+    /// so both sides read the same pruning inputs.
+    fn engine_vs_oracle(
+        reps: &[Replacement],
+        threshold: usize,
+        oracle_budget: usize,
+    ) -> Differential {
+        // The engine's budget never binds here.
+        let config = GroupingConfig {
             max_search_steps: 100_000_000,
             ..GroupingConfig::default()
         };
-        let dfs_config = GroupingConfig {
-            intra_search_sharding: false,
-            ..engine_config.clone()
-        };
-        assert!(engine_config.intra_search_sharding);
-        let prep_engine = prepared(&reps, &engine_config);
-        let prep_dfs = prepared(&reps, &dfs_config);
-        let engine = PivotSearcher::new(Arc::clone(&prep_engine), &engine_config);
-        let dfs = PivotSearcher::new(Arc::clone(&prep_dfs), &dfs_config);
-        let active = vec![true; reps.len()];
-        let mut bounds_engine = vec![1u32; reps.len()];
-        let mut bounds_dfs = vec![1u32; reps.len()];
-        for g in 0..reps.len() {
-            let a = engine
-                .search(GraphId(g as u32), 0, &active, &mut bounds_engine)
-                .unwrap();
-            let b = dfs
-                .search(GraphId(g as u32), 0, &active, &mut bounds_dfs)
-                .unwrap();
-            assert_eq!(a.path, b.path, "graph {g}");
-            assert_eq!(a.share_count, b.share_count, "graph {g}");
-            assert_eq!(a.complete, b.complete, "graph {g}");
-            assert_eq!(a.list, b.list, "graph {g}");
+        let prep = prepared(reps, &config);
+        let searcher = PivotSearcher::new(Arc::clone(&prep), &config);
+        let active: Arc<[bool]> = vec![true; prep.len()].into();
+        let mut totals = Differential::default();
+        for g in (0..prep.len()).map(|g| GraphId(g as u32)) {
+            let mut raised = BoundRaises::default();
+            let engine = searcher.search_with_bounds(
+                g,
+                threshold,
+                &active,
+                1,
+                &mut raised,
+                Parallelism::SEQUENTIAL,
+            );
+            let (oracle, oracle_steps) =
+                oracle_search(&searcher, g, threshold, &active, oracle_budget);
+            totals.searches += 1;
+            totals.engine_steps += engine.steps;
+            totals.oracle_steps += oracle_steps;
+            if oracle_steps == oracle_budget {
+                continue;
+            }
+            totals.compared += 1;
+            assert!(
+                engine.steps <= oracle_steps,
+                "graph {g:?}: engine spent {} steps, oracle {oracle_steps}",
+                engine.steps
+            );
+            match (&engine.result, &oracle) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    assert_eq!(a.path, b.path, "graph {g:?}");
+                    assert_eq!(a.share_count, b.share_count, "graph {g:?}");
+                    assert_eq!(a.complete, b.complete, "graph {g:?}");
+                    assert_eq!(a.list, b.list, "graph {g:?}");
+                }
+                _ => panic!("graph {g:?}: engine and oracle disagree on presence"),
+            }
         }
+        totals
+    }
+
+    #[test]
+    fn engine_matches_the_plain_dfs_oracle_on_name_families() {
+        for threshold in [0, 1] {
+            let run = engine_vs_oracle(&family_replacements(), threshold, 100_000_000);
+            assert_eq!(run.compared, run.searches, "threshold {threshold}");
+        }
+    }
+
+    #[test]
+    fn engine_matches_the_plain_dfs_oracle_on_address_partitions() {
+        // Column 0 of the generated 20-cluster address data (seed 30), split
+        // into the structure partitions the grouper searches. Threshold 1 is
+        // what the incremental grouper's first batch passes.
+        let dataset = ec_data::PaperDataset::Address.generate(&ec_data::GeneratorConfig {
+            num_clusters: 20,
+            seed: 30,
+            num_sources: 6,
+        });
+        let candidates = ec_replace::generate_candidates(
+            &dataset.column_values(0),
+            &ec_replace::CandidateConfig::default(),
+        );
+        let parts =
+            crate::partition_replacements(&candidates.replacements, &GroupingConfig::default());
+        let mut total = Differential::default();
+        for part in &parts {
+            // The plain DFS needs millions of steps on about a third of these
+            // searches; a 50k-step oracle still verifies most of them.
+            let run = engine_vs_oracle(part, 1, 50_000);
+            total.compared += run.compared;
+            total.searches += run.searches;
+            total.engine_steps += run.engine_steps;
+            total.oracle_steps += run.oracle_steps;
+        }
+        assert!(
+            total.compared * 2 > total.searches,
+            "only {} of {} searches verified",
+            total.compared,
+            total.searches
+        );
+        assert!(
+            total.engine_steps * 4 < total.oracle_steps,
+            "dominance pruning must save steps: {} vs {}",
+            total.engine_steps,
+            total.oracle_steps
+        );
     }
 
     #[test]
@@ -1198,13 +1571,15 @@ mod tests {
                 .flat_map(|g| {
                     // One graph per call, so threads > gids.len() engages the
                     // parallel wave scheduling inside each search.
-                    searcher.search_many(
-                        &[GraphId(g as u32)],
-                        0,
-                        &active,
-                        &mut bounds,
-                        ec_graph::Parallelism::fixed(threads),
-                    )
+                    searcher
+                        .search_many(
+                            &[GraphId(g as u32)],
+                            0,
+                            &active,
+                            &mut bounds,
+                            ec_graph::Parallelism::fixed(threads),
+                        )
+                        .results
                 })
                 .collect();
             (results, bounds)

@@ -185,6 +185,17 @@ impl StructuredGrouper {
         }
     }
 
+    /// How many pivot searches run so far, over every partition, exhausted
+    /// [`GroupingConfig::max_search_steps`] (see
+    /// [`IncrementalGrouper::searches_truncated`]).
+    pub fn searches_truncated(&self) -> usize {
+        self.partitions
+            .iter()
+            .filter_map(|p| p.grouper.as_ref())
+            .map(IncrementalGrouper::searches_truncated)
+            .sum()
+    }
+
     /// The first `k` groups (or fewer if the input is exhausted earlier).
     pub fn top_groups(&mut self, k: usize) -> Vec<Group> {
         let mut out = Vec::with_capacity(k);

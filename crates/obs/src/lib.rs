@@ -110,9 +110,11 @@ pub const LATENCY_BUCKETS_US: &[u64] = &[
 ];
 
 /// Power-of-two-ish bounds for count-valued histograms (search steps, batch
-/// sizes).
+/// sizes). 32768 and 49152 sit below the pivot search's default 50,000-step
+/// budget, so searches that came near it and searches that exhausted it
+/// (the 65536 bucket) land in different buckets.
 pub const COUNT_BUCKETS: &[u64] = &[
-    1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536,
+    1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 32768, 49152, 65536,
 ];
 
 impl Histogram {

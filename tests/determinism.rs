@@ -186,8 +186,8 @@ fn single_mega_group_grouping_is_identical_at_any_parallelism() {
 #[test]
 fn single_mega_group_grouping_is_identical_when_the_step_budget_binds() {
     // A starved step budget forces every frontier task to its private
-    // slice's truncation point; intra-search sharding (on by default) must
-    // keep those points — and with them the groups — thread-count
+    // slice's truncation point; the frontier engine must keep those points
+    // — and with them the groups and the truncation count — thread-count
     // independent.
     let replacements = mega_group_candidates();
     let drain = |threads: usize| {
@@ -196,10 +196,12 @@ fn single_mega_group_grouping_is_identical_when_the_step_budget_binds() {
             parallelism: Parallelism::fixed(threads),
             ..GroupingConfig::default()
         };
-        assert!(config.intra_search_sharding);
-        StructuredGrouper::new(&replacements, config).all_groups()
+        let mut grouper = StructuredGrouper::new(&replacements, config);
+        let groups = grouper.all_groups();
+        (groups, grouper.searches_truncated())
     };
     let base = drain(1);
+    assert!(base.1 > 0, "a 200-step budget must truncate some searches");
     for threads in [2usize, 4] {
         assert_eq!(base, drain(threads), "threads={threads}");
     }
@@ -224,4 +226,53 @@ fn oneshot_and_incremental_cover_the_same_replacements_in_parallel() {
     oneshot.sort();
     incremental.sort();
     assert_eq!(oneshot, incremental);
+}
+
+/// What `ec consolidate --budget 50` does to a generated clustered dataset:
+/// standardize every column with the simulated expert, then write the
+/// majority-consensus golden CSV. Returns the golden CSV and the column
+/// reports.
+fn consolidate_golden(dataset: &Dataset, threads: usize) -> (Vec<u8>, Vec<ColumnReport>) {
+    let pipeline = Pipeline::new(
+        ConsolidationConfig {
+            budget: 50,
+            ..ConsolidationConfig::default()
+        }
+        .with_threads(threads),
+    );
+    let mut dataset = dataset.clone();
+    let columns: Vec<usize> = (0..dataset.columns.len()).collect();
+    let reports = standardize_columns(
+        &pipeline,
+        &mut dataset,
+        &columns,
+        AutoMode::Auto,
+        true,
+        None,
+    );
+    let golden = pipeline.discover_golden_records(&dataset, TruthMethod::MajorityConsensus);
+    let mut csv = Vec::new();
+    write_golden_records_csv(&dataset.columns, &golden, &mut csv).unwrap();
+    (csv, reports)
+}
+
+#[test]
+fn address_consolidation_searches_finish_inside_the_step_budget() {
+    // The 20-cluster address data (seed 30): before dominance pruning about
+    // a third of its pivot searches exhausted the 50k-step budget.
+    let dataset = PaperDataset::Address.generate(&GeneratorConfig {
+        num_clusters: 20,
+        seed: 30,
+        num_sources: 6,
+    });
+    let (golden, reports) = consolidate_golden(&dataset, 1);
+    let truncated: usize = reports.iter().map(|r| r.searches_truncated).sum();
+    assert!(
+        truncated <= 2,
+        "{truncated} pivot searches exhausted the step budget: {reports:?}"
+    );
+    assert!(reports.iter().any(|r| r.groups_approved > 0));
+    let (golden_2, reports_2) = consolidate_golden(&dataset, 2);
+    assert_eq!(golden, golden_2, "golden CSV differs at 2 threads");
+    assert_eq!(reports, reports_2, "column reports differ at 2 threads");
 }
