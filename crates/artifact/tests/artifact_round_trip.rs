@@ -8,8 +8,8 @@
 use ec_artifact::{encode_artifact, read_artifact, read_artifact_bytes, write_artifact};
 use ec_artifact::{ArtifactError, MAGIC, VERSION};
 use ec_core::{
-    compile_dataset, standardize_columns_compiled, AutoMode, CompiledDataset, ConsolidationConfig,
-    Pipeline, ProgramLibrary,
+    compile_dataset, standardize_columns_with, AutoMode, AutoReview, CompiledDataset,
+    ConsolidationConfig, Pipeline, ProgramLibrary,
 };
 use ec_data::{Cell, Cluster, Dataset, GeneratorConfig, PaperDataset, Row};
 use ec_graph::LabelId;
@@ -81,23 +81,23 @@ fn loaded_artifact_standardizes_byte_identically_to_the_fresh_state() {
 
     let mut from_fresh = fresh.dataset.clone();
     let mut fresh_library = ProgramLibrary::new();
-    let fresh_reports = standardize_columns_compiled(
+    let fresh_reports = standardize_columns_with(
         &pipeline,
-        &fresh,
         &mut from_fresh,
+        Some(&fresh),
         &columns,
-        AutoMode::Auto,
+        &mut AutoReview::new(AutoMode::Auto, fresh.has_truth),
         Some(&mut fresh_library),
     );
 
     let mut from_loaded = loaded.dataset.clone();
     let mut loaded_library = ProgramLibrary::new();
-    let loaded_reports = standardize_columns_compiled(
+    let loaded_reports = standardize_columns_with(
         &pipeline,
-        &loaded,
         &mut from_loaded,
+        Some(&loaded),
         &columns,
-        AutoMode::Auto,
+        &mut AutoReview::new(AutoMode::Auto, loaded.has_truth),
         Some(&mut loaded_library),
     );
 

@@ -12,9 +12,9 @@ use crate::args::ParsedArgs;
 use crate::interactive::InteractiveOracle;
 use crate::{CliError, CommandOutput, OpenInput, OpenOutput};
 use ec_core::{
-    compile_dataset, resolve_column_spec, standardize_columns, standardize_columns_compiled,
-    write_golden_records_csv, ApplyReport, AutoMode, ColumnReport, CompiledDataset,
-    ConsolidationConfig, DeltaPipeline, FusedPipeline, Pipeline, ProgramLibrary, TruthMethod,
+    compile_dataset, resolve_column_spec, standardize_columns_with, write_golden_records_csv,
+    ApplyReport, AutoMode, AutoReview, CompiledDataset, ConsolidationConfig, DeltaPipeline, Oracle,
+    OracleSource, Pipeline, ProgramLibrary, TruthMethod,
 };
 use ec_data::csv::CsvWriter;
 use ec_data::stream::DatasetSink;
@@ -270,6 +270,47 @@ fn resolve_artifact(
     }
 }
 
+/// The consolidation configuration `--budget` and `--threads` set.
+fn consolidation_config(parsed: &ParsedArgs) -> Result<ConsolidationConfig, CliError> {
+    Ok(ConsolidationConfig {
+        budget: parsed.get_usize("budget", 100)?,
+        ..ConsolidationConfig::default()
+    }
+    .with_threads(parsed.get_usize("threads", 0)?))
+}
+
+/// Runs `consolidate`/`pipeline` from a loaded `--artifact`: the artifact
+/// already holds the resolved clusters and every prepared structure, so
+/// parsing and resolving are skipped and the consolidation replays from the
+/// compiled state. `Ok(None)` when there is no artifact to run from.
+fn consolidate_artifact(
+    parsed: &ParsedArgs,
+    pipeline: &Pipeline,
+    open_output: OpenOutput<'_>,
+    stdin: &mut dyn BufRead,
+    prompt_out: &mut dyn Write,
+) -> Result<Option<CommandOutput>, CliError> {
+    let Some((path, compiled, mapped)) = resolve_artifact(parsed, prompt_out)? else {
+        return Ok(None);
+    };
+    let summary = artifact_summary(&path, &compiled, mapped);
+    let mut dataset = compiled.dataset.clone();
+    let consolidated = consolidate_dataset(
+        parsed,
+        &mut dataset,
+        compiled.has_truth,
+        pipeline,
+        Some(&compiled),
+        open_output,
+        stdin,
+        prompt_out,
+    )?;
+    Ok(Some(CommandOutput {
+        stdout: summary + &consolidated.stdout,
+        written: consolidated.written,
+    }))
+}
+
 /// `ec consolidate`: standardize one or all columns under a budget and emit
 /// the standardized dataset and its golden records.
 pub fn consolidate(
@@ -279,30 +320,9 @@ pub fn consolidate(
     stdin: &mut dyn BufRead,
     prompt_out: &mut dyn Write,
 ) -> Result<CommandOutput, CliError> {
-    let pipeline = Pipeline::new(
-        ConsolidationConfig {
-            budget: parsed.get_usize("budget", 100)?,
-            ..ConsolidationConfig::default()
-        }
-        .with_threads(parsed.get_usize("threads", 0)?),
-    );
-    if let Some((path, compiled, mapped)) = resolve_artifact(parsed, prompt_out)? {
-        let summary = artifact_summary(&path, &compiled, mapped);
-        let mut dataset = compiled.dataset.clone();
-        let consolidated = consolidate_dataset(
-            parsed,
-            &mut dataset,
-            compiled.has_truth,
-            &pipeline,
-            Some(&compiled),
-            open_output,
-            stdin,
-            prompt_out,
-        )?;
-        return Ok(CommandOutput {
-            stdout: summary + &consolidated.stdout,
-            written: consolidated.written,
-        });
+    let pipeline = Pipeline::new(consolidation_config(parsed)?);
+    if let Some(output) = consolidate_artifact(parsed, &pipeline, open_output, stdin, prompt_out)? {
+        return Ok(output);
     }
     // The `__truth` columns are what the simulated expert judges against; when
     // they are absent the automatic mode falls back to approving everything
@@ -318,6 +338,31 @@ pub fn consolidate(
         stdin,
         prompt_out,
     )
+}
+
+/// `--mode interactive`: per column, a header line on the prompt channel and
+/// a fresh [`InteractiveOracle`] (so group numbering restarts per column).
+/// The first failed header write is kept and fails the command afterwards.
+struct InteractiveReview<'a> {
+    stdin: &'a mut dyn BufRead,
+    prompt_out: &'a mut dyn Write,
+    error: Option<std::io::Error>,
+}
+
+impl OracleSource for InteractiveReview<'_> {
+    fn oracle_for(&mut self, dataset: &Dataset, col: usize) -> Box<dyn Oracle + '_> {
+        if let Err(e) = writeln!(
+            self.prompt_out,
+            "== reviewing groups of column '{}' ==",
+            dataset.columns[col]
+        ) {
+            self.error.get_or_insert(e);
+        }
+        Box::new(InteractiveOracle::new(
+            &mut *self.stdin,
+            &mut *self.prompt_out,
+        ))
+    }
 }
 
 /// The shared consolidation driver behind `ec consolidate` and the
@@ -371,58 +416,33 @@ fn consolidate_dataset(
     // `--save-library` persists the verification work of this run as a
     // learned-program snapshot (`ec apply` / `ec serve` re-use it).
     let mut library = library_sink.as_ref().map(|_| ProgramLibrary::new());
-    let reports: Vec<ColumnReport> = if mode == "interactive" {
-        let mut reports = Vec::with_capacity(columns.len());
-        for &col in &columns {
-            writeln!(
-                prompt_out,
-                "== reviewing groups of column '{}' ==",
-                dataset.columns[col]
-            )
-            .map_err(|e| CliError::Io(e.to_string()))?;
-            let mut oracle = InteractiveOracle::new(stdin, prompt_out);
-            let (report, approved) = match compiled {
-                Some(compiled) => pipeline.standardize_column_traced_compiled(
-                    dataset,
-                    col,
-                    &compiled.columns[col],
-                    &mut oracle,
-                ),
-                None => pipeline.standardize_column_traced(dataset, col, &mut oracle),
-            };
-            if let Some(library) = &mut library {
-                for group in &approved {
-                    library.record(&dataset.columns[col], group);
-                }
-            }
-            reports.push(report);
-        }
-        reports
+    let mut interactive = None;
+    let mut auto = None;
+    let oracles: &mut dyn OracleSource = if mode == "interactive" {
+        interactive.insert(InteractiveReview {
+            stdin,
+            prompt_out,
+            error: None,
+        })
     } else {
         let auto_mode = AutoMode::parse(mode).ok_or_else(|| {
             CliError::Usage(format!(
                 "unknown mode '{mode}'; expected auto, approve-all, or interactive"
             ))
         })?;
-        match compiled {
-            Some(compiled) => standardize_columns_compiled(
-                pipeline,
-                compiled,
-                dataset,
-                &columns,
-                auto_mode,
-                library.as_mut(),
-            ),
-            None => standardize_columns(
-                pipeline,
-                dataset,
-                &columns,
-                auto_mode,
-                has_truth,
-                library.as_mut(),
-            ),
-        }
+        auto.insert(AutoReview::new(auto_mode, has_truth))
     };
+    let reports = standardize_columns_with(
+        pipeline,
+        dataset,
+        compiled,
+        &columns,
+        oracles,
+        library.as_mut(),
+    );
+    if let Some(error) = interactive.and_then(|review| review.error) {
+        return Err(CliError::Io(error.to_string()));
+    }
 
     let golden = pipeline.discover_golden_records(dataset, truth_method);
 
@@ -568,50 +588,22 @@ pub fn pipeline(
     stdin: &mut dyn BufRead,
     prompt_out: &mut dyn Write,
 ) -> Result<CommandOutput, CliError> {
-    if let Some((path, compiled, mapped)) = resolve_artifact(parsed, prompt_out)? {
-        // The artifact already holds the resolved clusters and every prepared
-        // structure; replay the consolidation, skipping resolve entirely.
-        let summary = artifact_summary(&path, &compiled, mapped);
-        let pipeline = Pipeline::new(
-            ConsolidationConfig {
-                budget: parsed.get_usize("budget", 100)?,
-                ..ConsolidationConfig::default()
-            }
-            .with_threads(parsed.get_usize("threads", 0)?),
-        );
-        let mut dataset = compiled.dataset.clone();
-        let consolidated = consolidate_dataset(
-            parsed,
-            &mut dataset,
-            compiled.has_truth,
-            &pipeline,
-            Some(&compiled),
-            open_output,
-            stdin,
-            prompt_out,
-        )?;
-        return Ok(CommandOutput {
-            stdout: summary + &consolidated.stdout,
-            written: consolidated.written,
-        });
+    let pipeline = Pipeline::new(consolidation_config(parsed)?);
+    if let Some(output) = consolidate_artifact(parsed, &pipeline, open_output, stdin, prompt_out)? {
+        return Ok(output);
     }
     let threshold = match_threshold(parsed)?;
     let mut stream = FlatCsvReader::new(input).map_err(|e| CliError::Data(e.to_string()))?;
     let name = parsed.get("name").unwrap_or("resolved");
-    let fused = FusedPipeline::new(
-        ResolverConfig {
-            threshold,
-            ..ResolverConfig::default()
-        },
-        ConsolidationConfig {
-            budget: parsed.get_usize("budget", 100)?,
-            ..ConsolidationConfig::default()
-        }
-        .with_threads(parsed.get_usize("threads", 0)?),
-    );
-    let mut dataset = fused
-        .resolve_stream(name, &mut stream)
-        .map_err(|e| CliError::Data(e.to_string()))?;
+    // Pair scoring shards over the same thread budget as the consolidation
+    // stages; output is bit-identical for every setting.
+    let mut dataset = Resolver::new(ResolverConfig {
+        threshold,
+        ..ResolverConfig::default()
+    })
+    .with_parallelism(pipeline.config().candidates.parallelism)
+    .resolve_stream(name, &mut stream)
+    .map_err(|e| CliError::Data(e.to_string()))?;
     let summary = format!(
         "resolved {} records into {} clusters (threshold {})\n",
         dataset.num_records(),
@@ -626,7 +618,7 @@ pub fn pipeline(
         parsed,
         &mut dataset,
         true,
-        fused.pipeline(),
+        &pipeline,
         None,
         open_output,
         stdin,
@@ -695,11 +687,7 @@ pub fn ingest(
             threshold,
             ..ResolverConfig::default()
         },
-        ConsolidationConfig {
-            budget: parsed.get_usize("budget", 100)?,
-            ..ConsolidationConfig::default()
-        }
-        .with_threads(parsed.get_usize("threads", 0)?),
+        consolidation_config(parsed)?,
         mode,
         truth_method,
     )
@@ -907,16 +895,13 @@ pub fn compile(
     } else {
         let mut stream =
             FlatCsvReader::new(text.as_bytes()).map_err(|e| CliError::Data(e.to_string()))?;
-        let fused = FusedPipeline::new(
-            ResolverConfig {
-                threshold,
-                ..ResolverConfig::default()
-            },
-            config.clone(),
-        );
-        let dataset = fused
-            .resolve_stream(name, &mut stream)
-            .map_err(|e| CliError::Data(e.to_string()))?;
+        let dataset = Resolver::new(ResolverConfig {
+            threshold,
+            ..ResolverConfig::default()
+        })
+        .with_parallelism(config.candidates.parallelism)
+        .resolve_stream(name, &mut stream)
+        .map_err(|e| CliError::Data(e.to_string()))?;
         // Resolver output carries per-cell truth, like `ec resolve` output.
         (dataset, true)
     };
@@ -1928,62 +1913,71 @@ mod tests {
     #[test]
     fn pipeline_from_artifact_matches_the_fresh_run_byte_for_byte() {
         let flat = flat_csv(10, 5);
-        let flags = [
-            "--threshold",
-            "0.6",
-            "--budget",
-            "15",
-            "--output",
-            "std.csv",
-            "--golden",
-            "g.csv",
-            "--save-library",
-            "lib.txt",
-        ];
-
-        let fresh_fs = MemFiles::new();
-        let mut stdin = Cursor::new(Vec::new());
-        let mut prompts = Vec::new();
-        let mut argv = vec!["pipeline", "--input", "f.csv"];
-        argv.extend(flags);
-        pipeline(
-            &parsed(&argv),
-            flat.as_bytes(),
-            &fresh_fs.output_opener(),
-            &mut stdin,
-            &mut prompts,
-        )
-        .unwrap();
-
         let path = compiled_temp_artifact(&flat, "0.6", "pipeline");
-        let preloaded_fs = MemFiles::new();
-        let mut stdin = Cursor::new(Vec::new());
-        let mut prompts = Vec::new();
-        let mut argv = vec!["pipeline", "--artifact", path.to_str().unwrap()];
-        argv.extend(flags);
-        let out = pipeline(
-            &parsed(&argv),
-            std::io::empty(),
-            &preloaded_fs.output_opener(),
-            &mut stdin,
-            &mut prompts,
-        )
-        .unwrap();
-        std::fs::remove_file(&path).unwrap();
+        // The same scripted answers feed the fresh and the artifact run in
+        // interactive mode; both transcripts must match too.
+        let script = "f\nr\nb\n".repeat(12);
+        for mode in ["auto", "interactive"] {
+            let flags = [
+                "--threshold",
+                "0.6",
+                "--budget",
+                "15",
+                "--mode",
+                mode,
+                "--output",
+                "std.csv",
+                "--golden",
+                "g.csv",
+                "--save-library",
+                "lib.txt",
+            ];
+            let run = |source: &[&str], input: &[u8]| {
+                let fs = MemFiles::new();
+                let mut stdin = Cursor::new(script.clone().into_bytes());
+                let mut prompts = Vec::new();
+                let mut argv = vec!["pipeline"];
+                argv.extend(source);
+                argv.extend(flags);
+                let out = pipeline(
+                    &parsed(&argv),
+                    input,
+                    &fs.output_opener(),
+                    &mut stdin,
+                    &mut prompts,
+                )
+                .unwrap();
+                (out, fs, prompts)
+            };
+            let (_, fresh_fs, fresh_prompts) = run(&["--input", "f.csv"], flat.as_bytes());
+            let (out, preloaded_fs, preloaded_prompts) =
+                run(&["--artifact", path.to_str().unwrap()], &[]);
 
-        assert!(
-            out.stdout.starts_with("loaded compiled artifact"),
-            "{}",
-            out.stdout
-        );
-        assert!(out.stdout.contains("skipped"), "{}", out.stdout);
-        for file in ["std.csv", "g.csv", "lib.txt"] {
-            assert_eq!(
-                preloaded_fs.get(file),
-                fresh_fs.get(file),
-                "{file} is bit-identical"
+            assert!(
+                out.stdout.starts_with("loaded compiled artifact"),
+                "{}",
+                out.stdout
             );
+            assert!(out.stdout.contains("skipped"), "{}", out.stdout);
+            for file in ["std.csv", "g.csv", "lib.txt"] {
+                assert_eq!(
+                    preloaded_fs.get(file),
+                    fresh_fs.get(file),
+                    "{file} is bit-identical ({mode} mode)"
+                );
+            }
+            assert_eq!(
+                String::from_utf8(preloaded_prompts).unwrap(),
+                String::from_utf8(fresh_prompts.clone()).unwrap(),
+                "prompt transcripts agree ({mode} mode)"
+            );
+            if mode == "interactive" {
+                let transcript = String::from_utf8(fresh_prompts).unwrap();
+                assert!(transcript.contains("== reviewing groups of column"));
+                assert!(transcript.contains("group #"), "{transcript}");
+            }
         }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

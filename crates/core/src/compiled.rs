@@ -7,17 +7,17 @@
 //! dataset and the configuration. [`compile_dataset`] computes it eagerly
 //! (the budget is a runtime parameter, so *every* partition is prepared);
 //! `ec compile` serializes the result into a memory-mappable artifact
-//! (`ec-artifact`), and [`standardize_columns_compiled`] replays Algorithm 1
-//! from the prepared state, byte-identical to the CSV build path while
-//! skipping candidate generation, graph construction and index building.
+//! (`ec-artifact`). Handing the compiled state to
+//! [`crate::standardize_columns_with`] runs the same column driver and the
+//! same review loop as a CSV build: only the loop's input changes — the
+//! engine and grouper are reassembled from the stored candidate sets and
+//! partitions — so the output is byte-identical while candidate
+//! generation, graph construction and index building are skipped.
 
-use crate::consolidate::AutoMode;
-use crate::library::ProgramLibrary;
-use crate::oracle::{ApproveAllOracle, Oracle, SimulatedOracle, Verdict};
-use crate::pipeline::{ColumnReport, ConsolidationConfig, Pipeline};
+use crate::pipeline::ConsolidationConfig;
 use ec_data::Dataset;
 use ec_graph::Replacement;
-use ec_grouping::{partition_replacements, PreparedGraphs, StructuredGrouper};
+use ec_grouping::{partition_replacements, PreparedGraphs};
 use ec_replace::{CandidateSet, ReplacementEngine};
 use std::sync::Arc;
 
@@ -37,7 +37,8 @@ pub struct CompiledColumn {
     /// The full candidate set generated from the column's cluster values.
     pub candidates: CandidateSet,
     /// The structure partitions over the (non-empty) candidates, biggest
-    /// first — the same order a fresh [`StructuredGrouper`] would scan.
+    /// first — the same order a fresh [`ec_grouping::StructuredGrouper`]
+    /// would scan.
     pub partitions: Vec<CompiledPartition>,
 }
 
@@ -106,94 +107,12 @@ pub fn compile_dataset(
     }
 }
 
-impl Pipeline {
-    /// [`Pipeline::standardize_column_traced`] from a compiled column state:
-    /// the engine is reassembled from the stored candidate sets and the
-    /// grouper from the stored partitions, skipping generation, graph
-    /// construction and indexing. Output is identical to the fresh path.
-    pub fn standardize_column_traced_compiled(
-        &self,
-        dataset: &mut Dataset,
-        col: usize,
-        compiled: &CompiledColumn,
-        oracle: &mut dyn Oracle,
-    ) -> (ColumnReport, Vec<crate::ApprovedGroup>) {
-        let values = dataset.column_values(col);
-        let mut engine = ReplacementEngine::from_parts(values, compiled.candidates.clone());
-        let candidates = engine.candidates();
-        let parts = compiled
-            .partitions
-            .iter()
-            .map(|p| (p.members.clone(), Arc::clone(&p.prepared)))
-            .collect();
-        let mut grouper = StructuredGrouper::from_compiled(parts, self.config().grouping.clone());
-        let mut reviewed = 0usize;
-        let mut approved = Vec::new();
-        while reviewed < self.config().budget {
-            let group = match grouper.next_group() {
-                Some(g) => g,
-                None => break,
-            };
-            reviewed += 1;
-            if let Verdict::Approve(direction) = oracle.review(&group) {
-                engine.apply_group(group.members(), direction);
-                approved.push(crate::ApprovedGroup { group, direction });
-            }
-        }
-        let report = ColumnReport {
-            column: col,
-            candidates: candidates.len(),
-            groups_reviewed: reviewed,
-            groups_approved: approved.len(),
-            cells_updated: engine.cells_updated(),
-            searches_truncated: grouper.searches_truncated(),
-        };
-        dataset.set_column_values(col, engine.into_values());
-        (report, approved)
-    }
-}
-
-/// [`crate::standardize_columns`] over a compiled dataset: same oracle
-/// selection and library recording, but each column runs from its compiled
-/// state. `dataset` is the working copy being standardized (typically a clone
-/// of [`CompiledDataset::dataset`]).
-pub fn standardize_columns_compiled(
-    pipeline: &Pipeline,
-    compiled: &CompiledDataset,
-    dataset: &mut Dataset,
-    columns: &[usize],
-    mode: AutoMode,
-    mut library: Option<&mut ProgramLibrary>,
-) -> Vec<ColumnReport> {
-    let mut reports = Vec::with_capacity(columns.len());
-    for &col in columns {
-        let simulated = mode == AutoMode::Auto && compiled.has_truth;
-        let mut oracle: Box<dyn Oracle> = if simulated {
-            Box::new(SimulatedOracle::for_column(dataset, col, 7 + col as u64))
-        } else {
-            Box::new(ApproveAllOracle)
-        };
-        let (report, approved) = pipeline.standardize_column_traced_compiled(
-            dataset,
-            col,
-            &compiled.columns[col],
-            oracle.as_mut(),
-        );
-        if let Some(library) = library.as_deref_mut() {
-            let column_name = &dataset.columns[col];
-            for group in &approved {
-                library.record(column_name, group);
-            }
-        }
-        reports.push(report);
-    }
-    reports
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consolidate::standardize_columns;
+    use crate::consolidate::{standardize_columns, standardize_columns_with, AutoMode, AutoReview};
+    use crate::library::ProgramLibrary;
+    use crate::pipeline::Pipeline;
     use ec_data::{GeneratorConfig, PaperDataset};
 
     #[test]
@@ -224,12 +143,12 @@ mod tests {
         let compiled = compile_dataset(dataset, 0.75, true, &config);
         let mut from_compiled = compiled.dataset.clone();
         let mut compiled_library = ProgramLibrary::new();
-        let compiled_reports = standardize_columns_compiled(
+        let compiled_reports = standardize_columns_with(
             &pipeline,
-            &compiled,
             &mut from_compiled,
+            Some(&compiled),
             &columns,
-            AutoMode::Auto,
+            &mut AutoReview::new(AutoMode::Auto, compiled.has_truth),
             Some(&mut compiled_library),
         );
 

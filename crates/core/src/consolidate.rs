@@ -1,17 +1,20 @@
 //! The shared, automated consolidation driver.
 //!
-//! `ec consolidate`, `ec pipeline` and the `ec serve` endpoints all run the
-//! same sequence — pick an oracle per column, standardize the requested
-//! columns in order, run truth discovery — and their outputs must be
-//! **byte-identical** across entry points (the serve tests `cmp` a
-//! `POST /pipeline` response against the CLI's `--output` file). Keeping the
-//! column selection, oracle seeding and golden-record serialization in one
-//! place makes that identity true by construction instead of by parallel
-//! maintenance.
+//! `ec consolidate`, `ec pipeline`, `ec ingest` and the `ec serve` endpoints
+//! all run the same sequence — pick an oracle per column, standardize the
+//! requested columns in order, record approvals, run truth discovery — and
+//! their outputs must be **byte-identical** across entry points (the serve
+//! tests `cmp` a `POST /pipeline` response against the CLI's `--output`
+//! file). The column driver, the oracle seeding and the golden-record
+//! serialization live here once, over the single review loop in
+//! [`Pipeline`], so that identity holds by construction whether a column
+//! is generated fresh, replayed from a compiled artifact, or replayed from
+//! an incremental run's cache.
 
+use crate::compiled::CompiledDataset;
 use crate::library::ProgramLibrary;
 use crate::oracle::{ApproveAllOracle, Oracle, SimulatedOracle};
-use crate::pipeline::{ColumnReport, Pipeline};
+use crate::pipeline::{ColumnReport, ColumnSource, Pipeline};
 use ec_data::csv::CsvWriter;
 use ec_data::Dataset;
 use std::io::Write;
@@ -51,33 +54,100 @@ pub fn resolve_column_spec(columns: &[String], spec: &str) -> Option<usize> {
     }
 }
 
-/// Standardizes `columns` (in the given order) with the automated oracle
-/// selection: per column, [`SimulatedOracle::for_column`] seeded `7 + column`
-/// when `mode` is [`AutoMode::Auto`] and the dataset carries ground truth,
-/// [`ApproveAllOracle`] otherwise. Approved groups are recorded into
-/// `library` (keyed by column name) when one is supplied, so the
-/// verification work performed during the run becomes a reusable asset.
+/// Supplies the oracle that reviews each column of a driver run.
+pub trait OracleSource {
+    /// The oracle for column `col`, built against `dataset` as standardized
+    /// so far (the columns before `col` in the run are already rewritten).
+    fn oracle_for(&mut self, dataset: &Dataset, col: usize) -> Box<dyn Oracle + '_>;
+}
+
+/// The automated oracle selection every non-interactive entry point shares:
+/// per column, a [`SimulatedOracle`] seeded with 7 plus the column index
+/// when the mode is [`AutoMode::Auto`] and the dataset carries ground truth,
+/// [`ApproveAllOracle`] otherwise.
+#[derive(Debug, Clone, Copy)]
+pub struct AutoReview {
+    mode: AutoMode,
+    has_truth: bool,
+}
+
+impl AutoReview {
+    /// The selection for `mode` over a dataset with (or without) truth.
+    pub fn new(mode: AutoMode, has_truth: bool) -> Self {
+        AutoReview { mode, has_truth }
+    }
+}
+
+impl OracleSource for AutoReview {
+    fn oracle_for(&mut self, dataset: &Dataset, col: usize) -> Box<dyn Oracle + '_> {
+        if self.mode == AutoMode::Auto && self.has_truth {
+            Box::new(SimulatedOracle::for_column(dataset, col, 7 + col as u64))
+        } else {
+            Box::new(ApproveAllOracle)
+        }
+    }
+}
+
+/// Standardizes `columns` (in the given order) with the [`AutoReview`]
+/// oracle selection. Approved groups are recorded into `library` (keyed by
+/// column name) when one is supplied, so the verification work performed
+/// during the run becomes a reusable asset.
 pub fn standardize_columns(
     pipeline: &Pipeline,
     dataset: &mut Dataset,
     columns: &[usize],
     mode: AutoMode,
     has_truth: bool,
+    library: Option<&mut ProgramLibrary>,
+) -> Vec<ColumnReport> {
+    standardize_columns_with(
+        pipeline,
+        dataset,
+        None,
+        columns,
+        &mut AutoReview::new(mode, has_truth),
+        library,
+    )
+}
+
+/// [`standardize_columns`] with any [`OracleSource`], optionally replaying
+/// each column from `compiled` state (a loaded artifact, whose `dataset` is
+/// typically a clone of [`CompiledDataset::dataset`]) instead of generating
+/// and grouping candidates afresh. Both routes produce identical output.
+pub fn standardize_columns_with(
+    pipeline: &Pipeline,
+    dataset: &mut Dataset,
+    compiled: Option<&CompiledDataset>,
+    columns: &[usize],
+    oracles: &mut dyn OracleSource,
+    library: Option<&mut ProgramLibrary>,
+) -> Vec<ColumnReport> {
+    let source = |_: &Dataset, col: usize| match compiled {
+        Some(compiled) => ColumnSource::Compiled(&compiled.columns[col]),
+        None => ColumnSource::Fresh,
+    };
+    review_columns(pipeline, dataset, columns, source, oracles, library)
+}
+
+/// The multi-column driver behind every entry point: per column, prepares
+/// the [`ColumnSource`], takes the column's oracle, runs the pipeline's
+/// review loop and records the approved groups into `library`.
+pub(crate) fn review_columns<'a>(
+    pipeline: &Pipeline,
+    dataset: &mut Dataset,
+    columns: &[usize],
+    mut source: impl FnMut(&Dataset, usize) -> ColumnSource<'a>,
+    oracles: &mut dyn OracleSource,
     mut library: Option<&mut ProgramLibrary>,
 ) -> Vec<ColumnReport> {
     let mut reports = Vec::with_capacity(columns.len());
     for &col in columns {
-        let simulated = mode == AutoMode::Auto && has_truth;
-        let mut oracle: Box<dyn Oracle> = if simulated {
-            Box::new(SimulatedOracle::for_column(dataset, col, 7 + col as u64))
-        } else {
-            Box::new(ApproveAllOracle)
-        };
-        let (report, approved) = pipeline.standardize_column_traced(dataset, col, oracle.as_mut());
+        let source = source(dataset, col);
+        let mut oracle = oracles.oracle_for(dataset, col);
+        let (report, approved) = pipeline.review_column(dataset, col, source, oracle.as_mut());
         if let Some(library) = library.as_deref_mut() {
-            let column_name = &dataset.columns[col];
             for group in &approved {
-                library.record(column_name, group);
+                library.record(&dataset.columns[col], group);
             }
         }
         reports.push(report);
@@ -134,6 +204,8 @@ mod tests {
             budget: 10,
             ..ConsolidationConfig::default()
         });
+        // Each column's simulated oracle is built from the dataset as
+        // standardized so far, after the earlier columns were rewritten.
         let mut manual = dataset.clone();
         let manual_reports: Vec<ColumnReport> = (0..manual.columns.len())
             .map(|col| {

@@ -25,8 +25,9 @@
 //!   touching the grouper at all (group emission order depends only on the
 //!   candidate list and the grouping config, never on oracle verdicts).
 //!
-//! The oracle review loop itself is re-run every batch (simulated-oracle
-//! verdicts depend on current cluster contents and are cheap), and truth
+//! The oracle review itself is re-run every batch, through the same column
+//! driver and review loop as the one-shot pipeline (simulated-oracle verdicts
+//! depend on current cluster contents and are cheap), and truth
 //! discovery runs over the full standardized dataset, so after any sequence
 //! of batches the standardized dataset and golden records are exactly what a
 //! one-shot run over the union of all inputs would produce — byte-identical,
@@ -51,10 +52,9 @@
 //! regenerated on its next appearance. Evictions are counted in the
 //! `ec_ingest_cache_evictions_total` registry metric.
 
-use crate::consolidate::{write_golden_records_csv, AutoMode};
-use crate::library::{ApprovedGroup, ProgramLibrary, ValueOutcome};
-use crate::oracle::{ApproveAllOracle, Oracle, SimulatedOracle, Verdict};
-use crate::pipeline::{ColumnReport, ConsolidationConfig, Pipeline, TruthMethod};
+use crate::consolidate::{review_columns, write_golden_records_csv, AutoMode, AutoReview};
+use crate::library::{ProgramLibrary, ValueOutcome};
+use crate::pipeline::{ColumnReport, ColumnSource, ConsolidationConfig, Pipeline, TruthMethod};
 use ec_data::Dataset;
 use ec_graph::{structure::replacement_structure, Replacement, ReplacementStructure};
 use ec_grouping::{
@@ -143,8 +143,9 @@ struct ColumnCache {
     /// Monotone lookup counter backing `CachedContribution::last_hit`.
     tick: u64,
     /// The last emitted group sequence, keyed by the exact candidate list it
-    /// was computed from. At most `budget` groups are stored.
-    groups: Option<(Vec<Replacement>, Vec<Group>)>,
+    /// was computed from. At most `budget` groups are stored; the review loop
+    /// shares the sequence and clones only the groups it approves.
+    groups: Option<(Vec<Replacement>, Arc<[Group]>)>,
     /// Prepared graphs per structure partition, grown via
     /// [`PreparedGraphs::append`] when members only get appended.
     partitions: HashMap<ReplacementStructure, CachedPartition>,
@@ -352,29 +353,34 @@ impl DeltaPipeline {
         let mut dataset = self.resolver.snapshot(&self.name, self.columns.clone());
         let clusters = dataset.clusters.len();
 
-        let mut reports = Vec::with_capacity(self.columns.len());
+        // Resolver snapshots always carry ground truth (truth := observed),
+        // so the oracle selection matches the one-shot path with
+        // `has_truth = true`. Oracles are rebuilt every batch: simulated
+        // verdicts depend on current cluster contents and are never replayed.
         let mut replayed_columns = 0;
-        for col in 0..self.columns.len() {
-            let (report, replayed) = standardize_column_delta(
-                &mut self.caches[col],
-                self.pipeline.config(),
-                &mut dataset,
-                col,
-                self.mode,
-                &self.columns[col],
-                &mut self.library,
-            );
-            if replayed {
-                replayed_columns += 1;
+        let (caches, config, cache_cap) =
+            (&mut self.caches, self.pipeline.config(), self.cache_cap);
+        let mut evictions = 0;
+        let source = |dataset: &Dataset, col: usize| {
+            let (source, replayed) = delta_column(&mut caches[col], config, dataset, col);
+            replayed_columns += usize::from(replayed);
+            if let Some(cap) = cache_cap {
+                evictions += caches[col].evict_over_cap(cap);
             }
-            if let Some(cap) = self.cache_cap {
-                let evicted = self.caches[col].evict_over_cap(cap);
-                if evicted > 0 {
-                    self.cache_evictions += evicted as u64;
-                    ingest_metrics().cache_evictions.add(evicted as u64);
-                }
-            }
-            reports.push(report);
+            source
+        };
+        let columns: Vec<usize> = (0..self.columns.len()).collect();
+        let reports = review_columns(
+            &self.pipeline,
+            &mut dataset,
+            &columns,
+            source,
+            &mut AutoReview::new(self.mode, true),
+            Some(&mut self.library),
+        );
+        if evictions > 0 {
+            self.cache_evictions += evictions as u64;
+            ingest_metrics().cache_evictions.add(evictions as u64);
         }
         ingest_metrics()
             .replayed_columns
@@ -521,75 +527,38 @@ fn emit_groups(
     (seq, grouper.searches_truncated())
 }
 
-/// Standardizes one column of the snapshot in place — the delta twin of the
-/// one-shot pipeline's traced column standardization, with identical
-/// observable behavior. Returns the column report and whether the group
-/// sequence was replayed from cache.
-fn standardize_column_delta(
+/// Prepares one column of the snapshot for the review loop: merges the
+/// cached candidate contributions, then replays the cached group sequence
+/// when the candidate list is unchanged or recomputes (and caches) it
+/// otherwise. Returns the source and whether the sequence was replayed.
+fn delta_column(
     cache: &mut ColumnCache,
     config: &ConsolidationConfig,
-    dataset: &mut Dataset,
+    dataset: &Dataset,
     col: usize,
-    mode: AutoMode,
-    column_name: &str,
-    library: &mut ProgramLibrary,
-) -> (ColumnReport, bool) {
+) -> (ColumnSource<'static>, bool) {
     let values = dataset.column_values(col);
     let merged = merged_candidates(cache, &values, config);
-    let mut engine = ReplacementEngine::from_parts(values, merged);
+    let engine = ReplacementEngine::from_parts(values, merged);
     let candidates = engine.candidates();
-
-    let budget = config.budget;
+    let count = candidates.len();
     let replayed = matches!(&cache.groups, Some((key, _)) if *key == candidates);
     // A replayed column runs no search, so nothing can be truncated.
     let searches_truncated = if replayed {
         0
     } else {
-        let (seq, truncated) = emit_groups(cache, &candidates, &config.grouping, budget);
-        cache.groups = Some((candidates.clone(), seq));
+        let (seq, truncated) = emit_groups(cache, &candidates, &config.grouping, config.budget);
+        cache.groups = Some((candidates, seq.into()));
         truncated
     };
-
-    // Resolver snapshots always carry ground truth (truth := observed), so
-    // the oracle selection matches the one-shot path with `has_truth = true`.
-    // The oracle is rebuilt every batch: simulated verdicts depend on current
-    // cluster contents and are never replayed.
-    let mut oracle: Box<dyn Oracle> = if mode == AutoMode::Auto {
-        Box::new(SimulatedOracle::for_column(dataset, col, 7 + col as u64))
-    } else {
-        Box::new(ApproveAllOracle)
-    };
-
     let (_, groups) = cache.groups.as_ref().expect("groups just cached");
-    let mut reviewed = 0;
-    let mut approved: Vec<ApprovedGroup> = Vec::new();
-    for group in groups {
-        if reviewed >= budget {
-            break;
-        }
-        reviewed += 1;
-        if let Verdict::Approve(direction) = oracle.review(group) {
-            engine.apply_group(group.members(), direction);
-            approved.push(ApprovedGroup {
-                group: group.clone(),
-                direction,
-            });
-        }
-    }
-
-    let report = ColumnReport {
-        column: col,
-        candidates: candidates.len(),
-        groups_reviewed: reviewed,
-        groups_approved: approved.len(),
-        cells_updated: engine.cells_updated(),
+    let source = ColumnSource::Replay {
+        engine,
+        candidates: count,
+        groups: Arc::clone(groups),
         searches_truncated,
     };
-    dataset.set_column_values(col, engine.into_values());
-    for group in &approved {
-        library.record(column_name, group);
-    }
-    (report, replayed)
+    (source, replayed)
 }
 
 #[cfg(test)]

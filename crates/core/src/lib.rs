@@ -13,6 +13,14 @@
 //! 4. run truth discovery on the standardized clusters (`ec-truth`) to emit
 //!    one golden record per cluster.
 //!
+//! Steps 1–3 exist once: [`Pipeline::standardize_column_traced`] is the
+//! review loop, and [`standardize_columns_with`] is the multi-column driver
+//! (oracle choice via an [`OracleSource`], library recording) every entry
+//! point runs. A column reaches that loop freshly generated, reassembled from
+//! a [`CompiledDataset`] (`ec compile` artifacts), or replayed from a
+//! [`DeltaPipeline`]'s cache (incremental ingest); flat records are resolved
+//! into clusters beforehand with `ec_resolution::Resolver::resolve_stream`.
+//!
 //! ```
 //! use ec_core::{ConsolidationConfig, Pipeline, SimulatedOracle, TruthMethod};
 //! use ec_data::{GeneratorConfig, PaperDataset};
@@ -34,20 +42,16 @@
 pub mod compiled;
 pub mod consolidate;
 pub mod delta;
-pub mod fused;
 pub mod library;
 pub mod oracle;
 pub mod pipeline;
 
-pub use compiled::{
-    compile_dataset, standardize_columns_compiled, CompiledColumn, CompiledDataset,
-    CompiledPartition,
-};
+pub use compiled::{compile_dataset, CompiledColumn, CompiledDataset, CompiledPartition};
 pub use consolidate::{
-    resolve_column_spec, standardize_columns, write_golden_records_csv, AutoMode,
+    resolve_column_spec, standardize_columns, standardize_columns_with, write_golden_records_csv,
+    AutoMode, AutoReview, OracleSource,
 };
 pub use delta::{BatchReport, DeltaPipeline};
-pub use fused::{FusedPipeline, FusedRun};
 pub use library::{
     ApplyReport, ApprovedGroup, LearnedProgram, LibraryApplier, LibraryError, ProgramLibrary,
     ValueOutcome,

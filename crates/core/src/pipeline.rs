@@ -1,11 +1,15 @@
 //! The golden-record creation pipeline (Algorithm 1).
 
+use crate::compiled::CompiledColumn;
+use crate::library::ApprovedGroup;
 use crate::oracle::{Oracle, Verdict};
 use ec_data::Dataset;
-use ec_grouping::{GroupingConfig, StructuredGrouper};
+use ec_grouping::{Group, GroupingConfig, StructuredGrouper};
 use ec_replace::{CandidateConfig, ReplacementEngine};
 use ec_truth::{majority_consensus, reliability_truth_discovery, Claim, ReliabilityConfig};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Which truth-discovery method closes the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,9 +42,10 @@ impl Default for ConsolidationConfig {
 }
 
 impl ConsolidationConfig {
-    /// Sets one [`Parallelism`] on both sharded stages — candidate generation
-    /// and pivot-path grouping. The pipeline's output is bit-identical for
-    /// every setting; only the wall-clock time changes.
+    /// Sets one [`Parallelism`](ec_grouping::Parallelism) on both sharded
+    /// stages — candidate generation and pivot-path grouping. The pipeline's
+    /// output is bit-identical for every setting; only the wall-clock time
+    /// changes.
     pub fn with_parallelism(mut self, parallelism: ec_grouping::Parallelism) -> Self {
         self.grouping.parallelism = parallelism;
         self.candidates.parallelism = parallelism;
@@ -85,6 +90,39 @@ pub struct GoldenRecordReport {
     pub golden_records: Vec<Vec<Option<String>>>,
 }
 
+/// How a column reaches [`Pipeline`]'s review loop.
+pub(crate) enum ColumnSource<'a> {
+    /// Generate candidates and group them from scratch.
+    Fresh,
+    /// Reassemble the engine and grouper from a compiled column, skipping
+    /// candidate generation, graph construction and indexing.
+    Compiled(&'a CompiledColumn),
+    /// Replay a group sequence an incremental run cached for this exact
+    /// candidate list; no pivot search runs.
+    Replay {
+        /// The engine over the column's current values and candidates.
+        engine: ReplacementEngine,
+        /// Number of candidate replacements.
+        candidates: usize,
+        /// The first `budget` groups a fresh grouper would emit.
+        groups: Arc<[Group]>,
+        /// Searches truncated while the sequence was computed (0 when it
+        /// was itself replayed).
+        searches_truncated: usize,
+    },
+}
+
+/// The groups one review draws from.
+enum Groups {
+    /// Emitted on demand; each `next_group` may run pivot searches.
+    Lazy(StructuredGrouper),
+    /// A cached sequence.
+    Replay {
+        groups: Arc<[Group]>,
+        searches_truncated: usize,
+    },
+}
+
 /// The entity-consolidation pipeline.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -123,32 +161,91 @@ impl Pipeline {
         dataset: &mut Dataset,
         col: usize,
         oracle: &mut dyn Oracle,
-    ) -> (ColumnReport, Vec<crate::ApprovedGroup>) {
+    ) -> (ColumnReport, Vec<ApprovedGroup>) {
+        self.review_column(dataset, col, ColumnSource::Fresh, oracle)
+    }
+
+    /// The review loop of Algorithm 1 (lines 2–9) — the only one: every
+    /// entry point, compiled artifacts and incremental ingest included,
+    /// standardizes a column here. Asks the oracle about the groups in
+    /// emission order until the budget is spent, applies every approved
+    /// group, and writes the column back.
+    pub(crate) fn review_column(
+        &self,
+        dataset: &mut Dataset,
+        col: usize,
+        source: ColumnSource<'_>,
+        oracle: &mut dyn Oracle,
+    ) -> (ColumnReport, Vec<ApprovedGroup>) {
         let _span = ec_obs::span!("core.standardize_column", col);
-        let values = dataset.column_values(col);
-        let mut engine = ReplacementEngine::new(values, &self.config.candidates);
-        let candidates = engine.candidates();
-        let mut grouper = StructuredGrouper::new(&candidates, self.config.grouping.clone());
+        let (mut engine, candidates, mut groups) = match source {
+            ColumnSource::Fresh => {
+                let engine =
+                    ReplacementEngine::new(dataset.column_values(col), &self.config.candidates);
+                let candidates = engine.candidates();
+                let grouper = StructuredGrouper::new(&candidates, self.config.grouping.clone());
+                (engine, candidates.len(), Groups::Lazy(grouper))
+            }
+            ColumnSource::Compiled(compiled) => {
+                let engine = ReplacementEngine::from_parts(
+                    dataset.column_values(col),
+                    compiled.candidates.clone(),
+                );
+                let parts = compiled
+                    .partitions
+                    .iter()
+                    .map(|p| (p.members.clone(), Arc::clone(&p.prepared)))
+                    .collect();
+                let grouper = StructuredGrouper::from_compiled(parts, self.config.grouping.clone());
+                let candidates = engine.candidates().len();
+                (engine, candidates, Groups::Lazy(grouper))
+            }
+            ColumnSource::Replay {
+                engine,
+                candidates,
+                groups,
+                searches_truncated,
+            } => (
+                engine,
+                candidates,
+                Groups::Replay {
+                    groups,
+                    searches_truncated,
+                },
+            ),
+        };
         let mut reviewed = 0usize;
         let mut approved = Vec::new();
         while reviewed < self.config.budget {
-            let group = match grouper.next_group() {
-                Some(g) => g,
-                None => break,
+            // The grouper runs pivot searches inside `next_group`, so it is
+            // only asked while budget remains; a replayed sequence is
+            // borrowed, and only approved groups are cloned out of it.
+            let next = match &mut groups {
+                Groups::Lazy(grouper) => grouper.next_group().map(Cow::Owned),
+                Groups::Replay { groups, .. } => groups.get(reviewed).map(Cow::Borrowed),
             };
+            let Some(group) = next else { break };
             reviewed += 1;
             if let Verdict::Approve(direction) = oracle.review(&group) {
                 engine.apply_group(group.members(), direction);
-                approved.push(crate::ApprovedGroup { group, direction });
+                approved.push(ApprovedGroup {
+                    group: group.into_owned(),
+                    direction,
+                });
             }
         }
         let report = ColumnReport {
             column: col,
-            candidates: candidates.len(),
+            candidates,
             groups_reviewed: reviewed,
             groups_approved: approved.len(),
             cells_updated: engine.cells_updated(),
-            searches_truncated: grouper.searches_truncated(),
+            searches_truncated: match groups {
+                Groups::Lazy(grouper) => grouper.searches_truncated(),
+                Groups::Replay {
+                    searches_truncated, ..
+                } => searches_truncated,
+            },
         };
         dataset.set_column_values(col, engine.into_values());
         (report, approved)

@@ -27,7 +27,8 @@
 //!   [`matcher::Resolver::resolve_stream`] consumes an
 //!   [`ec_data::RecordStream`] and builds blocks and the union-find
 //!   incrementally with bounded per-block memory, producing output
-//!   bit-identical to the batch path.
+//!   bit-identical to the batch path; [`streaming::DeltaResolver`] keeps
+//!   the same state alive across batches for incremental ingest.
 //!
 //! The design mirrors the classical match–cluster architecture surveyed by
 //! Elmagarmid et al. (cited as [18] in the paper): candidate generation via
@@ -68,7 +69,7 @@ pub use similarity::{
     damerau_levenshtein, jaccard, jaro, jaro_winkler, levenshtein, normalized_levenshtein,
     qgram_cosine, take_kernel_path_counts, SimilarityMeasure, EARLY_ABANDON_MARGIN,
 };
-pub use streaming::{DeltaResolver, StreamingResolver};
+pub use streaming::DeltaResolver;
 pub use tokenize::{normalize, normalize_into, qgrams, words, words_into, TokenBuf};
 pub use unionfind::UnionFind;
 
@@ -77,5 +78,5 @@ pub mod prelude {
     pub use crate::blocking::BlockingConfig;
     pub use crate::matcher::{ColumnRule, RawRecord, Resolver, ResolverConfig};
     pub use crate::similarity::SimilarityMeasure;
-    pub use crate::streaming::{DeltaResolver, StreamingResolver};
+    pub use crate::streaming::DeltaResolver;
 }

@@ -15,7 +15,7 @@
 //! column arity), pair scoring shards across the shared worker pool in
 //! contiguous chunks merged in candidate order (the same pattern as
 //! `ec-replace`'s candidate generation), and the threshold-only paths
-//! ([`Resolver::resolve`], `StreamingResolver::finish`) use early-abandon
+//! ([`Resolver::resolve`], [`Resolver::resolve_stream`]) use early-abandon
 //! scoring ([`CompiledRules::decide_score`]) that skips similarity kernels
 //! when a cheap upper bound proves the pair cannot reach the threshold.
 //! Every path is **bit-identical** to sequential exact scoring: exact scores
@@ -533,32 +533,6 @@ impl Resolver {
         }
         let clusters = self.resolve(records);
         clusters_to_dataset(name, columns, records, clusters, truths)
-    }
-
-    /// Streaming entry point: consumes a [`RecordStream`] record-at-a-time,
-    /// building blocks and the union-find incrementally (see
-    /// [`crate::streaming::StreamingResolver`]), and packages the clusters as
-    /// a [`Dataset`] exactly as [`Resolver::resolve_to_dataset`] (with each
-    /// cell's truth set to its observed value) would. The produced dataset is
-    /// bit-identical to collecting the stream and calling the batch entry
-    /// point; only the peak memory differs — the input document is never
-    /// materialized and per-block state is bounded by the blocking
-    /// configuration's `max_block_size`.
-    pub fn resolve_stream<S: ec_data::RecordStream + ?Sized>(
-        &self,
-        name: &str,
-        stream: &mut S,
-    ) -> Result<Dataset, ec_data::DatasetIoError> {
-        let columns = stream.columns().to_vec();
-        let mut builder = crate::streaming::StreamingResolver::new(self);
-        while let Some(record) = stream.next_record() {
-            let record = record?;
-            builder.push(RawRecord {
-                source: record.source,
-                fields: record.fields,
-            });
-        }
-        Ok(builder.finish(name, columns))
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! The batch entry points ([`Resolver::resolve`],
 //! [`Resolver::resolve_to_dataset`]) need the whole record collection in hand
-//! before blocking can even start. [`StreamingResolver`] is the ingestion
-//! half of resolution turned inside out: records are [`StreamingResolver::push`]ed
-//! one at a time — as a CSV reader produces them — and every per-record
-//! structure grows incrementally:
+//! before blocking can even start. [`Resolver::resolve_stream`] is the
+//! ingestion half of resolution turned inside out: records are pushed one at
+//! a time — as a CSV reader produces them — and every per-record structure
+//! grows incrementally:
 //!
 //! * **token blocks** are updated with the new record's tokens, with *bounded
 //!   per-block memory*: a block that exceeds the configured `max_block_size`
@@ -15,12 +15,13 @@
 //! * **sorted-neighborhood keys** are appended (one small key per record);
 //! * the **union-find** forest grows by one singleton per record.
 //!
-//! [`StreamingResolver::finish`] then scores exactly the candidate pairs the
-//! batch path would have produced and returns a bit-identical
-//! [`ec_data::Dataset`]. (Scoring must wait for the end of the stream: whether
-//! a token block survives the size cap is only known once every record has
-//! arrived, so emitting pairs eagerly could union records the batch path
-//! never compares.)
+//! At the end of the stream it scores exactly the candidate pairs the batch
+//! path would have produced and returns a bit-identical [`ec_data::Dataset`].
+//! (Scoring must wait for the end of the stream: whether a token block
+//! survives the size cap is only known once every record has arrived, so
+//! emitting pairs eagerly could union records the batch path never
+//! compares.) The same state, kept alive between batches, backs the
+//! cross-batch [`DeltaResolver`].
 
 use crate::blocking::blocking_columns;
 use crate::matcher::{
@@ -28,7 +29,7 @@ use crate::matcher::{
 };
 use crate::tokenize::{normalize_into, words_into, TokenBuf};
 use crate::unionfind::UnionFind;
-use ec_data::Dataset;
+use ec_data::{Dataset, DatasetIoError, RecordStream};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -75,9 +76,9 @@ enum TokenBlock {
 }
 
 /// The per-record incremental blocking state shared by the one-shot
-/// [`StreamingResolver`] and the cross-batch [`DeltaResolver`]: the records,
-/// the growing union-find forest, and the token blocks / sorted-neighborhood
-/// keys every pushed record updates.
+/// [`Resolver::resolve_stream`] and the cross-batch [`DeltaResolver`]: the
+/// records, the growing union-find forest, and the token blocks /
+/// sorted-neighborhood keys every pushed record updates.
 struct StreamingState {
     /// The records live behind an `Arc` so that scoring can shard `'static`
     /// tasks over them without copying; while a single owner is pushing,
@@ -212,67 +213,66 @@ impl StreamingState {
     }
 }
 
-/// Incremental resolution state; see the module docs.
-pub struct StreamingResolver<'a> {
-    resolver: &'a Resolver,
-    state: StreamingState,
-}
-
-impl<'a> StreamingResolver<'a> {
-    /// Creates empty state for `resolver`'s configuration.
-    pub fn new(resolver: &'a Resolver) -> Self {
-        StreamingResolver {
-            resolver,
-            state: StreamingState::new(),
-        }
-    }
-
-    /// Number of records ingested so far.
-    pub fn len(&self) -> usize {
-        self.state.records.len()
-    }
-
-    /// True when no record has been ingested.
-    pub fn is_empty(&self) -> bool {
-        self.state.records.is_empty()
-    }
-
-    /// Ingests one record, updating blocks and the union-find incrementally.
-    pub fn push(&mut self, record: RawRecord) {
-        self.state.push(self.resolver.config(), record);
-    }
-
-    /// Scores the candidate pairs, closes the clustering transitively, and
-    /// packages the result as a [`Dataset`] (each cell's truth is its
-    /// observed value, as in [`Resolver::resolve_to_dataset`] without
-    /// truths). Bit-identical to the batch path on the same records.
+impl Resolver {
+    /// Streaming entry point: consumes a [`RecordStream`] record-at-a-time,
+    /// building blocks and the union-find incrementally (see the module
+    /// docs), then scores the candidate pairs, closes the clustering
+    /// transitively and packages the clusters as a [`Dataset`] exactly as
+    /// [`Resolver::resolve_to_dataset`] (with each cell's truth set to its
+    /// observed value) would. The produced dataset is bit-identical to
+    /// collecting the stream and calling the batch entry point; only the
+    /// peak memory differs — the input document is never materialized and
+    /// per-block state is bounded by the blocking configuration's
+    /// `max_block_size`.
     ///
     /// Scores are unobservable here — only the clustering escapes — so pair
     /// scoring early-abandons sub-threshold pairs and shards across the
     /// worker pool, both of which leave the decisions (and so the dataset)
     /// unchanged.
-    pub fn finish(mut self, name: &str, columns: Vec<String>) -> Dataset {
+    pub fn resolve_stream<S: RecordStream + ?Sized>(
+        &self,
+        name: &str,
+        stream: &mut S,
+    ) -> Result<Dataset, DatasetIoError> {
+        let columns = stream.columns().to_vec();
+        let mut state = StreamingState::new();
+        while let Some(record) = stream.next_record() {
+            let record = record?;
+            state.push(
+                self.config(),
+                RawRecord {
+                    source: record.source,
+                    fields: record.fields,
+                },
+            );
+        }
         let pairs = {
             let _span = ec_obs::span!("resolution.blocking");
-            self.state.candidate_pairs(self.resolver.config())
+            state.candidate_pairs(self.config())
         };
         let _span = ec_obs::span!("resolution.scoring", pairs.len());
-        let threshold = self.resolver.config().threshold;
+        let threshold = self.config().threshold;
         let scores = score_pairs_arc(
-            self.resolver.config(),
-            self.resolver.parallelism(),
-            &self.state.records,
+            self.config(),
+            self.parallelism(),
+            &state.records,
             &pairs,
             Some(threshold),
         );
-        let mut uf = self.state.uf;
+        let mut uf = state.uf;
         for (&(a, b), score) in pairs.iter().zip(&scores) {
             if *score >= threshold {
                 uf.union(a as usize, b as usize);
             }
         }
         let clusters = uf.into_groups();
-        clusters_to_dataset(name, columns, &self.state.records, clusters, None)
+        Ok(clusters_to_dataset(
+            name,
+            columns,
+            &state.records,
+            clusters,
+            None,
+        ))
     }
 }
 
@@ -521,23 +521,25 @@ mod tests {
             },
             ..ResolverConfig::default()
         });
-        let mut builder = StreamingResolver::new(&resolver);
+        let mut state = StreamingState::new();
         for i in 0..100 {
-            builder.push(RawRecord::new(0, [format!("shared unique{i}")]));
+            state.push(
+                resolver.config(),
+                RawRecord::new(0, [format!("shared unique{i}")]),
+            );
         }
-        let oversized = builder
-            .state
+        let oversized = state
             .token_blocks
             .values()
             .filter(|b| matches!(b, TokenBlock::Oversized))
             .count();
         assert_eq!(oversized, 1, "the 'shared' block was tombstoned");
-        for block in builder.state.token_blocks.values() {
+        for block in state.token_blocks.values() {
             if let TokenBlock::Ids(ids) = block {
                 assert!(ids.len() <= 3);
             }
         }
-        assert_eq!(builder.len(), 100);
+        assert_eq!(state.records.len(), 100);
     }
 
     #[test]

@@ -81,14 +81,14 @@ pub use router::{Router, RouterConfig, RouterHandle};
 
 use conn::{BodyReader, HandlerResult, HttpFailure, Lifecycle, Service};
 use ec_core::{
-    resolve_column_spec, standardize_columns, standardize_columns_compiled,
-    write_golden_records_csv, ApplyReport, AutoMode, ColumnReport, CompiledDataset,
-    ConsolidationConfig, DeltaPipeline, FusedPipeline, Pipeline, ProgramLibrary, TruthMethod,
+    resolve_column_spec, standardize_columns_with, write_golden_records_csv, ApplyReport, AutoMode,
+    AutoReview, ColumnReport, CompiledDataset, ConsolidationConfig, DeltaPipeline, Pipeline,
+    ProgramLibrary, TruthMethod,
 };
 use ec_data::stream::DatasetSink;
 use ec_data::Dataset;
 use ec_data::{csv::CsvWriter, ClusteredCsvWriter, FlatCsvReader, RecordStream};
-use ec_resolution::{RawRecord, ResolverConfig};
+use ec_resolution::{RawRecord, Resolver, ResolverConfig};
 use http::{ChunkedWriter, Persistence, Request};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -635,12 +635,20 @@ fn handle_pipeline(
         .unwrap_or("resolved")
         .to_string();
 
-    // An empty body against a preloaded artifact: replay the compiled
+    let pipeline = Pipeline::new(
+        ConsolidationConfig {
+            budget,
+            ..ConsolidationConfig::default()
+        }
+        .with_threads(state.threads),
+    );
+    // An empty body against a preloaded artifact replays the compiled
     // consolidation instead of parsing and re-preparing anything. The
     // clusters were formed at compile time, so an explicit threshold must
     // match the artifact's — it cannot be re-resolved here.
-    if body_empty {
-        if let Some(compiled) = state.preloaded.as_ref() {
+    let compiled = state.preloaded.as_deref().filter(|_| body_empty);
+    let (mut dataset, has_truth, threshold) = match compiled {
+        Some(compiled) => {
             if request.query_param("threshold").is_some() && threshold != compiled.threshold {
                 return Err(fail(format!(
                     "the preloaded artifact was compiled at threshold {}, not {threshold}; \
@@ -648,79 +656,46 @@ fn handle_pipeline(
                     compiled.threshold
                 )));
             }
-            let mut dataset = compiled.dataset.clone();
-            let columns = resolve_pipeline_columns(request, &dataset)?;
-            let pipeline = Pipeline::new(
-                ConsolidationConfig {
-                    budget,
-                    ..ConsolidationConfig::default()
-                }
-                .with_threads(state.threads),
-            );
-            let mut learned = ProgramLibrary::new();
-            let reports = standardize_columns_compiled(
-                &pipeline,
-                compiled,
-                &mut dataset,
-                &columns,
-                mode,
-                Some(&mut learned),
-            );
-            let golden = pipeline.discover_golden_records(&dataset, truth_method);
-            if !learned.is_empty() {
-                state.library.write().unwrap().merge(&learned);
-            }
-            return stream_pipeline_output(
-                writer,
-                persistence,
-                &dataset,
-                &golden,
-                &reports,
+            (
+                compiled.dataset.clone(),
+                compiled.has_truth,
                 compiled.threshold,
-                output,
-            );
+            )
         }
-    }
-
-    // Resolve the body stream straight off the socket — the raw CSV is never
-    // buffered; only the resolved dataset (the working set every entry point
-    // needs) lives in memory.
-    let mut stream =
-        FlatCsvReader::new(body).map_err(|e| fail(format!("bad flat CSV body: {e}")))?;
-    let fused = FusedPipeline::new(
-        ResolverConfig {
-            threshold,
-            ..ResolverConfig::default()
-        },
-        ConsolidationConfig {
-            budget,
-            ..ConsolidationConfig::default()
+        None => {
+            // Resolve the body stream straight off the socket — the raw CSV
+            // is never buffered; only the resolved dataset (the working set
+            // every entry point needs) lives in memory.
+            let mut stream =
+                FlatCsvReader::new(body).map_err(|e| fail(format!("bad flat CSV body: {e}")))?;
+            let dataset = Resolver::new(ResolverConfig {
+                threshold,
+                ..ResolverConfig::default()
+            })
+            .with_parallelism(pipeline.config().candidates.parallelism)
+            .resolve_stream(&name, &mut stream)
+            .map_err(|e| fail(format!("bad flat CSV body: {e}")))?;
+            // Resolver output always carries per-cell truth, exactly like
+            // the clustered CSV `ec resolve` writes — so `auto` uses the
+            // simulated expert, matching the CLI pipeline.
+            (dataset, true, threshold)
         }
-        .with_threads(state.threads),
-    );
-    let mut dataset = fused
-        .resolve_stream(&name, &mut stream)
-        .map_err(|e| fail(format!("bad flat CSV body: {e}")))?;
+    };
     let columns = resolve_pipeline_columns(request, &dataset)?;
 
     // Standardize with the shared automated driver (byte-identical to the
     // CLI), learning into a request-local library merged into the server's
     // store afterwards.
     let mut learned = ProgramLibrary::new();
-    let reports = standardize_columns(
-        fused.pipeline(),
+    let reports = standardize_columns_with(
+        &pipeline,
         &mut dataset,
+        compiled,
         &columns,
-        mode,
-        // Resolver output always carries per-cell truth, exactly like the
-        // clustered CSV `ec resolve` writes — so `auto` uses the simulated
-        // expert, matching the CLI pipeline.
-        true,
+        &mut AutoReview::new(mode, has_truth),
         Some(&mut learned),
     );
-    let golden = fused
-        .pipeline()
-        .discover_golden_records(&dataset, truth_method);
+    let golden = pipeline.discover_golden_records(&dataset, truth_method);
     if !learned.is_empty() {
         state.library.write().unwrap().merge(&learned);
     }
@@ -1428,15 +1403,13 @@ mod tests {
     /// Compiles `flat` the way `ec compile` does for resolver input: resolve
     /// the stream at `threshold`, then prepare every partition eagerly.
     fn compile_flat(flat: &str, threshold: f64) -> ec_core::CompiledDataset {
-        let fused = FusedPipeline::new(
-            ResolverConfig {
-                threshold,
-                ..ResolverConfig::default()
-            },
-            ConsolidationConfig::default(),
-        );
         let mut stream = FlatCsvReader::new(flat.as_bytes()).unwrap();
-        let dataset = fused.resolve_stream("resolved", &mut stream).unwrap();
+        let dataset = Resolver::new(ResolverConfig {
+            threshold,
+            ..ResolverConfig::default()
+        })
+        .resolve_stream("resolved", &mut stream)
+        .unwrap();
         ec_core::compile_dataset(dataset, threshold, true, &ConsolidationConfig::default())
     }
 

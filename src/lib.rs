@@ -71,9 +71,8 @@ pub use ec_truth as truth;
 pub mod prelude {
     pub use ec_core::{
         standardize_columns, write_golden_records_csv, ApproveAllOracle, AutoMode, BatchReport,
-        ColumnReport, ConsolidationConfig, DeltaPipeline, FusedPipeline, FusedRun,
-        GoldenRecordReport, Oracle, Pipeline, ProgramLibrary, RejectAllOracle, ScriptedOracle,
-        SimulatedOracle, TruthMethod, Verdict,
+        ColumnReport, ConsolidationConfig, DeltaPipeline, GoldenRecordReport, Oracle, Pipeline,
+        ProgramLibrary, RejectAllOracle, ScriptedOracle, SimulatedOracle, TruthMethod, Verdict,
     };
     pub use ec_data::{
         Dataset, DatasetStats, FlatCsvReader, FlatRecord, GeneratorConfig, LabeledPair,
@@ -87,7 +86,7 @@ pub mod prelude {
     pub use ec_metrics::{evaluate_standardization, golden_record_precision, ConfusionCounts};
     pub use ec_replace::{generate_candidates, CandidateConfig, Direction, ReplacementEngine};
     pub use ec_resolution::{
-        DeltaResolver, RawRecord, Resolver, ResolverConfig, SimilarityMeasure, StreamingResolver,
+        DeltaResolver, RawRecord, Resolver, ResolverConfig, SimilarityMeasure,
     };
     pub use ec_truth::{majority_consensus, reliability_truth_discovery};
 }
