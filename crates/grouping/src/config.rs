@@ -24,9 +24,11 @@ pub struct GroupingConfig {
     /// search is too expensive one can cap the path length or sample; this cap
     /// plays the same role for pathological graphs (very long outputs whose
     /// pieces rarely occur in the input): when it is hit, the best complete
-    /// path found so far is used. Dominance pruning (see the search module)
-    /// lets almost every search on the address workloads finish well inside
-    /// the default; the groupers count the searches that do not
+    /// path found so far is used. Every label the search examines costs one
+    /// step, including a parallel label whose extension duplicates a
+    /// sibling's and is collapsed without being explored. Dominance pruning
+    /// (see the search module) lets almost every search on the address
+    /// workloads finish well inside the default; the groupers count the searches that do not
     /// ([`crate::StructuredGrouper::searches_truncated`]), and
     /// `ec_pivot_budget_exhausted_total` counts them process-wide.
     ///

@@ -32,14 +32,22 @@
 //! length than one already committed to the same state can only tie or lose
 //! on every completion, and [`beats`] is strict, so it is skipped.
 //!
-//! Each [`SearchState`] owns one hash-keyed state table (the whole search's
-//! root state, or one [`SearchTask`]). [`collect_candidates`] commits each
-//! extension to it in exploration order, after the local-threshold checks:
+//! Duplicate *siblings* — parallel labels on one edge whose extensions are
+//! the same list — are the common case, and they collapse as
+//! [`collect_candidates`] examines them: each extension is written into a
+//! reused buffer, and only the sibling with the fewest constant characters
+//! (earliest in edge-label order on ties) is kept per distinct state. That
+//! is the sibling that sorts first, so it is the only one a state table
+//! could accept; a [`PathList`] is built only for a state not seen before.
+//! A collapsed label is still charged its step, so budgets, truncation
+//! points and `ec_pivot_search_steps` do not depend on the collapse.
 //!
-//! * dominated *siblings* (labels on parallel edges producing the same list)
-//!   collapse before they become [`SearchTask`]s at the root;
-//! * inside a task it is a transposition table: a state reached again by a
-//!   different prefix is explored once, by the best prefix to arrive.
+//! Each [`SearchState`] also owns one hash-keyed state table (the whole
+//! search's root state, or one [`SearchTask`]). [`collect_candidates`]
+//! commits the surviving extensions to it in exploration order, after the
+//! local-threshold checks. Inside a task it is a transposition table: a
+//! state reached again by a different prefix is explored once, by the best
+//! prefix to arrive.
 //!
 //! Hash matches are confirmed on the full occurrence slice. The pruning
 //! never drops a prefix of the path the plain recursive DFS would return (a
@@ -83,8 +91,9 @@ use crate::config::GroupingConfig;
 use crate::prepared::PreparedGraphs;
 use ec_dsl::StringFn;
 use ec_graph::{LabelId, Parallelism, PoolTask};
-use ec_index::{GraphId, InvertedIndex, PathList};
+use ec_index::{GraphId, InvertedIndex, PathList, PathOccurrence};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Upper limit of the frontier's wave-size ramp (1, 2, 4, 8, 8, …). Waves are
@@ -231,6 +240,9 @@ struct SearchState<'a> {
     /// The states this search (or task) has committed to exploring; see the
     /// module docs on dominance pruning.
     table: StateTable,
+    /// The buffer every examined extension is written into; a
+    /// [`PathList`] is built from it only for a state not seen before.
+    scratch: Vec<PathOccurrence>,
 }
 
 impl SearchState<'_> {
@@ -290,15 +302,15 @@ impl Quality {
 struct StateTable {
     /// States bucketed by [`state_hash`]; equality is confirmed on the node
     /// and the full occurrence slice.
-    buckets: HashMap<u64, Vec<(u32, PathList, Quality)>>,
+    buckets: HashMap<u64, Vec<(u32, PathList, Quality)>, BuildHasherDefault<StateHasher>>,
 }
 
 impl StateTable {
-    /// Commits the state `(node, list)` reached by a prefix of `quality`.
-    /// Returns `false`, recording nothing, when an already committed prefix
-    /// of the same state dominates it.
-    fn commit(&mut self, node: u32, list: &PathList, quality: Quality) -> bool {
-        let bucket = self.buckets.entry(state_hash(node, list)).or_default();
+    /// Commits the state `(node, list)`, whose [`state_hash`] is `hash`,
+    /// reached by a prefix of `quality`. Returns `false`, recording nothing,
+    /// when an already committed prefix of the same state dominates it.
+    fn commit(&mut self, hash: u64, node: u32, list: &PathList, quality: Quality) -> bool {
+        let bucket = self.buckets.entry(hash).or_default();
         let same_state = |&(n, ref l, _): &(u32, PathList, Quality)| n == node && l == list;
         if bucket
             .iter()
@@ -312,15 +324,35 @@ impl StateTable {
     }
 }
 
-/// A 64-bit hash of a search state (multiply-rotate over the occurrences).
-fn state_hash(node: u32, list: &PathList) -> u64 {
+/// The [`StateTable`]'s hasher: its keys are already [`state_hash`]es, so
+/// hashing one again would only cost time.
+#[derive(Default)]
+struct StateHasher(u64);
+
+impl Hasher for StateHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the state table is keyed by u64 state hashes only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// A 64-bit hash of a search state (multiply-rotate over the occurrences,
+/// with the high half folded into the low one, which picks the table slot).
+fn state_hash(node: u32, occurrences: &[PathOccurrence]) -> u64 {
     const K: u64 = 0x517c_c1b7_2722_0a95;
     let mut h = u64::from(node).wrapping_mul(K);
-    for occ in list.occurrences() {
+    for occ in occurrences {
         let word = (u64::from(occ.graph.0) << 32) | u64::from(occ.end);
         h = (h.rotate_left(5) ^ word).wrapping_mul(K);
     }
-    h
+    h ^ (h >> 32)
 }
 
 /// A sparse, write-only accumulator of global-threshold raises
@@ -528,6 +560,7 @@ impl PivotSearcher {
             best: None,
             threshold,
             table: StateTable::default(),
+            scratch: Vec::new(),
         };
         let universe = PathList::universe(self.prepared.len());
 
@@ -538,7 +571,7 @@ impl PivotSearcher {
         if let Some(full_edge) = graph.edge(0, graph.last_node()) {
             for &label in &full_edge.labels {
                 let list = state.index.extend(&universe, label);
-                let count = active_count(&list, state.active);
+                let count = active_count(list.occurrences(), state.active);
                 let quality = Quality {
                     constant_chars: state.constant_chars[label.index()],
                     len: 1,
@@ -688,6 +721,7 @@ impl PivotSearcher {
             best: None,
             threshold,
             table: StateTable::default(),
+            scratch: Vec::new(),
         };
         let mut path = vec![task.label];
         dfs(
@@ -844,11 +878,11 @@ fn distance_to_end(graph: &ec_graph::TransformationGraph) -> Vec<u32> {
     dist
 }
 
-/// Number of distinct *active* graphs in a path list.
-fn active_count(list: &PathList, active: &[bool]) -> usize {
+/// Number of distinct *active* graphs among a path list's occurrences.
+fn active_count(occurrences: &[PathOccurrence], active: &[bool]) -> usize {
     let mut count = 0;
     let mut last = None;
-    for occ in list.occurrences() {
+    for occ in occurrences {
         if active[occ.graph.index()] && last != Some(occ.graph) {
             count += 1;
             last = Some(occ.graph);
@@ -861,20 +895,36 @@ fn active_count(list: &PathList, active: &[bool]) -> usize {
 /// list, active share count, constant chars including the label)`.
 type Candidate = (LabelId, u32, PathList, usize, usize);
 
+/// A distinct state collected by [`collect_candidates`]: the candidate that
+/// represents it, the state's [`state_hash`], and the examination index of
+/// the candidate's label.
+struct Collected {
+    candidate: Candidate,
+    hash: u64,
+    examined: usize,
+}
+
 /// The DFS's candidate step, shared by the recursive DFS and the frontier
 /// engine's root expansion: collects the viable extensions of `node`, sorted
 /// into exploration order — decreasing share count (ties: longer edges, then
-/// fewer constant characters). Finding a high-share complete path early makes
-/// the local threshold bite on all remaining branches, which is where
-/// essentially all of the search time goes on real data.
+/// fewer constant characters, then edge-label order). Finding a high-share
+/// complete path early makes the local threshold bite on all remaining
+/// branches, which is where essentially all of the search time goes on real
+/// data.
 ///
-/// The surviving extensions are then committed to the state table in that
-/// order, dropping every one dominated by a state committed before it: a
-/// sibling over a parallel label with the same list and more constant
-/// characters, or a state another prefix already reached (module docs).
+/// Siblings that reach the same state — parallel labels on one edge whose
+/// extensions are the same list — collapse as they are collected: only the
+/// one with the fewest constant characters (earliest in edge-label order on
+/// ties) is kept, the one that sorts first among them and so the only one
+/// the state table could accept. Each extension is written into the
+/// state's scratch buffer, and a [`PathList`] is built only for a state not
+/// seen before in this call. The survivors are then committed to the state
+/// table in exploration order, dropping every one dominated by a state
+/// committed before it by another prefix (module docs).
 ///
-/// Consumes one step per examined label; returns `None` when the budget ran
-/// out mid-collection (the caller must stop, keeping its best so far).
+/// Consumes one step per examined label, duplicates included; returns `None`
+/// when the budget ran out mid-collection (the caller must stop, keeping its
+/// best so far).
 fn collect_candidates(
     graph: &ec_graph::TransformationGraph,
     node: u32,
@@ -887,7 +937,8 @@ fn collect_candidates(
     let last_step = path_len + 1 == state.max_path_len;
     // Remaining length budget for the rest of the path.
     let remaining = state.max_path_len - path_len;
-    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut collected: Vec<Collected> = Vec::new();
+    let mut examined = 0usize;
     for edge in graph.out_edges(node) {
         if last_step && edge.to != graph.last_node() {
             continue;
@@ -908,15 +959,34 @@ fn collect_candidates(
                 return None;
             }
             state.steps_left -= 1;
-            let extended = state.index.extend(list, label);
+            examined += 1;
+            state.index.extend_into(list, label, &mut state.scratch);
+            let extended = &state.scratch[..];
             if extended.is_empty() {
                 continue;
             }
-            let count = active_count(&extended, state.active);
+            let next_chars = const_chars + state.constant_chars[label.index()];
+            let hash = state_hash(edge.to, extended);
+            let seen = collected.iter_mut().find(|c| {
+                c.hash == hash
+                    && c.candidate.1 == edge.to
+                    && c.candidate.2.occurrences() == extended
+            });
+            if let Some(kept) = seen {
+                // A sibling already reached this state with the same share
+                // count, so the local threshold accepts this label whenever
+                // it has fewer constant characters than the kept one.
+                if next_chars < kept.candidate.4 {
+                    kept.candidate.0 = label;
+                    kept.candidate.4 = next_chars;
+                    kept.examined = examined;
+                }
+                continue;
+            }
+            let count = active_count(extended, state.active);
             if count == 0 {
                 continue;
             }
-            let next_chars = const_chars + state.constant_chars[label.index()];
             if state.early_termination {
                 // Local threshold: the extension must still be able to beat the
                 // best complete path found so far — a strictly larger share
@@ -935,22 +1005,35 @@ fn collect_candidates(
                     continue;
                 }
             }
-            candidates.push((label, edge.to, extended, count, next_chars));
+            let extended = PathList::from_sorted_slice(extended);
+            collected.push(Collected {
+                candidate: (label, edge.to, extended, count, next_chars),
+                hash,
+                examined,
+            });
         }
     }
-    candidates.sort_by(|a, b| {
+    collected.sort_unstable_by(|x, y| {
+        let (a, b) = (&x.candidate, &y.candidate);
         b.3.cmp(&a.3) // larger share count first
             .then_with(|| b.1.cmp(&a.1)) // longer jumps first (completes sooner)
             .then_with(|| a.4.cmp(&b.4)) // fewer constant characters first
+            .then_with(|| x.examined.cmp(&y.examined)) // then edge-label order
     });
-    candidates.retain(|(_, to, extended, _, next_chars)| {
-        let quality = Quality {
-            constant_chars: *next_chars,
-            len: path_len + 1,
-        };
-        state.table.commit(*to, extended, quality)
-    });
-    Some(candidates)
+    let quality = |chars: usize| Quality {
+        constant_chars: chars,
+        len: path_len + 1,
+    };
+    Some(
+        collected
+            .into_iter()
+            .filter(|c| {
+                let (_, to, ref list, _, chars) = c.candidate;
+                state.table.commit(c.hash, to, list, quality(chars))
+            })
+            .map(|c| c.candidate)
+            .collect(),
+    )
 }
 
 fn dfs(
@@ -964,7 +1047,7 @@ fn dfs(
 ) {
     if node == graph.last_node() {
         // The maintained path is a transformation path of `graph`.
-        let count = active_count(list, state.active);
+        let count = active_count(list.occurrences(), state.active);
         let quality = Quality {
             constant_chars: const_chars,
             len: path.len(),
@@ -1315,7 +1398,7 @@ mod tests {
         fn dfs(&mut self, node: u32, path: &mut Vec<LabelId>, list: &PathList, chars: usize) {
             let len = path.len();
             if node == self.graph.last_node() {
-                let count = active_count(list, self.active);
+                let count = active_count(list.occurrences(), self.active);
                 self.offer(
                     count,
                     Quality {
@@ -1352,7 +1435,7 @@ mod tests {
                     }
                     self.steps_left -= 1;
                     let extended = self.index.extend(list, label);
-                    let count = active_count(&extended, self.active);
+                    let count = active_count(extended.occurrences(), self.active);
                     let next = chars + self.constant_chars[label.index()];
                     let partial = Quality {
                         constant_chars: next,
@@ -1418,7 +1501,7 @@ mod tests {
         if let Some(full_edge) = graph.edge(0, graph.last_node()) {
             for &label in &full_edge.labels {
                 let list = oracle.index.extend(&universe, label);
-                let count = active_count(&list, active);
+                let count = active_count(list.occurrences(), active);
                 let quality = Quality {
                     constant_chars: oracle.constant_chars[label.index()],
                     len: 1,
@@ -1512,11 +1595,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn engine_matches_the_plain_dfs_oracle_on_address_partitions() {
-        // Column 0 of the generated 20-cluster address data (seed 30), split
-        // into the structure partitions the grouper searches. Threshold 1 is
-        // what the incremental grouper's first batch passes.
+    /// Column 0 of the generated 20-cluster address data (seed 30), split
+    /// into the structure partitions the grouper searches.
+    fn address_partitions() -> Vec<Vec<Replacement>> {
         let dataset = ec_data::PaperDataset::Address.generate(&ec_data::GeneratorConfig {
             num_clusters: 20,
             seed: 30,
@@ -1526,8 +1607,13 @@ mod tests {
             &dataset.column_values(0),
             &ec_replace::CandidateConfig::default(),
         );
-        let parts =
-            crate::partition_replacements(&candidates.replacements, &GroupingConfig::default());
+        crate::partition_replacements(&candidates.replacements, &GroupingConfig::default())
+    }
+
+    #[test]
+    fn engine_matches_the_plain_dfs_oracle_on_address_partitions() {
+        // Threshold 1 is what the incremental grouper's first batch passes.
+        let parts = address_partitions();
         let mut total = Differential::default();
         for part in &parts {
             // The plain DFS needs millions of steps on about a third of these
@@ -1549,6 +1635,50 @@ mod tests {
             "dominance pruning must save steps: {} vs {}",
             total.engine_steps,
             total.oracle_steps
+        );
+    }
+
+    #[test]
+    fn step_totals_and_truncations_are_pinned_on_address_partitions() {
+        // Every examined label costs one step, charged before its extension,
+        // and a budget that runs out mid-collection stops the search there.
+        // A change to how the search handles its candidates must keep these
+        // totals — and so every truncation point — exactly as they are, both
+        // where the default budget does not bind and where a starved one
+        // cuts over a third of the searches short.
+        let parts = address_partitions();
+        let mut totals = Vec::new();
+        for budget in [50_000, 400] {
+            let config = GroupingConfig {
+                max_search_steps: budget,
+                ..GroupingConfig::default()
+            };
+            let (mut searches, mut steps, mut truncated) = (0usize, 0usize, 0usize);
+            for part in &parts {
+                let prep = prepared(part, &config);
+                let searcher = PivotSearcher::new(Arc::clone(&prep), &config);
+                let active: Arc<[bool]> = vec![true; prep.len()].into();
+                for g in (0..prep.len()).map(|g| GraphId(g as u32)) {
+                    let mut raised = BoundRaises::default();
+                    let run = searcher.search_with_bounds(
+                        g,
+                        1,
+                        &active,
+                        1,
+                        &mut raised,
+                        Parallelism::SEQUENTIAL,
+                    );
+                    searches += 1;
+                    steps += run.steps;
+                    truncated += usize::from(run.steps == budget);
+                }
+            }
+            totals.push((budget, searches, steps, truncated));
+        }
+        // `(budget, searches, steps, truncated searches)`.
+        assert_eq!(
+            totals,
+            vec![(50_000, 652, 1_597_457, 0), (400, 652, 106_438, 240)]
         );
     }
 

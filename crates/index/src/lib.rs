@@ -199,36 +199,34 @@ impl PathList {
     /// The list for the empty path over `num_graphs` graphs: every graph
     /// contains the empty path, anchored at its first node (node 0).
     pub fn universe(num_graphs: usize) -> Self {
-        PathList::from_sorted(
-            (0..num_graphs)
-                .map(|g| PathOccurrence {
-                    graph: GraphId(g as u32),
-                    end: 0,
-                })
-                .collect(),
-        )
+        let occurrences: Vec<PathOccurrence> = (0..num_graphs)
+            .map(|g| PathOccurrence {
+                graph: GraphId(g as u32),
+                end: 0,
+            })
+            .collect();
+        PathList::from_sorted_slice(&occurrences)
     }
 
     /// Builds a list from raw occurrences (sorted and deduplicated).
     pub fn from_occurrences(mut occurrences: Vec<PathOccurrence>) -> Self {
         occurrences.sort();
         occurrences.dedup();
-        PathList::from_sorted(occurrences)
+        PathList::from_sorted_slice(&occurrences)
     }
 
-    /// Wraps occurrences that are already sorted by `(graph, end)` and
-    /// deduplicated.
-    fn from_sorted(occurrences: Vec<PathOccurrence>) -> Self {
+    /// Copies occurrences that are already sorted by `(graph, end)` and
+    /// deduplicated — such as the contents [`InvertedIndex::extend_into`]
+    /// leaves in its buffer — into a new list.
+    pub fn from_sorted_slice(occurrences: &[PathOccurrence]) -> Self {
+        debug_assert!(occurrences.windows(2).all(|w| w[0] < w[1]));
         if occurrences.is_empty() {
-            // `Arc<[T]>::default()` is a shared static — dead-end extends
-            // (the search's common case) allocate nothing.
             return PathList::default();
         }
-        let backing = SharedSlice::from(occurrences);
         PathList {
+            backing: SharedSlice::from(Arc::<[PathOccurrence]>::from(occurrences)),
             start: 0,
-            end: backing.len(),
-            backing,
+            end: occurrences.len(),
         }
     }
 
@@ -696,12 +694,24 @@ impl InvertedIndex {
     /// scan, so a short occurrence list against a mega posting list (or vice
     /// versa) costs `O(short × log(long))`.
     pub fn extend(&self, current: &PathList, label: LabelId) -> PathList {
+        let mut out = Vec::new();
+        self.extend_into(current, label, &mut out);
+        PathList::from_sorted_slice(&out)
+    }
+
+    /// [`InvertedIndex::extend`] into a caller-owned buffer: `out` is cleared
+    /// and receives the extended list's occurrences, sorted by `(graph, end)`
+    /// and deduplicated. A caller that reuses one buffer across calls (the
+    /// pivot search, which discards most extensions after a look) allocates
+    /// nothing once the buffer has grown; [`PathList::from_sorted_slice`]
+    /// turns a buffer worth keeping into a list.
+    pub fn extend_into(&self, current: &PathList, label: LabelId, out: &mut Vec<PathOccurrence>) {
+        out.clear();
         let postings = self.list(label);
         let occs = current.occurrences();
         if postings.is_empty() || occs.is_empty() {
-            return PathList::default();
+            return;
         }
-        let mut out: Vec<PathOccurrence> = Vec::new();
         let mut oi = 0usize;
         let mut pi = 0usize;
         while oi < occs.len() && pi < postings.len() {
@@ -744,7 +754,6 @@ impl InvertedIndex {
             pi = block_end;
         }
         out.dedup();
-        PathList::from_sorted(out)
     }
 
     /// Postings stored across all labels (the CSR arena's length).
@@ -1191,6 +1200,48 @@ mod tests {
             );
             let full = InvertedIndex::build(&all_graphs, interner.len());
             prop_assert_eq!(appended.raw_parts(), full.raw_parts());
+        }
+
+        /// `extend_into` leaves exactly the occurrences `extend` returns in
+        /// a reused buffer, whatever the buffer held before: along label walks
+        /// from the universe, from an arbitrary occurrence list and from the
+        /// empty list, with some labels the index has never seen.
+        #[test]
+        fn prop_extend_into_a_dirty_buffer_equals_extend(
+            pairs in proptest::collection::vec(("[a-c, ]{1,8}", "[a-c,. ]{1,8}"), 1..10),
+            starts in proptest::collection::vec((0u32..12, 0u32..10), 0..16),
+            picks in proptest::collection::vec(0u32..10_000, 1..24),
+        ) {
+            let mut interner = LabelInterner::new();
+            let builder = GraphBuilder::new(GraphConfig::default());
+            let graphs: Vec<TransformationGraph> = pairs
+                .iter()
+                .filter(|(lhs, rhs)| lhs != rhs)
+                .filter_map(|(lhs, rhs)| builder.build(&Replacement::new(lhs, rhs), &mut interner))
+                .collect();
+            let index = InvertedIndex::build(&graphs, interner.len());
+            // Four ids past the interner's end: labels with no postings.
+            let labels: Vec<LabelId> = picks
+                .iter()
+                .map(|&p| LabelId(p % (interner.len() as u32 + 4)))
+                .collect();
+            let arbitrary = PathList::from_occurrences(
+                starts
+                    .iter()
+                    .map(|&(graph, end)| PathOccurrence { graph: GraphId(graph), end })
+                    .collect(),
+            );
+            let mut buffer = vec![PathOccurrence { graph: GraphId(7), end: 99 }; 5];
+            for start in [PathList::universe(graphs.len()), arbitrary, PathList::default()] {
+                let mut current = start.clone();
+                for &label in &labels {
+                    index.extend_into(&current, label, &mut buffer);
+                    let expected = index.extend(&current, label);
+                    prop_assert_eq!(&buffer[..], expected.occurrences());
+                    // Walk on while the path survives; restart otherwise.
+                    current = if expected.is_empty() { start.clone() } else { expected };
+                }
+            }
         }
     }
 

@@ -255,7 +255,8 @@ fn reject_over_capacity(stream: TcpStream, cap: usize) {
         &[("Retry-After".to_string(), RETRY_AFTER_SECS.to_string())],
         Persistence::Close,
         format!("server busy: {cap} connections already active\n").as_bytes(),
-    );
+    )
+    .and_then(|()| writer.flush());
 }
 
 /// How one connection's executor turn ended.
@@ -328,7 +329,8 @@ fn handle_connection<S: Service>(stream: TcpStream, service: &Arc<S>) -> Turn {
                         &[],
                         Persistence::Close,
                         format!("bad request: {e}\n").as_bytes(),
-                    );
+                    )
+                    .and_then(|()| writer.flush());
                 }
                 return Turn::Close;
             }
@@ -346,7 +348,8 @@ fn handle_connection<S: Service>(stream: TcpStream, service: &Arc<S>) -> Turn {
                     &[],
                     Persistence::Close,
                     format!("{e}\n").as_bytes(),
-                );
+                )
+                .and_then(|()| writer.flush());
                 return Turn::Close;
             }
         };
@@ -379,6 +382,10 @@ fn handle_connection<S: Service>(stream: TcpStream, service: &Arc<S>) -> Turn {
             },
             dispatched.elapsed(),
         );
+        // The handler left its response's last bytes in `writer`; sending
+        // them only now means any request the client sends next sees this
+        // one counted.
+        let flushed = writer.flush().is_ok();
         // Drain whatever of the declared body the handler never read:
         // closing with unread bytes in the receive queue makes the kernel
         // send RST, which can flush the response right out of the peer's
@@ -408,10 +415,11 @@ fn handle_connection<S: Service>(stream: TcpStream, service: &Arc<S>) -> Turn {
                 &[],
                 Persistence::Close,
                 format!("{}\n", failure.message).as_bytes(),
-            );
+            )
+            .and_then(|()| writer.flush());
             return Turn::Close;
         }
-        if writer.flush().is_err()
+        if !flushed
             || persistence == Persistence::Close
             || !reusable
             || service.lifecycle().stopping()

@@ -250,7 +250,9 @@ impl Persistence {
     }
 }
 
-/// Writes a complete small response with `Content-Length`.
+/// Writes a complete small response with `Content-Length`, leaving the
+/// flush to the caller: the connection loop counts the request first, so a
+/// client never sees a response its server has not counted yet.
 pub fn write_response(
     out: &mut impl Write,
     status: u16,
@@ -270,8 +272,11 @@ pub fn write_response(
         write!(out, "{name}: {value}\r\n")?;
     }
     out.write_all(b"\r\n")?;
-    out.write_all(body)?;
-    out.flush()
+    // A buffering `out` keeps the last byte until that flush even when the
+    // rest of the body is large enough to go straight through.
+    let (front, last) = body.split_at(body.len().saturating_sub(1));
+    out.write_all(front)?;
+    out.write_all(last)
 }
 
 /// Writes the head of a chunked response; the body follows through a
@@ -313,14 +318,14 @@ impl<W: Write> ChunkedWriter<W> {
         ChunkedWriter { inner }
     }
 
-    /// Terminates the body, appending `trailers` after the last chunk.
+    /// Terminates the body, appending `trailers` after the last chunk. Like
+    /// [`write_response`], leaves the final flush to the caller.
     pub fn finish(mut self, trailers: &[(String, String)]) -> io::Result<W> {
         self.inner.write_all(b"0\r\n")?;
         for (name, value) in trailers {
             write!(self.inner, "{name}: {value}\r\n")?;
         }
         self.inner.write_all(b"\r\n")?;
-        self.inner.flush()?;
         Ok(self.inner)
     }
 }

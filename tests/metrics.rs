@@ -278,17 +278,25 @@ fn router_exposes_its_own_registry() {
     let handle: RouterHandle = router.handle();
     let join = std::thread::spawn(move || router.run().expect("router run"));
 
-    let health = http::request(handle.addr(), "GET", "/healthz", b"").unwrap();
-    assert_eq!(health.status, 200);
-    let samples = scrape(handle.addr());
-    let healthz = samples
-        .get("ec_http_requests_total{endpoint=\"/healthz\",service=\"router\"}")
-        .copied()
-        .unwrap_or(0.0);
-    assert!(
-        healthz >= 1.0,
-        "the router's own registry counts its /healthz traffic"
-    );
+    // A request is counted before its response is sent, so every scrape
+    // sees every request answered before it — including earlier scrapes.
+    let count = |samples: &BTreeMap<String, f64>, endpoint: &str| {
+        let key = format!("ec_http_requests_total{{endpoint=\"{endpoint}\",service=\"router\"}}");
+        samples.get(&key).copied().unwrap_or(0.0)
+    };
+    for round in 1..=8 {
+        let health = http::request(handle.addr(), "GET", "/healthz", b"").unwrap();
+        assert_eq!(health.status, 200);
+        let samples = scrape(handle.addr());
+        assert!(
+            count(&samples, "/healthz") >= f64::from(round),
+            "round {round}: the router's own registry counts its /healthz traffic"
+        );
+        assert!(
+            count(&samples, "/metrics") >= f64::from(round - 1),
+            "round {round}: earlier scrapes are counted"
+        );
+    }
 
     handle.stop();
     join.join().expect("router thread");
