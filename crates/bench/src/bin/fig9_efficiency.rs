@@ -243,12 +243,11 @@ fn mega_values() -> Vec<String> {
 
 /// The single-mega-group axis of Figure 9: one huge cluster of variant
 /// spellings — the worst-case column shape, where the graphs-to-search axis
-/// offers no parallelism (the incremental ramp's early batches search one
-/// graph at a time) and only intra-search sharding can help. Measures the
-/// time to the *first* group (the `ec serve` latency proxy) at 1, 2 and 4
-/// threads, asserts the group is bit-identical across rows, and exports
-/// `fig9_mega_group.csv`. Before the frontier engine this axis showed ~1x at
-/// every thread count.
+/// offers little parallelism (the incremental ramp's early batches search
+/// one or two graphs at a time, and each search is one sequential DFS).
+/// Measures the time to the *first* group (the `ec serve` latency proxy) at
+/// 1, 2 and 4 threads, asserts the group is bit-identical across rows, and
+/// exports `fig9_mega_group.csv`.
 fn mega_group_axis() {
     let values = mega_values();
     let candidates = generate_candidates(
@@ -294,9 +293,7 @@ fn mega_group_axis() {
         );
         series.push((threads as f64, first_time.as_secs_f64()));
     }
-    println!(
-        "(speedup saturates at the machine's core count; >1.5x at 4 threads expects >=4 cores)"
-    );
+    println!("(speedup saturates at the machine's core count)");
     let figure = Figure::new(
         "Figure 9 — single-mega-group axis (time to first group)",
         "threads",

@@ -394,8 +394,7 @@ mod probe {
     #[ignore = "manual performance probe"]
     fn probe_mega_group_cost() {
         // Where does the single-mega-group axis of fig9 spend its time —
-        // preparation (graphs + index) or the pivot searches the frontier
-        // engine shards?
+        // preparation (graphs + index) or the pivot searches?
         let values: Vec<String> = (10..22)
             .map(|i| format!("International Journal of Distributed Data Systems Volume {i}"))
             .collect();

@@ -10,7 +10,7 @@
 
 use crate::args::ParsedArgs;
 use crate::interactive::InteractiveOracle;
-use crate::{CliError, CommandOutput, OpenInput, OpenOutput};
+use crate::{CliError, CommandOutput, OpenInput, OpenOutput, OutputSink};
 use ec_core::{
     compile_dataset, resolve_column_spec, standardize_columns_with, write_golden_records_csv,
     ApplyReport, AutoMode, AutoReview, CompiledDataset, ConsolidationConfig, DeltaPipeline, Oracle,
@@ -34,6 +34,23 @@ use std::io::{BufRead, Read, Write};
 /// Maps a write failure on `path` to a [`CliError::Io`].
 fn write_failed(path: &str) -> impl Fn(std::io::Error) -> CliError + '_ {
     move |e| CliError::Io(format!("failed to write {path}: {e}"))
+}
+
+/// Opens the `--output`, `--golden` and `--save-library` sinks that were
+/// requested, each paired with its path. `consolidate` and `ingest` call it
+/// before any work runs (and before any file is truncated): a bad path must
+/// fail the command while pre-existing output files are still intact.
+fn open_sinks<'p>(
+    parsed: &'p ParsedArgs,
+    open_output: OpenOutput<'_>,
+) -> Result<[Option<(&'p str, OutputSink)>; 3], CliError> {
+    let open = |flag: &str| {
+        parsed
+            .get(flag)
+            .map(|path| Ok((path, open_output(path)?)))
+            .transpose()
+    };
+    Ok([open("output")?, open("golden")?, open("save-library")?])
 }
 
 /// Streams a dataset as clustered CSV, cluster-at-a-time.
@@ -389,30 +406,13 @@ fn consolidate_dataset(
     };
     let budget = pipeline.config().budget;
     let mode = parsed.get("mode").unwrap_or("auto");
-    let truth_method = match parsed.get("truth-method").unwrap_or("majority") {
-        "majority" | "mc" => TruthMethod::MajorityConsensus,
-        "reliability" | "source-reliability" => TruthMethod::SourceReliability,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown truth method '{other}'; expected majority or reliability"
-            )))
-        }
-    };
-    // Open every requested sink before any work runs (and before any file
-    // is truncated): a bad path must fail the command while pre-existing
-    // output files are still intact.
-    let mut output_sink = match parsed.get("output") {
-        Some(path) => Some((path, open_output(path)?)),
-        None => None,
-    };
-    let mut golden_sink = match parsed.get("golden") {
-        Some(path) => Some((path, open_output(path)?)),
-        None => None,
-    };
-    let mut library_sink = match parsed.get("save-library") {
-        Some(path) => Some((path, open_output(path)?)),
-        None => None,
-    };
+    let truth_name = parsed.get("truth-method").unwrap_or("majority");
+    let truth_method = TruthMethod::parse(truth_name).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown truth method '{truth_name}'; expected majority or reliability"
+        ))
+    })?;
+    let [mut output_sink, mut golden_sink, mut library_sink] = open_sinks(parsed, open_output)?;
     // `--save-library` persists the verification work of this run as a
     // learned-program snapshot (`ec apply` / `ec serve` re-use it).
     let mut library = library_sink.as_ref().map(|_| ProgramLibrary::new());
@@ -653,32 +653,16 @@ pub fn ingest(
             "unknown mode '{mode_name}'; expected auto or approve-all"
         ))
     })?;
-    let truth_method = match parsed.get("truth-method").unwrap_or("majority") {
-        "majority" | "mc" => TruthMethod::MajorityConsensus,
-        "reliability" | "source-reliability" => TruthMethod::SourceReliability,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown truth method '{other}'; expected majority or reliability"
-            )))
-        }
-    };
+    let truth_name = parsed.get("truth-method").unwrap_or("majority");
+    let truth_method = TruthMethod::parse(truth_name).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown truth method '{truth_name}'; expected majority or reliability"
+        ))
+    })?;
     let mut stream = FlatCsvReader::new(input).map_err(|e| CliError::Data(e.to_string()))?;
     let columns = stream.columns().to_vec();
 
-    // Open every requested sink before any work runs (same contract as
-    // consolidate: a bad path fails before pre-existing files are touched).
-    let mut output_sink = match parsed.get("output") {
-        Some(path) => Some((path, open_output(path)?)),
-        None => None,
-    };
-    let mut golden_sink = match parsed.get("golden") {
-        Some(path) => Some((path, open_output(path)?)),
-        None => None,
-    };
-    let mut library_sink = match parsed.get("save-library") {
-        Some(path) => Some((path, open_output(path)?)),
-        None => None,
-    };
+    let [mut output_sink, mut golden_sink, mut library_sink] = open_sinks(parsed, open_output)?;
 
     let mut delta = DeltaPipeline::new(
         name,

@@ -14,7 +14,7 @@
 use crate::compiled::CompiledDataset;
 use crate::library::ProgramLibrary;
 use crate::oracle::{ApproveAllOracle, Oracle, SimulatedOracle};
-use crate::pipeline::{ColumnReport, ColumnSource, Pipeline};
+use crate::pipeline::{ColumnReport, ColumnSource, Pipeline, TruthMethod};
 use ec_data::csv::CsvWriter;
 use ec_data::Dataset;
 use std::io::Write;
@@ -37,6 +37,18 @@ impl AutoMode {
         match name {
             "auto" => Some(AutoMode::Auto),
             "approve-all" => Some(AutoMode::ApproveAll),
+            _ => None,
+        }
+    }
+}
+
+impl TruthMethod {
+    /// Parses the truth-method names shared by the CLI flag and the serve
+    /// query parameter.
+    pub fn parse(name: &str) -> Option<TruthMethod> {
+        match name {
+            "majority" | "mc" => Some(TruthMethod::MajorityConsensus),
+            "reliability" | "source-reliability" => Some(TruthMethod::SourceReliability),
             _ => None,
         }
     }
@@ -178,7 +190,7 @@ pub fn write_golden_records_csv(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{ConsolidationConfig, TruthMethod};
+    use crate::pipeline::ConsolidationConfig;
     use ec_data::{GeneratorConfig, PaperDataset};
 
     #[test]
@@ -186,6 +198,19 @@ mod tests {
         assert_eq!(AutoMode::parse("auto"), Some(AutoMode::Auto));
         assert_eq!(AutoMode::parse("approve-all"), Some(AutoMode::ApproveAll));
         assert_eq!(AutoMode::parse("interactive"), None);
+        for name in ["majority", "mc"] {
+            assert_eq!(
+                TruthMethod::parse(name),
+                Some(TruthMethod::MajorityConsensus)
+            );
+        }
+        for name in ["reliability", "source-reliability"] {
+            assert_eq!(
+                TruthMethod::parse(name),
+                Some(TruthMethod::SourceReliability)
+            );
+        }
+        assert_eq!(TruthMethod::parse("vote"), None);
         let columns = vec!["Name".to_string(), "Address".to_string()];
         assert_eq!(resolve_column_spec(&columns, "Address"), Some(1));
         assert_eq!(resolve_column_spec(&columns, "0"), Some(0));

@@ -1,7 +1,7 @@
 //! The parallelism knob shared by the pipeline's sharded stages.
 //!
 //! Candidate generation (`ec-replace`), graph preparation and pivot-path
-//! search (`ec-grouping`) all shard their work across scoped worker threads.
+//! search (`ec-grouping`) all shard their work across the shared worker pool.
 //! [`Parallelism`] is the single configuration value they consult: a fixed
 //! thread count, or *auto* — resolve from the `EC_THREADS` environment
 //! variable when set, otherwise from [`std::thread::available_parallelism`].
@@ -66,12 +66,6 @@ impl Parallelism {
         self.threads().min(items).max(1)
     }
 
-    /// True when [`Parallelism::shards`] would be 1 for any workload — i.e.
-    /// the stage runs on the calling thread.
-    pub fn is_sequential(self) -> bool {
-        self.threads() == 1
-    }
-
     /// Runs one task per shard and returns the results in task order.
     ///
     /// Zero or one task runs inline on the calling thread; larger batches run
@@ -83,24 +77,6 @@ impl Parallelism {
     /// stages (and server connections) never changes results.
     pub fn run_tasks<R: Send + 'static>(self, tasks: Vec<crate::pool::PoolTask<R>>) -> Vec<R> {
         if tasks.len() <= 1 {
-            return tasks.into_iter().map(|t| t()).collect();
-        }
-        crate::pool::shared().run(tasks)
-    }
-
-    /// Runs nested subtasks — a batch submitted from *inside* an already
-    /// sharded stage (the intra-search waves of the pivot engine, say) — and
-    /// returns the results in task order.
-    ///
-    /// Unlike [`Parallelism::run_tasks`], which assumes its caller already
-    /// cut the work into at most `threads()` shards, this honors the knob
-    /// directly: a sequential setting runs every task inline on the calling
-    /// thread, anything else puts the batch on the shared pool (safe at any
-    /// nesting depth — the submitter participates, so nested batches never
-    /// deadlock). Callers must keep task *decomposition* independent of this
-    /// value; only the scheduling may differ, so results stay bit-identical.
-    pub fn run_nested<R: Send + 'static>(self, tasks: Vec<crate::pool::PoolTask<R>>) -> Vec<R> {
-        if tasks.len() <= 1 || self.is_sequential() {
             return tasks.into_iter().map(|t| t()).collect();
         }
         crate::pool::shared().run(tasks)
@@ -129,7 +105,6 @@ mod tests {
         assert_eq!(Parallelism::fixed(4).threads(), 4);
         assert_eq!(Parallelism::fixed(0).threads(), 1, "fixed clamps to 1");
         assert_eq!(Parallelism::SEQUENTIAL.threads(), 1);
-        assert!(Parallelism::SEQUENTIAL.is_sequential());
     }
 
     #[test]
@@ -138,19 +113,6 @@ mod tests {
         assert_eq!(p.shards(3), 3);
         assert_eq!(p.shards(100), 8);
         assert_eq!(p.shards(0), 1);
-    }
-
-    #[test]
-    fn run_nested_is_identical_inline_and_pooled() {
-        let tasks = |n: usize| -> Vec<crate::pool::PoolTask<usize>> {
-            (0..n)
-                .map(|i| Box::new(move || i * 3) as crate::pool::PoolTask<usize>)
-                .collect()
-        };
-        let expected: Vec<usize> = (0..5).map(|i| i * 3).collect();
-        assert_eq!(Parallelism::SEQUENTIAL.run_nested(tasks(5)), expected);
-        assert_eq!(Parallelism::fixed(4).run_nested(tasks(5)), expected);
-        assert!(Parallelism::fixed(4).run_nested(tasks(0)).is_empty());
     }
 
     #[test]

@@ -27,16 +27,16 @@ pub struct GroupingConfig {
     /// path found so far is used. Every label the search examines costs one
     /// step, including a parallel label whose extension duplicates a
     /// sibling's and is collapsed without being explored. Dominance pruning
-    /// (see the search module) lets almost every search on the address
-    /// workloads finish well inside the default; the groupers count the searches that do not
-    /// ([`crate::StructuredGrouper::searches_truncated`]), and
+    /// (see the search module) lets every search on the address workloads
+    /// finish well inside the default; the groupers count the searches that
+    /// do not ([`crate::StructuredGrouper::searches_truncated`]), and
     /// `ec_pivot_budget_exhausted_total` counts them process-wide.
     ///
     /// **Determinism:** results are bit-identical for every
     /// [`GroupingConfig::parallelism`] even when this budget truncates a
-    /// search — the drivers use thread-count-independent batch schedules and
-    /// snapshot bound semantics, so step consumption never depends on the
-    /// thread count. Changing *this cap itself* (or toggling
+    /// search — each search is one sequential DFS, and the drivers use
+    /// thread-count-independent batch schedules and snapshot bound semantics,
+    /// so step consumption never depends on the thread count. Changing *this cap itself* (or toggling
     /// [`GroupingConfig::early_termination`]) can change the groups on
     /// workloads where the budget binds, since pruning strength then decides
     /// where a search is cut off.
@@ -46,7 +46,7 @@ pub struct GroupingConfig {
     pub parallel_graph_build: bool,
     /// Worker threads for the sharded stages: graph preparation and the
     /// per-graph pivot-path searches of the one-shot and incremental
-    /// groupers. Every setting produces bit-identical groups; only the
+    /// groupers (one search never spans more than one worker). Every setting produces bit-identical groups; only the
     /// wall-clock time changes (see `ec_graph::Parallelism`).
     pub parallelism: Parallelism,
 }

@@ -111,14 +111,8 @@ impl IncrementalGrouper {
     /// [`GroupingConfig::parallelism`] — even when the step budget truncates
     /// a search — while the ramp bounds the speculation wasted when the stop
     /// condition halts mid-batch (at most one round's worth, ≤ the work
-    /// already done).
-    ///
-    /// The ramp's early batches search only one or two graphs, which on a
-    /// mega-group partition (one huge cluster of lookalikes) used to pin a
-    /// single worker while the rest of the pool idled. Those batches now
-    /// engage the frontier engine's parallel wave scheduling *inside* each
-    /// search, so `--threads` cuts time-to-first-group on exactly the
-    /// worst-case columns.
+    /// already done). Each search is one sequential DFS, so the ramp's early
+    /// one- and two-graph batches run on one or two workers.
     pub fn next_group(&mut self) -> Option<Group> {
         if self.remaining == 0 {
             return self.skipped.pop().map(Group::singleton);

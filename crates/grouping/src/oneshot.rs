@@ -45,9 +45,6 @@ impl OneShotGrouper {
     /// merge, so pruning strength — and with it every search's step
     /// consumption — depends only on the (thread-count-independent) batch
     /// schedule, while bounds still propagate with at most one batch of lag.
-    /// When a batch's tail leaves more workers than graphs (or the whole
-    /// collection is a handful of huge graphs), each search also runs its
-    /// frontier waves in parallel.
     pub fn group_all(&self) -> Vec<Group> {
         /// Graphs searched per bound-merge round.
         const SEARCH_BATCH: usize = 32;

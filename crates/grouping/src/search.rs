@@ -42,12 +42,11 @@
 //! A collapsed label is still charged its step, so budgets, truncation
 //! points and `ec_pivot_search_steps` do not depend on the collapse.
 //!
-//! Each [`SearchState`] also owns one hash-keyed state table (the whole
-//! search's root state, or one [`SearchTask`]). [`collect_candidates`]
+//! Each search also owns one hash-keyed state table. [`collect_candidates`]
 //! commits the surviving extensions to it in exploration order, after the
-//! local-threshold checks. Inside a task it is a transposition table: a
-//! state reached again by a different prefix is explored once, by the best
-//! prefix to arrive.
+//! local-threshold checks, so it is a transposition table for the whole
+//! search: a state reached again by a different prefix is explored once, by
+//! the best prefix to arrive.
 //!
 //! Hash matches are confirmed on the full occurrence slice. The pruning
 //! never drops a prefix of the path the plain recursive DFS would return (a
@@ -55,52 +54,22 @@
 //! committed earlier in DFS order), so with a budget that does not bind the
 //! result — path, list and share count — is exactly the DFS's; the test
 //! module keeps that DFS as the differential oracle. A table is never shared
-//! across tasks or searches, so tasks stay pure functions of their snapshots
-//! and results stay bit-identical at every thread count. It holds at most one
+//! across searches, so every search stays a pure function of its inputs and
+//! results stay bit-identical at every thread count. It holds at most one
 //! entry per step taken.
 //!
-//! ## The frontier engine
-//!
-//! A single expensive search (the mega-group shape: one huge cluster whose
-//! graphs all share long inverted lists) must not pin one worker while the
-//! rest of the pool idles, so every search runs on an explicit-frontier
-//! engine:
-//!
-//! * the root's viable extensions are computed once and each becomes a
-//!   [`SearchTask`] — an independent subproblem carrying its path prefix,
-//!   the prefix's [`PathList`] (a cheap arena view, never a copied
-//!   occurrence vector), a *snapshot* of the acceptance bar and of the
-//!   searched graph's own lower bound, and a private step-budget slice;
-//! * tasks are pulled off the frontier queue in deterministic **waves**
-//!   (sizes 1, 2, 4, 8, 8, …): every task of a wave reads only state
-//!   snapshotted at the wave boundary, and wave outcomes are reduced in
-//!   expansion order — bests folded with the acceptance rule, [`BoundRaises`]
-//!   max-merged, unspent budget returned to the pot;
-//! * a wave's tasks run through [`ec_graph::Parallelism::run_nested`]: inline
-//!   when scheduling is sequential, on the shared worker pool otherwise.
-//!
-//! The task tree, the per-task pruning inputs and the reduction order are all
-//! fixed by the search inputs alone — scheduling only decides *where* a task
-//! runs — so the engine's result is bit-identical for every thread count by
-//! construction, even when [`GroupingConfig::max_search_steps`] truncates
-//! the search. The first wave holds a single task (the most promising root
-//! extension, which usually establishes the final bar), so later, wider
-//! waves prune almost as well as the fully sequential DFS.
+//! Each search is one sequential DFS from the first node; parallelism comes
+//! from running the searches of a [`PivotSearcher::search_many`] batch on
+//! the shared worker pool.
 
 use crate::config::GroupingConfig;
 use crate::prepared::PreparedGraphs;
 use ec_dsl::StringFn;
-use ec_graph::{LabelId, Parallelism, PoolTask};
+use ec_graph::{LabelId, PoolTask};
 use ec_index::{GraphId, InvertedIndex, PathList, PathOccurrence};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
-
-/// Upper limit of the frontier's wave-size ramp (1, 2, 4, 8, 8, …). Waves are
-/// the engine's determinism unit — every task of a wave reads only state
-/// snapshotted at the wave boundary — so the cap bounds both the attainable
-/// intra-search parallelism and how stale a task's pruning inputs can be.
-const INTRA_SEARCH_WAVE_CAP: usize = 8;
 
 /// Registry handles for the search's two budget signals: how many steps each
 /// pivot search actually spends, and how often the budget runs dry (a search
@@ -226,19 +195,13 @@ struct SearchState<'a> {
     /// Write-only update list of bound raises; the caller merges it into the
     /// shared bounds afterwards by element-wise maximum.
     raised: &'a mut BoundRaises,
-    /// The acceptance bar: the `(share count, quality)` every new complete
-    /// path must beat. Holds the maximum of the [`SearchTask`] floor this
-    /// state started from (the bar snapshotted when the task was spawned)
-    /// and the local `best` — for a whole-search DFS the floor is `None`, so
-    /// the bar tracks `best` exactly.
-    bar: Option<(usize, Quality)>,
-    /// Best complete path found *by this state*: `(path, list, share count,
-    /// quality)`. A path only lands here when it also beats the bar, so a
-    /// task's best is `None` when nothing in its subtree beat its floor.
+    /// Best complete path found so far: `(path, list, share count,
+    /// quality)`. Its `(share count, quality)` is the acceptance bar every new
+    /// complete path must beat.
     best: Option<(Vec<LabelId>, PathList, usize, Quality)>,
     threshold: usize,
-    /// The states this search (or task) has committed to exploring; see the
-    /// module docs on dominance pruning.
+    /// The states this search has committed to exploring; see the module
+    /// docs on dominance pruning.
     table: StateTable,
     /// The buffer every examined extension is written into; a
     /// [`PathList`] is built from it only for a state not seen before.
@@ -246,6 +209,25 @@ struct SearchState<'a> {
 }
 
 impl SearchState<'_> {
+    /// The acceptance bar: the best complete path's `(share count, quality)`.
+    fn bar(&self) -> Option<(usize, Quality)> {
+        self.best.as_ref().map(|b| (b.2, b.3))
+    }
+
+    /// The local and global thresholds of Algorithm 4, applied only with early
+    /// termination on. An extension shared by `count` graphs must still be
+    /// able to beat the best complete path found so far — a strictly larger
+    /// share count, or an equal count with strictly better quality (the
+    /// partial quality only degrades as the path grows, so it lower bounds
+    /// any completion) — and must not fall below the graph's own global lower
+    /// bound (Algorithm 4, line 5).
+    fn viable(&self, count: usize, partial: Quality) -> bool {
+        !self.early_termination
+            || (count > self.threshold
+                && count as u32 >= self.own_bound
+                && beats(count, partial, &self.bar()))
+    }
+
     /// Accepts `(path, list, count, quality)` as the new best if it clears the
     /// local threshold and beats the bar.
     fn offer(
@@ -254,11 +236,10 @@ impl SearchState<'_> {
         quality: Quality,
         make: impl FnOnce() -> (Vec<LabelId>, PathList),
     ) {
-        if count <= self.threshold || !beats(count, quality, &self.bar) {
+        if count <= self.threshold || !beats(count, quality, &self.bar()) {
             return;
         }
         let (path, list) = make();
-        self.bar = Some((count, quality));
         self.best = Some((path, list, count, quality));
     }
 }
@@ -407,54 +388,6 @@ impl BoundRaises {
             }
         }
     }
-
-    /// Absorbs another update list (raises merge by maximum, so absorption
-    /// order never matters). Compacts on the same doubling watermark as
-    /// [`BoundRaises::push`].
-    fn absorb(&mut self, other: BoundRaises) {
-        self.entries.extend(other.entries);
-        if self.entries.len() > self.watermark.max(64) {
-            self.compact();
-            self.watermark = self.entries.len() * 2;
-        }
-    }
-}
-
-/// One frontier subproblem of the intra-search engine: explore every
-/// pivot-path completion below one root extension of the searched graph.
-/// Everything a task reads is snapshotted at spawn time, so a task is a pure
-/// function of its fields — which is what makes the engine's output
-/// independent of where (and when) the task runs.
-struct SearchTask {
-    /// The root extension's label — the first label of every path in the
-    /// subtree.
-    label: LabelId,
-    /// The node the one-label prefix has reached in the searched graph.
-    node: u32,
-    /// The prefix's occurrence list. A cheap arena view ([`PathList`] clones
-    /// are reference-count bumps), not a copied occurrence vector.
-    list: PathList,
-    /// Constant output characters emitted by the prefix.
-    const_chars: usize,
-    /// Snapshot of the acceptance bar when the task was spawned.
-    floor: Option<(usize, Quality)>,
-    /// Snapshot of the searched graph's own global lower bound at spawn.
-    own_bound: u32,
-    /// The task's private step-budget slice.
-    budget: usize,
-}
-
-/// What one [`SearchTask`] produced, reduced by the engine in expansion
-/// order.
-struct TaskOutcome {
-    /// The subtree's best complete path, if any beat the task's floor.
-    best: Option<(Vec<LabelId>, PathList, usize, Quality)>,
-    /// Bound raises recorded in the subtree.
-    raised: BoundRaises,
-    /// The searched graph's own bound as raised within the subtree.
-    own_bound: u32,
-    /// Steps actually consumed (≤ the task's budget slice).
-    steps_used: usize,
 }
 
 /// What one whole pivot search produced.
@@ -508,55 +441,44 @@ impl PivotSearcher {
     ) -> Option<PivotResult> {
         // Raises are merged into `lower_bounds` after the search, which keeps
         // the cumulative-bounds behavior of Algorithm 4 for a lone `search`
-        // call (the engine itself only ever reads the searched graph's own
+        // call (the DFS itself only ever reads the searched graph's own
         // bound, tracked separately).
-        let own_bound = lower_bounds[g.index()];
         let mut raised = BoundRaises::default();
-        let active: Arc<[bool]> = active.into();
-        let run = self.search_with_bounds(
-            g,
-            threshold,
-            &active,
-            own_bound,
-            &mut raised,
-            Parallelism::SEQUENTIAL,
-        );
+        let run =
+            self.search_with_bounds(g, threshold, active, lower_bounds[g.index()], &mut raised);
         raised.merge_into(lower_bounds);
         run.result
     }
 
-    /// The core search: reads only `own_bound` (the searched graph's own
-    /// global threshold) and records every bound raise into the write-only
-    /// `raised` list, without ever reading other graphs' entries. `waves`
-    /// decides only where the frontier engine's wave tasks run (inline or on
-    /// the shared pool) — never what they compute.
+    /// The core search: one DFS from the first node that reads only
+    /// `own_bound` (the searched graph's own global threshold) and records
+    /// every bound raise into the write-only `raised` list, without ever
+    /// reading other graphs' entries.
     fn search_with_bounds(
         &self,
         g: GraphId,
         threshold: usize,
-        active: &Arc<[bool]>,
+        active: &[bool],
         own_bound: u32,
         raised: &mut BoundRaises,
-        waves: Parallelism,
     ) -> SearchRun {
         let graph = self.prepared.graph(g);
         // Minimum number of edges from each node of `graph` to its last node;
         // paths that cannot complete within the length cap are never
-        // explored. Shared with the engine's subtree tasks.
-        let dist_to_end = Arc::new(distance_to_end(graph));
+        // explored.
+        let dist_to_end = distance_to_end(graph);
         let budget = self.config.max_search_steps.max(1);
         let mut state = SearchState {
             index: self.prepared.index(),
-            active: &active[..],
+            active,
             last_nodes: &self.last_nodes,
             max_path_len: self.config.max_path_len,
             early_termination: self.config.early_termination,
-            dist_to_end: &dist_to_end[..],
+            dist_to_end: &dist_to_end,
             steps_left: budget,
             constant_chars: &self.constant_chars,
             own_bound,
             raised,
-            bar: None,
             best: None,
             threshold,
             table: StateTable::default(),
@@ -580,12 +502,10 @@ impl PivotSearcher {
             }
         }
 
-        if graph.last_node() == 0 {
-            // An empty output: the empty path is the only transformation
-            // path, and `dfs` at the last node just offers it.
+        // An empty output (last node 0) is covered too: the empty path is its
+        // only transformation path, and `dfs` at the last node just offers it.
+        if state.dist_to_end[0] as usize <= state.max_path_len {
             dfs(graph, g, 0, &mut Vec::new(), &universe, 0, &mut state);
-        } else if state.dist_to_end[0] as usize <= state.max_path_len {
-            self.run_frontier(g, &mut state, &universe, active, &dist_to_end, waves);
         }
         let steps = budget - state.steps_left;
         let metrics = search_metrics();
@@ -601,151 +521,8 @@ impl PivotSearcher {
         SearchRun { result, steps }
     }
 
-    /// The explicit-frontier engine (see the module docs): computes the
-    /// root's viable extensions once, turns each into a [`SearchTask`], and
-    /// executes the frontier in deterministic waves whose outcomes reduce in
-    /// expansion order. `state` carries the pruning inputs in and the best
-    /// path (plus raises and remaining budget) out.
-    fn run_frontier(
-        &self,
-        g: GraphId,
-        state: &mut SearchState<'_>,
-        universe: &PathList,
-        active: &Arc<[bool]>,
-        dist_to_end: &Arc<Vec<u32>>,
-        waves: Parallelism,
-    ) {
-        let graph = self.prepared.graph(g);
-        // Root expansion: identical to the DFS's candidate step at node 0,
-        // including step consumption; `None` means the budget died during the
-        // expansion, exactly where the DFS would have stopped.
-        let Some(candidates) = collect_candidates(graph, 0, universe, 0, 0, state) else {
-            return;
-        };
-        let mut frontier = candidates.into_iter();
-        let mut exhausted = false;
-        let mut wave_cap = 1usize;
-        while !exhausted && state.steps_left > 0 {
-            // Pull the next wave of still-viable tasks off the frontier. The
-            // viability re-check mirrors the DFS's pre-descend re-check, with
-            // the bar and own bound as of this wave boundary.
-            let mut wave: Vec<SearchTask> = Vec::with_capacity(wave_cap);
-            while wave.len() < wave_cap {
-                let Some((label, to, list, count, next_chars)) = frontier.next() else {
-                    exhausted = true;
-                    break;
-                };
-                if state.early_termination {
-                    if count <= state.threshold || (count as u32) < state.own_bound {
-                        continue;
-                    }
-                    let partial = Quality {
-                        constant_chars: next_chars,
-                        len: 1,
-                    };
-                    if !beats(count, partial, &state.bar) {
-                        continue;
-                    }
-                }
-                wave.push(SearchTask {
-                    label,
-                    node: to,
-                    list,
-                    const_chars: next_chars,
-                    floor: state.bar,
-                    own_bound: state.own_bound,
-                    budget: 0, // sliced below, once the wave's size is known
-                });
-            }
-            if wave.is_empty() {
-                continue;
-            }
-            // Slice the remaining budget across the wave; unspent slices
-            // return to the pot when the wave's outcomes are reduced.
-            let share = state.steps_left / wave.len();
-            let extra = state.steps_left % wave.len();
-            for (i, task) in wave.iter_mut().enumerate() {
-                task.budget = share + usize::from(i < extra);
-            }
-            let tasks: Vec<PoolTask<TaskOutcome>> = wave
-                .into_iter()
-                .map(|task| {
-                    let searcher = self.clone();
-                    let active = Arc::clone(active);
-                    let dist_to_end = Arc::clone(dist_to_end);
-                    let threshold = state.threshold;
-                    Box::new(move || searcher.run_task(g, task, threshold, &active, &dist_to_end))
-                        as PoolTask<TaskOutcome>
-                })
-                .collect();
-            // Reduce outcomes in expansion order — together with the
-            // snapshot semantics above this is what keeps the engine
-            // bit-identical for every thread count.
-            for outcome in waves.run_nested(tasks) {
-                state.steps_left -= outcome.steps_used;
-                state.own_bound = state.own_bound.max(outcome.own_bound);
-                state.raised.absorb(outcome.raised);
-                if let Some((path, list, count, quality)) = outcome.best {
-                    state.offer(count, quality, || (path, list));
-                }
-            }
-            wave_cap = (wave_cap * 2).min(INTRA_SEARCH_WAVE_CAP);
-        }
-    }
-
-    /// Executes one [`SearchTask`]: a sequential DFS over the task's subtree,
-    /// reading only the task's snapshots. A pure function of its arguments.
-    fn run_task(
-        &self,
-        g: GraphId,
-        task: SearchTask,
-        threshold: usize,
-        active: &Arc<[bool]>,
-        dist_to_end: &Arc<Vec<u32>>,
-    ) -> TaskOutcome {
-        let graph = self.prepared.graph(g);
-        let mut raised = BoundRaises::default();
-        let budget = task.budget;
-        let mut state = SearchState {
-            index: self.prepared.index(),
-            active: &active[..],
-            last_nodes: &self.last_nodes,
-            max_path_len: self.config.max_path_len,
-            early_termination: self.config.early_termination,
-            dist_to_end: &dist_to_end[..],
-            steps_left: budget,
-            constant_chars: &self.constant_chars,
-            own_bound: task.own_bound,
-            raised: &mut raised,
-            bar: task.floor,
-            best: None,
-            threshold,
-            table: StateTable::default(),
-            scratch: Vec::new(),
-        };
-        let mut path = vec![task.label];
-        dfs(
-            graph,
-            g,
-            task.node,
-            &mut path,
-            &task.list,
-            task.const_chars,
-            &mut state,
-        );
-        let steps_used = budget - state.steps_left;
-        let own_bound = state.own_bound;
-        let best = state.best.take();
-        TaskOutcome {
-            best,
-            raised,
-            own_bound,
-            steps_used,
-        }
-    }
-
-    /// Searches the pivot paths of `gids`, sharded across scoped worker
-    /// threads, and returns the results in `gids` order.
+    /// Searches the pivot paths of `gids`, sharded across the shared worker
+    /// pool, and returns the results in `gids` order.
     ///
     /// The output is **bit-identical for every thread count, by
     /// construction**: every search in the call reads only its searched
@@ -762,18 +539,12 @@ impl PivotSearcher {
     ///
     /// Each worker is handed only its own chunk's graph bounds plus a sparse
     /// update list, so the per-batch memory traffic is O(graphs searched +
-    /// raises recorded) instead of the former O(threads × graphs) full-vector
-    /// copies. Sharded batches run as `'static` tasks on the process-wide
+    /// raises recorded) instead of O(threads × graphs) full-vector copies.
+    /// Sharded batches run as `'static` tasks on the process-wide
     /// work-stealing pool (`ec_graph::pool`) — no scoped threads are spawned
     /// per call, which is what makes the incremental grouper's speculative
-    /// batch loop cheap inside long-lived processes like `ec serve`.
-    ///
-    /// When workers outnumber the graphs to search (the mega-group shape —
-    /// one or two huge searches pinning a single worker while the rest of
-    /// the pool idles), each search additionally runs its frontier waves
-    /// *in parallel* on the same pool. That choice is scheduling-only: the
-    /// engine computes the same task tree either way, so it never affects
-    /// results.
+    /// batch loop cheap inside long-lived processes like `ec serve`. A single
+    /// chunk runs inline on the calling thread.
     pub fn search_many(
         &self,
         gids: &[GraphId],
@@ -783,71 +554,44 @@ impl PivotSearcher {
         parallelism: ec_graph::Parallelism,
     ) -> SearchBatch {
         let _span = ec_obs::span!("grouping.pivot_search", gids.len());
-        let shards = parallelism.shards(gids.len());
-        let chunk_size = gids.len().div_ceil(shards.max(1)).max(1);
-        // Intra-search wave scheduling: worth paying for only when workers
-        // outnumber the graphs to search; results are identical either way.
-        let waves = if parallelism.threads() > gids.len() {
-            parallelism
-        } else {
-            Parallelism::SEQUENTIAL
-        };
+        let chunk_size = gids.len().div_ceil(parallelism.shards(gids.len())).max(1);
         let active: Arc<[bool]> = active.into();
         type ShardOutput = (Vec<SearchRun>, BoundRaises);
-        let shard_outputs: Vec<ShardOutput> = if shards <= 1 {
-            let mut raised = BoundRaises::default();
-            let runs = gids
-                .iter()
-                // Snapshot each graph's own bound before any search runs, so
-                // the sequential path reads exactly what the sharded path
-                // would (raises merge only after the whole call).
-                .map(|&g| (g, lower_bounds[g.index()]))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|(g, own_bound)| {
-                    self.search_with_bounds(g, threshold, &active, own_bound, &mut raised, waves)
-                })
-                .collect();
-            vec![(runs, raised)]
-        } else {
-            // Snapshot only the searched graphs' own bounds, chunk by chunk,
-            // before any search runs — the values every search reads are
-            // fixed at entry no matter how chunks are scheduled.
-            let tasks: Vec<PoolTask<ShardOutput>> = gids
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    let searcher = self.clone();
-                    let chunk: Vec<GraphId> = chunk.to_vec();
-                    let bounds: Vec<u32> = chunk.iter().map(|&g| lower_bounds[g.index()]).collect();
-                    let active = Arc::clone(&active);
-                    Box::new(move || {
-                        let mut raised = BoundRaises::default();
-                        let runs = chunk
-                            .iter()
-                            .zip(&bounds)
-                            .map(|(&g, &own_bound)| {
-                                searcher.search_with_bounds(
-                                    g,
-                                    threshold,
-                                    &active,
-                                    own_bound,
-                                    &mut raised,
-                                    waves,
-                                )
-                            })
-                            .collect();
-                        (runs, raised)
-                    }) as PoolTask<ShardOutput>
-                })
-                .collect();
-            parallelism.run_tasks(tasks)
-        };
+        // Snapshot only the searched graphs' own bounds, chunk by chunk,
+        // before any search runs — the values every search reads are fixed
+        // at entry no matter how chunks are scheduled.
+        let tasks: Vec<PoolTask<ShardOutput>> = gids
+            .chunks(chunk_size)
+            .map(|chunk| {
+                let searcher = self.clone();
+                let chunk: Vec<GraphId> = chunk.to_vec();
+                let bounds: Vec<u32> = chunk.iter().map(|&g| lower_bounds[g.index()]).collect();
+                let active = Arc::clone(&active);
+                Box::new(move || {
+                    let mut raised = BoundRaises::default();
+                    let runs = chunk
+                        .iter()
+                        .zip(&bounds)
+                        .map(|(&g, &own_bound)| {
+                            searcher.search_with_bounds(
+                                g,
+                                threshold,
+                                &active,
+                                own_bound,
+                                &mut raised,
+                            )
+                        })
+                        .collect();
+                    (runs, raised)
+                }) as PoolTask<ShardOutput>
+            })
+            .collect();
         let budget = self.config.max_search_steps.max(1);
         let mut batch = SearchBatch {
             results: Vec::with_capacity(gids.len()),
             truncated: 0,
         };
-        for (runs, raised) in shard_outputs {
+        for (runs, raised) in parallelism.run_tasks(tasks) {
             for run in runs {
                 batch.truncated += usize::from(run.steps == budget);
                 batch.results.push(run.result);
@@ -904,8 +648,7 @@ struct Collected {
     examined: usize,
 }
 
-/// The DFS's candidate step, shared by the recursive DFS and the frontier
-/// engine's root expansion: collects the viable extensions of `node`, sorted
+/// The DFS's candidate step: collects the viable extensions of `node`, sorted
 /// into exploration order — decreasing share count (ties: longer edges, then
 /// fewer constant characters, then edge-label order). Finding a high-share
 /// complete path early makes the local threshold bite on all remaining
@@ -987,23 +730,12 @@ fn collect_candidates(
             if count == 0 {
                 continue;
             }
-            if state.early_termination {
-                // Local threshold: the extension must still be able to beat the
-                // best complete path found so far — a strictly larger share
-                // count, or an equal count with strictly better quality (the
-                // partial quality only degrades as the path grows, so it lower
-                // bounds any completion) — and it must not fall below the
-                // graph's own global lower bound (Algorithm 4, line 5).
-                if count <= state.threshold || (count as u32) < state.own_bound {
-                    continue;
-                }
-                let partial = Quality {
-                    constant_chars: next_chars,
-                    len: path_len + 1,
-                };
-                if !beats(count, partial, &state.bar) {
-                    continue;
-                }
+            let partial = Quality {
+                constant_chars: next_chars,
+                len: path_len + 1,
+            };
+            if !state.viable(count, partial) {
+                continue;
             }
             let extended = PathList::from_sorted_slice(extended);
             collected.push(Collected {
@@ -1079,18 +811,13 @@ fn dfs(
         if state.steps_left == 0 {
             return;
         }
-        if state.early_termination {
-            // Re-check against the (possibly improved) bar before descending.
-            if count <= state.threshold || (count as u32) < state.own_bound {
-                continue;
-            }
-            let partial = Quality {
-                constant_chars: next_chars,
-                len: path.len() + 1,
-            };
-            if !beats(count, partial, &state.bar) {
-                continue;
-            }
+        // Re-check against the (possibly improved) bar before descending.
+        let partial = Quality {
+            constant_chars: next_chars,
+            len: path.len() + 1,
+        };
+        if !state.viable(count, partial) {
+            continue;
         }
         path.push(label);
         dfs(graph, g, to, path, &extended, next_chars, state);
@@ -1267,63 +994,57 @@ mod tests {
         assert_eq!(result.path.len(), 1);
     }
 
+    /// Asserts that two result lists are identical, path lists included.
+    fn assert_same_results(a: &[Option<PivotResult>], b: &[Option<PivotResult>], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (a, b) in a.iter().zip(b) {
+            match (a, b) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    assert_eq!(a.path, b.path, "{what}");
+                    assert_eq!(a.share_count, b.share_count, "{what}");
+                    assert_eq!(a.complete, b.complete, "{what}");
+                    assert_eq!(a.list, b.list, "{what}");
+                }
+                _ => panic!("{what}: presence differs"),
+            }
+        }
+    }
+
     #[test]
     fn search_many_is_bit_identical_to_sequential_searches() {
-        // A workload with several transformation families so the searches
-        // interact through the shared lower bounds.
-        let mut reps = Vec::new();
-        for (last, first) in [
-            ("Lee", "Mary"),
-            ("Smith", "James"),
-            ("Brown", "Anna"),
-            ("Jones", "Paul"),
-            ("Davis", "Emma"),
-            ("Moore", "Lucy"),
-        ] {
-            reps.push(Replacement::new(
-                format!("{last}, {first}"),
-                format!("{first} {last}"),
-            ));
-            let initial = first.chars().next().unwrap();
-            reps.push(Replacement::new(
-                format!("{last}, {first}"),
-                format!("{initial}. {last}"),
-            ));
-        }
+        // Several transformation families, so the searches interact through
+        // the shared lower bounds.
+        let reps = family_replacements();
+        let gids: Vec<GraphId> = (0..reps.len()).map(|g| GraphId(g as u32)).collect();
+        let active = vec![true; reps.len()];
+        let batch = |searcher: &PivotSearcher, threads: usize| {
+            let mut bounds = vec![1u32; reps.len()];
+            let batch = searcher.search_many(
+                &gids,
+                0,
+                &active,
+                &mut bounds,
+                ec_graph::Parallelism::fixed(threads),
+            );
+            (batch, bounds)
+        };
+
         let config = GroupingConfig::default();
         let prep = prepared(&reps, &config);
         let searcher = PivotSearcher::new(Arc::clone(&prep), &config);
-        let active = vec![true; prep.len()];
-        let gids: Vec<GraphId> = (0..prep.len()).map(|g| GraphId(g as u32)).collect();
-
         let mut seq_bounds = vec![1u32; prep.len()];
         let sequential: Vec<Option<PivotResult>> = gids
             .iter()
             .map(|&g| searcher.search(g, 0, &active, &mut seq_bounds))
             .collect();
+        assert!(sequential.iter().all(Option::is_some));
         for threads in [1, 2, 4, 7] {
-            let mut par_bounds = vec![1u32; prep.len()];
-            let parallel = searcher
-                .search_many(
-                    &gids,
-                    0,
-                    &active,
-                    &mut par_bounds,
-                    ec_graph::Parallelism::fixed(threads),
-                )
-                .results;
-            assert_eq!(parallel.len(), sequential.len());
-            for (a, b) in sequential.iter().zip(&parallel) {
-                let a = a.as_ref().unwrap();
-                let b = b.as_ref().unwrap();
-                assert_eq!(a.path, b.path, "threads={threads}");
-                assert_eq!(a.share_count, b.share_count, "threads={threads}");
-                assert_eq!(a.complete, b.complete, "threads={threads}");
-            }
-            // The merged bounds are sound: never above the sequential bounds'
-            // final values' own soundness limit — each graph's bound must not
-            // exceed its true pivot share count.
-            for (g, bound) in par_bounds.iter().enumerate() {
+            let (sharded, bounds) = batch(&searcher, threads);
+            assert_same_results(&sequential, &sharded.results, &format!("threads={threads}"));
+            // The merged bounds are sound: each graph's bound must not exceed
+            // its true pivot share count.
+            for (g, bound) in bounds.iter().enumerate() {
                 let share = sequential[g].as_ref().unwrap().share_count;
                 assert!(
                     *bound as usize <= share,
@@ -1331,10 +1052,30 @@ mod tests {
                 );
             }
         }
+
+        // A starved budget truncates the searches. A lone `search` merges its
+        // raises before the next search reads them, so with a binding budget
+        // it may prune differently; the whole batch at 1 thread is the
+        // reference, and sharding must move neither a truncation point nor a
+        // merged bound.
+        let starved = GroupingConfig {
+            max_search_steps: 25,
+            ..GroupingConfig::default()
+        };
+        let searcher = PivotSearcher::new(prepared(&reps, &starved), &starved);
+        let (base, base_bounds) = batch(&searcher, 1);
+        assert!(base.truncated > 0, "the starved budget must bind");
+        for threads in [2, 4, 7] {
+            let (sharded, bounds) = batch(&searcher, threads);
+            let what = format!("starved, threads={threads}");
+            assert_same_results(&base.results, &sharded.results, &what);
+            assert_eq!(sharded.truncated, base.truncated, "{what}");
+            assert_eq!(bounds, base_bounds, "{what}");
+        }
     }
 
     /// A workload with several interacting transformation families, reused by
-    /// the engine-equivalence tests below.
+    /// the search tests.
     fn family_replacements() -> Vec<Replacement> {
         let mut reps = Vec::new();
         for (last, first) in [
@@ -1530,7 +1271,7 @@ mod tests {
         oracle_steps: usize,
     }
 
-    /// Compares the engine (frontier + dominance pruning) with the oracle
+    /// Compares the engine (the dominance-pruned DFS) with the oracle
     /// DFS on every graph of `reps`. Wherever the oracle finishes inside
     /// `oracle_budget`, the engine must return exactly its pivot without
     /// spending more steps. Each search starts from a fresh own bound of 1,
@@ -1547,18 +1288,11 @@ mod tests {
         };
         let prep = prepared(reps, &config);
         let searcher = PivotSearcher::new(Arc::clone(&prep), &config);
-        let active: Arc<[bool]> = vec![true; prep.len()].into();
+        let active = vec![true; prep.len()];
         let mut totals = Differential::default();
         for g in (0..prep.len()).map(|g| GraphId(g as u32)) {
             let mut raised = BoundRaises::default();
-            let engine = searcher.search_with_bounds(
-                g,
-                threshold,
-                &active,
-                1,
-                &mut raised,
-                Parallelism::SEQUENTIAL,
-            );
+            let engine = searcher.search_with_bounds(g, threshold, &active, 1, &mut raised);
             let (oracle, oracle_steps) =
                 oracle_search(&searcher, g, threshold, &active, oracle_budget);
             totals.searches += 1;
@@ -1657,17 +1391,10 @@ mod tests {
             for part in &parts {
                 let prep = prepared(part, &config);
                 let searcher = PivotSearcher::new(Arc::clone(&prep), &config);
-                let active: Arc<[bool]> = vec![true; prep.len()].into();
+                let active = vec![true; prep.len()];
                 for g in (0..prep.len()).map(|g| GraphId(g as u32)) {
                     let mut raised = BoundRaises::default();
-                    let run = searcher.search_with_bounds(
-                        g,
-                        1,
-                        &active,
-                        1,
-                        &mut raised,
-                        Parallelism::SEQUENTIAL,
-                    );
+                    let run = searcher.search_with_bounds(g, 1, &active, 1, &mut raised);
                     searches += 1;
                     steps += run.steps;
                     truncated += usize::from(run.steps == budget);
@@ -1678,60 +1405,8 @@ mod tests {
         // `(budget, searches, steps, truncated searches)`.
         assert_eq!(
             totals,
-            vec![(50_000, 652, 1_597_457, 0), (400, 652, 106_438, 240)]
+            vec![(50_000, 652, 558_193, 0), (400, 652, 103_880, 231)]
         );
-    }
-
-    #[test]
-    fn frontier_waves_are_scheduling_independent_even_when_the_budget_binds() {
-        // A starved budget truncates every subtree task at its private slice;
-        // whether the wave runs inline (1 thread) or on the pool (more
-        // workers than graphs searched) must not move the truncation points.
-        let reps = family_replacements();
-        let config = GroupingConfig {
-            max_search_steps: 25,
-            ..GroupingConfig::default()
-        };
-        let prep = prepared(&reps, &config);
-        let searcher = PivotSearcher::new(Arc::clone(&prep), &config);
-        let active = vec![true; prep.len()];
-        let run = |threads: usize| {
-            let mut bounds = vec![1u32; prep.len()];
-            let results: Vec<Option<PivotResult>> = (0..prep.len())
-                .flat_map(|g| {
-                    // One graph per call, so threads > gids.len() engages the
-                    // parallel wave scheduling inside each search.
-                    searcher
-                        .search_many(
-                            &[GraphId(g as u32)],
-                            0,
-                            &active,
-                            &mut bounds,
-                            ec_graph::Parallelism::fixed(threads),
-                        )
-                        .results
-                })
-                .collect();
-            (results, bounds)
-        };
-        let (base_results, base_bounds) = run(1);
-        for threads in [2usize, 4, 7] {
-            let (results, bounds) = run(threads);
-            assert_eq!(bounds, base_bounds, "threads={threads}");
-            assert_eq!(results.len(), base_results.len());
-            for (a, b) in base_results.iter().zip(&results) {
-                match (a, b) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.path, b.path, "threads={threads}");
-                        assert_eq!(a.share_count, b.share_count, "threads={threads}");
-                        assert_eq!(a.complete, b.complete, "threads={threads}");
-                        assert_eq!(a.list, b.list, "threads={threads}");
-                    }
-                    _ => panic!("presence differs at {threads} threads"),
-                }
-            }
-        }
     }
 
     #[test]

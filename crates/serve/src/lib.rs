@@ -615,11 +615,9 @@ fn handle_pipeline(
             ))
         })?,
     };
-    let truth_method = match request.query_param("truth-method").unwrap_or("majority") {
-        "majority" | "mc" => TruthMethod::MajorityConsensus,
-        "reliability" | "source-reliability" => TruthMethod::SourceReliability,
-        other => return Err(fail(format!("unknown truth method '{other}'"))),
-    };
+    let truth_name = request.query_param("truth-method").unwrap_or("majority");
+    let truth_method = TruthMethod::parse(truth_name)
+        .ok_or_else(|| fail(format!("unknown truth method '{truth_name}'")))?;
     let output = match request.query_param("output").unwrap_or("standardized") {
         "standardized" | "std" => PipelineOutput::Standardized,
         "golden" => PipelineOutput::Golden,
@@ -839,11 +837,9 @@ fn handle_ingest(
             ))
         })?,
     };
-    let truth = match request.query_param("truth-method").unwrap_or("majority") {
-        "majority" | "mc" => TruthMethod::MajorityConsensus,
-        "reliability" | "source-reliability" => TruthMethod::SourceReliability,
-        other => return Err(fail(format!("unknown truth method '{other}'"))),
-    };
+    let truth_name = request.query_param("truth-method").unwrap_or("majority");
+    let truth = TruthMethod::parse(truth_name)
+        .ok_or_else(|| fail(format!("unknown truth method '{truth_name}'")))?;
     let params = IngestParams {
         threshold,
         budget,

@@ -122,9 +122,8 @@ fn plain_incremental_grouper_is_identical_at_any_parallelism() {
 /// One cluster, many variants — the mega-group shape real columns produce
 /// when sorted-neighborhood resolution false-merges a pile of lookalikes.
 /// Candidates concentrate in a handful of structure partitions, so the
-/// incremental ramp's early batches search one or two huge graphs at a time:
-/// exactly where `threads > graphs` engages the frontier engine's parallel
-/// wave scheduling inside a single search.
+/// incremental ramp's early batches search one or two huge graphs at a time,
+/// so workers outnumber the graphs to search.
 fn mega_group_candidates() -> Vec<Replacement> {
     // Systematic variant spellings of one journal title: the base form, each
     // word abbreviated on its own, and growing abbreviated prefixes. With
@@ -185,10 +184,9 @@ fn single_mega_group_grouping_is_identical_at_any_parallelism() {
 
 #[test]
 fn single_mega_group_grouping_is_identical_when_the_step_budget_binds() {
-    // A starved step budget forces every frontier task to its private
-    // slice's truncation point; the frontier engine must keep those points
-    // — and with them the groups and the truncation count — thread-count
-    // independent.
+    // A starved step budget cuts searches short; the truncation points —
+    // and with them the groups and the truncation count — must not depend
+    // on the thread count.
     let replacements = mega_group_candidates();
     let drain = |threads: usize| {
         let config = GroupingConfig {
