@@ -13,21 +13,20 @@ use crate::interactive::InteractiveOracle;
 use crate::{CliError, CommandOutput, OpenInput, OpenOutput, OutputSink};
 use ec_core::{
     compile_dataset, resolve_column_spec, standardize_columns_with, write_golden_records_csv,
-    ApplyReport, AutoMode, AutoReview, CompiledDataset, ConsolidationConfig, DeltaPipeline, Oracle,
-    OracleSource, Pipeline, ProgramLibrary, TruthMethod,
+    ApplyError, AutoReview, CompiledDataset, ConsolidationConfig, Oracle, OracleSource, Pipeline,
+    ProgramLibrary, RunOptions,
 };
 use ec_data::csv::CsvWriter;
-use ec_data::stream::DatasetSink;
 use ec_data::{
-    ClusteredCsvReader, ClusteredCsvWriter, Dataset, FlatCsvReader, GeneratorConfig, PaperDataset,
-    RecordStream,
+    ClusteredCsvReader, ClusteredCsvWriter, Dataset, DatasetRecords, FlatCsvReader,
+    GeneratorConfig, PaperDataset, RecordStream,
 };
 use ec_grouping::{GroupingConfig, Parallelism, StructuredGrouper};
 use ec_profile::{prioritize_columns, render_dataset_profile, render_priorities, DatasetProfile};
 use ec_replace::{generate_candidates, CandidateConfig};
 use ec_report::table::fmt_f64;
 use ec_report::TextTable;
-use ec_resolution::{RawRecord, Resolver, ResolverConfig};
+use ec_resolution::RawRecord;
 use ec_serve::{Router, RouterConfig, ServeConfig, Server};
 use std::io::{BufRead, Read, Write};
 
@@ -36,31 +35,80 @@ fn write_failed(path: &str) -> impl Fn(std::io::Error) -> CliError + '_ {
     move |e| CliError::Io(format!("failed to write {path}: {e}"))
 }
 
-/// Opens the `--output`, `--golden` and `--save-library` sinks that were
-/// requested, each paired with its path. `consolidate` and `ingest` call it
-/// before any work runs (and before any file is truncated): a bad path must
-/// fail the command while pre-existing output files are still intact.
-fn open_sinks<'p>(
-    parsed: &'p ParsedArgs,
-    open_output: OpenOutput<'_>,
-) -> Result<[Option<(&'p str, OutputSink)>; 3], CliError> {
-    let open = |flag: &str| {
-        parsed
-            .get(flag)
-            .map(|path| Ok((path, open_output(path)?)))
-            .transpose()
-    };
-    Ok([open("output")?, open("golden")?, open("save-library")?])
+/// Parses the run knobs (`--threshold`, `--budget`, `--mode`,
+/// `--truth-method`, `--name`, `--column`) with the defaults and checks every
+/// entry point shares; a bad value is a usage error.
+fn run_options(parsed: &ParsedArgs, allow_interactive: bool) -> Result<RunOptions, CliError> {
+    RunOptions::parse(|key| parsed.get(key), allow_interactive).map_err(CliError::Usage)
+}
+
+/// The `--output`, `--golden` and `--save-library` files of `consolidate`,
+/// `pipeline` and `ingest`, each paired with its path.
+struct Sinks<'p> {
+    output: Option<(&'p str, OutputSink)>,
+    golden: Option<(&'p str, OutputSink)>,
+    library: Option<(&'p str, OutputSink)>,
+}
+
+impl<'p> Sinks<'p> {
+    /// Opens the requested files. Commands call it before any work runs (and
+    /// before any file is truncated): a bad path must fail the command while
+    /// pre-existing output files are still intact.
+    fn open(parsed: &'p ParsedArgs, open_output: OpenOutput<'_>) -> Result<Self, CliError> {
+        let open = |flag: &str| {
+            parsed
+                .get(flag)
+                .map(|path| Ok::<_, CliError>((path, open_output(path)?)))
+                .transpose()
+        };
+        Ok(Sinks {
+            output: open("output")?,
+            golden: open("golden")?,
+            library: open("save-library")?,
+        })
+    }
+
+    /// Streams the standardized dataset (when there is one), the golden
+    /// records and the library snapshot into the files that were opened,
+    /// noting each path — and the number of saved programs — in `output`.
+    fn write(
+        self,
+        mut output: CommandOutput,
+        standardized: Option<&Dataset>,
+        columns: &[String],
+        golden: &[Vec<Option<String>>],
+        library: Option<&ProgramLibrary>,
+    ) -> Result<CommandOutput, CliError> {
+        if let Some((path, mut sink)) = self.output {
+            if let Some(dataset) = standardized {
+                stream_clustered_csv(dataset, &mut sink).map_err(write_failed(path))?;
+            }
+            output = output.note_written(path);
+        }
+        if let Some((path, mut sink)) = self.golden {
+            write_golden_records_csv(columns, golden, &mut sink)
+                .and_then(|()| sink.flush())
+                .map_err(write_failed(path))?;
+            output = output.note_written(path);
+        }
+        if let Some((path, mut sink)) = self.library {
+            let library = library.expect("a library accumulates when --save-library is set");
+            sink.write_all(library.to_snapshot().as_bytes())
+                .and_then(|()| sink.flush())
+                .map_err(write_failed(path))?;
+            output.stdout.push_str(&format!(
+                "saved {} learned programs to the library\n",
+                library.len()
+            ));
+            output = output.note_written(path);
+        }
+        Ok(output)
+    }
 }
 
 /// Streams a dataset as clustered CSV, cluster-at-a-time.
 fn stream_clustered_csv(dataset: &Dataset, out: &mut dyn Write) -> std::io::Result<()> {
-    let mut csv = ClusteredCsvWriter::new(&mut *out, &dataset.columns)?;
-    for cluster in &dataset.clusters {
-        csv.write_cluster(cluster)?;
-    }
-    csv.finish()?;
-    out.flush()
+    ClusteredCsvWriter::write_dataset(out, dataset)
 }
 
 /// Streams a dataset's rows as flat record CSV (`source,<attributes...>`,
@@ -150,12 +198,9 @@ pub fn generate(
 /// the header declared `__truth` columns (which decides whether the `auto`
 /// consolidation mode can use the simulated expert).
 fn read_clustered(name: &str, input: impl Read) -> Result<(Dataset, bool), CliError> {
-    let reader = ClusteredCsvReader::new(input).map_err(|e| CliError::Data(e.to_string()))?;
+    let reader = ClusteredCsvReader::new(input)?;
     let has_truth = reader.has_truth_columns();
-    let dataset = reader
-        .into_dataset(name)
-        .map_err(|e| CliError::Data(e.to_string()))?;
-    Ok((dataset, has_truth))
+    Ok((reader.into_dataset(name)?, has_truth))
 }
 
 /// `ec profile`: per-column statistics plus the standardization priority
@@ -174,7 +219,8 @@ pub fn profile(parsed: &ParsedArgs, input: impl Read) -> Result<CommandOutput, C
 /// run of what the human would be asked to confirm.
 pub fn groups(parsed: &ParsedArgs, input: impl Read) -> Result<CommandOutput, CliError> {
     let (dataset, _) = read_clustered("input", input)?;
-    let col = resolve_column(&dataset, parsed.require("column")?)?;
+    let col = resolve_column_spec(&dataset.columns, parsed.require("column")?)
+        .map_err(CliError::Usage)?;
     let top = parsed.get_usize("top", 10)?;
 
     let parallelism = Parallelism::from(parsed.get_usize("threads", 0)?);
@@ -252,28 +298,22 @@ fn artifact_summary(path: &str, compiled: &CompiledDataset, mapped: bool) -> Str
 /// Resolves `--artifact` for `consolidate`/`pipeline`: `Ok(Some(...))` when
 /// the artifact loaded, `Ok(None)` for a failed load that can fall back to
 /// `--input` (a warning goes to `prompt_out`), `Err` when there is nothing
-/// to fall back to. An explicit `--threshold` different from the artifact's
-/// is refused — the clusters were formed at compile time.
-fn resolve_artifact(
-    parsed: &ParsedArgs,
+/// to fall back to. A given `--threshold` different from the artifact's is
+/// refused — the clusters were formed at compile time.
+fn resolve_artifact<'p>(
+    parsed: &'p ParsedArgs,
+    options: &RunOptions,
     prompt_out: &mut dyn Write,
-) -> Result<Option<(String, CompiledDataset, bool)>, CliError> {
+) -> Result<Option<(&'p str, CompiledDataset, bool)>, CliError> {
     let Some(path) = parsed.get("artifact") else {
         return Ok(None);
     };
     match load_artifact(path) {
         Ok((compiled, mapped)) => {
-            if parsed.get("threshold").is_some() {
-                let threshold = match_threshold(parsed)?;
-                if threshold != compiled.threshold {
-                    return Err(CliError::Usage(format!(
-                        "{path} was compiled at threshold {}, not {threshold}; \
-                         re-run `ec compile` to change it",
-                        compiled.threshold
-                    )));
-                }
-            }
-            Ok(Some((path.to_string(), compiled, mapped)))
+            compiled
+                .check_threshold(options)
+                .map_err(|e| CliError::Usage(format!("{path} {e}")))?;
+            Ok(Some((path, compiled, mapped)))
         }
         Err(e) if parsed.get("input").is_some() => {
             writeln!(
@@ -287,47 +327,6 @@ fn resolve_artifact(
     }
 }
 
-/// The consolidation configuration `--budget` and `--threads` set.
-fn consolidation_config(parsed: &ParsedArgs) -> Result<ConsolidationConfig, CliError> {
-    Ok(ConsolidationConfig {
-        budget: parsed.get_usize("budget", 100)?,
-        ..ConsolidationConfig::default()
-    }
-    .with_threads(parsed.get_usize("threads", 0)?))
-}
-
-/// Runs `consolidate`/`pipeline` from a loaded `--artifact`: the artifact
-/// already holds the resolved clusters and every prepared structure, so
-/// parsing and resolving are skipped and the consolidation replays from the
-/// compiled state. `Ok(None)` when there is no artifact to run from.
-fn consolidate_artifact(
-    parsed: &ParsedArgs,
-    pipeline: &Pipeline,
-    open_output: OpenOutput<'_>,
-    stdin: &mut dyn BufRead,
-    prompt_out: &mut dyn Write,
-) -> Result<Option<CommandOutput>, CliError> {
-    let Some((path, compiled, mapped)) = resolve_artifact(parsed, prompt_out)? else {
-        return Ok(None);
-    };
-    let summary = artifact_summary(&path, &compiled, mapped);
-    let mut dataset = compiled.dataset.clone();
-    let consolidated = consolidate_dataset(
-        parsed,
-        &mut dataset,
-        compiled.has_truth,
-        pipeline,
-        Some(&compiled),
-        open_output,
-        stdin,
-        prompt_out,
-    )?;
-    Ok(Some(CommandOutput {
-        stdout: summary + &consolidated.stdout,
-        written: consolidated.written,
-    }))
-}
-
 /// `ec consolidate`: standardize one or all columns under a budget and emit
 /// the standardized dataset and its golden records.
 pub fn consolidate(
@@ -337,24 +336,14 @@ pub fn consolidate(
     stdin: &mut dyn BufRead,
     prompt_out: &mut dyn Write,
 ) -> Result<CommandOutput, CliError> {
-    let pipeline = Pipeline::new(consolidation_config(parsed)?);
-    if let Some(output) = consolidate_artifact(parsed, &pipeline, open_output, stdin, prompt_out)? {
-        return Ok(output);
-    }
     // The `__truth` columns are what the simulated expert judges against; when
     // they are absent the automatic mode falls back to approving everything
     // (an upper bound a user can then restrict interactively).
-    let (mut dataset, has_truth) = read_clustered("input", input)?;
-    consolidate_dataset(
-        parsed,
-        &mut dataset,
-        has_truth,
-        &pipeline,
-        None,
-        open_output,
-        stdin,
-        prompt_out,
-    )
+    let load = |_: &RunOptions, _| {
+        let (dataset, has_truth) = read_clustered("input", input)?;
+        Ok((dataset, has_truth, String::new()))
+    };
+    consolidate_with(parsed, load, open_output, stdin, prompt_out)
 }
 
 /// `--mode interactive`: per column, a header line on the prompt channel and
@@ -382,59 +371,53 @@ impl OracleSource for InteractiveReview<'_> {
     }
 }
 
-/// The shared consolidation driver behind `ec consolidate` and the
-/// consolidation half of `ec pipeline`: standardizes the requested columns
-/// with the mode's oracle, runs truth discovery, renders the summary, and
-/// streams the `--output` / `--golden` / `--save-library` files. With
-/// `compiled` set (a loaded `--artifact`), candidate generation, grouping
-/// preparation and index building are all skipped — the precompiled state
-/// is replayed instead, byte-identically.
-#[allow(clippy::too_many_arguments)]
-fn consolidate_dataset(
+/// The shared consolidation driver behind `ec consolidate` and `ec
+/// pipeline`. The dataset comes from a loaded `--artifact` — whose compiled
+/// state is replayed, byte-identically, so candidate generation, grouping
+/// preparation and index building are all skipped — or from `load`, which
+/// also returns whether the dataset carries ground truth and the stdout
+/// lines that describe the input. Then the requested columns are
+/// standardized with the mode's oracle, truth discovery runs, the summary is
+/// rendered and the `--output` / `--golden` / `--save-library` files are
+/// written.
+fn consolidate_with(
     parsed: &ParsedArgs,
-    dataset: &mut Dataset,
-    has_truth: bool,
-    pipeline: &Pipeline,
-    compiled: Option<&CompiledDataset>,
+    load: impl FnOnce(&RunOptions, Parallelism) -> Result<(Dataset, bool, String), CliError>,
     open_output: OpenOutput<'_>,
     stdin: &mut dyn BufRead,
     prompt_out: &mut dyn Write,
 ) -> Result<CommandOutput, CliError> {
-    let columns: Vec<usize> = match parsed.get("column") {
-        Some(spec) => vec![resolve_column(dataset, spec)?],
-        None => (0..dataset.columns.len()).collect(),
+    let options = run_options(parsed, true)?;
+    let pipeline = Pipeline::new(options.consolidation(parsed.get_usize("threads", 0)?));
+    let artifact = resolve_artifact(parsed, &options, prompt_out)?;
+    let (mut dataset, has_truth, mut out) = match &artifact {
+        Some((path, compiled, mapped)) => (
+            compiled.dataset.clone(),
+            compiled.has_truth,
+            artifact_summary(path, compiled, *mapped),
+        ),
+        None => load(&options, pipeline.config().candidates.parallelism)?,
     };
-    let budget = pipeline.config().budget;
-    let mode = parsed.get("mode").unwrap_or("auto");
-    let truth_name = parsed.get("truth-method").unwrap_or("majority");
-    let truth_method = TruthMethod::parse(truth_name).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown truth method '{truth_name}'; expected majority or reliability"
-        ))
-    })?;
-    let [mut output_sink, mut golden_sink, mut library_sink] = open_sinks(parsed, open_output)?;
+    let compiled = artifact.as_ref().map(|(_, compiled, _)| compiled);
+    let columns = options.columns(&dataset.columns).map_err(CliError::Usage)?;
+    let sinks = Sinks::open(parsed, open_output)?;
     // `--save-library` persists the verification work of this run as a
     // learned-program snapshot (`ec apply` / `ec serve` re-use it).
-    let mut library = library_sink.as_ref().map(|_| ProgramLibrary::new());
+    let mut library = sinks.library.as_ref().map(|_| ProgramLibrary::new());
     let mut interactive = None;
     let mut auto = None;
-    let oracles: &mut dyn OracleSource = if mode == "interactive" {
+    let oracles: &mut dyn OracleSource = if options.interactive {
         interactive.insert(InteractiveReview {
             stdin,
             prompt_out,
             error: None,
         })
     } else {
-        let auto_mode = AutoMode::parse(mode).ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown mode '{mode}'; expected auto, approve-all, or interactive"
-            ))
-        })?;
-        auto.insert(AutoReview::new(auto_mode, has_truth))
+        auto.insert(AutoReview::new(options.mode, has_truth))
     };
     let reports = standardize_columns_with(
-        pipeline,
-        dataset,
+        &pipeline,
+        &mut dataset,
         compiled,
         &columns,
         oracles,
@@ -444,7 +427,7 @@ fn consolidate_dataset(
         return Err(CliError::Io(error.to_string()));
     }
 
-    let golden = pipeline.discover_golden_records(dataset, truth_method);
+    let golden = pipeline.discover_golden_records(&dataset, options.truth);
 
     // Summary of the standardization work.
     let mut summary_table = TextTable::new([
@@ -465,13 +448,12 @@ fn consolidate_dataset(
             report.searches_truncated.to_string(),
         ]);
     }
-    let mut out = String::new();
     out.push_str(&format!(
         "consolidated {} clusters / {} records with budget {} per column ({} mode)\n\n",
         dataset.clusters.len(),
         dataset.num_records(),
-        budget,
-        mode
+        options.budget,
+        options.mode_name()
     ));
     out.push_str(&summary_table.to_plain_text());
 
@@ -500,42 +482,25 @@ fn consolidate_dataset(
         );
     }
     out.push_str(&preview.to_plain_text());
-
-    let mut output = CommandOutput::text(out);
-    if let Some((path, sink)) = output_sink.as_mut() {
-        stream_clustered_csv(dataset, sink).map_err(write_failed(path))?;
-        output = output.note_written(*path);
+    if library.is_some() {
+        out.push('\n'); // A blank line before the "saved … programs" note.
     }
-    if let Some((path, sink)) = golden_sink.as_mut() {
-        write_golden_records_csv(&dataset.columns, &golden, sink)
-            .and_then(|()| sink.flush())
-            .map_err(write_failed(path))?;
-        output = output.note_written(*path);
-    }
-    if let Some((path, sink)) = library_sink.as_mut() {
-        let library = library.expect("library accumulates when --save-library is set");
-        sink.write_all(library.to_snapshot().as_bytes())
-            .and_then(|()| sink.flush())
-            .map_err(write_failed(path))?;
-        output.stdout.push_str(&format!(
-            "\nsaved {} learned programs to the library\n",
-            library.len()
-        ));
-        output = output.note_written(*path);
-    }
-    Ok(output)
+    sinks.write(
+        CommandOutput::text(out),
+        Some(&dataset),
+        &dataset.columns,
+        &golden,
+        library.as_ref(),
+    )
 }
 
-/// Parses and validates the `--threshold` flag shared by `resolve` and
-/// `pipeline`.
-fn match_threshold(parsed: &ParsedArgs) -> Result<f64, CliError> {
-    let threshold = parsed.get_f64("threshold", 0.75)?;
-    if !(0.0..=1.0).contains(&threshold) {
-        return Err(CliError::Usage(format!(
-            "--threshold must be between 0 and 1, got {threshold}"
-        )));
-    }
-    Ok(threshold)
+/// The line `resolve` and `pipeline` print about the clusters they formed.
+fn resolved_summary(dataset: &Dataset, threshold: f64) -> String {
+    format!(
+        "resolved {} records into {} clusters (threshold {threshold})\n",
+        dataset.num_records(),
+        dataset.clusters.len(),
+    )
 }
 
 /// `ec resolve`: cluster flat records into a clustered CSV. The input is
@@ -546,23 +511,11 @@ pub fn resolve(
     input: impl Read,
     open_output: OpenOutput<'_>,
 ) -> Result<CommandOutput, CliError> {
-    let threshold = match_threshold(parsed)?;
-    let mut stream = FlatCsvReader::new(input).map_err(|e| CliError::Data(e.to_string()))?;
-    let name = parsed.get("name").unwrap_or("resolved");
-    let resolver = Resolver::new(ResolverConfig {
-        threshold,
-        ..ResolverConfig::default()
-    })
-    .with_parallelism(Parallelism::from(parsed.get_usize("threads", 0)?));
-    let dataset = resolver
-        .resolve_stream(name, &mut stream)
-        .map_err(|e| CliError::Data(e.to_string()))?;
-    let summary = format!(
-        "resolved {} records into {} clusters (threshold {})\n",
-        dataset.num_records(),
-        dataset.clusters.len(),
-        threshold
-    );
+    let options = run_options(parsed, false)?;
+    let mut stream = FlatCsvReader::new(input)?;
+    let parallelism = Parallelism::from(parsed.get_usize("threads", 0)?);
+    let dataset = options.resolve(&mut stream, parallelism)?;
+    let summary = resolved_summary(&dataset, options.threshold);
     match parsed.get("output") {
         Some(path) => {
             let mut sink = open_output(path)?;
@@ -588,50 +541,23 @@ pub fn pipeline(
     stdin: &mut dyn BufRead,
     prompt_out: &mut dyn Write,
 ) -> Result<CommandOutput, CliError> {
-    let pipeline = Pipeline::new(consolidation_config(parsed)?);
-    if let Some(output) = consolidate_artifact(parsed, &pipeline, open_output, stdin, prompt_out)? {
-        return Ok(output);
-    }
-    let threshold = match_threshold(parsed)?;
-    let mut stream = FlatCsvReader::new(input).map_err(|e| CliError::Data(e.to_string()))?;
-    let name = parsed.get("name").unwrap_or("resolved");
-    // Pair scoring shards over the same thread budget as the consolidation
-    // stages; output is bit-identical for every setting.
-    let mut dataset = Resolver::new(ResolverConfig {
-        threshold,
-        ..ResolverConfig::default()
-    })
-    .with_parallelism(pipeline.config().candidates.parallelism)
-    .resolve_stream(name, &mut stream)
-    .map_err(|e| CliError::Data(e.to_string()))?;
-    let summary = format!(
-        "resolved {} records into {} clusters (threshold {})\n",
-        dataset.num_records(),
-        dataset.clusters.len(),
-        threshold
-    );
-    // Resolver output always carries per-cell truth (set to the observed
-    // value), exactly as the clustered CSV written by `ec resolve` declares
-    // `__truth` columns — so `auto` mode uses the simulated expert, matching
-    // the two-pass flow.
-    let consolidated = consolidate_dataset(
-        parsed,
-        &mut dataset,
-        true,
-        &pipeline,
-        None,
-        open_output,
-        stdin,
-        prompt_out,
-    )?;
-    Ok(CommandOutput {
-        stdout: summary + &consolidated.stdout,
-        written: consolidated.written,
-    })
+    let load = |options: &RunOptions, parallelism| {
+        let mut stream = FlatCsvReader::new(input)?;
+        // Pair scoring shards over the same thread budget as the
+        // consolidation stages; output is bit-identical for every setting.
+        let dataset = options.resolve(&mut stream, parallelism)?;
+        let summary = resolved_summary(&dataset, options.threshold);
+        // Resolver output always carries per-cell truth (set to the observed
+        // value), exactly as the clustered CSV written by `ec resolve`
+        // declares `__truth` columns — so `auto` mode uses the simulated
+        // expert, matching the two-pass flow.
+        Ok((dataset, true, summary))
+    };
+    consolidate_with(parsed, load, open_output, stdin, prompt_out)
 }
 
 /// `ec ingest`: the incremental (delta) pipeline. Flat records stream in
-/// batch by batch through a persistent [`DeltaPipeline`]: resolution state,
+/// batch by batch through a persistent [`ec_core::DeltaPipeline`]: resolution state,
 /// candidate caches and prepared grouping partitions survive between batches,
 /// so a batch of already-seen shapes costs ~a lookup per record instead of a
 /// full rebuild. The final `--output` / `--golden` files are byte-identical
@@ -641,43 +567,20 @@ pub fn ingest(
     input: impl Read,
     open_output: OpenOutput<'_>,
 ) -> Result<CommandOutput, CliError> {
-    let threshold = match_threshold(parsed)?;
+    let options = run_options(parsed, false)?;
     let batch_size = parsed.get_usize("batch-size", 256)?;
     if batch_size == 0 {
         return Err(CliError::Usage("--batch-size must be positive".to_string()));
     }
-    let name = parsed.get("name").unwrap_or("resolved");
-    let mode_name = parsed.get("mode").unwrap_or("auto");
-    let mode = AutoMode::parse(mode_name).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown mode '{mode_name}'; expected auto or approve-all"
-        ))
-    })?;
-    let truth_name = parsed.get("truth-method").unwrap_or("majority");
-    let truth_method = TruthMethod::parse(truth_name).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown truth method '{truth_name}'; expected majority or reliability"
-        ))
-    })?;
-    let mut stream = FlatCsvReader::new(input).map_err(|e| CliError::Data(e.to_string()))?;
-    let columns = stream.columns().to_vec();
-
-    let [mut output_sink, mut golden_sink, mut library_sink] = open_sinks(parsed, open_output)?;
-
-    let mut delta = DeltaPipeline::new(
-        name,
-        columns,
-        ResolverConfig {
-            threshold,
-            ..ResolverConfig::default()
-        },
-        consolidation_config(parsed)?,
-        mode,
-        truth_method,
-    )
+    let threads = parsed.get_usize("threads", 0)?;
     // `--ingest-cache-cap N` bounds the per-cluster candidate cache;
     // eviction is memory-only, outputs never change.
-    .with_cache_cap(Some(parsed.get_usize("ingest-cache-cap", 0)?));
+    let cache_cap = parsed.get_usize("ingest-cache-cap", 0)?;
+    let mut stream = FlatCsvReader::new(input)?;
+    let sinks = Sinks::open(parsed, open_output)?;
+    let mut delta = options
+        .delta_pipeline(stream.columns().to_vec(), threads)
+        .with_cache_cap(Some(cache_cap));
 
     let mut out = String::new();
     let mut batch: Vec<RawRecord> = Vec::with_capacity(batch_size);
@@ -686,7 +589,7 @@ pub fn ingest(
         while batch.len() < batch_size {
             match stream.next_record() {
                 Some(record) => {
-                    let record = record.map_err(|e| CliError::Data(e.to_string()))?;
+                    let record = record?;
                     batch.push(RawRecord {
                         source: record.source,
                         fields: record.fields,
@@ -724,39 +627,20 @@ pub fn ingest(
         delta.len(),
         delta.batches(),
         batch_size,
-        threshold,
-        mode_name,
+        options.threshold,
+        options.mode_name(),
         delta.standardized().map_or(0, |d| d.clusters.len()),
         hits,
         delta.library_misses(),
         fmt_f64(100.0 * hits as f64 / seen.max(1) as f64, 1),
     ));
-
-    let mut output = CommandOutput::text(out);
-    if let Some((path, sink)) = output_sink.as_mut() {
-        if let Some(dataset) = delta.standardized() {
-            stream_clustered_csv(dataset, sink).map_err(write_failed(path))?;
-        }
-        output = output.note_written(*path);
-    }
-    if let Some((path, sink)) = golden_sink.as_mut() {
-        delta
-            .write_golden_csv(sink)
-            .and_then(|()| sink.flush())
-            .map_err(write_failed(path))?;
-        output = output.note_written(*path);
-    }
-    if let Some((path, sink)) = library_sink.as_mut() {
-        sink.write_all(delta.library().to_snapshot().as_bytes())
-            .and_then(|()| sink.flush())
-            .map_err(write_failed(path))?;
-        output.stdout.push_str(&format!(
-            "saved {} learned programs to the library\n",
-            delta.library().len()
-        ));
-        output = output.note_written(*path);
-    }
-    Ok(output)
+    sinks.write(
+        CommandOutput::text(out),
+        delta.standardized(),
+        delta.columns(),
+        delta.golden(),
+        Some(delta.library()),
+    )
 }
 
 /// `ec apply`: standardize flat records through a learned-program library
@@ -777,58 +661,40 @@ pub fn apply(
         .map_err(|e| CliError::Data(format!("{library_path}: {e}")))?;
 
     // `--artifact` replaces `--input`: the compiled dataset's own records
-    // (flattened cluster-major, exactly like `ec compile --emit-flat`) are
+    // (cluster-major, exactly the rows `ec compile --emit-flat` writes) are
     // what gets standardized.
-    let input: Box<dyn Read> = match parsed.get("artifact") {
+    let compiled;
+    let mut records: Box<dyn RecordStream + '_> = match parsed.get("artifact") {
         Some(artifact_path) => {
             if parsed.get("input").is_some() {
                 return Err(CliError::Usage(
                     "pass either --input or --artifact, not both".to_string(),
                 ));
             }
-            let (compiled, _mapped) = load_artifact(artifact_path)?;
-            let mut flat = Vec::new();
-            stream_flat_csv(&compiled.dataset, &mut flat).expect("writing to a Vec cannot fail");
-            Box::new(std::io::Cursor::new(flat))
+            compiled = load_artifact(artifact_path)?.0;
+            Box::new(DatasetRecords::new(&compiled.dataset))
         }
-        None => open_input(parsed.require("input")?)?,
+        None => Box::new(FlatCsvReader::new(open_input(parsed.require("input")?)?)?),
     };
-    let mut stream = FlatCsvReader::new(input).map_err(|e| CliError::Data(e.to_string()))?;
-    let columns = stream.columns().to_vec();
-    let applier = library.applier(&columns);
-    let mut report = ApplyReport::default();
+    let applier = library.applier(records.columns());
 
     let output_path = parsed.get("output");
-    let mut sink: Box<dyn Write> = match output_path {
-        Some(path) => open_output(path)?,
-        None => Box::new(Vec::new()),
-    };
     let mut stdout_csv = Vec::new();
-    {
-        let out: &mut dyn Write = if output_path.is_some() {
-            &mut sink
-        } else {
-            &mut stdout_csv
-        };
-        let mut csv = CsvWriter::new(out);
-        let header = std::iter::once("source").chain(columns.iter().map(String::as_str));
-        csv.write_record(header)
-            .map_err(|e| CliError::Io(e.to_string()))?;
-        while let Some(record) = stream.next_record() {
-            let mut record = record.map_err(|e| CliError::Data(e.to_string()))?;
-            applier.apply_fields(&mut record.fields, &mut report);
-            let fields = std::iter::once(record.source.to_string()).chain(record.fields);
-            csv.write_record(fields)
-                .map_err(|e| CliError::Io(e.to_string()))?;
+    let applied = match output_path {
+        Some(path) => {
+            let mut sink = open_output(path)?;
+            applier
+                .apply_stream(&mut *records, &mut sink)
+                .and_then(|report| sink.flush().map(|()| report).map_err(ApplyError::Output))
         }
-        csv.flush().map_err(|e| CliError::Io(e.to_string()))?;
-    }
-    sink.flush().map_err(|e| CliError::Io(e.to_string()))?;
+        None => applier.apply_stream(&mut *records, &mut stdout_csv),
+    };
+    let report = applied.map_err(|e| match e {
+        ApplyError::Input(e) => CliError::from(e),
+        ApplyError::Output(e) => CliError::Io(e.to_string()),
+    })?;
 
-    let mut out = String::new();
-    if output_path.is_none() {
-        out.push_str(&String::from_utf8(stdout_csv).expect("CSV output is valid UTF-8"));
-    }
+    let mut out = String::from_utf8(stdout_csv).expect("CSV output is valid UTF-8");
     out.push_str(&format!(
         "applied library {library_path} (version {}, {} programs): {}\n",
         library.version(),
@@ -856,9 +722,8 @@ pub fn compile(
     input: impl Read,
     open_output: OpenOutput<'_>,
 ) -> Result<CommandOutput, CliError> {
-    let threshold = match_threshold(parsed)?;
+    let options = run_options(parsed, false)?;
     let threads = parsed.get_usize("threads", 0)?;
-    let name = parsed.get("name").unwrap_or("resolved");
     let output_path = parsed.require("output")?;
     // Open every sink before the (expensive) compile runs.
     let mut sink = open_output(output_path)?;
@@ -875,21 +740,14 @@ pub fn compile(
         .map_err(|e| CliError::Io(e.to_string()))?;
     let config = ConsolidationConfig::default().with_threads(threads);
     let (dataset, has_truth) = if text.starts_with("cluster,") {
-        read_clustered(name, text.as_bytes())?
+        read_clustered(&options.name, text.as_bytes())?
     } else {
-        let mut stream =
-            FlatCsvReader::new(text.as_bytes()).map_err(|e| CliError::Data(e.to_string()))?;
-        let dataset = Resolver::new(ResolverConfig {
-            threshold,
-            ..ResolverConfig::default()
-        })
-        .with_parallelism(config.candidates.parallelism)
-        .resolve_stream(name, &mut stream)
-        .map_err(|e| CliError::Data(e.to_string()))?;
+        let mut stream = FlatCsvReader::new(text.as_bytes())?;
+        let dataset = options.resolve(&mut stream, config.candidates.parallelism)?;
         // Resolver output carries per-cell truth, like `ec resolve` output.
         (dataset, true)
     };
-    let compiled = compile_dataset(dataset, threshold, has_truth, &config);
+    let compiled = compile_dataset(dataset, options.threshold, has_truth, &config);
     let bytes = ec_artifact::encode_artifact(&compiled);
     sink.write_all(&bytes)
         .and_then(|()| sink.flush())
@@ -1046,17 +904,6 @@ pub fn serve(
         "server stopped after {} requests\n",
         handle.requests()
     )))
-}
-
-/// Resolves a `--column` argument given either a column name or an index.
-fn resolve_column(dataset: &Dataset, spec: &str) -> Result<usize, CliError> {
-    resolve_column_spec(&dataset.columns, spec).ok_or_else(|| {
-        CliError::Usage(format!(
-            "no column '{}'; available columns: {}",
-            spec,
-            dataset.columns.join(", ")
-        ))
-    })
 }
 
 #[cfg(test)]
@@ -1578,6 +1425,53 @@ mod tests {
     }
 
     #[test]
+    fn cli_and_serve_pipelines_reject_the_same_bad_knobs() {
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let handle = server.handle();
+        let join = std::thread::spawn(move || server.run().unwrap());
+        let flat = "source,Name\n0,Mary Lee\n1,\"Lee, Mary\"\n";
+        let fs = MemFiles::new();
+        for (key, value) in [
+            ("threshold", "7"),
+            ("threshold", "x"),
+            ("threshold", "NaN"),
+            ("budget", "1.5"),
+            ("budget", "-1"),
+            ("mode", "psychic"),
+            ("truth-method", "vote"),
+            ("column", "Phone"),
+        ] {
+            let flag = format!("--{key}");
+            let cli = pipeline(
+                &parsed(&["pipeline", "--input", "x", &flag, value]),
+                flat.as_bytes(),
+                &fs.output_opener(),
+                &mut Cursor::new(Vec::new()),
+                &mut Vec::new(),
+            );
+            // A usage error is what the binary maps to exit code 2.
+            let Err(CliError::Usage(message)) = cli else {
+                panic!("{key}={value}: expected a usage error, got {cli:?}");
+            };
+            let target = format!("/pipeline?{key}={value}");
+            let served =
+                ec_serve::http::request(handle.addr(), "POST", &target, flat.as_bytes()).unwrap();
+            let body = String::from_utf8_lossy(&served.body);
+            assert_eq!(served.status, 400, "{key}={value}: {body}");
+            // Same parser, same words — up to the list of accepted modes,
+            // which names `interactive` only on the CLI.
+            let reason = message.split(';').next().unwrap();
+            assert!(body.contains(reason), "{key}={value}: {body} vs {message}");
+        }
+        handle.stop();
+        join.join().unwrap();
+    }
+
+    #[test]
     fn ingest_outputs_are_bit_identical_to_pipeline() {
         let flat = flat_csv(10, 5);
         let flags = [
@@ -1780,18 +1674,6 @@ mod tests {
         assert_eq!(stop.status, 200);
         let out = join.join().unwrap().unwrap();
         assert!(out.stdout.contains("server stopped"), "{}", out.stdout);
-    }
-
-    #[test]
-    fn column_resolution_by_name_and_index() {
-        let dataset = PaperDataset::Address.generate(&GeneratorConfig {
-            num_clusters: 2,
-            seed: 1,
-            num_sources: 2,
-        });
-        assert_eq!(resolve_column(&dataset, "0").unwrap(), 0);
-        assert_eq!(resolve_column(&dataset, &dataset.columns[0]).unwrap(), 0);
-        assert!(resolve_column(&dataset, "999").is_err());
     }
 
     /// A flat Address CSV straight out of `ec generate --flat`.

@@ -52,6 +52,12 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+impl From<ec_data::DatasetIoError> for CliError {
+    fn from(e: ec_data::DatasetIoError) -> Self {
+        CliError::Data(e.to_string())
+    }
+}
+
 /// What a subcommand produced: text for stdout plus the paths it streamed
 /// output files to (already written through the output opener by the time
 /// the command returns — nothing is buffered for the caller to write).

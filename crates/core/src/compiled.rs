@@ -14,6 +14,7 @@
 //! partitions — so the output is byte-identical while candidate
 //! generation, graph construction and index building are skipped.
 
+use crate::consolidate::RunOptions;
 use crate::pipeline::ConsolidationConfig;
 use ec_data::Dataset;
 use ec_graph::Replacement;
@@ -47,9 +48,9 @@ pub struct CompiledColumn {
 pub struct CompiledDataset {
     /// The dataset name (the `name` every entry point threads through).
     pub name: String,
-    /// The resolution threshold the clusters were formed with. Consumers
-    /// must reject requests that ask for a different threshold — the
-    /// clusters baked into `dataset` cannot be re-resolved.
+    /// The resolution threshold the clusters were formed with. The clusters
+    /// baked into `dataset` cannot be re-resolved, so consumers refuse runs
+    /// that ask for a different one ([`CompiledDataset::check_threshold`]).
     pub threshold: f64,
     /// Whether the dataset carries ground truth (drives oracle selection).
     pub has_truth: bool,
@@ -63,6 +64,19 @@ impl CompiledDataset {
     /// The columns every entry point resolves specs against.
     pub fn column_names(&self) -> &[String] {
         &self.dataset.columns
+    }
+
+    /// Refuses a run whose `threshold` was given and differs from the one
+    /// the clusters were compiled at — they cannot be re-resolved. The error
+    /// reads after the artifact's name.
+    pub fn check_threshold(&self, options: &RunOptions) -> Result<(), String> {
+        if options.threshold_given && options.threshold != self.threshold {
+            return Err(format!(
+                "was compiled at threshold {}, not {}; re-run `ec compile` to change it",
+                self.threshold, options.threshold
+            ));
+        }
+        Ok(())
     }
 }
 

@@ -12,11 +12,15 @@
 //! an incremental run's cache.
 
 use crate::compiled::CompiledDataset;
+use crate::delta::DeltaPipeline;
 use crate::library::ProgramLibrary;
 use crate::oracle::{ApproveAllOracle, Oracle, SimulatedOracle};
-use crate::pipeline::{ColumnReport, ColumnSource, Pipeline, TruthMethod};
+use crate::pipeline::{ColumnReport, ColumnSource, ConsolidationConfig, Pipeline, TruthMethod};
 use ec_data::csv::CsvWriter;
-use ec_data::Dataset;
+use ec_data::{Dataset, DatasetIoError, RecordStream};
+use ec_grouping::Parallelism;
+use ec_resolution::{Resolver, ResolverConfig};
+use std::fmt;
 use std::io::Write;
 
 /// The non-interactive oracle modes (the CLI additionally offers
@@ -56,13 +60,198 @@ impl TruthMethod {
 
 /// Resolves a column specification — a column name, or a 0-based index — the
 /// way every entry point does.
-pub fn resolve_column_spec(columns: &[String], spec: &str) -> Option<usize> {
-    if let Some(idx) = columns.iter().position(|c| c == spec) {
-        return Some(idx);
+pub fn resolve_column_spec(columns: &[String], spec: &str) -> Result<usize, String> {
+    match columns.iter().position(|c| c == spec) {
+        Some(idx) => Ok(idx),
+        None => spec
+            .parse::<usize>()
+            .ok()
+            .filter(|&idx| idx < columns.len())
+            .ok_or_else(|| {
+                format!(
+                    "no column '{spec}'; available columns: {}",
+                    columns.join(", ")
+                )
+            }),
     }
-    match spec.parse::<usize>() {
-        Ok(idx) if idx < columns.len() => Some(idx),
-        _ => None,
+}
+
+/// The run knobs of every consolidation entry point — the `ec` flags and the
+/// `ec serve` query parameters of the same names — with their one set of
+/// defaults and validation rules (the README's run-knob table lists them).
+/// Equality ignores [`RunOptions::threshold_given`]: two runs that resolve
+/// at the same threshold are the same run.
+#[derive(Debug, Clone)]
+pub struct RunOptions {
+    /// `threshold`: the resolution threshold, in `[0, 1]` (default 0.75).
+    pub threshold: f64,
+    /// Whether `threshold` was given rather than defaulted (a compiled
+    /// artifact refuses only a given threshold that differs from its own).
+    pub threshold_given: bool,
+    /// `budget`: groups reviewed per column (default 100).
+    pub budget: usize,
+    /// `mode`: the automatic oracle selection (default `auto`).
+    pub mode: AutoMode,
+    /// `mode=interactive`: a human reviews at the terminal and `mode` is
+    /// unused. Only entry points that parse with `allow_interactive` accept it.
+    pub interactive: bool,
+    /// `truth-method`: the truth discovery that closes the run (default
+    /// `majority`).
+    pub truth: TruthMethod,
+    /// `name`: the resolved dataset's name (default `resolved`).
+    pub name: String,
+    /// `column`: the one column to standardize (default every column),
+    /// checked against the dataset by [`RunOptions::columns`].
+    pub column: Option<String>,
+}
+
+impl RunOptions {
+    /// Reads and validates the knobs through `get` (a key → value lookup:
+    /// the CLI's parsed flags or a request's query parameters). Absent keys
+    /// take their defaults; `interactive` is a valid `mode` only with
+    /// `allow_interactive`. The error names the offending knob and value.
+    pub fn parse<'a>(
+        get: impl Fn(&str) -> Option<&'a str>,
+        allow_interactive: bool,
+    ) -> Result<RunOptions, String> {
+        let given = get("threshold");
+        let threshold: f64 = match given {
+            None => 0.75,
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("threshold expects a number, got '{v}'"))?,
+        };
+        if !(0.0..=1.0).contains(&threshold) {
+            return Err(format!(
+                "threshold must be between 0 and 1, got {threshold}"
+            ));
+        }
+        let budget = match get("budget") {
+            None => 100,
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("budget expects an integer, got '{v}'"))?,
+        };
+        let mode_name = get("mode").unwrap_or("auto");
+        let interactive = allow_interactive && mode_name == "interactive";
+        let mode = match AutoMode::parse(mode_name) {
+            Some(mode) => mode,
+            None if interactive => AutoMode::Auto,
+            None => {
+                let expected = if allow_interactive {
+                    "auto, approve-all or interactive"
+                } else {
+                    "auto or approve-all"
+                };
+                return Err(format!("unknown mode '{mode_name}'; expected {expected}"));
+            }
+        };
+        let truth_name = get("truth-method").unwrap_or("majority");
+        let truth = TruthMethod::parse(truth_name).ok_or_else(|| {
+            format!("unknown truth method '{truth_name}'; expected majority or reliability")
+        })?;
+        Ok(RunOptions {
+            threshold,
+            threshold_given: given.is_some(),
+            budget,
+            mode,
+            interactive,
+            truth,
+            name: get("name").unwrap_or("resolved").to_string(),
+            column: get("column").map(str::to_string),
+        })
+    }
+
+    /// The `mode` knob's value as a user spells it.
+    pub fn mode_name(&self) -> &'static str {
+        match (self.interactive, self.mode) {
+            (true, _) => "interactive",
+            (false, AutoMode::Auto) => "auto",
+            (false, AutoMode::ApproveAll) => "approve-all",
+        }
+    }
+
+    /// The columns to standardize, in run order: the `column` knob resolved
+    /// against `columns`, or every column.
+    pub fn columns(&self, columns: &[String]) -> Result<Vec<usize>, String> {
+        match &self.column {
+            Some(spec) => Ok(vec![resolve_column_spec(columns, spec)?]),
+            None => Ok((0..columns.len()).collect()),
+        }
+    }
+
+    /// The consolidation configuration: the `budget` knob over `threads`
+    /// workers (0 = auto).
+    pub fn consolidation(&self, threads: usize) -> ConsolidationConfig {
+        ConsolidationConfig {
+            budget: self.budget,
+            ..ConsolidationConfig::default()
+        }
+        .with_threads(threads)
+    }
+
+    /// The resolver configuration the `threshold` knob sets.
+    fn resolver_config(&self) -> ResolverConfig {
+        ResolverConfig {
+            threshold: self.threshold,
+            ..ResolverConfig::default()
+        }
+    }
+
+    /// Resolves a flat record stream into the dataset `name`, scoring pairs
+    /// over `parallelism` (the output is the same at every setting).
+    pub fn resolve(
+        &self,
+        records: &mut dyn RecordStream,
+        parallelism: Parallelism,
+    ) -> Result<Dataset, DatasetIoError> {
+        Resolver::new(self.resolver_config())
+            .with_parallelism(parallelism)
+            .resolve_stream(&self.name, records)
+    }
+
+    /// A fresh incremental pipeline over `columns` with these knobs.
+    pub fn delta_pipeline(&self, columns: Vec<String>, threads: usize) -> DeltaPipeline {
+        DeltaPipeline::new(
+            &self.name,
+            columns,
+            self.resolver_config(),
+            self.consolidation(threads),
+            self.mode,
+            self.truth,
+        )
+    }
+}
+
+impl PartialEq for RunOptions {
+    fn eq(&self, other: &Self) -> bool {
+        self.threshold == other.threshold
+            && self.budget == other.budget
+            && self.mode_name() == other.mode_name()
+            && self.truth == other.truth
+            && self.name == other.name
+            && self.column == other.column
+    }
+}
+
+impl fmt::Display for RunOptions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let truth = match self.truth {
+            TruthMethod::MajorityConsensus => "majority",
+            TruthMethod::SourceReliability => "reliability",
+        };
+        write!(
+            f,
+            "threshold {}, budget {}, mode {}, truth-method {truth}, name '{}'",
+            self.threshold,
+            self.budget,
+            self.mode_name(),
+            self.name
+        )?;
+        match &self.column {
+            Some(column) => write!(f, ", column '{column}'"),
+            None => Ok(()),
+        }
     }
 }
 
@@ -212,10 +401,116 @@ mod tests {
         }
         assert_eq!(TruthMethod::parse("vote"), None);
         let columns = vec!["Name".to_string(), "Address".to_string()];
-        assert_eq!(resolve_column_spec(&columns, "Address"), Some(1));
-        assert_eq!(resolve_column_spec(&columns, "0"), Some(0));
-        assert_eq!(resolve_column_spec(&columns, "2"), None);
-        assert_eq!(resolve_column_spec(&columns, "Phone"), None);
+        assert_eq!(resolve_column_spec(&columns, "Address"), Ok(1));
+        assert_eq!(resolve_column_spec(&columns, "0"), Ok(0));
+        assert!(resolve_column_spec(&columns, "2").is_err());
+        assert_eq!(
+            resolve_column_spec(&columns, "Phone"),
+            Err("no column 'Phone'; available columns: Name, Address".to_string())
+        );
+    }
+
+    #[test]
+    fn run_options_defaults_and_every_rejection() {
+        let parse = |pairs: &[(&str, &str)], allow_interactive| {
+            RunOptions::parse(
+                |key| pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v),
+                allow_interactive,
+            )
+        };
+        let defaults = parse(&[], false).unwrap();
+        assert_eq!(
+            (
+                defaults.threshold,
+                defaults.threshold_given,
+                defaults.budget
+            ),
+            (0.75, false, 100)
+        );
+        assert_eq!(
+            (defaults.mode, defaults.interactive, defaults.truth),
+            (AutoMode::Auto, false, TruthMethod::MajorityConsensus)
+        );
+        assert_eq!(
+            (defaults.name.as_str(), &defaults.column),
+            ("resolved", &None)
+        );
+        assert_eq!(
+            defaults.to_string(),
+            "threshold 0.75, budget 100, mode auto, truth-method majority, name 'resolved'"
+        );
+        // Spelling out a default is the same run, but remembered as given.
+        let given = parse(&[("threshold", "0.75")], false).unwrap();
+        assert!(given.threshold_given);
+        assert_eq!(given, defaults);
+        let interactive = parse(&[("mode", "interactive")], true).unwrap();
+        assert!(interactive.interactive);
+        assert_eq!(interactive.mode_name(), "interactive");
+        assert_ne!(interactive, defaults);
+        let mode_only = parse(&[("mode", "approve-all")], false).unwrap();
+        assert_ne!(mode_only, defaults);
+        assert!(mode_only.to_string().contains("mode approve-all"));
+
+        for (key, value, allow_interactive, message) in [
+            (
+                "threshold",
+                "7",
+                false,
+                "threshold must be between 0 and 1, got 7",
+            ),
+            (
+                "threshold",
+                "x",
+                false,
+                "threshold expects a number, got 'x'",
+            ),
+            (
+                "threshold",
+                "NaN",
+                false,
+                "threshold must be between 0 and 1, got NaN",
+            ),
+            (
+                "budget",
+                "1.5",
+                false,
+                "budget expects an integer, got '1.5'",
+            ),
+            (
+                "mode",
+                "psychic",
+                true,
+                "unknown mode 'psychic'; expected auto, approve-all or interactive",
+            ),
+            (
+                "mode",
+                "interactive",
+                false,
+                "unknown mode 'interactive'; expected auto or approve-all",
+            ),
+            (
+                "truth-method",
+                "vote",
+                false,
+                "unknown truth method 'vote'; expected majority or reliability",
+            ),
+        ] {
+            assert_eq!(
+                parse(&[(key, value)], allow_interactive),
+                Err(message.to_string()),
+                "{key}={value}"
+            );
+        }
+
+        let columns = vec!["Name".to_string(), "Address".to_string()];
+        assert_eq!(defaults.columns(&columns), Ok(vec![0, 1]));
+        let one = parse(&[("column", "Address")], false).unwrap();
+        assert_eq!(one.columns(&columns), Ok(vec![1]));
+        let unknown = parse(&[("column", "Phone")], false).unwrap();
+        assert_eq!(
+            unknown.columns(&columns),
+            Err("no column 'Phone'; available columns: Name, Address".to_string())
+        );
     }
 
     #[test]

@@ -49,12 +49,12 @@ pub mod pipeline;
 pub use compiled::{compile_dataset, CompiledColumn, CompiledDataset, CompiledPartition};
 pub use consolidate::{
     resolve_column_spec, standardize_columns, standardize_columns_with, write_golden_records_csv,
-    AutoMode, AutoReview, OracleSource,
+    AutoMode, AutoReview, OracleSource, RunOptions,
 };
 pub use delta::{BatchReport, DeltaPipeline};
 pub use library::{
-    ApplyReport, ApprovedGroup, LearnedProgram, LibraryApplier, LibraryError, ProgramLibrary,
-    ValueOutcome,
+    ApplyError, ApplyReport, ApprovedGroup, LearnedProgram, LibraryApplier, LibraryError,
+    ProgramLibrary, ValueOutcome,
 };
 pub use oracle::{
     ApproveAllOracle, Oracle, RejectAllOracle, ScriptedOracle, SimulatedOracle, Verdict,

@@ -23,12 +23,15 @@
 //! `POST /apply`, and exposes it on `GET /library`; the CLI writes snapshots
 //! via `--save-library` and applies them via `ec apply`.
 
+use ec_data::csv::CsvWriter;
+use ec_data::{DatasetIoError, RecordStream};
 use ec_dsl::parse::{quote, unquote};
 use ec_dsl::{Program, StrCtx};
 use ec_grouping::Group;
 use ec_replace::Direction;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 /// Magic first line of the snapshot format (the trailing integer is the
@@ -131,6 +134,15 @@ impl fmt::Display for ApplyReport {
             self.records, self.cells_rewritten, self.cells_unchanged, self.cells_unmatched
         )
     }
+}
+
+/// Why a streamed apply ([`LibraryApplier::apply_stream`]) stopped.
+#[derive(Debug)]
+pub enum ApplyError {
+    /// A record could not be read from the input stream.
+    Input(DatasetIoError),
+    /// The output could not be written.
+    Output(std::io::Error),
 }
 
 /// A failure while parsing a library snapshot.
@@ -430,8 +442,7 @@ impl ProgramLibrary {
 
     /// A reusable apply view over a fixed record schema: column lookups are
     /// resolved once, then [`LibraryApplier::apply_fields`] standardizes one
-    /// record at a time (the streaming shape `ec apply` and `POST /apply`
-    /// need).
+    /// record at a time and [`LibraryApplier::apply_stream`] a whole stream.
     pub fn applier<'a>(&'a self, columns: &[String]) -> LibraryApplier<'a> {
         LibraryApplier {
             library: self,
@@ -597,6 +608,31 @@ impl LibraryApplier<'_> {
                 ValueOutcome::Unmatched => report.note_unmatched(column, field),
             }
         }
+    }
+
+    /// Standardizes `records` into `out` as flat record CSV: the
+    /// `source,<columns>` header, then one record in, one record out, so
+    /// memory stays at one record however long the stream. `records` must
+    /// carry the schema the applier was created for. This is the one apply
+    /// loop behind `ec apply` and `POST /apply`; their outputs are
+    /// byte-identical because of it.
+    pub fn apply_stream(
+        &self,
+        records: &mut dyn RecordStream,
+        out: impl Write,
+    ) -> Result<ApplyReport, ApplyError> {
+        let mut report = ApplyReport::default();
+        let mut csv = CsvWriter::new(out);
+        let header = std::iter::once("source").chain(self.columns.iter().map(String::as_str));
+        csv.write_record(header).map_err(ApplyError::Output)?;
+        while let Some(record) = records.next_record() {
+            let mut record = record.map_err(ApplyError::Input)?;
+            self.apply_fields(&mut record.fields, &mut report);
+            let fields = std::iter::once(record.source.to_string()).chain(record.fields);
+            csv.write_record(fields).map_err(ApplyError::Output)?;
+        }
+        csv.flush().map_err(ApplyError::Output)?;
+        Ok(report)
     }
 }
 

@@ -19,7 +19,7 @@
 
 use crate::csv::CsvError;
 use crate::model::Dataset;
-use crate::stream::{ClusteredCsvReader, ClusteredCsvWriter, DatasetSink, FlatCsvReader};
+use crate::stream::{ClusteredCsvReader, ClusteredCsvWriter, FlatCsvReader};
 use std::fmt;
 
 /// An error produced while reading a dataset from CSV.
@@ -59,14 +59,9 @@ impl From<CsvError> for DatasetIoError {
 /// Serializes a dataset to clustered CSV, including the `__truth` columns so
 /// that evaluation-ready datasets round trip.
 pub fn dataset_to_csv(dataset: &Dataset) -> String {
-    let mut writer = ClusteredCsvWriter::new(Vec::new(), &dataset.columns)
-        .expect("writing to a Vec cannot fail");
-    for cluster in &dataset.clusters {
-        writer
-            .write_cluster(cluster)
-            .expect("writing to a Vec cannot fail");
-    }
-    String::from_utf8(writer.into_inner()).expect("CSV output is valid UTF-8")
+    let mut out = Vec::new();
+    ClusteredCsvWriter::write_dataset(&mut out, dataset).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("CSV output is valid UTF-8")
 }
 
 /// Parses a clustered-CSV dataset produced by [`dataset_to_csv`] (or authored

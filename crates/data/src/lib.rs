@@ -25,6 +25,6 @@ pub use generate::{address, author_list, journal_title, GeneratorConfig, PaperDa
 pub use io::{dataset_from_csv, dataset_to_csv, raw_records_from_csv, DatasetIoError, RawRecords};
 pub use model::{majority_golden, Cell, Cluster, Dataset, DatasetStats, LabeledPair, Row};
 pub use stream::{
-    ClusteredCsvReader, ClusteredCsvWriter, ClusteredRow, DatasetSink, FlatCsvReader, FlatRecord,
-    RecordStream, VecRecordStream,
+    ClusteredCsvReader, ClusteredCsvWriter, ClusteredRow, DatasetRecords, DatasetSink,
+    FlatCsvReader, FlatRecord, RecordStream, VecRecordStream,
 };

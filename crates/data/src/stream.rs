@@ -14,7 +14,8 @@
 //!   writer;
 //! * the [`RecordStream`] trait, so consumers (the resolver's streaming entry
 //!   point, the fused pipeline) are agnostic to whether records come from a
-//!   file, a socket, or an in-memory vector ([`VecRecordStream`]);
+//!   file, a socket, an in-memory vector ([`VecRecordStream`]) or a dataset's
+//!   own rows ([`DatasetRecords`]);
 //! * the [`DatasetSink`] trait, the write-side dual: clusters can be streamed
 //!   to a CSV file ([`ClusteredCsvWriter`]) or collected in memory
 //!   ([`Dataset`] itself implements the trait).
@@ -143,6 +144,39 @@ impl RecordStream for VecRecordStream {
 
     fn next_record(&mut self) -> Option<Result<FlatRecord, DatasetIoError>> {
         self.records.next().map(Ok)
+    }
+}
+
+/// A [`RecordStream`] over a dataset's rows, cluster by cluster, yielding
+/// each row's observed values — the records a flat CSV of the dataset holds,
+/// without writing and re-parsing one.
+pub struct DatasetRecords<'a> {
+    columns: &'a [String],
+    rows: Box<dyn Iterator<Item = &'a Row> + 'a>,
+}
+
+impl<'a> DatasetRecords<'a> {
+    /// Streams the rows of `dataset` from the first cluster on.
+    pub fn new(dataset: &'a Dataset) -> Self {
+        DatasetRecords {
+            columns: &dataset.columns,
+            rows: Box::new(dataset.clusters.iter().flat_map(|c| &c.rows)),
+        }
+    }
+}
+
+impl RecordStream for DatasetRecords<'_> {
+    fn columns(&self) -> &[String] {
+        self.columns
+    }
+
+    fn next_record(&mut self) -> Option<Result<FlatRecord, DatasetIoError>> {
+        let row = self.rows.next()?;
+        let fields = row.cells.iter().map(|c| c.observed.clone()).collect();
+        Some(Ok(FlatRecord {
+            source: row.source,
+            fields,
+        }))
     }
 }
 
@@ -334,6 +368,16 @@ impl<W: Write> ClusteredCsvWriter<W> {
     /// Consumes the writer, returning the destination.
     pub fn into_inner(self) -> W {
         self.csv.into_inner()
+    }
+
+    /// Streams all of `dataset` into `out`, cluster-at-a-time, and flushes
+    /// it — the one clustered-CSV serialization every entry point writes.
+    pub fn write_dataset(out: W, dataset: &Dataset) -> std::io::Result<()> {
+        let mut csv = ClusteredCsvWriter::new(out, &dataset.columns)?;
+        for cluster in &dataset.clusters {
+            csv.write_cluster(cluster)?;
+        }
+        csv.finish()
     }
 }
 

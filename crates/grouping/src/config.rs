@@ -41,9 +41,6 @@ pub struct GroupingConfig {
     /// workloads where the budget binds, since pruning strength then decides
     /// where a search is cut off.
     pub max_search_steps: usize,
-    /// Build transformation graphs on multiple threads (per-thread label
-    /// interners merged afterwards). Deterministic regardless of the setting.
-    pub parallel_graph_build: bool,
     /// Worker threads for the sharded stages: graph preparation and the
     /// per-graph pivot-path searches of the one-shot and incremental
     /// groupers (one search never spans more than one worker). Every setting produces bit-identical groups; only the
@@ -68,7 +65,6 @@ impl Default for GroupingConfig {
             early_termination: true,
             structure_refinement: true,
             max_search_steps: 50_000,
-            parallel_graph_build: true,
             parallelism: Parallelism::AUTO,
         }
     }

@@ -50,7 +50,7 @@ impl PreparedGraphs {
         let mut skipped = Vec::new();
 
         let threads = config.parallelism.threads();
-        if config.parallel_graph_build && threads > 1 && unique.len() >= 64 {
+        if threads > 1 && unique.len() >= 64 {
             // Chunks run as `'static` tasks on the shared worker pool, so the
             // replacements move behind an `Arc` and each task gets an index
             // range instead of a borrowed slice.
@@ -282,6 +282,7 @@ impl PreparedGraphs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_graph::Parallelism;
 
     fn reps() -> Vec<Replacement> {
         vec![
@@ -340,20 +341,18 @@ mod tests {
                 format!("alpha value {i}"),
             ));
         }
-        let seq = PreparedGraphs::build(
-            &many,
-            &GroupingConfig {
-                parallel_graph_build: false,
-                ..GroupingConfig::default()
-            },
-        );
-        let par = PreparedGraphs::build(
-            &many,
-            &GroupingConfig {
-                parallel_graph_build: true,
-                ..GroupingConfig::default()
-            },
-        );
+        // Fixed counts, so the parallel side runs the chunked branch even on
+        // a 1-CPU machine or under `EC_THREADS=1`.
+        let build = |threads| {
+            PreparedGraphs::build(
+                &many,
+                &GroupingConfig {
+                    parallelism: Parallelism::fixed(threads),
+                    ..GroupingConfig::default()
+                },
+            )
+        };
+        let (seq, par) = (build(1), build(4));
         assert_eq!(seq.len(), par.len());
         assert_eq!(seq.replacements(), par.replacements());
         for g in 0..seq.len() {
@@ -377,7 +376,7 @@ mod tests {
         many.push(Replacement::new("value 3 alpha", "alpha value 3"));
         many.push(Replacement::new("fresh, one", "one fresh"));
         let config = GroupingConfig {
-            parallel_graph_build: false,
+            parallelism: Parallelism::fixed(1),
             ..GroupingConfig::default()
         };
         for split in [0usize, 1, 17, 40, many.len()] {

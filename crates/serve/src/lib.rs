@@ -38,9 +38,13 @@
 //! | `POST /ingest?…` | flat CSV batch → incremental consolidation via a persistent [`DeltaPipeline`]; answers the current golden CSV |
 //! | `POST /shutdown` | graceful stop (used by tests and the CI smoke job) |
 //!
+//! `POST /pipeline` and `POST /ingest` read the run knobs from query
+//! parameters through the CLI's own parser, [`ec_core::RunOptions`]; the
+//! README's *Run knobs* table lists each knob's default, accepted values and
+//! entry points, including `/pipeline`'s `output` artifact choice.
+//!
 //! `POST /ingest` streams batches into one long-lived delta session: the
-//! first batch fixes the session's parameters (`threshold`, `budget`,
-//! `mode`, `truth-method`, `name`) and columns, subsequent batches must
+//! first batch pins the session's knobs and columns, subsequent batches must
 //! repeat them (else `400`), and after every batch the response carries the
 //! *complete* current golden CSV — byte-identical to what one `ec pipeline`
 //! run over the concatenation of every batch so far would produce — plus
@@ -52,12 +56,6 @@
 //! With `--auth-token SECRET` every mutating (`POST`) endpoint requires an
 //! `Authorization: Bearer SECRET` header and answers `401` without it;
 //! `GET` endpoints stay open for health probes and snapshot reads.
-//!
-//! `POST /pipeline` accepts the CLI's knobs as query parameters:
-//! `threshold`, `budget`, `mode` (`auto`/`approve-all`), `truth-method`
-//! (`majority`/`reliability`), `column`, `name`, and `output` selecting the
-//! artifact (`standardized`, the default, matching `--output`; `golden`
-//! matching `--golden`; or `summary`).
 //!
 //! ## Scale-out
 //!
@@ -81,19 +79,16 @@ pub use router::{Router, RouterConfig, RouterHandle};
 
 use conn::{BodyReader, HandlerResult, HttpFailure, Lifecycle, Service};
 use ec_core::{
-    resolve_column_spec, standardize_columns_with, write_golden_records_csv, ApplyReport, AutoMode,
-    AutoReview, ColumnReport, CompiledDataset, ConsolidationConfig, DeltaPipeline, Pipeline,
-    ProgramLibrary, TruthMethod,
+    standardize_columns_with, write_golden_records_csv, ApplyError, ApplyReport, AutoReview,
+    ColumnReport, CompiledDataset, DeltaPipeline, Pipeline, ProgramLibrary, RunOptions,
 };
-use ec_data::stream::DatasetSink;
-use ec_data::Dataset;
-use ec_data::{csv::CsvWriter, ClusteredCsvWriter, FlatCsvReader, RecordStream};
-use ec_resolution::{RawRecord, Resolver, ResolverConfig};
+use ec_data::{ClusteredCsvWriter, Dataset, DatasetRecords, FlatCsvReader, RecordStream};
+use ec_resolution::RawRecord;
 use http::{ChunkedWriter, Persistence, Request};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Configuration of [`Server::bind`].
@@ -151,23 +146,16 @@ impl Default for ServeConfig {
     }
 }
 
-/// The parameters an `/ingest` delta session is pinned to. The first batch
-/// fixes them; every later batch must repeat them exactly, because a
+/// The server's one persistent delta-ingest session. The first batch pins
+/// its knobs; every later batch must repeat them exactly, because a
 /// [`DeltaPipeline`] is only equivalent to a one-shot rebuild when every
 /// batch ran under one configuration.
-#[derive(Debug, Clone, PartialEq)]
-struct IngestParams {
-    threshold: f64,
-    budget: usize,
-    mode: AutoMode,
-    truth: TruthMethod,
-    name: String,
-}
-
-/// The server's one persistent delta-ingest session.
 struct IngestSession {
-    params: IngestParams,
+    options: RunOptions,
     delta: DeltaPipeline,
+    /// Set while a batch runs; still set afterwards only when that batch
+    /// panicked part-way, leaving the session in an unknown state.
+    mid_batch: bool,
 }
 
 /// Shared, connection-visible server state.
@@ -202,12 +190,26 @@ struct ServerState {
 static INSTANCE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl ServerState {
+    /// The library, for reading. A handler that panicked while holding the
+    /// write lock poisons it, but every write section is one `merge` or
+    /// `evict_expired`, which leaves a usable library even when cut short —
+    /// so the guard is taken back rather than failing every later request.
+    fn library(&self) -> RwLockReadGuard<'_, ProgramLibrary> {
+        self.library.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The library, for one `merge` or `evict_expired` (see
+    /// [`ServerState::library`] on poisoning).
+    fn library_mut(&self) -> RwLockWriteGuard<'_, ProgramLibrary> {
+        self.library.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Expires TTL-stale library entries. Lazy by design: a sweep runs on
     /// the endpoints that are about to read the library, so an idle server
     /// does no timer work and a busy one stays current.
     fn sweep_library_ttl(&self) {
-        if self.library.read().unwrap().ttl().is_some() {
-            self.library.write().unwrap().evict_expired(Instant::now());
+        if self.library().ttl().is_some() {
+            self.library_mut().evict_expired(Instant::now());
         }
     }
 }
@@ -278,7 +280,7 @@ impl ServerHandle {
 
     /// A snapshot of the current program library.
     pub fn library_snapshot(&self) -> String {
-        self.state.library.read().unwrap().to_snapshot()
+        self.state.library().to_snapshot()
     }
 }
 
@@ -462,7 +464,7 @@ fn handle_healthz(
     state: &ServerState,
     persistence: Persistence,
 ) -> HandlerResult {
-    let library = state.library.read().unwrap();
+    let library = state.library();
     let headers = vec![
         (
             "X-Ec-Requests".to_string(),
@@ -489,7 +491,7 @@ fn handle_library(
     persistence: Persistence,
 ) -> HandlerResult {
     state.sweep_library_ttl();
-    let library = state.library.read().unwrap();
+    let library = state.library();
     let headers = vec![
         (
             "X-Ec-Library-Version".to_string(),
@@ -551,7 +553,7 @@ fn handle_library_merge(
         .map_err(|e| HttpFailure::new(400, format!("unreadable snapshot body: {e}")))?;
     let incoming = ProgramLibrary::from_snapshot(&text)
         .map_err(|e| HttpFailure::new(400, format!("bad library snapshot: {e}")))?;
-    let mut library = state.library.write().unwrap();
+    let mut library = state.library_mut();
     library.merge(&incoming);
     let headers = vec![(
         "X-Ec-Library-Version".to_string(),
@@ -581,6 +583,17 @@ enum PipelineOutput {
     Summary,
 }
 
+/// Parses the request's run knobs (see [`RunOptions::parse`]); a bad value
+/// is a `400`.
+fn run_options(request: &Request) -> Result<RunOptions, HttpFailure> {
+    RunOptions::parse(|key| request.query_param(key), false).map_err(|e| HttpFailure::new(400, e))
+}
+
+/// The `400` for a request body that is not flat record CSV.
+fn bad_body(e: impl std::fmt::Display) -> HttpFailure {
+    HttpFailure::new(400, format!("bad flat CSV body: {e}"))
+}
+
 fn handle_pipeline(
     request: &Request,
     body_empty: bool,
@@ -590,34 +603,7 @@ fn handle_pipeline(
     persistence: Persistence,
 ) -> HandlerResult {
     let fail = |message: String| HttpFailure::new(400, message);
-    let threshold: f64 = match request.query_param("threshold") {
-        None => 0.75,
-        Some(v) => v
-            .parse()
-            .map_err(|_| fail(format!("threshold expects a number, got '{v}'")))?,
-    };
-    if !(0.0..=1.0).contains(&threshold) {
-        return Err(fail(format!(
-            "threshold must be between 0 and 1, got {threshold}"
-        )));
-    }
-    let budget: usize = match request.query_param("budget") {
-        None => 100,
-        Some(v) => v
-            .parse()
-            .map_err(|_| fail(format!("budget expects an integer, got '{v}'")))?,
-    };
-    let mode = match request.query_param("mode") {
-        None => AutoMode::Auto,
-        Some(name) => AutoMode::parse(name).ok_or_else(|| {
-            fail(format!(
-                "unknown mode '{name}'; expected auto or approve-all"
-            ))
-        })?,
-    };
-    let truth_name = request.query_param("truth-method").unwrap_or("majority");
-    let truth_method = TruthMethod::parse(truth_name)
-        .ok_or_else(|| fail(format!("unknown truth method '{truth_name}'")))?;
+    let options = run_options(request)?;
     let output = match request.query_param("output").unwrap_or("standardized") {
         "standardized" | "std" => PipelineOutput::Standardized,
         "golden" => PipelineOutput::Golden,
@@ -628,32 +614,16 @@ fn handle_pipeline(
             )))
         }
     };
-    let name = request
-        .query_param("name")
-        .unwrap_or("resolved")
-        .to_string();
 
-    let pipeline = Pipeline::new(
-        ConsolidationConfig {
-            budget,
-            ..ConsolidationConfig::default()
-        }
-        .with_threads(state.threads),
-    );
+    let pipeline = Pipeline::new(options.consolidation(state.threads));
     // An empty body against a preloaded artifact replays the compiled
-    // consolidation instead of parsing and re-preparing anything. The
-    // clusters were formed at compile time, so an explicit threshold must
-    // match the artifact's — it cannot be re-resolved here.
+    // consolidation instead of parsing and re-preparing anything.
     let compiled = state.preloaded.as_deref().filter(|_| body_empty);
     let (mut dataset, has_truth, threshold) = match compiled {
         Some(compiled) => {
-            if request.query_param("threshold").is_some() && threshold != compiled.threshold {
-                return Err(fail(format!(
-                    "the preloaded artifact was compiled at threshold {}, not {threshold}; \
-                     re-run `ec compile` to change it",
-                    compiled.threshold
-                )));
-            }
+            compiled
+                .check_threshold(&options)
+                .map_err(|e| fail(format!("the preloaded artifact {e}")))?;
             (
                 compiled.dataset.clone(),
                 compiled.has_truth,
@@ -664,22 +634,17 @@ fn handle_pipeline(
             // Resolve the body stream straight off the socket — the raw CSV
             // is never buffered; only the resolved dataset (the working set
             // every entry point needs) lives in memory.
-            let mut stream =
-                FlatCsvReader::new(body).map_err(|e| fail(format!("bad flat CSV body: {e}")))?;
-            let dataset = Resolver::new(ResolverConfig {
-                threshold,
-                ..ResolverConfig::default()
-            })
-            .with_parallelism(pipeline.config().candidates.parallelism)
-            .resolve_stream(&name, &mut stream)
-            .map_err(|e| fail(format!("bad flat CSV body: {e}")))?;
+            let mut stream = FlatCsvReader::new(body).map_err(bad_body)?;
+            let dataset = options
+                .resolve(&mut stream, pipeline.config().candidates.parallelism)
+                .map_err(bad_body)?;
             // Resolver output always carries per-cell truth, exactly like
             // the clustered CSV `ec resolve` writes — so `auto` uses the
             // simulated expert, matching the CLI pipeline.
-            (dataset, true, threshold)
+            (dataset, true, options.threshold)
         }
     };
-    let columns = resolve_pipeline_columns(request, &dataset)?;
+    let columns = options.columns(&dataset.columns).map_err(fail)?;
 
     // Standardize with the shared automated driver (byte-identical to the
     // CLI), learning into a request-local library merged into the server's
@@ -690,12 +655,12 @@ fn handle_pipeline(
         &mut dataset,
         compiled,
         &columns,
-        &mut AutoReview::new(mode, has_truth),
+        &mut AutoReview::new(options.mode, has_truth),
         Some(&mut learned),
     );
-    let golden = pipeline.discover_golden_records(&dataset, truth_method);
+    let golden = pipeline.discover_golden_records(&dataset, options.truth);
     if !learned.is_empty() {
-        state.library.write().unwrap().merge(&learned);
+        state.library_mut().merge(&learned);
     }
     stream_pipeline_output(
         writer,
@@ -706,27 +671,6 @@ fn handle_pipeline(
         threshold,
         output,
     )
-}
-
-/// Resolves the optional `column` query parameter against the dataset —
-/// shared by the fresh and preloaded `/pipeline` paths.
-fn resolve_pipeline_columns(
-    request: &Request,
-    dataset: &Dataset,
-) -> Result<Vec<usize>, HttpFailure> {
-    match request.query_param("column") {
-        Some(spec) => Ok(vec![resolve_column_spec(&dataset.columns, spec)
-            .ok_or_else(|| {
-                HttpFailure::new(
-                    400,
-                    format!(
-                        "no column '{spec}'; available columns: {}",
-                        dataset.columns.join(", ")
-                    ),
-                )
-            })?]),
-        None => Ok((0..dataset.columns.len()).collect()),
-    }
 }
 
 /// Streams the selected `/pipeline` artifact as a chunked response — the one
@@ -758,17 +702,10 @@ fn stream_pipeline_output(
     let mut body_writer = ChunkedWriter::new(writer);
     match output {
         PipelineOutput::Standardized => {
-            // Cluster-at-a-time through the same sink the CLI streams its
+            // Cluster-at-a-time through the same writer the CLI streams its
             // `--output` file through — byte-identical by construction.
-            let mut buffered = BufWriter::with_capacity(8 * 1024, &mut body_writer);
-            let mut csv =
-                ClusteredCsvWriter::new(&mut buffered, &dataset.columns).map_err(io_failure)?;
-            for cluster in &dataset.clusters {
-                csv.write_cluster(cluster).map_err(io_failure)?;
-            }
-            csv.finish().map_err(io_failure)?;
-            drop(csv);
-            buffered.flush().map_err(io_failure)?;
+            let buffered = BufWriter::with_capacity(8 * 1024, &mut body_writer);
+            ClusteredCsvWriter::write_dataset(buffered, dataset).map_err(io_failure)?;
         }
         PipelineOutput::Golden => {
             let mut buffered = BufWriter::with_capacity(8 * 1024, &mut body_writer);
@@ -811,110 +748,76 @@ fn handle_ingest(
     state: &Arc<ServerState>,
     persistence: Persistence,
 ) -> HandlerResult {
-    let fail = |message: String| HttpFailure::new(400, message);
-    let threshold: f64 = match request.query_param("threshold") {
-        None => 0.75,
-        Some(v) => v
-            .parse()
-            .map_err(|_| fail(format!("threshold expects a number, got '{v}'")))?,
-    };
-    if !(0.0..=1.0).contains(&threshold) {
-        return Err(fail(format!(
-            "threshold must be between 0 and 1, got {threshold}"
-        )));
-    }
-    let budget: usize = match request.query_param("budget") {
-        None => 100,
-        Some(v) => v
-            .parse()
-            .map_err(|_| fail(format!("budget expects an integer, got '{v}'")))?,
-    };
-    let mode = match request.query_param("mode") {
-        None => AutoMode::Auto,
-        Some(name) => AutoMode::parse(name).ok_or_else(|| {
-            fail(format!(
-                "unknown mode '{name}'; expected auto or approve-all"
-            ))
-        })?,
-    };
-    let truth_name = request.query_param("truth-method").unwrap_or("majority");
-    let truth = TruthMethod::parse(truth_name)
-        .ok_or_else(|| fail(format!("unknown truth method '{truth_name}'")))?;
-    let params = IngestParams {
-        threshold,
-        budget,
-        mode,
-        truth,
-        name: request
-            .query_param("name")
-            .unwrap_or("resolved")
-            .to_string(),
-    };
+    let mut options = run_options(request)?;
+    // A session ingests every column; like `ec ingest`, it takes no `column`.
+    options.column = None;
 
     // Parse the whole batch off the socket before taking the session lock:
     // a slow client must not stall other ingests mid-upload.
-    let mut stream =
-        FlatCsvReader::new(body).map_err(|e| fail(format!("bad flat CSV body: {e}")))?;
+    let mut stream = FlatCsvReader::new(body).map_err(bad_body)?;
     let columns = stream.columns().to_vec();
     let mut records = Vec::new();
     while let Some(record) = stream.next_record() {
-        let record = record.map_err(|e| fail(format!("bad flat CSV body: {e}")))?;
+        let record = record.map_err(bad_body)?;
         records.push(RawRecord::new(record.source, record.fields));
     }
 
     // One session per server; batches serialize on the lock (see the field
     // docs — delta correctness is defined over a batch *sequence*).
-    let mut guard = state.ingest.lock().unwrap();
+    // A handler that panicked holding the lock poisoned it; the guard is
+    // taken back, and `mid_batch` tells whether the panic cut a batch short.
+    let mut guard = state.ingest.lock().unwrap_or_else(PoisonError::into_inner);
+    if guard.as_ref().is_some_and(|session| session.mid_batch) {
+        // That session's state is unknown: drop it, so the next batch opens
+        // a fresh one.
+        *guard = None;
+        return Err(HttpFailure::new(
+            500,
+            "the ingest session was lost to a batch that failed part-way; \
+             the next batch opens a fresh session",
+        ));
+    }
     if let Some(existing) = guard.as_ref() {
-        if existing.params != params {
-            return Err(fail(format!(
-                "an ingest session is already open with different parameters \
-                 (threshold {}, budget {}, name '{}'); every batch must repeat \
-                 the first batch's parameters",
-                existing.params.threshold, existing.params.budget, existing.params.name
-            )));
+        if existing.options != options {
+            return Err(HttpFailure::new(
+                400,
+                format!(
+                    "an ingest session is already open with different parameters ({}); \
+                     every batch must repeat the first batch's parameters",
+                    existing.options
+                ),
+            ));
         }
         if existing.delta.columns() != columns.as_slice() {
-            return Err(fail(format!(
-                "the open ingest session has columns [{}], this batch posted [{}]",
-                existing.delta.columns().join(", "),
-                columns.join(", ")
-            )));
+            return Err(HttpFailure::new(
+                400,
+                format!(
+                    "the open ingest session has columns [{}], this batch posted [{}]",
+                    existing.delta.columns().join(", "),
+                    columns.join(", ")
+                ),
+            ));
         }
     } else {
         *guard = Some(IngestSession {
-            delta: DeltaPipeline::new(
-                &params.name,
-                columns,
-                ResolverConfig {
-                    threshold,
-                    ..ResolverConfig::default()
-                },
-                ConsolidationConfig {
-                    budget,
-                    ..ConsolidationConfig::default()
-                }
-                .with_threads(state.threads),
-                mode,
-                truth,
-            )
-            .with_cache_cap(state.ingest_cache_cap),
-            params,
+            delta: options
+                .delta_pipeline(columns, state.threads)
+                .with_cache_cap(state.ingest_cache_cap),
+            options,
+            mid_batch: false,
         });
     }
     let session = guard.as_mut().expect("the session was just ensured");
+    session.mid_batch = true;
     let report = session.delta.ingest_batch(records);
+    session.mid_batch = false;
     state.library_hits.add(report.library_hits as u64);
     state.library_misses.add(report.residue as u64);
     // Everything the session has learned folds into the serving library, so
     // `/apply` standardizes through it immediately (merging is idempotent —
     // re-merging the whole session library each batch only adds new entries).
     if !session.delta.library().is_empty() {
-        state
-            .library
-            .write()
-            .unwrap()
-            .merge(session.delta.library());
+        state.library_mut().merge(session.delta.library());
     }
 
     let mut golden = Vec::new();
@@ -950,6 +853,10 @@ fn handle_ingest(
         .map_err(io_failure)
 }
 
+/// `POST /apply`: flat records through the current library, record in,
+/// record out. An empty body against a preloaded artifact standardizes the
+/// compiled dataset's own records instead — the rows `ec compile
+/// --emit-flat` writes, so the response matches posting that file.
 fn handle_apply(
     body_empty: bool,
     body: impl Read,
@@ -957,76 +864,25 @@ fn handle_apply(
     state: &Arc<ServerState>,
     persistence: Persistence,
 ) -> HandlerResult {
-    // An empty body against a preloaded artifact: standardize the compiled
-    // dataset's own records through the current library.
-    if body_empty {
-        if let Some(compiled) = state.preloaded.as_ref() {
-            let compiled = Arc::clone(compiled);
-            return handle_apply_compiled(&compiled, writer, state, persistence);
-        }
-    }
-    let mut stream = FlatCsvReader::new(body)
-        .map_err(|e| HttpFailure::new(400, format!("bad flat CSV body: {e}")))?;
-    let columns = stream.columns().to_vec();
+    let mut records: Box<dyn RecordStream + '_> =
+        match state.preloaded.as_deref().filter(|_| body_empty) {
+            Some(compiled) => Box::new(DatasetRecords::new(&compiled.dataset)),
+            None => Box::new(FlatCsvReader::new(body).map_err(bad_body)?),
+        };
     let library = apply_snapshot(state);
-    let applier = library.applier(&columns);
-    let mut report = ApplyReport::default();
+    let applier = library.applier(records.columns());
 
     write_apply_head(writer, persistence, library.version()).map_err(io_failure)?;
     let mut body_writer = ChunkedWriter::new(writer);
-    {
-        // Record in, record out: per-connection memory is one record plus
-        // the CSV reader's refill buffer.
-        let mut buffered = BufWriter::with_capacity(8 * 1024, &mut body_writer);
-        let mut csv = CsvWriter::new(&mut buffered);
-        let header = std::iter::once("source").chain(columns.iter().map(String::as_str));
-        csv.write_record(header).map_err(io_failure)?;
-        while let Some(record) = stream.next_record() {
-            let mut record =
-                record.map_err(|e| HttpFailure::new(400, format!("bad flat CSV body: {e}")))?;
-            applier.apply_fields(&mut record.fields, &mut report);
-            let fields = std::iter::once(record.source.to_string()).chain(record.fields);
-            csv.write_record(fields).map_err(io_failure)?;
-        }
-        csv.flush().map_err(io_failure)?;
-        buffered.flush().map_err(io_failure)?;
-    }
-    finish_apply_body(body_writer, &report, state)
-}
-
-/// The preloaded-artifact `/apply` path: the compiled dataset's records are
-/// the input, flattened in cluster order exactly like `ec compile
-/// --emit-flat` writes them, so the response matches posting that file.
-fn handle_apply_compiled(
-    compiled: &CompiledDataset,
-    writer: &mut BufWriter<TcpStream>,
-    state: &Arc<ServerState>,
-    persistence: Persistence,
-) -> HandlerResult {
-    let columns = compiled.dataset.columns.clone();
-    let library = apply_snapshot(state);
-    let applier = library.applier(&columns);
-    let mut report = ApplyReport::default();
-
-    write_apply_head(writer, persistence, library.version()).map_err(io_failure)?;
-    let mut body_writer = ChunkedWriter::new(writer);
-    {
-        let mut buffered = BufWriter::with_capacity(8 * 1024, &mut body_writer);
-        let mut csv = CsvWriter::new(&mut buffered);
-        let header = std::iter::once("source").chain(columns.iter().map(String::as_str));
-        csv.write_record(header).map_err(io_failure)?;
-        for cluster in &compiled.dataset.clusters {
-            for row in &cluster.rows {
-                let mut fields: Vec<String> =
-                    row.cells.iter().map(|c| c.observed.clone()).collect();
-                applier.apply_fields(&mut fields, &mut report);
-                let fields = std::iter::once(row.source.to_string()).chain(fields);
-                csv.write_record(fields).map_err(io_failure)?;
-            }
-        }
-        csv.flush().map_err(io_failure)?;
-        buffered.flush().map_err(io_failure)?;
-    }
+    let report = applier
+        .apply_stream(
+            &mut *records,
+            BufWriter::with_capacity(8 * 1024, &mut body_writer),
+        )
+        .map_err(|e| match e {
+            ApplyError::Input(e) => bad_body(e),
+            ApplyError::Output(e) => io_failure(e),
+        })?;
     finish_apply_body(body_writer, &report, state)
 }
 
@@ -1036,10 +892,23 @@ fn handle_apply_compiled(
 /// behind that queued writer, all other readers.
 fn apply_snapshot(state: &ServerState) -> ProgramLibrary {
     state.sweep_library_ttl();
-    state.library.read().unwrap().clone()
+    state.library().clone()
 }
 
-fn write_apply_head(
+/// The chunked trailers of every `/apply` response, node or router: records
+/// processed, cells rewritten, cells unmatched, then the fast-path hits and
+/// misses (see [`finish_apply_body`]).
+pub(crate) const APPLY_TRAILERS: [&str; 5] = [
+    "X-Ec-Records",
+    "X-Ec-Cells-Rewritten",
+    "X-Ec-Cells-Unmatched",
+    "X-Ec-Library-Hits",
+    "X-Ec-Library-Misses",
+];
+
+/// Writes the head of an `/apply` response (node or router), announcing
+/// [`APPLY_TRAILERS`].
+pub(crate) fn write_apply_head(
     writer: &mut BufWriter<TcpStream>,
     persistence: Persistence,
     library_version: u64,
@@ -1053,14 +922,17 @@ fn write_apply_head(
             library_version.to_string(),
         )],
         persistence,
-        &[
-            "X-Ec-Records",
-            "X-Ec-Cells-Rewritten",
-            "X-Ec-Cells-Unmatched",
-            "X-Ec-Library-Hits",
-            "X-Ec-Library-Misses",
-        ],
+        &APPLY_TRAILERS,
     )
+}
+
+/// [`APPLY_TRAILERS`] paired with their values, in order.
+pub(crate) fn apply_trailers(values: [u64; 5]) -> Vec<(String, String)> {
+    APPLY_TRAILERS
+        .iter()
+        .zip(values)
+        .map(|(name, value)| (name.to_string(), value.to_string()))
+        .collect()
 }
 
 /// Finishes a streamed `/apply` response. The fast-path counts ride as
@@ -1074,24 +946,18 @@ fn finish_apply_body(
     report: &ApplyReport,
     state: &ServerState,
 ) -> HandlerResult {
-    let hits = report.cells_rewritten + report.cells_unchanged;
-    let misses = report.cells_unmatched;
-    state.library_hits.add(hits as u64);
-    state.library_misses.add(misses as u64);
+    let hits = (report.cells_rewritten + report.cells_unchanged) as u64;
+    let misses = report.cells_unmatched as u64;
+    state.library_hits.add(hits);
+    state.library_misses.add(misses);
     body_writer
-        .finish(&[
-            ("X-Ec-Records".to_string(), report.records.to_string()),
-            (
-                "X-Ec-Cells-Rewritten".to_string(),
-                report.cells_rewritten.to_string(),
-            ),
-            (
-                "X-Ec-Cells-Unmatched".to_string(),
-                report.cells_unmatched.to_string(),
-            ),
-            ("X-Ec-Library-Hits".to_string(), hits.to_string()),
-            ("X-Ec-Library-Misses".to_string(), misses.to_string()),
-        ])
+        .finish(&apply_trailers([
+            report.records as u64,
+            report.cells_rewritten as u64,
+            misses,
+            hits,
+            misses,
+        ]))
         .map_err(io_failure)?;
     Ok(())
 }
@@ -1099,9 +965,11 @@ fn finish_apply_body(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ec_core::{ApprovedGroup, Group};
+    use ec_core::{ApprovedGroup, ConsolidationConfig, Group};
+    use ec_data::csv::CsvWriter;
     use ec_graph::Replacement;
     use ec_replace::Direction;
+    use ec_resolution::{Resolver, ResolverConfig};
 
     fn start_server(config: ServeConfig) -> (ServerHandle, std::thread::JoinHandle<()>) {
         let server = Server::bind(config).expect("bind an ephemeral port");
@@ -1410,7 +1278,7 @@ mod tests {
     }
 
     /// The compiled dataset's records as flat CSV, cluster-major — the same
-    /// order `handle_apply_compiled` streams and `ec compile --emit-flat`
+    /// order the preloaded `/apply` streams and `ec compile --emit-flat`
     /// writes.
     fn flatten_compiled(compiled: &CompiledDataset) -> Vec<u8> {
         let mut flat = Vec::new();
@@ -1594,6 +1462,24 @@ mod tests {
         )
         .unwrap();
         assert_eq!(conflicting.status, 400);
+        // Mode is pinned too, and the refusal names every pinned knob, so a
+        // client that changed only the mode can see which value differs.
+        let mode_only = http::request(
+            ingesting.addr(),
+            "POST",
+            "/ingest?threshold=0.5&budget=10&mode=auto",
+            batch1.as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(mode_only.status, 400);
+        let refusal = String::from_utf8_lossy(&mode_only.body);
+        assert!(
+            refusal.contains(
+                "threshold 0.5, budget 10, mode approve-all, truth-method majority, \
+                 name 'resolved'"
+            ),
+            "{refusal}"
+        );
         let wrong_columns =
             http::request(ingesting.addr(), "POST", query, b"source,Other\n0,x\n").unwrap();
         assert_eq!(wrong_columns.status, 400);
@@ -1602,6 +1488,49 @@ mod tests {
         one_shot.stop();
         ingest_join.join().unwrap();
         one_shot_join.join().unwrap();
+    }
+
+    #[test]
+    fn a_handler_panic_holding_a_lock_does_not_take_the_server_down() {
+        let (handle, join) = start_server(ephemeral_config());
+        let addr = handle.addr();
+        let batch = b"source,Name\n0,\"Lee, Mary\"\n1,Mary Lee\n";
+        let ingest = |expected: u16| {
+            let response = http::request(addr, "POST", "/ingest?mode=approve-all", batch).unwrap();
+            let body = String::from_utf8_lossy(&response.body).into_owned();
+            assert_eq!(response.status, expected, "{body}");
+            (response, body)
+        };
+        ingest(200);
+
+        // Poison both server locks from helper threads that panic holding
+        // them — the ingest one part-way through a batch.
+        let state = Arc::clone(&handle.state);
+        let poisoned = std::thread::spawn(move || {
+            let _library = state.library.write().unwrap();
+            let mut session = state.ingest.lock().unwrap();
+            session.as_mut().unwrap().mid_batch = true;
+            panic!("a handler fails while holding the server locks");
+        })
+        .join();
+        assert!(poisoned.is_err());
+        assert!(handle.state.library.is_poisoned() && handle.state.ingest.is_poisoned());
+
+        let library = http::request(addr, "GET", "/library", b"").unwrap();
+        assert_eq!(library.status, 200);
+        let applied = http::request(addr, "POST", "/apply", batch).unwrap();
+        assert_eq!(applied.status, 200);
+        assert!(applied.trailer("x-ec-records").is_some());
+        // The interrupted session is dropped with one 500; the next batch
+        // opens a fresh session, and later batches extend it.
+        let (_, lost) = ingest(500);
+        assert!(lost.contains("ingest session was lost"), "{lost}");
+        let (fresh, _) = ingest(200);
+        assert_eq!(fresh.header("x-ec-batches"), Some("1"));
+        let (next, _) = ingest(200);
+        assert_eq!(next.header("x-ec-batches"), Some("2"));
+        handle.stop();
+        join.join().unwrap();
     }
 
     #[test]

@@ -47,7 +47,7 @@ use ec_data::{csv::CsvWriter, FlatCsvReader, RecordStream};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long a backend connect may take before the backend counts as failed.
@@ -163,6 +163,14 @@ impl Backend {
     fn is_healthy(&self) -> bool {
         self.healthy.load(Ordering::Acquire)
     }
+
+    /// The connection pool. A request that panicked while holding it poisons
+    /// the lock, but every critical section is a single push, pop or count
+    /// update, so the pool is taken back rather than failing every later
+    /// request.
+    fn pool(&self) -> MutexGuard<'_, ConnPool> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// One leased backend connection. A lease accounts for one unit of its
@@ -191,7 +199,7 @@ impl Lease<'_> {
             return; // Drop frees the slot.
         }
         let conn = self.conn.take().expect("a live lease holds its connection");
-        backend.pool.lock().unwrap().idle.push(conn);
+        backend.pool().idle.push(conn);
         backend.freed.notify_one();
         std::mem::forget(self); // The connection lives on: keep it counted.
     }
@@ -200,7 +208,7 @@ impl Lease<'_> {
 impl Drop for Lease<'_> {
     fn drop(&mut self) {
         let backend = &self.state.backends[self.index];
-        backend.pool.lock().unwrap().total -= 1;
+        backend.pool().total -= 1;
         backend.freed.notify_one();
     }
 }
@@ -465,7 +473,7 @@ impl RouterState {
             ec_obs::LATENCY_BUCKETS_US,
             &[("backend", &backend.name)],
         );
-        let mut pool = backend.pool.lock().unwrap();
+        let mut pool = backend.pool();
         loop {
             if fresh {
                 // Retrying: any pooled socket may be stale for the same
@@ -510,7 +518,11 @@ impl RouterState {
                     ),
                 ));
             }
-            pool = backend.freed.wait_timeout(pool, remaining).unwrap().0;
+            pool = backend
+                .freed
+                .wait_timeout(pool, remaining)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
@@ -520,7 +532,7 @@ impl RouterState {
     fn mark_down(&self, index: usize) {
         let backend = &self.backends[index];
         backend.healthy.store(false, Ordering::Release);
-        let mut pool = backend.pool.lock().unwrap();
+        let mut pool = backend.pool();
         pool.total -= pool.idle.len();
         pool.idle.clear();
         drop(pool);
@@ -1128,9 +1140,10 @@ fn handle_apply(
     // Zip-merge: record order is the request's, column order the header's —
     // both identical to what a single node writes.
     let trailer_sum = |name: &str| -> u64 {
+        let name = name.to_ascii_lowercase();
         shards
             .iter()
-            .filter_map(|(_, r)| r.trailer(name))
+            .filter_map(|(_, r)| r.trailer(&name))
             .filter_map(|v| v.parse::<u64>().ok())
             .sum()
     };
@@ -1140,21 +1153,7 @@ fn handle_apply(
         .filter_map(|v| v.parse::<u64>().ok())
         .max()
         .unwrap_or(0);
-    http::write_chunked_head(
-        writer,
-        200,
-        "text/csv",
-        &[("X-Ec-Library-Version".to_string(), version.to_string())],
-        persistence,
-        &[
-            "X-Ec-Records",
-            "X-Ec-Cells-Rewritten",
-            "X-Ec-Cells-Unmatched",
-            "X-Ec-Library-Hits",
-            "X-Ec-Library-Misses",
-        ],
-    )
-    .map_err(io_failure)?;
+    crate::write_apply_head(writer, persistence, version).map_err(io_failure)?;
     let mut body_writer = ChunkedWriter::new(writer);
     {
         let mut out = BufWriter::with_capacity(8 * 1024, &mut body_writer);
@@ -1174,28 +1173,14 @@ fn handle_apply(
         csv.flush().map_err(io_failure)?;
         out.flush().map_err(io_failure)?;
     }
+    // Every shard sees every record; the cell and fast-path counts cover
+    // disjoint column sets, so their sums equal a single node's counters.
+    let totals = crate::APPLY_TRAILERS.map(|name| match name {
+        "X-Ec-Records" => sources.len() as u64,
+        name => trailer_sum(name),
+    });
     body_writer
-        .finish(&[
-            ("X-Ec-Records".to_string(), sources.len().to_string()),
-            (
-                "X-Ec-Cells-Rewritten".to_string(),
-                trailer_sum("x-ec-cells-rewritten").to_string(),
-            ),
-            (
-                "X-Ec-Cells-Unmatched".to_string(),
-                trailer_sum("x-ec-cells-unmatched").to_string(),
-            ),
-            // Column shards count hits/misses over disjoint column sets, so
-            // the sums equal a single node's whole-request counters.
-            (
-                "X-Ec-Library-Hits".to_string(),
-                trailer_sum("x-ec-library-hits").to_string(),
-            ),
-            (
-                "X-Ec-Library-Misses".to_string(),
-                trailer_sum("x-ec-library-misses").to_string(),
-            ),
-        ])
+        .finish(&crate::apply_trailers(totals))
         .map_err(io_failure)?;
     Ok(())
 }
@@ -1334,4 +1319,48 @@ fn relay_response(
         .map_err(io_failure)?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ServeConfig, Server};
+
+    #[test]
+    fn a_poisoned_backend_pool_still_routes() {
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let backend = server.handle();
+        let backend_join = std::thread::spawn(move || server.run().unwrap());
+        let router = Router::bind(RouterConfig::new(
+            "127.0.0.1:0",
+            vec![backend.addr().to_string()],
+        ))
+        .unwrap();
+        let handle = router.handle();
+        let join = std::thread::spawn(move || router.run().unwrap());
+
+        let body = b"source,Name\n0,Mary Lee\n";
+        let before = http::request(handle.addr(), "POST", "/apply", body).unwrap();
+        assert_eq!(before.status, 200);
+        // A request that panics holding the pool lock poisons it.
+        let state = Arc::clone(&handle.state);
+        let poisoned = std::thread::spawn(move || {
+            let _pool = state.backends[0].pool.lock().unwrap();
+            panic!("a request fails while holding the backend pool");
+        })
+        .join();
+        assert!(poisoned.is_err() && handle.state.backends[0].pool.is_poisoned());
+        let after = http::request(handle.addr(), "POST", "/apply", body).unwrap();
+        assert_eq!(after.status, 200);
+        assert_eq!(after.body, before.body);
+
+        handle.stop();
+        backend.stop();
+        join.join().unwrap();
+        backend_join.join().unwrap();
+    }
 }
