@@ -70,6 +70,25 @@ fn encode_decode_round_trip_preserves_every_observable() {
 }
 
 #[test]
+fn artifact_bytes_do_not_depend_on_the_thread_count() {
+    let dataset = PaperDataset::Address.generate(&GeneratorConfig {
+        num_clusters: 60,
+        seed: 9,
+        num_sources: 3,
+    });
+    let compile = |threads| {
+        let config =
+            ConsolidationConfig::default().with_parallelism(ec_graph::Parallelism::fixed(threads));
+        compile_dataset(dataset.clone(), 0.75, true, &config)
+    };
+    let (one, four) = (compile(1), compile(4));
+    // Partitions this large are where graph preparation used to shard.
+    let largest = one.columns.iter().flat_map(|c| &c.partitions);
+    assert!(largest.map(|p| p.members.len()).max().unwrap_or(0) >= 64);
+    assert!(encode_artifact(&one) == encode_artifact(&four));
+}
+
+#[test]
 fn loaded_artifact_standardizes_byte_identically_to_the_fresh_state() {
     let fresh = compiled_address(10, 5);
     let loaded = read_artifact_bytes(&encode_artifact(&fresh)).unwrap();

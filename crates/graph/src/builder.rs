@@ -22,9 +22,8 @@
 
 use crate::label::{LabelId, LabelInterner, LabelList};
 use crate::replacement::Replacement;
-use ec_dsl::{Dir, PositionFn, StrCtx, StringFn, CLASS_TERMS};
+use ec_dsl::{Dir, PositionFn, StrCtx, StringFn, Term, CLASS_TERMS};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Which `ConstantStr` labels are added to the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -176,7 +175,7 @@ impl TransformationGraph {
     }
 
     /// Reassembles a graph from its stored parts — the compiled-artifact load
-    /// path. Edges must be sorted by `(from, to)` with `from < to <= t_len`
+    /// path, and the builder's last step. Edges must be sorted by `(from, to)` with `from < to <= t_len`
     /// and at least one label each (exactly what [`TransformationGraph::edges`]
     /// returned at write time); the CSR `out_start` table is rebuilt. Returns
     /// `None` when the edges violate the invariant, so a corrupt artifact is
@@ -211,19 +210,6 @@ impl TransformationGraph {
             out_start,
         })
     }
-
-    /// Rewrites every label id through `f`, deduplicating per edge afterwards.
-    ///
-    /// Used when graphs built against per-thread interners are merged into a
-    /// single shared interner.
-    pub fn remap_labels(&mut self, mut f: impl FnMut(LabelId) -> LabelId) {
-        for edge in &mut self.edges {
-            for label in &mut edge.labels {
-                *label = f(*label);
-            }
-            edge.labels.dedup();
-        }
-    }
 }
 
 /// Builds transformation graphs for candidate replacements, interning their
@@ -253,6 +239,16 @@ impl GraphBuilder {
     /// Builds the transformation graph of `replacement` (Algorithm 8 plus the
     /// Appendix D affix labels), interning labels in `interner`.
     ///
+    /// Labels are pushed edge by edge in a fixed order — per edge `(i, j)`
+    /// in `(i, j)` order: the constant, then the `SubStr` labels by
+    /// occurrence and position-function order; then the affix labels — and
+    /// each push interns its label, so ids follow first occurrence. Every
+    /// push is integer work: position functions are packed into integer keys
+    /// once per input string, `SubStr`/`Prefix`/`Suffix` labels intern
+    /// through the interner's integer-keyed side index and constants through
+    /// its text-keyed one (sliced from `rhs` without allocating), and the
+    /// per-edge label lists live in a dense `(i, j)` table.
+    ///
     /// Returns `None` when the output string exceeds
     /// [`GraphConfig::max_output_len`].
     pub fn build(
@@ -260,7 +256,6 @@ impl GraphBuilder {
         replacement: &Replacement,
         interner: &mut LabelInterner,
     ) -> Option<TransformationGraph> {
-        let s = replacement.lhs();
         let t = replacement.rhs();
         let t_chars: Vec<char> = t.chars().collect();
         let t_len = t_chars.len();
@@ -269,30 +264,22 @@ impl GraphBuilder {
                 return None;
             }
         }
-        let ctx = StrCtx::new(s);
-        let s_chars = ctx.chars().to_vec();
+        let ctx = StrCtx::new(replacement.lhs());
+        let s_chars = ctx.chars();
         let s_len = s_chars.len();
-
-        // --- Position-function table P (Lines 2-11 of Algorithm 8). ---
+        let keyed = s_len < MAX_KEYED_LEN;
+        // Byte offset of every character boundary of t, for constant slices.
+        let t_bytes: Vec<usize> = t
+            .char_indices()
+            .map(|(b, _)| b)
+            .chain(std::iter::once(t.len()))
+            .collect();
         let positions = self.position_table(&ctx);
+        // occurrences[i]: every x with s[x..] and t[i..] sharing a non-empty
+        // prefix, ascending, with that prefix's length.
+        let occurrences = occurrence_table(s_chars, &t_chars);
 
-        // --- Longest-common-extension table between s and t. ---
-        // lce[x][i] = length of the longest common prefix of s[x..] and t[i..].
-        let lce = lce_table(&s_chars, &t_chars);
-
-        // --- Collect labels per edge. ---
-        let mut edge_labels: BTreeMap<(u32, u32), Vec<LabelId>> = BTreeMap::new();
-        let mut push_label = |edge_labels: &mut BTreeMap<(u32, u32), Vec<LabelId>>,
-                              i: usize,
-                              j: usize,
-                              f: StringFn| {
-            let id = interner.intern(f);
-            let labels = edge_labels.entry((i as u32, j as u32)).or_default();
-            if labels.len() < self.config.max_labels_per_edge && !labels.contains(&id) {
-                labels.push(id);
-            }
-        };
-
+        let mut table = EdgeTable::new(t_len, self.config.max_labels_per_edge);
         for i in 0..t_len {
             for j in (i + 1)..=t_len {
                 // Constant label (Line 15).
@@ -302,23 +289,24 @@ impl GraphBuilder {
                     ConstantPolicy::FullOnly => i == 0 && j == t_len,
                 };
                 if keep_constant {
-                    let piece: String = t_chars[i..j].iter().collect();
-                    push_label(&mut edge_labels, i, j, StringFn::constant(piece));
+                    table.push(i, j, interner.intern_constant(&t[t_bytes[i]..t_bytes[j]]));
                 }
                 // SubStr labels for every occurrence s[x..y) = t[i..j) (Lines 16-18).
                 let len = j - i;
-                for x in 0..s_len {
-                    if lce[x][i] >= len {
-                        let y = x + len;
-                        for l in &positions[x] {
-                            for r in &positions[y] {
-                                push_label(
-                                    &mut edge_labels,
-                                    i,
-                                    j,
-                                    StringFn::sub_str(l.clone(), r.clone()),
-                                );
-                            }
+                for &(x, common) in &occurrences[i] {
+                    if (common as usize) < len {
+                        continue;
+                    }
+                    let (x, y) = (x as usize, x as usize + len);
+                    for (lk, l) in positions.at(x) {
+                        for (rk, r) in positions.at(y) {
+                            let make = || StringFn::sub_str(l.clone(), r.clone());
+                            let id = if keyed {
+                                interner.intern_keyed(lk << POS_BITS | rk, make)
+                            } else {
+                                interner.intern(make())
+                            };
+                            table.push(i, j, id);
                         }
                     }
                 }
@@ -327,33 +315,26 @@ impl GraphBuilder {
 
         // --- Affix labels (Appendix D), longest-affix-only (Appendix E). ---
         if self.config.enable_affix {
-            self.add_affix_labels(&ctx, &t_chars, &mut edge_labels, interner);
+            self.add_affix_labels(&ctx, &t_chars, &mut table, interner, keyed);
         }
 
-        // --- Assemble CSR. ---
-        let mut edges: Vec<Edge> = edge_labels
-            .into_iter()
-            .filter(|(_, labels)| !labels.is_empty())
-            .map(|((from, to), labels)| Edge {
-                from,
-                to,
-                labels: labels.into(),
-            })
-            .collect();
-        edges.sort_by_key(|e| (e.from, e.to));
-        let mut out_start = vec![0u32; t_len + 2];
-        for e in &edges {
-            out_start[e.from as usize + 1] += 1;
+        // --- Assemble CSR: the table is walked in `(from, to)` order. ---
+        let mut edges = Vec::with_capacity(table.non_empty());
+        for i in 0..t_len {
+            for j in (i + 1)..=t_len {
+                let labels = table.take(i, j);
+                if !labels.is_empty() {
+                    edges.push(Edge {
+                        from: i as u32,
+                        to: j as u32,
+                        labels,
+                    });
+                }
+            }
         }
-        for i in 1..out_start.len() {
-            out_start[i] += out_start[i - 1];
-        }
-        Some(TransformationGraph {
-            replacement: replacement.clone(),
-            t_len: t_len as u32,
-            edges,
-            out_start,
-        })
+        let graph = TransformationGraph::from_parts(replacement.clone(), t_len as u32, edges)
+            .expect("edges are sorted, in range and labelled");
+        Some(graph)
     }
 
     /// Builds graphs for a batch of replacements, skipping those the
@@ -371,8 +352,9 @@ impl GraphBuilder {
     }
 
     /// The position-function table `P`: `P[x]` holds the position functions
-    /// that evaluate to position `x` in the input string.
-    fn position_table(&self, ctx: &StrCtx<'_>) -> Vec<Vec<PositionFn>> {
+    /// that evaluate to position `x` in the input string, each with its
+    /// integer key.
+    fn position_table(&self, ctx: &StrCtx<'_>) -> PositionTable {
         let s_len = ctx.len();
         let mut positions: Vec<Vec<PositionFn>> = vec![Vec::new(); s_len + 1];
         for term in CLASS_TERMS {
@@ -397,7 +379,18 @@ impl GraphBuilder {
                 }
             }
         }
-        positions
+        let mut table = PositionTable {
+            start: Vec::with_capacity(s_len + 2),
+            entries: Vec::new(),
+        };
+        table.start.push(0);
+        for slot in positions {
+            table
+                .entries
+                .extend(slot.into_iter().map(|p| (position_key(&p), p)));
+            table.start.push(table.entries.len());
+        }
+        table
     }
 
     /// Adds the `Prefix`/`Suffix` labels: for each class-term match in `s` and
@@ -407,27 +400,32 @@ impl GraphBuilder {
         &self,
         ctx: &StrCtx<'_>,
         t_chars: &[char],
-        edge_labels: &mut BTreeMap<(u32, u32), Vec<LabelId>>,
+        table: &mut EdgeTable,
         interner: &mut LabelInterner,
+        keyed: bool,
     ) {
         let t_len = t_chars.len();
-        let mut push = |edge_labels: &mut BTreeMap<(u32, u32), Vec<LabelId>>,
-                        i: usize,
-                        j: usize,
-                        f: StringFn| {
-            let id = interner.intern(f);
-            let labels = edge_labels.entry((i as u32, j as u32)).or_default();
-            if labels.len() < self.config.max_labels_per_edge && !labels.contains(&id) {
-                labels.push(id);
+        let mut intern = |suffix: bool, term: &Term, k: i32| {
+            let make = || {
+                if suffix {
+                    StringFn::suffix(term.clone(), k)
+                } else {
+                    StringFn::prefix(term.clone(), k)
+                }
+            };
+            if keyed {
+                interner.intern_keyed(affix_key(suffix, term, k), make)
+            } else {
+                interner.intern(make())
             }
         };
         for term in CLASS_TERMS {
-            let matches = ctx.class_matches(&term).to_vec();
+            let matches = ctx.class_matches(&term);
             let m_count = matches.len() as i32;
             for (idx, m) in matches.iter().enumerate() {
                 let k = idx as i32 + 1;
                 let neg = k - m_count - 1;
-                let matched: Vec<char> = ctx.chars()[m.start..m.end].to_vec();
+                let matched = &ctx.chars()[m.start..m.end];
                 // Longest prefix of `matched` starting at each output position i.
                 for i in 0..t_len {
                     let mut len = 0;
@@ -436,9 +434,9 @@ impl GraphBuilder {
                         len += 1;
                     }
                     if len >= 1 {
-                        push(edge_labels, i, i + len, StringFn::prefix(term.clone(), k));
+                        table.push(i, i + len, intern(false, &term, k));
                         if self.config.enable_negative_ordinals {
-                            push(edge_labels, i, i + len, StringFn::prefix(term.clone(), neg));
+                            table.push(i, i + len, intern(false, &term, neg));
                         }
                     }
                 }
@@ -452,9 +450,9 @@ impl GraphBuilder {
                         len += 1;
                     }
                     if len >= 1 {
-                        push(edge_labels, j - len, j, StringFn::suffix(term.clone(), k));
+                        table.push(j - len, j, intern(true, &term, k));
                         if self.config.enable_negative_ordinals {
-                            push(edge_labels, j - len, j, StringFn::suffix(term.clone(), neg));
+                            table.push(j - len, j, intern(true, &term, neg));
                         }
                     }
                 }
@@ -463,22 +461,380 @@ impl GraphBuilder {
     }
 }
 
-/// `lce[x][i]` = length of the longest common prefix of `s[x..]` and `t[i..]`.
-fn lce_table(s: &[char], t: &[char]) -> Vec<Vec<usize>> {
-    let mut lce = vec![vec![0usize; t.len() + 1]; s.len() + 1];
-    for x in (0..s.len()).rev() {
-        for i in (0..t.len()).rev() {
-            if s[x] == t[i] {
-                lce[x][i] = lce[x + 1][i + 1] + 1;
-            }
+/// Bits of one packed position function; a `SubStr` key is two of them.
+const POS_BITS: u32 = 31;
+/// Bits of a packed match ordinal or constant position (two's complement).
+const ORD_BITS: u32 = 27;
+/// Input strings this long or longer intern without the integer side index:
+/// their ordinals (at most `|s| + 1` in magnitude) might not fit `ORD_BITS`.
+const MAX_KEYED_LEN: usize = (1 << (ORD_BITS - 1)) - 2;
+/// Tag bits that keep affix keys apart from `SubStr` keys (which use the
+/// low `2 * POS_BITS` bits only).
+const PREFIX_TAG: u64 = 1 << 62;
+const SUFFIX_TAG: u64 = 1 << 63;
+
+fn ordinal_bits(k: i32) -> u64 {
+    (k as u32 & ((1 << ORD_BITS) - 1)) as u64
+}
+
+fn class_index(term: &Term) -> u64 {
+    CLASS_TERMS
+        .iter()
+        .position(|c| c == term)
+        .expect("the builder only generates class terms") as u64
+}
+
+/// Packs a position function into `POS_BITS` bits: a `ConstPos` flag, the
+/// class-term index, the direction and the ordinal.
+fn position_key(p: &PositionFn) -> u64 {
+    match p {
+        PositionFn::ConstPos(k) => 1 << (POS_BITS - 1) | ordinal_bits(*k),
+        PositionFn::MatchPos { term, k, dir } => {
+            let dir = matches!(dir, Dir::End) as u64;
+            class_index(term) << (ORD_BITS + 1) | dir << ORD_BITS | ordinal_bits(*k)
         }
     }
-    lce
+}
+
+/// Packs `Prefix(term, k)` or `Suffix(term, k)`.
+fn affix_key(suffix: bool, term: &Term, k: i32) -> u64 {
+    let tag = if suffix { SUFFIX_TAG } else { PREFIX_TAG };
+    tag | class_index(term) << ORD_BITS | ordinal_bits(k)
+}
+
+/// The position-function table in CSR form: `entries[start[x]..start[x + 1]]`
+/// are the `(key, function)` pairs evaluating to input position `x`.
+struct PositionTable {
+    start: Vec<usize>,
+    entries: Vec<(u64, PositionFn)>,
+}
+
+impl PositionTable {
+    fn at(&self, x: usize) -> impl Iterator<Item = (u64, &PositionFn)> {
+        self.entries[self.start[x]..self.start[x + 1]]
+            .iter()
+            .map(|(k, p)| (*k, p))
+    }
+}
+
+/// The per-edge label lists of one graph under construction, one slot per
+/// edge `(i, j)` with `i < j <= t_len`.
+struct EdgeTable {
+    slots: Vec<LabelList>,
+    max_labels: usize,
+}
+
+impl EdgeTable {
+    fn new(t_len: usize, max_labels: usize) -> Self {
+        EdgeTable {
+            slots: vec![LabelList::new(); t_len * (t_len + 1) / 2],
+            max_labels,
+        }
+    }
+
+    fn slot(i: usize, j: usize) -> usize {
+        j * (j - 1) / 2 + i
+    }
+
+    /// Appends `id` to edge `(i, j)` unless the edge already carries it or
+    /// is full. The label is interned either way, so ids never depend on
+    /// the cap.
+    fn push(&mut self, i: usize, j: usize, id: LabelId) {
+        let labels = &mut self.slots[Self::slot(i, j)];
+        if labels.len() < self.max_labels && !labels.contains(&id) {
+            labels.push(id);
+        }
+    }
+
+    /// Number of edges with at least one label.
+    fn non_empty(&self) -> usize {
+        self.slots.iter().filter(|l| !l.is_empty()).count()
+    }
+
+    fn take(&mut self, i: usize, j: usize) -> LabelList {
+        std::mem::take(&mut self.slots[Self::slot(i, j)])
+    }
+}
+
+/// `occurrences[i]` lists, by ascending `x`, every input position `x` where
+/// `s[x..]` and `t[i..]` share a non-empty common prefix, with its length.
+fn occurrence_table(s: &[char], t: &[char]) -> Vec<Vec<(u32, u32)>> {
+    let mut occurrences = vec![Vec::new(); t.len()];
+    // Row x + 1 of the longest-common-extension table, then row x.
+    let mut next = vec![0u32; t.len() + 1];
+    let mut row = vec![0u32; t.len() + 1];
+    for x in (0..s.len()).rev() {
+        for i in (0..t.len()).rev() {
+            row[i] = if s[x] == t[i] { next[i + 1] + 1 } else { 0 };
+            if row[i] > 0 {
+                occurrences[i].push((x as u32, row[i]));
+            }
+        }
+        std::mem::swap(&mut row, &mut next);
+    }
+    for list in &mut occurrences {
+        list.reverse();
+    }
+    occurrences
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    /// The builder as it was before labels were interned through integer
+    /// keys: one `StringFn` per push, interned by value, and a `BTreeMap`
+    /// of edges. Kept as the oracle of the differential tests below.
+    fn reference_build(
+        config: &GraphConfig,
+        replacement: &Replacement,
+        interner: &mut LabelInterner,
+    ) -> Option<TransformationGraph> {
+        let s = replacement.lhs();
+        let t_chars: Vec<char> = replacement.rhs().chars().collect();
+        let t_len = t_chars.len();
+        if config.max_output_len.is_some_and(|max| t_len > max) {
+            return None;
+        }
+        let ctx = StrCtx::new(s);
+        let s_chars = ctx.chars().to_vec();
+        let s_len = s_chars.len();
+        let mut positions: Vec<Vec<PositionFn>> = vec![Vec::new(); s_len + 1];
+        for term in CLASS_TERMS {
+            let matches = ctx.class_matches(&term);
+            let m_count = matches.len() as i32;
+            for (idx, m) in matches.iter().enumerate() {
+                let k = idx as i32 + 1;
+                positions[m.start].push(PositionFn::match_pos(term.clone(), k, Dir::Begin));
+                positions[m.end].push(PositionFn::match_pos(term.clone(), k, Dir::End));
+                if config.enable_negative_ordinals {
+                    let neg = k - m_count - 1;
+                    positions[m.start].push(PositionFn::match_pos(term.clone(), neg, Dir::Begin));
+                    positions[m.end].push(PositionFn::match_pos(term.clone(), neg, Dir::End));
+                }
+            }
+        }
+        if config.enable_const_pos {
+            for (x, slot) in positions.iter_mut().enumerate() {
+                slot.push(PositionFn::const_pos(x as i32 + 1));
+                if config.enable_negative_ordinals {
+                    slot.push(PositionFn::const_pos(x as i32 - s_len as i32 - 1));
+                }
+            }
+        }
+        let mut lce = vec![vec![0usize; t_len + 1]; s_len + 1];
+        for x in (0..s_len).rev() {
+            for i in (0..t_len).rev() {
+                if s_chars[x] == t_chars[i] {
+                    lce[x][i] = lce[x + 1][i + 1] + 1;
+                }
+            }
+        }
+        let mut edge_labels: BTreeMap<(u32, u32), Vec<LabelId>> = BTreeMap::new();
+        let mut push = |i: usize, j: usize, f: StringFn| {
+            let id = interner.intern(f);
+            let labels = edge_labels.entry((i as u32, j as u32)).or_default();
+            if labels.len() < config.max_labels_per_edge && !labels.contains(&id) {
+                labels.push(id);
+            }
+        };
+        for i in 0..t_len {
+            for j in (i + 1)..=t_len {
+                let keep_constant = match config.constant_policy {
+                    ConstantPolicy::All => true,
+                    ConstantPolicy::MaxLen(n) => j - i <= n || (i == 0 && j == t_len),
+                    ConstantPolicy::FullOnly => i == 0 && j == t_len,
+                };
+                if keep_constant {
+                    let piece: String = t_chars[i..j].iter().collect();
+                    push(i, j, StringFn::constant(piece));
+                }
+                let len = j - i;
+                for x in 0..s_len {
+                    if lce[x][i] >= len {
+                        for l in &positions[x] {
+                            for r in &positions[x + len] {
+                                push(i, j, StringFn::sub_str(l.clone(), r.clone()));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if config.enable_affix {
+            for term in CLASS_TERMS {
+                let matches = ctx.class_matches(&term).to_vec();
+                let m_count = matches.len() as i32;
+                for (idx, m) in matches.iter().enumerate() {
+                    let k = idx as i32 + 1;
+                    let neg = k - m_count - 1;
+                    let matched: Vec<char> = ctx.chars()[m.start..m.end].to_vec();
+                    for i in 0..t_len {
+                        let mut len = 0;
+                        while len < matched.len()
+                            && i + len < t_len
+                            && t_chars[i + len] == matched[len]
+                        {
+                            len += 1;
+                        }
+                        if len >= 1 {
+                            push(i, i + len, StringFn::prefix(term.clone(), k));
+                            if config.enable_negative_ordinals {
+                                push(i, i + len, StringFn::prefix(term.clone(), neg));
+                            }
+                        }
+                    }
+                    for j in 1..=t_len {
+                        let mut len = 0;
+                        while len < matched.len()
+                            && len < j
+                            && t_chars[j - 1 - len] == matched[matched.len() - 1 - len]
+                        {
+                            len += 1;
+                        }
+                        if len >= 1 {
+                            push(j - len, j, StringFn::suffix(term.clone(), k));
+                            if config.enable_negative_ordinals {
+                                push(j - len, j, StringFn::suffix(term.clone(), neg));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let edges: Vec<Edge> = edge_labels
+            .into_iter()
+            .filter(|(_, labels)| !labels.is_empty())
+            .map(|((from, to), labels)| Edge {
+                from,
+                to,
+                labels: labels.into(),
+            })
+            .collect();
+        TransformationGraph::from_parts(replacement.clone(), t_len as u32, edges)
+    }
+
+    /// Builds every replacement of every partition with both builders (one
+    /// shared interner per partition and builder) and asserts identical
+    /// graphs, per-edge label lists and interner id order. Returns the
+    /// number of graphs compared.
+    fn assert_builders_agree(partitions: &[Vec<Replacement>], config: &GraphConfig) -> usize {
+        let builder = GraphBuilder::new(config.clone());
+        let mut compared = 0;
+        for part in partitions {
+            let (mut fast, mut slow) = (LabelInterner::new(), LabelInterner::new());
+            for r in part {
+                let got = builder.build(r, &mut fast);
+                let want = reference_build(config, r, &mut slow);
+                match (got, want) {
+                    (Some(got), Some(want)) => {
+                        assert_eq!(got.last_node(), want.last_node(), "{r}");
+                        assert_eq!(got.edges(), want.edges(), "{r}");
+                        for i in 0..=got.last_node() {
+                            assert_eq!(got.out_edges(i), want.out_edges(i), "{r} node {i}");
+                        }
+                        compared += 1;
+                    }
+                    (None, None) => {}
+                    (got, want) => panic!("{r}: built {} vs {}", got.is_some(), want.is_some()),
+                }
+            }
+            let fast: Vec<&StringFn> = fast.iter().map(|(_, f)| f).collect();
+            let slow: Vec<&StringFn> = slow.iter().map(|(_, f)| f).collect();
+            assert_eq!(fast, slow, "interner order");
+        }
+        compared
+    }
+
+    /// The configurations the differential tests sweep: the default, the
+    /// `NoAffix` ablation, constant positions, and the two narrow constant
+    /// policies (with a tight per-edge cap on one of them, so the cap binds).
+    fn differential_configs() -> Vec<GraphConfig> {
+        vec![
+            GraphConfig::default(),
+            GraphConfig::without_affix(),
+            GraphConfig {
+                enable_const_pos: true,
+                ..GraphConfig::default()
+            },
+            GraphConfig {
+                constant_policy: ConstantPolicy::MaxLen(2),
+                ..GraphConfig::default()
+            },
+            GraphConfig {
+                constant_policy: ConstantPolicy::FullOnly,
+                max_labels_per_edge: 3,
+                enable_negative_ordinals: false,
+                ..GraphConfig::default()
+            },
+        ]
+    }
+
+    #[test]
+    fn builder_matches_the_reference_on_the_figure5_cases() {
+        let cases = vec![
+            Replacement::new("Lee, Mary", "M. Lee"),
+            Replacement::new("Smith, James", "J. Smith"),
+            Replacement::new("Lee, Mary", "Mary Lee"),
+            Replacement::new("9 St, 02141 Wisconsin", "9th Street, 02141 WI"),
+            Replacement::new("Street", "St"),
+            Replacement::new("Avenue", "Ave"),
+            Replacement::new("Street", "Stre"),
+            Replacement::new("9th", "9"),
+            Replacement::new("Zürich Straße", "Straße Zürich"),
+        ];
+        for config in differential_configs() {
+            assert_eq!(
+                assert_builders_agree(std::slice::from_ref(&cases), &config),
+                cases.len()
+            );
+        }
+    }
+
+    /// The structure partitions of column `col` of a generated dataset,
+    /// rebuilt from strings (the candidate generator links its own copy of
+    /// this crate).
+    fn generated_partitions(
+        dataset: ec_data::PaperDataset,
+        clusters: usize,
+    ) -> Vec<Vec<Replacement>> {
+        let data = dataset.generate(&ec_data::GeneratorConfig {
+            num_clusters: clusters,
+            seed: 5,
+            num_sources: 6,
+        });
+        let mut partitions: BTreeMap<_, Vec<Replacement>> = BTreeMap::new();
+        for col in 0..data.columns.len() {
+            let candidates = ec_replace::generate_candidates(
+                &data.column_values(col),
+                &ec_replace::CandidateConfig::default(),
+            );
+            for r in &candidates.replacements {
+                let r = Replacement::new(r.lhs(), r.rhs());
+                let structure = crate::structure::replacement_structure(r.lhs(), r.rhs());
+                partitions.entry((col, structure)).or_default().push(r);
+            }
+        }
+        partitions.into_values().collect()
+    }
+
+    #[test]
+    fn builder_matches_the_reference_on_generated_partitions() {
+        let datasets = [
+            (ec_data::PaperDataset::Address, 12),
+            (ec_data::PaperDataset::AuthorList, 20),
+            (ec_data::PaperDataset::JournalTitle, 20),
+        ];
+        for (dataset, clusters) in datasets {
+            let partitions = generated_partitions(dataset, clusters);
+            assert!(partitions.len() > 1, "{dataset:?}");
+            for config in differential_configs() {
+                let compared = assert_builders_agree(&partitions, &config);
+                assert!(compared > 20, "{dataset:?}: {compared} graphs");
+            }
+        }
+    }
 
     fn build(lhs: &str, rhs: &str, config: GraphConfig) -> (TransformationGraph, LabelInterner) {
         let mut interner = LabelInterner::new();

@@ -12,6 +12,7 @@ use ec_dsl::StringFn;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
+use std::sync::Arc;
 
 /// FNV-1a 64 as the interner's hasher. The label map sees hundreds of
 /// thousands of small structural keys on both the graph-build and the
@@ -57,10 +58,21 @@ impl LabelId {
 }
 
 /// A hash-consing table mapping string functions to dense [`LabelId`]s.
+///
+/// Besides the map keyed by [`StringFn`], the graph builder reaches labels
+/// through two side indexes that need no `StringFn` to probe: one keyed by
+/// the builder's integer packing of a `SubStr`/`Prefix`/`Suffix` label, one
+/// keyed by a constant's text. Both are filled lazily — a miss falls through
+/// to [`LabelInterner::intern`] and records the id it returns — so ids are
+/// assigned in exactly the order plain interning would assign them, and an
+/// interner assembled by [`LabelInterner::from_ordered`] starts with empty
+/// side indexes at no cost.
 #[derive(Debug, Default, Clone)]
 pub struct LabelInterner {
     by_fn: HashMap<StringFn, LabelId, FnvBuild>,
     by_id: Vec<StringFn>,
+    by_key: HashMap<u64, LabelId, FnvBuild>,
+    by_constant: HashMap<Arc<str>, LabelId, FnvBuild>,
 }
 
 impl LabelInterner {
@@ -80,7 +92,11 @@ impl LabelInterner {
                 return None;
             }
         }
-        Some(LabelInterner { by_fn, by_id: fns })
+        Some(LabelInterner {
+            by_fn,
+            by_id: fns,
+            ..Self::default()
+        })
     }
 
     /// Interns `f`, returning its id (existing or freshly assigned).
@@ -92,6 +108,40 @@ impl LabelInterner {
         self.by_id.push(f.clone());
         self.by_fn.insert(f, id);
         id
+    }
+
+    /// Interns the function the graph builder packs into `key`, building it
+    /// with `make` only when the side index has not seen the key. The
+    /// packing is private to the builder, which is what keeps keys unique.
+    pub(crate) fn intern_keyed(&mut self, key: u64, make: impl FnOnce() -> StringFn) -> LabelId {
+        if let Some(&id) = self.by_key.get(&key) {
+            return id;
+        }
+        let id = self.intern(make());
+        self.by_key.insert(key, id);
+        id
+    }
+
+    /// Interns `ConstantStr(text)`, allocating only when the side index has
+    /// not seen `text`.
+    pub(crate) fn intern_constant(&mut self, text: &str) -> LabelId {
+        if let Some(&id) = self.by_constant.get(text) {
+            return id;
+        }
+        let id = self.intern(StringFn::constant(text));
+        let StringFn::ConstantStr(shared) = self.resolve(id) else {
+            unreachable!("a constant interns as ConstantStr")
+        };
+        self.by_constant.insert(Arc::clone(shared), id);
+        id
+    }
+
+    /// Frees the graph builder's side indexes. Ids are unaffected and the
+    /// indexes refill lazily on the next build, so a holder that keeps the
+    /// interner only to resolve ids can drop them after building.
+    pub fn release_side_indexes(&mut self) {
+        self.by_key = HashMap::default();
+        self.by_constant = HashMap::default();
     }
 
     /// Looks up an already-interned function without inserting.

@@ -1,7 +1,8 @@
 //! The parallelism knob shared by the pipeline's sharded stages.
 //!
-//! Candidate generation (`ec-replace`), graph preparation and pivot-path
-//! search (`ec-grouping`) all shard their work across the shared worker pool.
+//! Candidate generation (`ec-replace`), structure-partition materialization
+//! and pivot-path search (`ec-grouping`) all shard their work across the
+//! shared worker pool.
 //! [`Parallelism`] is the single configuration value they consult: a fixed
 //! thread count, or *auto* — resolve from the `EC_THREADS` environment
 //! variable when set, otherwise from [`std::thread::available_parallelism`].

@@ -41,10 +41,15 @@ pub struct GroupingConfig {
     /// workloads where the budget binds, since pruning strength then decides
     /// where a search is cut off.
     pub max_search_steps: usize,
-    /// Worker threads for the sharded stages: graph preparation and the
-    /// per-graph pivot-path searches of the one-shot and incremental
-    /// groupers (one search never spans more than one worker). Every setting produces bit-identical groups; only the
-    /// wall-clock time changes (see `ec_graph::Parallelism`).
+    /// Worker threads for grouping. [`crate::StructuredGrouper`] materializes
+    /// up to this many structure partitions at once (the partition the
+    /// sequential rule needs plus prefetched ones, revealed in sequential
+    /// order), and the one-shot and incremental groupers run up to this many
+    /// pivot-path searches at once (one search never spans more than one
+    /// worker). Graph preparation is sequential within a partition, so
+    /// prepared graphs and label ids never depend on it. Every setting
+    /// produces bit-identical groups; only the wall-clock time changes (see
+    /// `ec_graph::Parallelism`).
     pub parallelism: Parallelism,
 }
 

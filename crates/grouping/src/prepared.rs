@@ -8,10 +8,7 @@
 use crate::config::GroupingConfig;
 use ec_graph::{GraphBuilder, LabelId, LabelInterner, Replacement, TransformationGraph};
 use ec_index::{GraphId, InvertedIndex};
-
-/// One worker's output: each replacement with its graph and private interner
-/// (`None` when the graph configuration rejected the replacement).
-type BuiltChunk = Vec<(Replacement, Option<(TransformationGraph, LabelInterner)>)>;
+use std::collections::HashSet;
 
 /// The preprocessed state of one grouping problem.
 #[derive(Debug, Clone)]
@@ -32,81 +29,23 @@ pub struct PreparedGraphs {
 impl PreparedGraphs {
     /// Builds graphs and the inverted index for `replacements` (duplicates are
     /// removed first; input order of first occurrence is preserved).
+    ///
+    /// This is [`PreparedGraphs::append`] onto an empty state: graphs are
+    /// built one after another against one interner, so label ids follow
+    /// first occurrence and the result never depends on
+    /// [`GroupingConfig::parallelism`]. Cores are spent across partitions
+    /// instead (see [`crate::StructuredGrouper`]).
     pub fn build(replacements: &[Replacement], config: &GroupingConfig) -> Self {
         let _span = ec_obs::span!("grouping.prepared_build", replacements.len());
-        let mut unique: Vec<Replacement> = Vec::with_capacity(replacements.len());
-        {
-            let mut seen = std::collections::HashSet::new();
-            for r in replacements {
-                if seen.insert(r.clone()) {
-                    unique.push(r.clone());
-                }
-            }
-        }
-        let builder = GraphBuilder::new(config.graph.clone());
-        let mut interner = LabelInterner::new();
-        let mut graphs = Vec::with_capacity(unique.len());
-        let mut retained = Vec::with_capacity(unique.len());
-        let mut skipped = Vec::new();
-
-        let threads = config.parallelism.threads();
-        if threads > 1 && unique.len() >= 64 {
-            // Chunks run as `'static` tasks on the shared worker pool, so the
-            // replacements move behind an `Arc` and each task gets an index
-            // range instead of a borrowed slice.
-            let chunk_size = unique.len().div_ceil(threads);
-            let unique: std::sync::Arc<Vec<Replacement>> = std::sync::Arc::new(unique);
-            let tasks: Vec<ec_graph::PoolTask<BuiltChunk>> = (0..unique.len())
-                .step_by(chunk_size)
-                .map(|start| {
-                    let unique = std::sync::Arc::clone(&unique);
-                    let graph_config = config.graph.clone();
-                    Box::new(move || {
-                        let builder = GraphBuilder::new(graph_config);
-                        unique[start..(start + chunk_size).min(unique.len())]
-                            .iter()
-                            .map(|r| {
-                                let mut local = LabelInterner::new();
-                                let g = builder.build(r, &mut local);
-                                (r.clone(), g.map(|g| (g, local)))
-                            })
-                            .collect::<Vec<_>>()
-                    }) as ec_graph::PoolTask<BuiltChunk>
-                })
-                .collect();
-            let results: Vec<BuiltChunk> = config.parallelism.run_tasks(tasks);
-            for chunk in results {
-                for (r, built) in chunk {
-                    match built {
-                        Some((mut g, local)) => {
-                            g.remap_labels(|old| interner.intern(local.resolve(old).clone()));
-                            retained.push(r);
-                            graphs.push(g);
-                        }
-                        None => skipped.push(r),
-                    }
-                }
-            }
-        } else {
-            for r in &unique {
-                match builder.build(r, &mut interner) {
-                    Some(g) => {
-                        retained.push(r.clone());
-                        graphs.push(g);
-                    }
-                    None => skipped.push(r.clone()),
-                }
-            }
-        }
-
-        let index = InvertedIndex::build(&graphs, interner.len());
-        PreparedGraphs {
-            replacements: retained,
-            graphs,
-            skipped,
-            interner,
-            index,
-        }
+        let mut prepared = PreparedGraphs {
+            replacements: Vec::new(),
+            graphs: Vec::new(),
+            skipped: Vec::new(),
+            interner: LabelInterner::new(),
+            index: InvertedIndex::build(&[], 0),
+        };
+        prepared.grow(replacements, config);
+        prepared
     }
 
     /// Grows the prepared state in place with `new_replacements` — the delta
@@ -123,16 +62,22 @@ impl PreparedGraphs {
     /// graphs built.
     pub fn append(&mut self, new_replacements: &[Replacement], config: &GroupingConfig) -> usize {
         let _span = ec_obs::span!("grouping.prepared_append", new_replacements.len());
+        self.grow(new_replacements, config)
+    }
+
+    /// The one prepare path behind [`PreparedGraphs::build`] and
+    /// [`PreparedGraphs::append`].
+    fn grow(&mut self, new_replacements: &[Replacement], config: &GroupingConfig) -> usize {
         let fresh: Vec<Replacement> = {
-            let seen: std::collections::HashSet<&Replacement> = self
+            let seen: HashSet<&Replacement> = self
                 .replacements
                 .iter()
                 .chain(self.skipped.iter())
                 .collect();
-            let mut batch_seen = std::collections::HashSet::new();
+            let mut batch_seen = HashSet::new();
             new_replacements
                 .iter()
-                .filter(|r| !seen.contains(*r) && batch_seen.insert((*r).clone()))
+                .filter(|r| !seen.contains(*r) && batch_seen.insert(*r))
                 .cloned()
                 .collect()
         };
@@ -141,7 +86,7 @@ impl PreparedGraphs {
         }
         let builder = GraphBuilder::new(config.graph.clone());
         let base = self.graphs.len();
-        let mut new_graphs = Vec::new();
+        let mut new_graphs = Vec::with_capacity(fresh.len());
         for r in fresh {
             match builder.build(&r, &mut self.interner) {
                 Some(g) => {
@@ -151,6 +96,7 @@ impl PreparedGraphs {
                 None => self.skipped.push(r),
             }
         }
+        self.interner.release_side_indexes();
         let built = new_graphs.len();
         if built > 0 || self.index.num_labels() < self.interner.len() {
             self.index = self.index.append(&new_graphs, base, self.interner.len());
@@ -341,8 +287,8 @@ mod tests {
                 format!("alpha value {i}"),
             ));
         }
-        // Fixed counts, so the parallel side runs the chunked branch even on
-        // a 1-CPU machine or under `EC_THREADS=1`.
+        // Fixed counts, so the comparison holds on a 1-CPU machine and under
+        // `EC_THREADS=1` too.
         let build = |threads| {
             PreparedGraphs::build(
                 &many,
@@ -353,13 +299,16 @@ mod tests {
             )
         };
         let (seq, par) = (build(1), build(4));
-        assert_eq!(seq.len(), par.len());
         assert_eq!(seq.replacements(), par.replacements());
+        let labels = |p: &PreparedGraphs| -> Vec<ec_dsl::StringFn> {
+            p.interner().iter().map(|(_, f)| f.clone()).collect()
+        };
+        assert_eq!(labels(&seq), labels(&par), "interner id order");
         for g in 0..seq.len() {
             let gid = GraphId(g as u32);
-            assert_eq!(seq.graph(gid).num_edges(), par.graph(gid).num_edges());
-            assert_eq!(seq.graph(gid).num_labels(), par.graph(gid).num_labels());
+            assert_eq!(seq.graph(gid).edges(), par.graph(gid).edges(), "graph {g}");
         }
+        assert_eq!(seq.index().raw_parts(), par.index().raw_parts());
     }
 
     #[test]

@@ -8,15 +8,55 @@
 //! time it could possibly hold the next largest group: until then, its total
 //! replacement count serves as an upper bound — exactly the lazy scheme
 //! described at the end of Section 7.2.
+//!
+//! **Prefetch and the reveal rule.** Partitions are independent: the next
+//! group of one depends only on its own state. So when the sequential rule
+//! must materialize partition `j` (compute its next group), the grouper also
+//! materializes up to `threads − 1` more partitions on the shared worker
+//! pool, one task each: the unmaterialized partitions with the highest
+//! bounds (ties by index) among those whose bound exceeds the best group
+//! already peeked. A prefetched result stays *hidden*: the partition keeps
+//! showing the bound it had before the run, and the result is revealed —
+//! with the truncated-search count of its run — only when the sequential
+//! rule picks that partition to materialize. Every decision therefore sees
+//! exactly the bounds and groups the one-thread scan sees, and emission
+//! order, ties included, is the sequential order at every thread count. A
+//! result never revealed is wasted work, counted by
+//! `ec_grouping_partition_prefetch_total{outcome="unused"}`.
 
 use crate::config::GroupingConfig;
 use crate::group::Group;
 use crate::incremental::IncrementalGrouper;
 use crate::oneshot::{sort_groups, OneShotGrouper};
 use crate::prepared::PreparedGraphs;
-use ec_graph::{structure::replacement_structure, Replacement, ReplacementStructure};
+use ec_graph::{structure::replacement_structure, PoolTask, Replacement, ReplacementStructure};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Registry handles for partition prefetch: prefetched results the
+/// sequential rule went on to reveal, and those dropped unrevealed.
+struct PrefetchMetrics {
+    used: ec_obs::Counter,
+    unused: ec_obs::Counter,
+}
+
+fn prefetch_metrics() -> &'static PrefetchMetrics {
+    static METRICS: OnceLock<PrefetchMetrics> = OnceLock::new();
+    const HELP: &str =
+        "Partitions materialized ahead of the sequential rule, by whether the result was revealed.";
+    METRICS.get_or_init(|| PrefetchMetrics {
+        used: ec_obs::counter_with(
+            "ec_grouping_partition_prefetch_total",
+            HELP,
+            &[("outcome", "used")],
+        ),
+        unused: ec_obs::counter_with(
+            "ec_grouping_partition_prefetch_total",
+            HELP,
+            &[("outcome", "unused")],
+        ),
+    })
+}
 
 /// Splits `replacements` into the structure partitions the grouper scans:
 /// one partition per [`ReplacementStructure`] when
@@ -60,18 +100,97 @@ pub struct StructuredGrouper {
 
 #[derive(Debug)]
 struct Partition {
-    replacements: Vec<Replacement>,
-    /// Preprocessed graphs loaded from a compiled artifact; consulted by
-    /// [`Partition::materialize`] instead of running Algorithm 6.
-    precompiled: Option<Arc<PreparedGraphs>>,
-    grouper: Option<IncrementalGrouper>,
+    /// What the next materialization starts from; `None` only while a run
+    /// is on the pool.
+    source: Option<Source>,
     /// The next group of this partition, already computed but not yet emitted.
     peeked: Option<Group>,
     exhausted: bool,
+    /// A prefetched run the sequential rule has not reached yet.
+    hidden: Option<Hidden>,
+    /// Truncated searches of the runs revealed so far.
+    searches_truncated: usize,
+}
+
+/// Where a partition's next materialization starts.
+#[derive(Debug)]
+enum Source {
+    /// Not preprocessed yet: Algorithm 6 runs on the first materialization.
+    Replacements(Vec<Replacement>),
+    /// Preprocessed graphs loaded from a compiled artifact, with the
+    /// partition's member count (its bound until the first run).
+    Precompiled(usize, Arc<PreparedGraphs>),
+    /// The partition's live incremental grouper.
+    Grouper(IncrementalGrouper),
+}
+
+impl Source {
+    /// An upper bound on the size of the next group this source can produce.
+    fn upper_bound(&self) -> usize {
+        match self {
+            Source::Replacements(members) => members.len(),
+            Source::Precompiled(members, _) => *members,
+            Source::Grouper(grouper) => grouper.remaining_graphs().max(1),
+        }
+    }
+
+    /// Computes the next group (one materialization).
+    fn run(self, config: &GroupingConfig) -> Run {
+        let mut grouper = match self {
+            Source::Replacements(members) => IncrementalGrouper::new(&members, config.clone()),
+            Source::Precompiled(_, prepared) => {
+                IncrementalGrouper::with_prepared(prepared, config.clone())
+            }
+            Source::Grouper(grouper) => grouper,
+        };
+        let before = grouper.searches_truncated();
+        let group = grouper.next_group();
+        let truncated = grouper.searches_truncated() - before;
+        Run {
+            grouper,
+            group,
+            truncated,
+        }
+    }
+}
+
+/// The outcome of one materialization.
+#[derive(Debug)]
+struct Run {
+    grouper: IncrementalGrouper,
+    /// The next group, or `None` when the partition is exhausted.
+    group: Option<Group>,
+    /// Searches of this run that exhausted the step budget.
+    truncated: usize,
+}
+
+/// A prefetched outcome with the bound the partition showed before its run.
+#[derive(Debug)]
+struct Hidden {
+    bound: usize,
+    group: Option<Group>,
+    truncated: usize,
 }
 
 impl Partition {
-    /// An upper bound on the size of the next group this partition can produce.
+    fn new(source: Source) -> Self {
+        Partition {
+            source: Some(source),
+            peeked: None,
+            exhausted: false,
+            hidden: None,
+            searches_truncated: 0,
+        }
+    }
+
+    /// Neither peeked nor exhausted: the next group is still to be computed
+    /// (or revealed).
+    fn pending(&self) -> bool {
+        self.peeked.is_none() && !self.exhausted
+    }
+
+    /// An upper bound on the size of the next group this partition can
+    /// produce; a hidden prefetch keeps showing its pre-run bound.
     fn upper_bound(&self) -> usize {
         if self.exhausted {
             return 0;
@@ -79,28 +198,20 @@ impl Partition {
         if let Some(g) = &self.peeked {
             return g.size();
         }
-        match &self.grouper {
-            Some(grouper) => grouper.remaining_graphs().max(1),
-            None => self.replacements.len(),
+        if let Some(hidden) = &self.hidden {
+            return hidden.bound;
         }
+        self.source.as_ref().map_or(0, Source::upper_bound)
     }
 
-    /// Makes sure `peeked` holds the partition's next group (computing it if
-    /// needed), or marks the partition exhausted.
-    fn materialize(&mut self, config: &GroupingConfig) {
-        if self.exhausted || self.peeked.is_some() {
-            return;
-        }
-        let grouper = self
-            .grouper
-            .get_or_insert_with(|| match self.precompiled.take() {
-                Some(prepared) => IncrementalGrouper::with_prepared(prepared, config.clone()),
-                None => IncrementalGrouper::new(&self.replacements, config.clone()),
-            });
-        match grouper.next_group() {
+    /// Makes a run's group the partition's peeked group (or marks the
+    /// partition exhausted) and books its truncated searches.
+    fn reveal(&mut self, group: Option<Group>, truncated: usize) {
+        match group {
             Some(g) => self.peeked = Some(g),
             None => self.exhausted = true,
         }
+        self.searches_truncated += truncated;
     }
 }
 
@@ -112,13 +223,7 @@ impl StructuredGrouper {
         StructuredGrouper {
             partitions: partition_replacements(replacements, &config)
                 .into_iter()
-                .map(|replacements| Partition {
-                    replacements,
-                    precompiled: None,
-                    grouper: None,
-                    peeked: None,
-                    exhausted: false,
-                })
+                .map(|members| Partition::new(Source::Replacements(members)))
                 .collect(),
             config,
         }
@@ -137,12 +242,8 @@ impl StructuredGrouper {
         StructuredGrouper {
             partitions: parts
                 .into_iter()
-                .map(|(replacements, prepared)| Partition {
-                    replacements,
-                    precompiled: Some(prepared),
-                    grouper: None,
-                    peeked: None,
-                    exhausted: false,
+                .map(|(members, prepared)| {
+                    Partition::new(Source::Precompiled(members.len(), prepared))
                 })
                 .collect(),
             config,
@@ -165,7 +266,7 @@ impl StructuredGrouper {
                 .partitions
                 .iter()
                 .enumerate()
-                .filter(|(_, p)| p.peeked.is_none() && !p.exhausted)
+                .filter(|(_, p)| p.pending())
                 .map(|(i, p)| (i, p.upper_bound()))
                 .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)));
 
@@ -176,24 +277,74 @@ impl StructuredGrouper {
                 (Some((i, _)), None) => {
                     return self.partitions[i].peeked.take();
                 }
-                (_, Some((j, _))) => {
-                    let config = self.config.clone();
-                    self.partitions[j].materialize(&config);
-                }
+                (_, Some((j, _))) => self.materialize(j, best_peeked.map_or(0, |(_, size)| size)),
                 (None, None) => return None,
             }
         }
     }
 
-    /// How many pivot searches run so far, over every partition, exhausted
-    /// [`GroupingConfig::max_search_steps`] (see
-    /// [`IncrementalGrouper::searches_truncated`]).
-    pub fn searches_truncated(&self) -> usize {
-        self.partitions
+    /// Materializes partition `j`, which the sequential rule picked while
+    /// the best peeked group has `peeked_size` members: reveals its hidden
+    /// prefetch if it has one, and otherwise runs it together with up to
+    /// `threads − 1` prefetched partitions (see the module docs).
+    fn materialize(&mut self, j: usize, peeked_size: usize) {
+        if let Some(hidden) = self.partitions[j].hidden.take() {
+            prefetch_metrics().used.inc();
+            self.partitions[j].reveal(hidden.group, hidden.truncated);
+            return;
+        }
+        let mut batch = vec![j];
+        let threads = self.config.parallelism.threads();
+        if threads > 1 {
+            let mut candidates: Vec<(usize, usize)> = self
+                .partitions
+                .iter()
+                .enumerate()
+                .filter(|&(i, p)| i != j && p.pending() && p.hidden.is_none())
+                .map(|(i, p)| (i, p.upper_bound()))
+                .filter(|&(_, bound)| bound > peeked_size)
+                .collect();
+            candidates.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            batch.extend(candidates.iter().take(threads - 1).map(|&(i, _)| i));
+        }
+        let bounds: Vec<usize> = batch
             .iter()
-            .filter_map(|p| p.grouper.as_ref())
-            .map(IncrementalGrouper::searches_truncated)
-            .sum()
+            .map(|&i| self.partitions[i].upper_bound())
+            .collect();
+        let tasks: Vec<PoolTask<Run>> = batch
+            .iter()
+            .map(|&i| {
+                let source = self.partitions[i]
+                    .source
+                    .take()
+                    .expect("a pending partition has a source");
+                let config = self.config.clone();
+                Box::new(move || source.run(&config)) as PoolTask<Run>
+            })
+            .collect();
+        let runs = self.config.parallelism.run_tasks(tasks);
+        for ((&i, bound), run) in batch.iter().zip(bounds).zip(runs) {
+            let partition = &mut self.partitions[i];
+            partition.source = Some(Source::Grouper(run.grouper));
+            if i == j {
+                partition.reveal(run.group, run.truncated);
+            } else {
+                partition.hidden = Some(Hidden {
+                    bound,
+                    group: run.group,
+                    truncated: run.truncated,
+                });
+            }
+        }
+    }
+
+    /// How many pivot searches, over every partition, exhausted
+    /// [`GroupingConfig::max_search_steps`] (see
+    /// [`IncrementalGrouper::searches_truncated`]). Counts the runs whose
+    /// groups the sequential rule has reached, so a prefetched run counts
+    /// only once revealed and the total never depends on the thread count.
+    pub fn searches_truncated(&self) -> usize {
+        self.partitions.iter().map(|p| p.searches_truncated).sum()
     }
 
     /// The first `k` groups (or fewer if the input is exhausted earlier).
@@ -222,28 +373,25 @@ impl StructuredGrouper {
     /// size. Used by the `OneShot`/`EarlyTerm` timing comparison of Figure 9.
     pub fn one_shot_all(replacements: &[Replacement], config: GroupingConfig) -> Vec<Group> {
         let mut groups = Vec::new();
-        if config.structure_refinement {
-            let mut by_structure: HashMap<ReplacementStructure, Vec<Replacement>> = HashMap::new();
-            for r in replacements {
-                by_structure
-                    .entry(replacement_structure(r.lhs(), r.rhs()))
-                    .or_default()
-                    .push(r.clone());
-            }
-            let mut parts: Vec<Vec<Replacement>> = by_structure.into_values().collect();
-            parts.sort_by(|a, b| {
-                b.len()
-                    .cmp(&a.len())
-                    .then_with(|| a.first().cmp(&b.first()))
-            });
-            for part in parts {
-                groups.extend(OneShotGrouper::new(&part, config.clone()).group_all());
-            }
-        } else {
-            groups = OneShotGrouper::new(replacements, config).group_all();
+        for part in partition_replacements(replacements, &config) {
+            groups.extend(OneShotGrouper::new(&part, config.clone()).group_all());
         }
         sort_groups(&mut groups);
         groups
+    }
+}
+
+impl Drop for StructuredGrouper {
+    /// Counts the prefetched results nobody revealed.
+    fn drop(&mut self) {
+        let unused = self
+            .partitions
+            .iter()
+            .filter(|p| p.hidden.is_some())
+            .count();
+        if unused > 0 {
+            prefetch_metrics().unused.add(unused as u64);
+        }
     }
 }
 
@@ -383,6 +531,112 @@ mod tests {
         let mut grouper = StructuredGrouper::new(&[], GroupingConfig::default());
         assert!(grouper.next_group().is_none());
         assert!(grouper.all_groups().is_empty());
+    }
+
+    fn with_threads(config: &GroupingConfig, threads: usize) -> GroupingConfig {
+        GroupingConfig {
+            parallelism: ec_graph::Parallelism::fixed(threads),
+            ..config.clone()
+        }
+    }
+
+    #[test]
+    fn prefetched_ties_keep_the_sequential_order() {
+        // Partition 0 (8 members) holds an `N → Nth` family of five and an
+        // `N → Nst` family of three; partition 1 a transposition family of
+        // five; partition 2 three `Word → W` initials and one `Wisconsin → WI`.
+        // Sequentially, partition 2 is materialized (bound 4) while
+        // partition 0 shows bound 3, so its group of three is emitted before
+        // partition 0's equal-size second group. At two threads partition 0
+        // is prefetched alongside partition 2; revealing that result at once
+        // would break the tie towards the lower index.
+        let mut reps: Vec<Replacement> = ["4", "5", "6", "7", "8"]
+            .iter()
+            .map(|n| Replacement::new(*n, format!("{n}th")))
+            .collect();
+        for n in ["1", "21", "31"] {
+            reps.push(Replacement::new(n, format!("{n}st")));
+        }
+        for (last, first) in [
+            ("Lee", "Mary"),
+            ("Smith", "James"),
+            ("Brown", "Anna"),
+            ("Clark", "Peter"),
+            ("Young", "Susan"),
+        ] {
+            reps.push(Replacement::new(
+                format!("{last}, {first}"),
+                format!("{first} {last}"),
+            ));
+        }
+        for word in ["Street", "Avenue", "Road"] {
+            reps.push(Replacement::new(word, &word[..1]));
+        }
+        reps.push(Replacement::new("Wisconsin", "WI"));
+        let config = GroupingConfig::default();
+        let sizes: Vec<usize> = partition_replacements(&reps, &config)
+            .iter()
+            .map(Vec::len)
+            .collect();
+        assert_eq!(sizes, vec![8, 5, 4]);
+
+        let sequential = StructuredGrouper::new(&reps, with_threads(&config, 1)).all_groups();
+        let sizes: Vec<usize> = sequential.iter().map(Group::size).collect();
+        assert_eq!(sizes, vec![5, 5, 3, 3, 1]);
+        assert!(sequential[2]
+            .members()
+            .contains(&Replacement::new("Street", "S")));
+        assert!(sequential[3]
+            .members()
+            .contains(&Replacement::new("1", "1st")));
+        for threads in [2, 4] {
+            let used = prefetch_metrics().used.get();
+            let parallel =
+                StructuredGrouper::new(&reps, with_threads(&config, threads)).all_groups();
+            assert_eq!(parallel, sequential, "{threads} threads");
+            assert!(
+                prefetch_metrics().used.get() > used,
+                "{threads} threads prefetch"
+            );
+        }
+    }
+
+    #[test]
+    fn starved_multi_partition_groups_and_truncation_do_not_depend_on_threads() {
+        let dataset = ec_data::PaperDataset::Address.generate(&ec_data::GeneratorConfig {
+            num_clusters: 20,
+            seed: 30,
+            num_sources: 6,
+        });
+        let candidates = ec_replace::generate_candidates(
+            &dataset.column_values(0),
+            &ec_replace::CandidateConfig::default(),
+        );
+        let config = GroupingConfig {
+            max_search_steps: 25,
+            ..GroupingConfig::default()
+        };
+        assert!(partition_replacements(&candidates.replacements, &config).len() > 10);
+        // The truncation count after every emitted group: a prefetched run
+        // counts only once the sequential rule reveals it.
+        let run = |threads| {
+            let mut grouper =
+                StructuredGrouper::new(&candidates.replacements, with_threads(&config, threads));
+            let mut groups = Vec::new();
+            let mut truncated = Vec::new();
+            while let Some(g) = grouper.next_group() {
+                groups.push(g);
+                truncated.push(grouper.searches_truncated());
+            }
+            (groups, truncated)
+        };
+        let (groups, truncated) = run(1);
+        assert!(truncated.last() > Some(&0), "the budget must bind");
+        for threads in [2, 4] {
+            let (parallel, parallel_truncated) = run(threads);
+            assert_eq!(parallel, groups, "{threads} threads");
+            assert_eq!(parallel_truncated, truncated, "{threads} threads");
+        }
     }
 
     #[test]
