@@ -7,8 +7,8 @@
 //! a full logical rerun in which the expensive pieces are memoized:
 //!
 //! * **Resolution** rides on [`DeltaResolver`]: records are pushed once,
-//!   blocks and the sorted-neighborhood key list grow incrementally, and pair
-//!   scores are cached by value content, so a batch of already-seen values
+//!   blocks and the sorted-neighborhood key list grow incrementally, and match
+//!   decisions are cached by value content, so a batch of already-seen values
 //!   scores nothing.
 //! * **Candidate generation** is cached per cluster, keyed by the cluster's
 //!   value vector. Clusters are independent (`generate_candidates` shards by

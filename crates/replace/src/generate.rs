@@ -153,13 +153,18 @@ fn generate_cluster_range(
     let mut out = CandidateSet::default();
     for (offset, values) in clusters.iter().enumerate() {
         let c = first_cluster + offset;
-        let mut distinct: Vec<&String> = Vec::new();
-        for v in values {
-            if !distinct.contains(&v) {
-                distinct.push(v);
-            }
-        }
         if let Some(max) = config.max_distinct_values_per_cluster {
+            // Only whether the count passes `max` matters, so the scan stops
+            // there: a huge cluster costs O(len * max), not O(len²).
+            let mut distinct: Vec<&String> = Vec::new();
+            for v in values {
+                if !distinct.contains(&v) {
+                    distinct.push(v);
+                    if distinct.len() > max {
+                        break;
+                    }
+                }
+            }
             if distinct.len() > max {
                 continue;
             }
@@ -301,7 +306,9 @@ mod tests {
     #[test]
     fn oversized_clusters_are_skipped() {
         let big: Vec<String> = (0..40).map(|i| format!("value {i}")).collect();
-        let clusters = vec![big, vec!["a".to_string(), "b".to_string()]];
+        // Exactly at the cap: ten distinct values, each repeated.
+        let at_cap: Vec<String> = (0..20).map(|i| format!("kept {}", i % 10)).collect();
+        let clusters = vec![big, vec!["a".to_string(), "b".to_string()], at_cap];
         let config = CandidateConfig {
             max_distinct_values_per_cluster: Some(10),
             ..CandidateConfig::default()
@@ -312,6 +319,9 @@ mod tests {
             .iter()
             .all(|r| !r.lhs().starts_with("value")));
         assert!(set.replacements.contains(&Replacement::new("a", "b")));
+        assert!(set
+            .replacements
+            .contains(&Replacement::new("kept 0", "kept 9")));
     }
 
     #[test]

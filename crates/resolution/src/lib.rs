@@ -16,19 +16,22 @@
 //! * [`reference`] — the pre-rewrite textbook kernels, frozen verbatim as
 //!   differential test references and benchmark baselines;
 //! * [`blocking`] — token blocking and sorted-neighborhood candidate
-//!   generation so that resolution does not need to compare all `O(n²)` pairs;
+//!   generation so that resolution does not need to compare all `O(n²)`
+//!   pairs, built incrementally as records arrive;
 //! * [`unionfind`] — a disjoint-set forest used to turn matching pairs into
 //!   clusters;
 //! * [`matcher`] — the record-pair matcher (per-column similarity measures,
-//!   weights, and a match threshold) and the [`matcher::Resolver`] that ties
-//!   everything together and emits an [`ec_data::Dataset`] ready for the
+//!   weights, and a match threshold) and the [`matcher::Resolver`] whose
+//!   entry points emit clusters or an [`ec_data::Dataset`] ready for the
 //!   consolidation pipeline;
-//! * [`streaming`] — the record-at-a-time ingestion path:
-//!   [`matcher::Resolver::resolve_stream`] consumes an
-//!   [`ec_data::RecordStream`] and builds blocks and the union-find
-//!   incrementally with bounded per-block memory, producing output
-//!   bit-identical to the batch path; [`streaming::DeltaResolver`] keeps
-//!   the same state alive across batches for incremental ingest.
+//! * [`streaming`] — the one resolution state, [`streaming::DeltaResolver`]:
+//!   records, blocking state and a cache of match decisions keyed by value.
+//!   Every entry point is that state plus a snapshot — incremental ingest
+//!   keeps it alive across batches, [`matcher::Resolver::resolve_stream`]
+//!   pushes an [`ec_data::RecordStream`] record-at-a-time with bounded
+//!   per-block memory, and the slice entry points push a slice — so one-shot
+//!   resolution is the single-batch case of incremental resolution and
+//!   bit-identical to it.
 //!
 //! The design mirrors the classical match–cluster architecture surveyed by
 //! Elmagarmid et al. (cited as [18] in the paper): candidate generation via
@@ -60,7 +63,7 @@ pub mod streaming;
 pub mod tokenize;
 pub mod unionfind;
 
-pub use blocking::{sorted_neighborhood_pairs, token_blocking_pairs, BlockingConfig};
+pub use blocking::BlockingConfig;
 pub use ec_graph::Parallelism;
 pub use matcher::{
     BlockingScheme, ColumnRule, CompiledRules, MatchDecision, RawRecord, Resolver, ResolverConfig,

@@ -4,29 +4,33 @@
 //! duplicates: blocking proposes candidate pairs, each pair is scored by a
 //! weighted combination of per-column similarity measures, pairs at or above
 //! the match threshold are unioned, and the connected components become the
-//! clusters. [`Resolver::resolve_to_dataset`] additionally packages the result
-//! as an [`ec_data::Dataset`] so the consolidation pipeline can run directly
-//! on resolver output.
+//! clusters. Every entry point pushes its records into one
+//! [`DeltaResolver`] — the single resolution state, see [`crate::streaming`]
+//! — and takes one snapshot: [`Resolver::resolve_stream`] record by record
+//! off an [`ec_data::RecordStream`], [`Resolver::resolve`] and
+//! [`Resolver::resolve_to_dataset`] over a slice. The dataset-producing
+//! entry points package the result as an [`ec_data::Dataset`] so the
+//! consolidation pipeline can run directly on resolver output.
 //!
 //! # Scoring architecture
 //!
 //! The per-pair work is compiled out of the hot loop: [`CompiledRules`]
-//! resolves a config's effective rules and weight sums once per resolve (per
-//! column arity), pair scoring shards across the shared worker pool in
-//! contiguous chunks merged in candidate order (the same pattern as
-//! `ec-replace`'s candidate generation), and the threshold-only paths
-//! ([`Resolver::resolve`], [`Resolver::resolve_stream`]) use early-abandon
-//! scoring ([`CompiledRules::decide_score`]) that skips similarity kernels
-//! when a cheap upper bound proves the pair cannot reach the threshold.
-//! Every path is **bit-identical** to sequential exact scoring: exact scores
-//! are returned wherever a score is observable ([`MatchDecision::score`], the
-//! delta resolver's cache), and abandoned pairs are provably sub-threshold
-//! (see [`crate::similarity::SimilarityMeasure::score_at_least`]).
+//! resolves a config's effective rules and weight sums once per scoring
+//! chunk (per column arity), and pair scoring shards across the shared
+//! worker pool in contiguous chunks merged in candidate order (the same
+//! pattern as `ec-replace`'s candidate generation). Snapshots only keep
+//! match decisions, so they score with early abandon
+//! ([`CompiledRules::decide_score`]), which skips similarity kernels when a
+//! cheap upper bound proves the pair cannot reach the threshold. Every path
+//! is **bit-identical** to sequential exact scoring: the one entry point
+//! that reports scores, [`Resolver::match_pairs`], scores exactly, and
+//! abandoned pairs are provably sub-threshold (see
+//! [`crate::similarity::SimilarityMeasure::score_at_least`]).
 
-use crate::blocking::{sorted_neighborhood_pairs, token_blocking_pairs, BlockingConfig};
+use crate::blocking::BlockingConfig;
 use crate::similarity::{take_kernel_path_counts, SimilarityMeasure};
-use crate::unionfind::UnionFind;
-use ec_data::{Cell, Cluster, Dataset, Row};
+use crate::streaming::DeltaResolver;
+use ec_data::{Cell, Cluster, Dataset, DatasetIoError, RecordStream, Row};
 use ec_graph::{Parallelism, PoolTask};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -263,24 +267,6 @@ impl<'c> RuleCache<'c> {
     }
 }
 
-/// Record-index types the sharded scorer accepts (`usize` from batch
-/// blocking, `u32` from the streaming state).
-pub(crate) trait PairIx: Copy + Send + Sync + 'static {
-    fn ix(self) -> usize;
-}
-
-impl PairIx for usize {
-    fn ix(self) -> usize {
-        self
-    }
-}
-
-impl PairIx for u32 {
-    fn ix(self) -> usize {
-        self as usize
-    }
-}
-
 /// Minimum candidate count before scoring shards across the pool — below
 /// this, chunk bookkeeping (and the one-time record copy the `'static` pool
 /// tasks need) costs more than it saves.
@@ -317,10 +303,10 @@ fn flush_kernel_metrics(abandoned: u64) {
 /// `threshold: None` every returned value is the exact pair score; with
 /// `Some(t)` pairs may be early-abandoned to `f64::NEG_INFINITY` (provably
 /// `< t`), and values `>= t` are always exact.
-fn score_chunk<I: PairIx>(
+fn score_chunk(
     config: &ResolverConfig,
     records: &[RawRecord],
-    pairs: &[(I, I)],
+    pairs: &[(u32, u32)],
     threshold: Option<f64>,
 ) -> Vec<f64> {
     let mut cache = RuleCache::new(config);
@@ -328,7 +314,7 @@ fn score_chunk<I: PairIx>(
     let out = pairs
         .iter()
         .map(|&(a, b)| {
-            let (ra, rb) = (&records[a.ix()], &records[b.ix()]);
+            let (ra, rb) = (&records[a as usize], &records[b as usize]);
             let compiled = cache.get(ra.fields.len().min(rb.fields.len()));
             match threshold {
                 None => compiled.score(ra, rb),
@@ -340,20 +326,25 @@ fn score_chunk<I: PairIx>(
     out
 }
 
-/// Shards `pairs` into contiguous chunks over the worker pool and merges the
-/// per-chunk scores in order — the same in-order merge pattern as
+/// Scores `pairs` of `records`: small or sequential workloads run in place;
+/// larger ones shard into contiguous chunks over the worker pool and merge
+/// the per-chunk scores in order — the same in-order merge pattern as
 /// `ec-replace`'s candidate generation, so the output is bit-identical to the
-/// sequential loop at any thread count.
-fn score_pairs_pooled<I: PairIx>(
+/// sequential loop at any thread count. The records sit behind an `Arc`
+/// because the pool needs `'static` tasks; no record is copied.
+pub(crate) fn score_pairs(
     config: &ResolverConfig,
     parallelism: Parallelism,
     records: &Arc<Vec<RawRecord>>,
-    pairs: Vec<(I, I)>,
+    pairs: &[(u32, u32)],
     threshold: Option<f64>,
 ) -> Vec<f64> {
     let shards = parallelism.shards(pairs.len());
+    if pairs.len() < MIN_PARALLEL_PAIRS || shards <= 1 {
+        return score_chunk(config, records, pairs, threshold);
+    }
     let chunk = pairs.len().div_ceil(shards);
-    let pairs = Arc::new(pairs);
+    let pairs = Arc::new(pairs.to_vec());
     let config = Arc::new(config.clone());
     let tasks: Vec<PoolTask<Vec<f64>>> = (0..shards)
         .map(|s| {
@@ -368,38 +359,6 @@ fn score_pairs_pooled<I: PairIx>(
         })
         .collect();
     parallelism.run_tasks(tasks).into_iter().flatten().collect()
-}
-
-/// Pair scoring over borrowed records: small or sequential workloads run in
-/// place; larger ones move one copy of the records behind an `Arc` (the pool
-/// needs `'static` tasks) and shard.
-fn score_pairs_slice<I: PairIx>(
-    config: &ResolverConfig,
-    parallelism: Parallelism,
-    records: &[RawRecord],
-    pairs: &[(I, I)],
-    threshold: Option<f64>,
-) -> Vec<f64> {
-    if pairs.len() < MIN_PARALLEL_PAIRS || parallelism.shards(pairs.len()) <= 1 {
-        return score_chunk(config, records, pairs, threshold);
-    }
-    let records = Arc::new(records.to_vec());
-    score_pairs_pooled(config, parallelism, &records, pairs.to_vec(), threshold)
-}
-
-/// Pair scoring over records already behind an `Arc` (the streaming state) —
-/// no record copy on any path.
-pub(crate) fn score_pairs_arc<I: PairIx>(
-    config: &ResolverConfig,
-    parallelism: Parallelism,
-    records: &Arc<Vec<RawRecord>>,
-    pairs: &[(I, I)],
-    threshold: Option<f64>,
-) -> Vec<f64> {
-    if pairs.len() < MIN_PARALLEL_PAIRS || parallelism.shards(pairs.len()) <= 1 {
-        return score_chunk(config, records, pairs, threshold);
-    }
-    score_pairs_pooled(config, parallelism, records, pairs.to_vec(), threshold)
 }
 
 /// The entity resolver.
@@ -441,42 +400,37 @@ impl Resolver {
         CompiledRules::compile(&self.config, a.fields.len().min(b.fields.len())).score(a, b)
     }
 
-    /// Generates the candidate pairs of `records` (sorted, deduplicated).
-    fn candidates(&self, records: &[RawRecord]) -> Vec<(usize, usize)> {
-        let _span = ec_obs::span!("resolution.blocking", records.len());
-        let mut candidates = match self.config.scheme {
-            BlockingScheme::Token => token_blocking_pairs(records, &self.config.blocking),
-            BlockingScheme::SortedNeighborhood => {
-                sorted_neighborhood_pairs(records, &self.config.blocking)
-            }
-            BlockingScheme::Both => {
-                let mut pairs = token_blocking_pairs(records, &self.config.blocking);
-                pairs.extend(sorted_neighborhood_pairs(records, &self.config.blocking));
-                pairs.sort_unstable();
-                pairs.dedup();
-                pairs
-            }
-        };
-        candidates.sort_unstable();
-        candidates
+    /// A fresh resolution state with this resolver's configuration and
+    /// parallelism, holding `records`.
+    fn state_of(&self, records: &[RawRecord]) -> DeltaResolver {
+        let mut state = DeltaResolver::new(self.config.clone()).with_parallelism(self.parallelism);
+        for record in records {
+            state.push(record.clone());
+        }
+        state
     }
 
     /// Generates candidate pairs and scores each one. Decisions are returned
     /// in candidate order (sorted by record indices) and every score is
-    /// exact — this entry point reports scores, so it never early-abandons.
+    /// exact — this entry point reports scores, so it never early-abandons
+    /// and never consults the decision cache.
     pub fn match_pairs(&self, records: &[RawRecord]) -> Vec<MatchDecision> {
-        if records.len() < 2 {
-            return Vec::new();
-        }
-        let candidates = self.candidates(records);
+        let mut state = self.state_of(records);
+        let candidates = state.candidate_pairs();
         let _span = ec_obs::span!("resolution.scoring", candidates.len());
-        let scores = score_pairs_slice(&self.config, self.parallelism, records, &candidates, None);
+        let scores = score_pairs(
+            &self.config,
+            self.parallelism,
+            state.records(),
+            &candidates,
+            None,
+        );
         candidates
             .into_iter()
             .zip(scores)
             .map(|((a, b), score)| MatchDecision {
-                a,
-                b,
+                a: a as usize,
+                b: b as usize,
                 score,
                 is_match: score >= self.config.threshold,
             })
@@ -485,32 +439,10 @@ impl Resolver {
 
     /// Resolves the records into clusters of record indices (the transitive
     /// closure of the pairwise match decisions). Singleton clusters are kept:
-    /// a record that matches nothing is still an entity.
-    ///
-    /// Only the match/no-match decision of each pair is observable here, so
-    /// scoring early-abandons pairs that provably cannot reach the threshold;
-    /// the clusters are identical to thresholding [`Resolver::match_pairs`].
+    /// a record that matches nothing is still an entity. The clusters are
+    /// identical to thresholding [`Resolver::match_pairs`].
     pub fn resolve(&self, records: &[RawRecord]) -> Vec<Vec<usize>> {
-        if records.len() < 2 {
-            return UnionFind::new(records.len()).into_groups();
-        }
-        let candidates = self.candidates(records);
-        let _span = ec_obs::span!("resolution.scoring", candidates.len());
-        let threshold = self.config.threshold;
-        let scores = score_pairs_slice(
-            &self.config,
-            self.parallelism,
-            records,
-            &candidates,
-            Some(threshold),
-        );
-        let mut uf = UnionFind::new(records.len());
-        for (&(a, b), score) in candidates.iter().zip(&scores) {
-            if *score >= threshold {
-                uf.union(a, b);
-            }
-        }
-        uf.into_groups()
+        self.state_of(records).snapshot_with(|_, clusters| clusters)
     }
 
     /// Resolves the records and packages the clusters as an
@@ -534,10 +466,33 @@ impl Resolver {
         let clusters = self.resolve(records);
         clusters_to_dataset(name, columns, records, clusters, truths)
     }
+
+    /// Streaming entry point: consumes a [`RecordStream`] record-at-a-time
+    /// into one resolution state and takes one snapshot, packaged as a
+    /// [`Dataset`] exactly as [`Resolver::resolve_to_dataset`] (with each
+    /// cell's truth set to its observed value) would. The input document is
+    /// never materialized, and per-block state is bounded by the blocking
+    /// configuration's `max_block_size`.
+    pub fn resolve_stream<S: RecordStream + ?Sized>(
+        &self,
+        name: &str,
+        stream: &mut S,
+    ) -> Result<Dataset, DatasetIoError> {
+        let columns = stream.columns().to_vec();
+        let mut state = self.state_of(&[]);
+        while let Some(record) = stream.next_record() {
+            let record = record?;
+            state.push(RawRecord {
+                source: record.source,
+                fields: record.fields,
+            });
+        }
+        Ok(state.snapshot(name, columns))
+    }
 }
 
 /// Packages resolved clusters of record indices as a [`Dataset`] — shared by
-/// the batch and streaming entry points so both produce identical output. The
+/// the slice and snapshot entry points so both produce identical output. The
 /// golden record of a cluster is unknown at resolution time; the per-column
 /// majority of truths serves as the best available label.
 pub(crate) fn clusters_to_dataset(
@@ -586,6 +541,7 @@ impl Default for Resolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unionfind::UnionFind;
 
     fn lee_smith_records() -> Vec<RawRecord> {
         vec![
@@ -638,9 +594,9 @@ mod tests {
 
     #[test]
     fn score_pair_is_symmetric_and_bounded() {
-        // Exact (bitwise) symmetry is load-bearing: the delta resolver's
-        // pair-score cache canonicalizes its key by value order, so one
-        // cached score must serve both argument orders bit-identically.
+        // Symmetry is load-bearing: the resolution state's decision cache
+        // canonicalizes its key by value order, so one cached decision must
+        // serve both argument orders.
         let resolver = Resolver::default();
         let records = lee_smith_records();
         for a in &records {
@@ -831,13 +787,39 @@ mod tests {
             threshold: 0.9,
             ..ResolverConfig::default()
         });
+        assert_eq!(
+            resolver.resolve(&records),
+            thresholded_match_pairs(&resolver, &records)
+        );
+    }
+
+    /// The clusters of thresholding `match_pairs` — the exact-score oracle.
+    fn thresholded_match_pairs(resolver: &Resolver, records: &[RawRecord]) -> Vec<Vec<usize>> {
         let mut uf = UnionFind::new(records.len());
-        for d in resolver.match_pairs(&records) {
+        for d in resolver.match_pairs(records) {
             if d.is_match {
                 uf.union(d.a, d.b);
             }
         }
-        assert_eq!(resolver.resolve(&records), uf.into_groups());
+        uf.into_groups()
+    }
+
+    #[test]
+    fn mixed_arity_records_resolve_in_either_order() {
+        // Blocking locks its columns to the first record's arity; a later
+        // record lacking one of them blocks on the rest, and scoring uses the
+        // rules of the shorter record.
+        let long = RawRecord::new(0, ["Mary Lee", "9 St"]);
+        let short = RawRecord::new(1, ["Mary Lee"]);
+        let resolver = Resolver::default();
+        for records in [
+            vec![long.clone(), short.clone()],
+            vec![short.clone(), long.clone()],
+        ] {
+            let clusters = resolver.resolve(&records);
+            assert_eq!(clusters, vec![vec![0, 1]]);
+            assert_eq!(clusters, thresholded_match_pairs(&resolver, &records));
+        }
     }
 
     #[test]

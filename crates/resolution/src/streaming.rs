@@ -1,42 +1,38 @@
-//! Incremental (record-at-a-time) resolution state.
+//! The incremental resolution state behind every entry point.
 //!
-//! The batch entry points ([`Resolver::resolve`],
-//! [`Resolver::resolve_to_dataset`]) need the whole record collection in hand
-//! before blocking can even start. [`Resolver::resolve_stream`] is the
-//! ingestion half of resolution turned inside out: records are pushed one at
-//! a time — as a CSV reader produces them — and every per-record structure
-//! grows incrementally:
+//! A [`DeltaResolver`] holds everything resolution keeps per record: the
+//! records themselves, the blocking state (token blocks with bounded
+//! per-block memory and one sort key per record; see [`crate::blocking`]),
+//! the interned field vectors, and a cache of match decisions keyed by the
+//! two records' values. [`DeltaResolver::push`] ingests one record and
+//! [`DeltaResolver::snapshot`] clusters everything pushed so far.
 //!
-//! * **token blocks** are updated with the new record's tokens, with *bounded
-//!   per-block memory*: a block that exceeds the configured `max_block_size`
-//!   is replaced by an `Oversized` tombstone and its id list is dropped (the
-//!   batch path would skip such a block anyway, but only after buffering all
-//!   of its ids);
-//! * **sorted-neighborhood keys** are appended (one small key per record);
-//! * the **union-find** forest grows by one singleton per record.
+//! Every way of resolving is that state plus a snapshot. Incremental ingest
+//! keeps one state alive across batches and snapshots after each;
+//! [`Resolver::resolve_stream`] pushes a [`ec_data::RecordStream`] record by
+//! record (the input document is never materialized) and snapshots once;
+//! [`Resolver::resolve`], [`Resolver::resolve_to_dataset`] and
+//! [`Resolver::match_pairs`] do the same over a slice. One-shot resolution
+//! is the degenerate single batch, so a snapshot after any sequence of
+//! batches is bit-identical to resolving the concatenated input at once.
 //!
-//! At the end of the stream it scores exactly the candidate pairs the batch
-//! path would have produced and returns a bit-identical [`ec_data::Dataset`].
-//! (Scoring must wait for the end of the stream: whether a token block
-//! survives the size cap is only known once every record has arrived, so
-//! emitting pairs eagerly could union records the batch path never
-//! compares.) The same state, kept alive between batches, backs the
-//! cross-batch [`DeltaResolver`].
+//! Scoring waits for the snapshot: whether a token block survives the size
+//! cap is only known once its records have arrived, so emitting pairs
+//! eagerly could union records a later snapshot never compares.
 
-use crate::blocking::blocking_columns;
-use crate::matcher::{
-    clusters_to_dataset, score_pairs_arc, BlockingScheme, RawRecord, Resolver, ResolverConfig,
-};
-use crate::tokenize::{normalize_into, words_into, TokenBuf};
+use crate::blocking::Blocks;
+use crate::matcher::{clusters_to_dataset, score_pairs, RawRecord, Resolver, ResolverConfig};
 use crate::unionfind::UnionFind;
-use ec_data::{Dataset, DatasetIoError, RecordStream};
-use std::collections::{HashMap, HashSet};
+use ec_data::Dataset;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A fast, deterministic hasher for the delta resolver's small fixed-width
+/// A fast, deterministic hasher for the decision cache's small fixed-width
 /// keys (FxHash-style multiply-fold). The std SipHash default is measurable
-/// overhead when a snapshot performs one lookup per candidate pair; scores
-/// are values, not untrusted input, so HashDoS hardening buys nothing here.
+/// overhead when a snapshot performs one lookup per candidate pair; keys
+/// are interned ids, not untrusted input, so HashDoS hardening buys nothing
+/// here.
 #[derive(Default)]
 struct PairHasher(u64);
 
@@ -68,221 +64,12 @@ impl std::hash::BuildHasher for PairHashBuilder {
     }
 }
 
-/// One token block: the ids of the records containing the token, or a
-/// tombstone once the block outgrew the configured cap.
-enum TokenBlock {
-    Ids(Vec<u32>),
-    Oversized,
-}
-
-/// The per-record incremental blocking state shared by the one-shot
-/// [`Resolver::resolve_stream`] and the cross-batch [`DeltaResolver`]: the
-/// records, the growing union-find forest, and the token blocks /
-/// sorted-neighborhood keys every pushed record updates.
-struct StreamingState {
-    /// The records live behind an `Arc` so that scoring can shard `'static`
-    /// tasks over them without copying; while a single owner is pushing,
-    /// `Arc::make_mut` mutates in place with no clone.
-    records: Arc<Vec<RawRecord>>,
-    uf: UnionFind,
-    /// Which columns contribute blocking tokens/keys; locked in by the first
-    /// record's column count (as in the batch path).
-    cols: Vec<usize>,
-    token_blocks: HashMap<String, TokenBlock>,
-    sn_keys: Vec<(String, u32)>,
-    /// Reusable tokenization scratch for [`StreamingState::push`].
-    token_buf: TokenBuf,
-    key_scratch: String,
-}
-
-impl StreamingState {
-    fn new() -> Self {
-        StreamingState {
-            records: Arc::new(Vec::new()),
-            uf: UnionFind::new(0),
-            cols: Vec::new(),
-            token_blocks: HashMap::new(),
-            sn_keys: Vec::new(),
-            token_buf: TokenBuf::new(),
-            key_scratch: String::new(),
-        }
-    }
-
-    /// Ingests one record, updating blocks and the union-find incrementally.
-    fn push(&mut self, config: &ResolverConfig, record: RawRecord) {
-        let id = self.uf.push() as u32;
-        if self.records.is_empty() {
-            self.cols = blocking_columns(&config.blocking, record.fields.len());
-        }
-        let scheme = config.scheme;
-        if matches!(scheme, BlockingScheme::Token | BlockingScheme::Both) {
-            let buf = &mut self.token_buf;
-            buf.clear();
-            for &col in &self.cols {
-                words_into(&record.fields[col], buf);
-            }
-            let distinct = buf.sort_dedup_tokens();
-            for t in 0..distinct {
-                let token = buf.token(t);
-                if let Some(block) = self.token_blocks.get_mut(token) {
-                    if let TokenBlock::Ids(ids) = block {
-                        ids.push(id);
-                        if ids.len() > config.blocking.max_block_size {
-                            // Bounded per-block memory: drop the id list.
-                            *block = TokenBlock::Oversized;
-                        }
-                    }
-                } else {
-                    // A brand-new block only outlives its first record when
-                    // the cap allows a block of one.
-                    let block = if config.blocking.max_block_size < 1 {
-                        TokenBlock::Oversized
-                    } else {
-                        TokenBlock::Ids(vec![id])
-                    };
-                    self.token_blocks.insert(token.to_string(), block);
-                }
-            }
-        }
-        if matches!(
-            scheme,
-            BlockingScheme::SortedNeighborhood | BlockingScheme::Both
-        ) {
-            let mut key = String::new();
-            for (i, &c) in self.cols.iter().enumerate() {
-                if i > 0 {
-                    key.push('\u{1}');
-                }
-                normalize_into(&record.fields[c], &mut self.key_scratch);
-                key.push_str(&self.key_scratch);
-            }
-            self.sn_keys.push((key, id));
-        }
-        Arc::make_mut(&mut self.records).push(record);
-    }
-
-    /// The candidate pairs of the ingested records — exactly the set the
-    /// batch blocking functions would produce, deduplicated, ordered, and
-    /// with `a < b`. Sorts `sn_keys` in place (sound: sorting is idempotent
-    /// and later pushes append keys that the next call re-sorts) so no
-    /// O(records) copy is made at the peak-memory moment.
-    fn candidate_pairs(&mut self, config: &ResolverConfig) -> Vec<(u32, u32)> {
-        if self.records.len() < 2 {
-            return Vec::new();
-        }
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        if matches!(config.scheme, BlockingScheme::Token | BlockingScheme::Both) {
-            for block in self.token_blocks.values() {
-                let TokenBlock::Ids(ids) = block else {
-                    continue;
-                };
-                if ids.len() < 2 {
-                    continue;
-                }
-                // Ids within a block are appended in push order, so they are
-                // already ascending — `(a, b)` is canonical without min/max.
-                for (i, &a) in ids.iter().enumerate() {
-                    for &b in ids.iter().skip(i + 1) {
-                        pairs.push((a, b));
-                    }
-                }
-            }
-        }
-        if matches!(
-            config.scheme,
-            BlockingScheme::SortedNeighborhood | BlockingScheme::Both
-        ) && config.blocking.window >= 2
-        {
-            self.sn_keys.sort();
-            for (i, (_, a)) in self.sn_keys.iter().enumerate() {
-                for (_, b) in self
-                    .sn_keys
-                    .iter()
-                    .skip(i + 1)
-                    .take(config.blocking.window - 1)
-                {
-                    pairs.push(((*a).min(*b), (*a).max(*b)));
-                }
-            }
-        }
-        // Sort-and-dedup beats a hash set here: the pair list is regenerated
-        // on every snapshot, and most blocks emit runs of nearly-sorted pairs.
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    }
-}
-
-impl Resolver {
-    /// Streaming entry point: consumes a [`RecordStream`] record-at-a-time,
-    /// building blocks and the union-find incrementally (see the module
-    /// docs), then scores the candidate pairs, closes the clustering
-    /// transitively and packages the clusters as a [`Dataset`] exactly as
-    /// [`Resolver::resolve_to_dataset`] (with each cell's truth set to its
-    /// observed value) would. The produced dataset is bit-identical to
-    /// collecting the stream and calling the batch entry point; only the
-    /// peak memory differs — the input document is never materialized and
-    /// per-block state is bounded by the blocking configuration's
-    /// `max_block_size`.
-    ///
-    /// Scores are unobservable here — only the clustering escapes — so pair
-    /// scoring early-abandons sub-threshold pairs and shards across the
-    /// worker pool, both of which leave the decisions (and so the dataset)
-    /// unchanged.
-    pub fn resolve_stream<S: RecordStream + ?Sized>(
-        &self,
-        name: &str,
-        stream: &mut S,
-    ) -> Result<Dataset, DatasetIoError> {
-        let columns = stream.columns().to_vec();
-        let mut state = StreamingState::new();
-        while let Some(record) = stream.next_record() {
-            let record = record?;
-            state.push(
-                self.config(),
-                RawRecord {
-                    source: record.source,
-                    fields: record.fields,
-                },
-            );
-        }
-        let pairs = {
-            let _span = ec_obs::span!("resolution.blocking");
-            state.candidate_pairs(self.config())
-        };
-        let _span = ec_obs::span!("resolution.scoring", pairs.len());
-        let threshold = self.config().threshold;
-        let scores = score_pairs_arc(
-            self.config(),
-            self.parallelism(),
-            &state.records,
-            &pairs,
-            Some(threshold),
-        );
-        let mut uf = state.uf;
-        for (&(a, b), score) in pairs.iter().zip(&scores) {
-            if *score >= threshold {
-                uf.union(a as usize, b as usize);
-            }
-        }
-        let clusters = uf.into_groups();
-        Ok(clusters_to_dataset(
-            name,
-            columns,
-            &state.records,
-            clusters,
-            None,
-        ))
-    }
-}
-
-/// Cross-batch incremental resolution: the delta ingest path's resolver.
+/// Incremental resolution: the one resolution state (see the module docs).
 ///
-/// A [`DeltaResolver`] owns its [`Resolver`] and keeps the streaming state
-/// alive *between* batches, so each batch only pays for pushing its own
-/// records. [`DeltaResolver::snapshot`] then produces the clustering of
-/// everything pushed so far, **bit-identical** to
-/// [`Resolver::resolve_stream`] over the concatenated input:
+/// A [`DeltaResolver`] owns its [`Resolver`] and keeps its state alive
+/// *between* batches, so each batch only pays for pushing its own records.
+/// [`DeltaResolver::snapshot`] then produces the clustering of everything
+/// pushed so far:
 ///
 /// * the candidate-pair set is regenerated from the live block state on every
 ///   snapshot — it is *non-monotone* (a token block can outgrow the cap and
@@ -290,8 +77,8 @@ impl Resolver {
 ///   insert between old neighbors), so pairs unioned in an earlier snapshot
 ///   may legitimately vanish, and the union-find for a snapshot is rebuilt
 ///   from the current pair set rather than carried over;
-/// * what *is* carried over is the expensive part: pair **scores**, cached by
-///   the two records' value contents ([`Resolver::score_pair`] is a pure,
+/// * what *is* carried over is the expensive part: match **decisions**,
+///   cached by the two records' value contents (the pair score is a pure,
 ///   exactly symmetric function of the field strings — record ids would never
 ///   hit, since new records get new ids; the cache key is order-canonicalized
 ///   so both argument orders share one entry). At fraction-novel = 0 every
@@ -299,19 +86,26 @@ impl Resolver {
 ///   string-similarity work at all.
 pub struct DeltaResolver {
     resolver: Resolver,
-    state: StreamingState,
+    /// The records live behind an `Arc` so that scoring can shard `'static`
+    /// tasks over them without copying; while a single owner is pushing,
+    /// `Arc::make_mut` mutates in place with no clone.
+    records: Arc<Vec<RawRecord>>,
+    blocks: Blocks,
     /// Distinct field vectors, interned: the content key of a record.
     value_ids: HashMap<Vec<String>, u32>,
     /// The value id of each pushed record.
     record_values: Vec<u32>,
-    /// `(min(value_id[a], value_id[b]), max(…))` → score. The key is
-    /// canonicalized because every [`crate::similarity::SimilarityMeasure`]
-    /// is exactly symmetric (integer edit distances; Jaro match and
-    /// transposition counts are order-independent and the combining formulas
-    /// only rely on commutativity of `+`), so one cached score serves both
-    /// argument orders bit-identically — without this, re-ingesting seen
-    /// values in a new interleaving re-scores every reversed pair.
-    pair_cache: HashMap<(u32, u32), f64, PairHashBuilder>,
+    /// `(min(value_id[a], value_id[b]), max(…))` → does the pair match. The
+    /// cache is only ever read against the resolver's threshold, which is
+    /// fixed for its lifetime, so a decision is all it needs to hold — and
+    /// misses may be early-abandoned. The key is canonicalized because every
+    /// [`crate::similarity::SimilarityMeasure`] is exactly symmetric (integer
+    /// edit distances; Jaro match and transposition counts are
+    /// order-independent and the combining formulas only rely on
+    /// commutativity of `+`), so one decision serves both argument orders —
+    /// without this, re-ingesting seen values in a new interleaving
+    /// re-scores every reversed pair.
+    decisions: HashMap<(u32, u32), bool, PairHashBuilder>,
     scored_pairs: u64,
 }
 
@@ -320,10 +114,11 @@ impl DeltaResolver {
     pub fn new(config: ResolverConfig) -> Self {
         DeltaResolver {
             resolver: Resolver::new(config),
-            state: StreamingState::new(),
+            records: Arc::new(Vec::new()),
+            blocks: Blocks::default(),
             value_ids: HashMap::new(),
             record_values: Vec::new(),
-            pair_cache: HashMap::default(),
+            decisions: HashMap::default(),
             scored_pairs: 0,
         }
     }
@@ -343,18 +138,23 @@ impl DeltaResolver {
 
     /// Number of records ingested so far (across all batches).
     pub fn len(&self) -> usize {
-        self.state.records.len()
+        self.records.len()
     }
 
     /// True when no record has been ingested.
     pub fn is_empty(&self) -> bool {
-        self.state.records.is_empty()
+        self.records.is_empty()
     }
 
-    /// Pair scores computed so far (cache misses); the complement of the
+    /// Pairs scored so far (decision-cache misses); the complement of the
     /// fast-path ratio the delta pipeline reports.
     pub fn scored_pairs(&self) -> u64 {
         self.scored_pairs
+    }
+
+    /// The records ingested so far, in push order.
+    pub(crate) fn records(&self) -> &Arc<Vec<RawRecord>> {
+        &self.records
     }
 
     /// Ingests one record.
@@ -362,63 +162,74 @@ impl DeltaResolver {
         let next = self.value_ids.len() as u32;
         let vid = *self.value_ids.entry(record.fields.clone()).or_insert(next);
         self.record_values.push(vid);
-        self.state.push(self.resolver.config(), record);
+        self.blocks.push(self.resolver.config(), &record.fields);
+        Arc::make_mut(&mut self.records).push(record);
     }
 
-    /// The clustering of everything pushed so far, packaged as a [`Dataset`]
-    /// — bit-identical to [`Resolver::resolve_stream`] over the same records.
+    /// The candidate pairs of everything pushed so far: deduplicated,
+    /// ordered, and with `a < b`.
+    pub(crate) fn candidate_pairs(&mut self) -> Vec<(u32, u32)> {
+        let _span = ec_obs::span!("resolution.blocking");
+        self.blocks.candidate_pairs(self.resolver.config())
+    }
+
+    /// The clustering of everything pushed so far — groups of record
+    /// indices (the transitive closure of the match decisions; ordered by
+    /// smallest member, singletons kept) — handed to `package` with the
+    /// records. `package` runs inside the `resolution.scoring` span, so
+    /// traces charge turning clusters into output to resolution.
     ///
-    /// The cache stores **exact** scores (they are observable across
-    /// snapshots), so misses are never early-abandoned; they are, however,
-    /// scored in parallel: a sequential pass collects the first-occurrence
-    /// cache misses in pair order, the misses are exact-scored sharded over
-    /// the pool, and the results are inserted back in the same order —
-    /// cache contents, `scored_pairs`, and the clustering all end up
-    /// identical to the old one-pass loop.
-    pub fn snapshot(&mut self, name: &str, columns: Vec<String>) -> Dataset {
-        let pairs = {
-            let _span = ec_obs::span!("resolution.blocking");
-            self.state.candidate_pairs(self.resolver.config())
-        };
+    /// A sequential pass collects the first-occurrence cache misses in pair
+    /// order; the misses are scored sharded over the pool with early abandon
+    /// (only `score >= threshold` is kept, and an abandoned pair is provably
+    /// below it); then every pair is unioned from the cache. Cache contents,
+    /// `scored_pairs` and the clustering are independent of the thread count.
+    pub(crate) fn snapshot_with<T>(
+        &mut self,
+        package: impl FnOnce(&[RawRecord], Vec<Vec<usize>>) -> T,
+    ) -> T {
+        let pairs = self.candidate_pairs();
         let _span = ec_obs::span!("resolution.scoring", pairs.len());
-        let threshold = self.resolver.config().threshold;
         let record_values = &self.record_values;
-        // Phase 1: the distinct missing value-pair keys, first occurrence
-        // wins (exactly the pair `or_insert_with` would have scored).
-        let mut miss_keys: Vec<(u32, u32)> = Vec::new();
-        let mut miss_pairs: Vec<(u32, u32)> = Vec::new();
-        let mut miss_seen: HashSet<(u32, u32), PairHashBuilder> = HashSet::default();
-        for &(a, b) in &pairs {
+        let key = |a: u32, b: u32| {
             let (va, vb) = (record_values[a as usize], record_values[b as usize]);
-            let key = (va.min(vb), va.max(vb));
-            if !self.pair_cache.contains_key(&key) && miss_seen.insert(key) {
-                miss_keys.push(key);
-                miss_pairs.push((a, b));
+            (va.min(vb), va.max(vb))
+        };
+        let mut misses: Vec<(u32, u32)> = Vec::new();
+        for &(a, b) in &pairs {
+            if let Entry::Vacant(slot) = self.decisions.entry(key(a, b)) {
+                slot.insert(false);
+                misses.push((a, b));
             }
         }
-        // Phase 2: exact scores for the misses, sharded over the pool.
-        let scores = score_pairs_arc(
+        let threshold = self.resolver.config().threshold;
+        let scores = score_pairs(
             self.resolver.config(),
             self.resolver.parallelism(),
-            &self.state.records,
-            &miss_pairs,
-            None,
+            &self.records,
+            &misses,
+            Some(threshold),
         );
-        // Phase 3: fill the cache in order, then union every pair from it.
-        self.scored_pairs += miss_keys.len() as u64;
-        for (key, score) in miss_keys.into_iter().zip(scores) {
-            self.pair_cache.insert(key, score);
+        self.scored_pairs += misses.len() as u64;
+        for (&(a, b), score) in misses.iter().zip(scores) {
+            self.decisions.insert(key(a, b), score >= threshold);
         }
-        let mut uf = UnionFind::new(self.state.records.len());
+        let mut uf = UnionFind::new(self.records.len());
         for &(a, b) in &pairs {
-            let (va, vb) = (record_values[a as usize], record_values[b as usize]);
-            let key = (va.min(vb), va.max(vb));
-            if self.pair_cache[&key] >= threshold {
+            if self.decisions[&key(a, b)] {
                 uf.union(a as usize, b as usize);
             }
         }
-        let clusters = uf.into_groups();
-        clusters_to_dataset(name, columns, &self.state.records, clusters, None)
+        package(&self.records, uf.into_groups())
+    }
+
+    /// The clustering of everything pushed so far, packaged as a [`Dataset`]
+    /// with each cell's truth set to its observed value — bit-identical to
+    /// [`Resolver::resolve_stream`] over the same records.
+    pub fn snapshot(&mut self, name: &str, columns: Vec<String>) -> Dataset {
+        self.snapshot_with(|records, clusters| {
+            clusters_to_dataset(name, columns, records, clusters, None)
+        })
     }
 }
 
@@ -426,7 +237,7 @@ impl DeltaResolver {
 mod tests {
     use super::*;
     use crate::blocking::BlockingConfig;
-    use crate::matcher::ResolverConfig;
+    use crate::matcher::BlockingScheme;
     use ec_data::{FlatRecord, RecordStream, VecRecordStream};
 
     fn sample_records() -> Vec<RawRecord> {
@@ -452,94 +263,6 @@ mod tests {
                 })
                 .collect(),
         )
-    }
-
-    #[test]
-    fn streaming_matches_batch_for_every_scheme() {
-        let records = sample_records();
-        for scheme in [
-            BlockingScheme::Token,
-            BlockingScheme::SortedNeighborhood,
-            BlockingScheme::Both,
-        ] {
-            let resolver = Resolver::new(ResolverConfig {
-                scheme,
-                threshold: 0.5,
-                ..ResolverConfig::default()
-            });
-            let batch = resolver.resolve_to_dataset(
-                "r",
-                vec!["Name".to_string(), "Address".to_string()],
-                &records,
-                None,
-            );
-            let streamed = resolver
-                .resolve_stream("r", &mut stream_of(&records))
-                .unwrap();
-            assert_eq!(batch, streamed, "{scheme:?}");
-        }
-    }
-
-    #[test]
-    fn streaming_matches_batch_when_blocks_overflow() {
-        // Every record shares the "common" token; with a tiny cap that block
-        // is dropped in both paths, leaving only the distinctive tokens.
-        let records: Vec<RawRecord> = (0..12)
-            .map(|i| RawRecord::new(i % 3, [format!("common name{}", i / 2)]))
-            .collect();
-        let resolver = Resolver::new(ResolverConfig {
-            scheme: BlockingScheme::Token,
-            blocking: BlockingConfig {
-                max_block_size: 4,
-                ..BlockingConfig::default()
-            },
-            ..ResolverConfig::default()
-        });
-        let mut stream = VecRecordStream::new(
-            vec!["Name".to_string()],
-            records
-                .iter()
-                .map(|r| FlatRecord {
-                    source: r.source,
-                    fields: r.fields.clone(),
-                })
-                .collect(),
-        );
-        let streamed = resolver.resolve_stream("r", &mut stream).unwrap();
-        let batch = resolver.resolve_to_dataset("r", vec!["Name".to_string()], &records, None);
-        assert_eq!(batch, streamed);
-        assert!(streamed.clusters.len() > 1, "the common token was dropped");
-    }
-
-    #[test]
-    fn oversized_blocks_hold_bounded_state() {
-        let resolver = Resolver::new(ResolverConfig {
-            scheme: BlockingScheme::Token,
-            blocking: BlockingConfig {
-                max_block_size: 3,
-                ..BlockingConfig::default()
-            },
-            ..ResolverConfig::default()
-        });
-        let mut state = StreamingState::new();
-        for i in 0..100 {
-            state.push(
-                resolver.config(),
-                RawRecord::new(0, [format!("shared unique{i}")]),
-            );
-        }
-        let oversized = state
-            .token_blocks
-            .values()
-            .filter(|b| matches!(b, TokenBlock::Oversized))
-            .count();
-        assert_eq!(oversized, 1, "the 'shared' block was tombstoned");
-        for block in state.token_blocks.values() {
-            if let TokenBlock::Ids(ids) = block {
-                assert!(ids.len() <= 3);
-            }
-        }
-        assert_eq!(state.records.len(), 100);
     }
 
     #[test]
@@ -647,42 +370,77 @@ mod tests {
     #[test]
     fn delta_pair_cache_hits_on_repeated_values() {
         let records = sample_records();
+        let columns = vec!["Name".to_string(), "Address".to_string()];
         let mut delta = DeltaResolver::new(ResolverConfig {
             threshold: 0.5,
             ..ResolverConfig::default()
         });
-        for r in &records {
-            delta.push(r.clone());
+        let mut scored = Vec::new();
+        let mut snapshots = Vec::new();
+        for _ in 0..3 {
+            for r in &records {
+                delta.push(r.clone());
+            }
+            snapshots.push(delta.snapshot("r", columns.clone()));
+            scored.push(delta.scored_pairs());
         }
-        let first = delta.snapshot("r", vec!["Name".to_string(), "Address".to_string()]);
-        let scored_once = delta.scored_pairs();
-        assert!(scored_once > 0);
         // Re-pushing the same values: the first repetition only scores the
         // genuinely new value pairings (each value against its own duplicate
         // — the cache key is order-canonicalized, so reversed interleavings
         // of *distinct* values all hit). By the second repetition every
         // candidate pair is between warm value contents and the snapshot
-        // performs no similarity work at all.
-        for r in &records {
-            delta.push(r.clone());
+        // performs no similarity work at all. The counts are pinned: misses
+        // depend only on the candidate pairs and the value interning, never
+        // on what a cache entry holds or how it was scored.
+        assert_eq!(scored, vec![21, 28, 28]);
+        assert!(scored[1] <= scored[0] + records.len() as u64);
+        for (i, snapshot) in snapshots.iter().enumerate() {
+            assert_eq!(
+                snapshot.stats(0).num_records,
+                (i + 1) * snapshots[0].stats(0).num_records
+            );
         }
-        let second = delta.snapshot("r", vec!["Name".to_string(), "Address".to_string()]);
-        let scored_twice = delta.scored_pairs();
-        assert!(
-            scored_twice <= scored_once + records.len() as u64,
-            "only self-value pairs may still be cold"
-        );
-        for r in &records {
-            delta.push(r.clone());
+    }
+
+    #[test]
+    fn decision_cache_misses_are_pinned_on_a_three_batch_address_run() {
+        let dataset = ec_data::address(&ec_data::GeneratorConfig {
+            num_clusters: 40,
+            seed: 11,
+            num_sources: 6,
+        });
+        let records: Vec<RawRecord> = dataset
+            .clusters
+            .iter()
+            .flat_map(|c| c.rows.iter())
+            .map(|r| RawRecord::new(r.source, r.cells.iter().map(|c| c.observed.clone())))
+            .collect();
+        let n = records.len();
+        assert_eq!(n, 228);
+        // (threshold, clusters after each batch). The misses depend only on
+        // the candidate pairs, never on the threshold.
+        for (threshold, clusters) in [(0.75, [24, 24, 18]), (0.9, [34, 66, 93])] {
+            let mut delta = DeltaResolver::new(ResolverConfig {
+                threshold,
+                ..ResolverConfig::default()
+            });
+            let mut scored = Vec::new();
+            let mut sizes = Vec::new();
+            for end in [n / 3, 2 * n / 3, n] {
+                while delta.len() < end {
+                    delta.push(records[delta.len()].clone());
+                }
+                sizes.push(
+                    delta
+                        .snapshot("r", vec!["Address".to_string()])
+                        .clusters
+                        .len(),
+                );
+                scored.push(delta.scored_pairs());
+            }
+            assert_eq!(scored, vec![990, 3206, 6028], "threshold {threshold}");
+            assert_eq!(sizes, clusters, "threshold {threshold}");
         }
-        let third = delta.snapshot("r", vec!["Name".to_string(), "Address".to_string()]);
-        assert_eq!(
-            delta.scored_pairs(),
-            scored_twice,
-            "all pairs hit the cache"
-        );
-        assert_eq!(second.stats(0).num_records, 2 * first.stats(0).num_records);
-        assert_eq!(third.stats(0).num_records, 3 * first.stats(0).num_records);
     }
 
     #[test]

@@ -38,18 +38,6 @@ impl UnionFind {
         self.components
     }
 
-    /// Appends one new singleton element, returning its index. This is how
-    /// the streaming resolver grows the forest record-by-record; the result
-    /// is indistinguishable from constructing `UnionFind::new` at the final
-    /// size upfront.
-    pub fn push(&mut self) -> usize {
-        let id = self.parent.len();
-        self.parent.push(id);
-        self.rank.push(0);
-        self.components += 1;
-        id
-    }
-
     /// The representative of `x`'s set, with path compression.
     ///
     /// # Panics

@@ -18,7 +18,7 @@
 
 use crate::http::{self, Persistence, Request};
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,6 +61,10 @@ pub(crate) const DRAIN_CAP: u64 = 64 * 1024 * 1024;
 
 /// The `Retry-After` seconds advertised on connection-cap rejections.
 const RETRY_AFTER_SECS: u32 = 1;
+
+/// How long the accept thread spends draining a rejected connection's
+/// request after answering it (see [`reject_over_capacity`]).
+const REJECT_DRAIN: Duration = Duration::from_millis(5);
 
 /// A handler failure that still has a clean HTTP answer.
 pub(crate) struct HttpFailure {
@@ -244,11 +248,17 @@ fn spawn_connection<S: Service>(service: &Arc<S>, stream: TcpStream, guard: Conn
 /// Answers `503` + `Retry-After` on the accept thread. The write is bounded
 /// by a short timeout so a slow client cannot stall accepting; the body is
 /// one small flat write that fits any socket send buffer.
+///
+/// Closing a socket whose request is still unread makes the close a reset,
+/// which can discard the 503 from the client's receive buffer before the
+/// client reads it. So the write half is shut down first (the response ends
+/// with a FIN), and whatever the client has sent is drained until it hangs
+/// up — it does once it has read the response — or [`REJECT_DRAIN`] passes.
 fn reject_over_capacity(stream: TcpStream, cap: usize) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    let mut writer = BufWriter::new(stream);
-    let _ = http::write_response(
+    let mut writer = BufWriter::new(&stream);
+    let written = http::write_response(
         &mut writer,
         503,
         "text/plain",
@@ -257,6 +267,23 @@ fn reject_over_capacity(stream: TcpStream, cap: usize) {
         format!("server busy: {cap} connections already active\n").as_bytes(),
     )
     .and_then(|()| writer.flush());
+    drop(writer);
+    if written.is_err() || stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + REJECT_DRAIN;
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match (&stream).read(&mut sink) {
+            Ok(1..) => {}
+            // Hangup, timeout or error: nothing more worth waiting for.
+            _ => return,
+        }
+    }
 }
 
 /// How one connection's executor turn ended.

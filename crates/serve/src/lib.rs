@@ -1233,10 +1233,10 @@ mod tests {
         holder.write_all(b"GET /healthz HTT").unwrap();
         holder.flush().unwrap();
         // The holder connects (and is accepted) first; the next connection
-        // trips the cap on the accept thread. The inline rejection writes
-        // and closes without reading the request, which can reset the
-        // connection under the client's own write — retry past that race
-        // (the holder occupies the slot for seconds either way).
+        // trips the cap on the accept thread, which answers before reading
+        // the request and then half-closes and drains it so the answer is
+        // not lost to a reset. Transient errors are still retried (the
+        // holder occupies the slot for seconds either way).
         let rejected = (0..50)
             .find_map(|_| http::request(handle.addr(), "GET", "/healthz", b"").ok())
             .expect("no rejection response within the holder's window");
@@ -1244,9 +1244,8 @@ mod tests {
         assert_eq!(rejected.header("retry-after"), Some("1"));
         assert_eq!(rejected.header("connection"), Some("close"));
         // Releasing the slot re-admits new connections. Until the holder's
-        // job notices the hangup, requests still trip the cap — and the
-        // inline rejection can reset the connection mid-write exactly like
-        // above, so errors here are retried, not fatal.
+        // job notices the hangup, requests still trip the cap, so 503s and
+        // transient errors here are retried, not fatal.
         drop(holder);
         let mut recovered = None;
         for _ in 0..100 {
@@ -1260,6 +1259,40 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         assert!(recovered.is_some(), "cap never released after disconnect");
+        handle.stop();
+        join.join().unwrap();
+    }
+
+    #[test]
+    fn rejections_survive_a_client_that_reads_late() {
+        let (handle, join) = start_server(ServeConfig {
+            max_connections: 1,
+            ..ephemeral_config()
+        });
+        let mut holder = std::net::TcpStream::connect(handle.addr()).unwrap();
+        holder.write_all(b"GET /healthz HTT").unwrap();
+        holder.flush().unwrap();
+        // Each client sends its whole request, then waits before reading:
+        // by then the server has answered and closed. Closing with the
+        // request unread would reset the connection and take the queued 503
+        // with it.
+        for attempt in 0..10 {
+            let mut client = std::net::TcpStream::connect(handle.addr()).unwrap();
+            client
+                .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            let mut answer = Vec::new();
+            client
+                .read_to_end(&mut answer)
+                .unwrap_or_else(|e| panic!("attempt {attempt}: {e}"));
+            assert!(
+                answer.starts_with(b"HTTP/1.1 503"),
+                "attempt {attempt}: {}",
+                String::from_utf8_lossy(&answer)
+            );
+        }
+        drop(holder);
         handle.stop();
         join.join().unwrap();
     }
