@@ -1,6 +1,6 @@
 //! # ec-artifact — memory-mapped compiled-dataset artifacts
 //!
-//! A [`CompiledDataset`](ec_core::CompiledDataset) holds everything the
+//! A [`ec_core::CompiledDataset`] holds everything the
 //! budgeted review loop needs — candidate sets, structure partitions, and
 //! each partition's prepared graphs and CSR inverted index. This crate gives
 //! that state a durable on-disk form: a single versioned binary file with an

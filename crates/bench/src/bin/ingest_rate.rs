@@ -4,10 +4,13 @@
 //! The harness seeds a [`DeltaPipeline`] with a base corpus, then streams
 //! timed batches whose **fraction-novel** knob controls how many records come
 //! from clusters the pipeline has never seen. At fraction 0 every record's
-//! shape is already learned — the pair cache resolves it, the cached group
-//! sequences replay, and no pivot search runs — so throughput measures the
-//! pure fast path. At fraction 1 every record is new and the delta path
-//! degenerates toward a full run. Each batch is compared against the
+//! shape is already learned — the decision cache scores no pairs, the
+//! per-cluster candidates and prepared partitions are reused, the cached
+//! group sequences replay, and no pivot search runs — so throughput measures
+//! the fast path. Even then each batch regenerates the state's candidate
+//! pairs, repackages the dataset and re-runs review and truth discovery over
+//! it. At fraction 1 every record is new and the delta path degenerates
+//! toward a full run. Each batch is compared against the
 //! **full-rebuild baseline**: a one-shot pipeline over the union of
 //! everything ingested so far, which is exactly what a service without the
 //! delta path would have to pay per batch.
@@ -20,7 +23,7 @@
 //! `ingest/v1`) to `EC_BENCH_EXPORT_DIR` (or the current directory), where CI
 //! archives them; successive PRs extend the trajectory by comparing these
 //! files. Each sweep point embeds the `ec-obs` registry movement across its
-//! timed batches (pair-cache hits/misses/evictions, replayed sequences,
+//! timed batches (candidate-cache hits/misses, replayed sequences,
 //! stage timings), snapshotted in-process via `ec_obs::render`.
 //!
 //! Usage: `ingest_rate [--clusters N] [--batch-size N] [--batches N]`

@@ -125,7 +125,6 @@ fn accepted(command: &str) -> Option<(&'static [&'static str], &'static [&'stati
                 "golden",
                 "threads",
                 "save-library",
-                "ingest-cache-cap",
             ],
             &[],
         )),
@@ -152,7 +151,6 @@ fn accepted(command: &str) -> Option<(&'static [&'static str], &'static [&'stati
                 "route",
                 "artifact",
                 "auth-token",
-                "ingest-cache-cap",
             ],
             &[],
         )),
@@ -248,20 +246,15 @@ SUBCOMMANDS:
                  [--output FILE]  [--golden FILE]  [--threads N]
                  [--save-library FILE]
   ingest       incremental (delta) pipeline: stream flat records in batches
-               through a persistent consolidation state instead of a full
-               rebuild per batch; the final golden output is byte-identical
-               to `ec pipeline` over the same records, but seen shapes cost
-               ~a lookup per record (residue pays for the learning)
+               through a persistent consolidation state; the final golden
+               output is byte-identical to `ec pipeline` over the same
+               records, but seen shapes score no pairs and run no pivot
+               search (residue pays for the learning)
                  --input FILE  [--batch-size N]  [--threshold T]
                  [--name NAME]  [--budget N]  [--mode auto|approve-all]
                  [--truth-method majority|reliability]
                  [--output FILE]  [--golden FILE]  [--threads N]
                  [--save-library FILE]
-                 [--ingest-cache-cap N]  (bound the per-cluster candidate
-                                      cache to N clusters per column,
-                                      least-recently-hit evicted; evicted
-                                      work is regenerated on demand, so
-                                      outputs never change; 0 = unbounded)
   apply        standardize flat records through a saved program library —
                learn once, apply forever, no re-learning
                  --input FILE  --library FILE  [--output FILE]
@@ -294,9 +287,6 @@ SUBCOMMANDS:
                                       startup; an empty-body POST /pipeline
                                       or /apply then replays the compiled
                                       dataset instead of parsing a body)
-                 [--ingest-cache-cap N]  (bound the /ingest session's
-                                      per-cluster candidate cache, as for
-                                      `ec ingest`; 0 = unbounded)
                with --route, run as a shard router instead: partition work
                across backend ec serve processes over a consistent-hash
                ring (/apply shards by column, /pipeline routes whole by

@@ -557,11 +557,14 @@ pub fn pipeline(
 }
 
 /// `ec ingest`: the incremental (delta) pipeline. Flat records stream in
-/// batch by batch through a persistent [`ec_core::DeltaPipeline`]: resolution state,
-/// candidate caches and prepared grouping partitions survive between batches,
-/// so a batch of already-seen shapes costs ~a lookup per record instead of a
-/// full rebuild. The final `--output` / `--golden` files are byte-identical
-/// to `ec pipeline` over the same records with the same flags.
+/// batch by batch through a persistent [`ec_core::DeltaPipeline`]: match
+/// decisions, per-cluster candidates, prepared grouping partitions and the
+/// emitted group sequence survive between batches, so a batch of
+/// already-seen shapes scores no pairs and runs no pivot search. Every batch
+/// still regenerates the state's candidate pairs, repackages the dataset and
+/// re-runs review and truth discovery over it. The final `--output` /
+/// `--golden` files are byte-identical to `ec pipeline` over the same
+/// records with the same flags.
 pub fn ingest(
     parsed: &ParsedArgs,
     input: impl Read,
@@ -573,14 +576,9 @@ pub fn ingest(
         return Err(CliError::Usage("--batch-size must be positive".to_string()));
     }
     let threads = parsed.get_usize("threads", 0)?;
-    // `--ingest-cache-cap N` bounds the per-cluster candidate cache;
-    // eviction is memory-only, outputs never change.
-    let cache_cap = parsed.get_usize("ingest-cache-cap", 0)?;
     let mut stream = FlatCsvReader::new(input)?;
     let sinks = Sinks::open(parsed, open_output)?;
-    let mut delta = options
-        .delta_pipeline(stream.columns().to_vec(), threads)
-        .with_cache_cap(Some(cache_cap));
+    let mut delta = options.delta_pipeline(stream.columns().to_vec(), threads);
 
     let mut out = String::new();
     let mut batch: Vec<RawRecord> = Vec::with_capacity(batch_size);
@@ -881,7 +879,6 @@ pub fn serve(
         library_ttl: (library_ttl > 0).then(|| std::time::Duration::from_secs(library_ttl as u64)),
         preloaded: preloaded.as_ref().map(|(compiled, _)| compiled.clone()),
         auth_token: parsed.get("auth-token").map(str::to_string),
-        ingest_cache_cap: Some(parsed.get_usize("ingest-cache-cap", 0)?),
     };
     let server = Server::bind(config).map_err(|e| CliError::Io(format!("cannot bind: {e}")))?;
     writeln!(

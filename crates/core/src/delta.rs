@@ -9,7 +9,8 @@
 //! * **Resolution** rides on [`DeltaResolver`]: records are pushed once,
 //!   blocks and the sorted-neighborhood key list grow incrementally, and match
 //!   decisions are cached by value content, so a batch of already-seen values
-//!   scores nothing.
+//!   scores nothing. Each snapshot still regenerates every candidate pair of
+//!   the state and repackages the whole dataset.
 //! * **Candidate generation** is cached per cluster, keyed by the cluster's
 //!   value vector. Clusters are independent (`generate_candidates` shards by
 //!   cluster), and the union-find emits clusters ordered by smallest member,
@@ -17,7 +18,7 @@
 //!   bit-identical to a fresh global generation.
 //! * **Grouping** reuses prepared structure partitions: a partition whose
 //!   members are unchanged reuses its [`PreparedGraphs`] as-is; a partition
-//!   that only gained members at the end grows a clone via
+//!   that only gained members at the end grows via
 //!   [`PreparedGraphs::append`] (new postings appended to the CSR index, only
 //!   touched label ranges re-sorted); anything else is rebuilt. When the whole
 //!   candidate list of a column is unchanged — the steady state for batches of
@@ -42,15 +43,14 @@
 //! reported per batch and drives the serve-layer `X-Ec-Library-Hits` /
 //! `X-Ec-Library-Misses` counters.
 //!
-//! Memory note: the per-cluster candidate cache keeps superseded entries (an
-//! entry for a cluster's previous value vector lingers after the cluster
-//! grows). This trades memory for never recomputing when a later batch
-//! reverts to a previously seen shape. Long-running sessions can bound it
-//! with [`DeltaPipeline::with_cache_cap`] (`--ingest-cache-cap` on the CLI
-//! and server): when the cache exceeds the cap, the least-recently-hit
-//! entries are evicted — results never change, an evicted shape is simply
-//! regenerated on its next appearance. Evictions are counted in the
-//! `ec_ingest_cache_evictions_total` registry metric.
+//! Retention rule: after each batch a column's caches hold exactly the live
+//! state — the contributions keyed by the current clusters' value vectors,
+//! the prepared partitions of the structures in the current candidate list,
+//! and the one group sequence. The contribution map is rebuilt from each
+//! batch's hits and misses, the partition map from each new emission, so an
+//! entry a cluster has outgrown (or that a split left behind) is dropped, and
+//! the caches are bounded by the input rather than by the session's history.
+//! A shape that comes back later is regenerated.
 
 use crate::consolidate::{review_columns, write_golden_records_csv, AutoMode, AutoReview};
 use crate::library::{ProgramLibrary, ValueOutcome};
@@ -98,7 +98,6 @@ struct CachedPartition {
 struct IngestMetrics {
     cache_hits: ec_obs::Counter,
     cache_misses: ec_obs::Counter,
-    cache_evictions: ec_obs::Counter,
     replayed_columns: ec_obs::Counter,
 }
 
@@ -113,10 +112,6 @@ fn ingest_metrics() -> &'static IngestMetrics {
             "ec_ingest_cache_misses_total",
             "Cluster value vectors whose candidate contribution had to be generated.",
         ),
-        cache_evictions: ec_obs::counter(
-            "ec_ingest_cache_evictions_total",
-            "Candidate-cache entries evicted by the --ingest-cache-cap bound.",
-        ),
         replayed_columns: ec_obs::counter(
             "ec_ingest_replayed_columns_total",
             "Columns whose group sequence was replayed without any pivot search.",
@@ -124,24 +119,13 @@ fn ingest_metrics() -> &'static IngestMetrics {
     })
 }
 
-/// One cluster's cached candidate contribution plus its recency stamp for
-/// least-recently-hit eviction.
-struct CachedContribution {
-    set: CandidateSet,
-    /// Value of the column's tick counter at the last lookup; ticks are
-    /// unique, so eviction order is deterministic.
-    last_hit: u64,
-}
-
-/// The memoized per-column state.
+/// The memoized per-column state: exactly what the latest snapshot used.
 #[derive(Default)]
 struct ColumnCache {
     /// Candidate contributions keyed by a cluster's value vector (the
     /// contribution's [`CellRef`]s carry cluster index 0 and are rebound on
     /// merge).
-    contributions: HashMap<Vec<String>, CachedContribution>,
-    /// Monotone lookup counter backing `CachedContribution::last_hit`.
-    tick: u64,
+    contributions: HashMap<Vec<String>, CandidateSet>,
     /// The last emitted group sequence, keyed by the exact candidate list it
     /// was computed from. At most `budget` groups are stored; the review loop
     /// shares the sequence and clones only the groups it approves.
@@ -149,28 +133,6 @@ struct ColumnCache {
     /// Prepared graphs per structure partition, grown via
     /// [`PreparedGraphs::append`] when members only get appended.
     partitions: HashMap<ReplacementStructure, CachedPartition>,
-}
-
-impl ColumnCache {
-    /// Evicts least-recently-hit contributions until the cache fits `cap`.
-    /// Returns how many entries were dropped. Entries touched by the current
-    /// batch carry fresh ticks, so superseded value vectors go first.
-    fn evict_over_cap(&mut self, cap: usize) -> usize {
-        if self.contributions.len() <= cap {
-            return 0;
-        }
-        let excess = self.contributions.len() - cap;
-        let mut by_recency: Vec<(u64, Vec<String>)> = self
-            .contributions
-            .iter()
-            .map(|(key, cached)| (cached.last_hit, key.clone()))
-            .collect();
-        by_recency.sort_unstable();
-        for (_, key) in by_recency.into_iter().take(excess) {
-            self.contributions.remove(&key);
-        }
-        excess
-    }
 }
 
 /// The incremental ingest orchestrator: feed record batches with
@@ -192,10 +154,6 @@ pub struct DeltaPipeline {
     batches: usize,
     library_hits: u64,
     library_misses: u64,
-    /// Per-column bound on cached candidate contributions (`None` =
-    /// unbounded, the historical behaviour).
-    cache_cap: Option<usize>,
-    cache_evictions: u64,
 }
 
 impl DeltaPipeline {
@@ -225,23 +183,7 @@ impl DeltaPipeline {
             batches: 0,
             library_hits: 0,
             library_misses: 0,
-            cache_cap: None,
-            cache_evictions: 0,
         }
-    }
-
-    /// Bounds the per-column candidate-contribution cache to `cap` entries
-    /// (least-recently-hit eviction; 0 or `None` = unbounded). Outputs are
-    /// unaffected — an evicted shape is regenerated when it next appears.
-    pub fn with_cache_cap(mut self, cap: Option<usize>) -> Self {
-        self.cache_cap = cap.filter(|&c| c > 0);
-        self
-    }
-
-    /// Candidate-cache entries evicted so far under
-    /// [`DeltaPipeline::with_cache_cap`].
-    pub fn cache_evictions(&self) -> u64 {
-        self.cache_evictions
     }
 
     /// The dataset name.
@@ -358,15 +300,10 @@ impl DeltaPipeline {
         // `has_truth = true`. Oracles are rebuilt every batch: simulated
         // verdicts depend on current cluster contents and are never replayed.
         let mut replayed_columns = 0;
-        let (caches, config, cache_cap) =
-            (&mut self.caches, self.pipeline.config(), self.cache_cap);
-        let mut evictions = 0;
+        let (caches, config) = (&mut self.caches, self.pipeline.config());
         let source = |dataset: &Dataset, col: usize| {
             let (source, replayed) = delta_column(&mut caches[col], config, dataset, col);
             replayed_columns += usize::from(replayed);
-            if let Some(cap) = cache_cap {
-                evictions += caches[col].evict_over_cap(cap);
-            }
             source
         };
         let columns: Vec<usize> = (0..self.columns.len()).collect();
@@ -378,10 +315,6 @@ impl DeltaPipeline {
             &mut AutoReview::new(self.mode, true),
             Some(&mut self.library),
         );
-        if evictions > 0 {
-            self.cache_evictions += evictions as u64;
-            ingest_metrics().cache_evictions.add(evictions as u64);
-        }
         ingest_metrics()
             .replayed_columns
             .add(replayed_columns as u64);
@@ -404,8 +337,9 @@ impl DeltaPipeline {
 }
 
 /// Merges per-cluster cached candidate contributions into the column's global
-/// candidate set, generating (and caching) the contribution of any cluster
-/// whose value vector has not been seen before.
+/// candidate set, generating the contribution of any cluster whose value
+/// vector was not live in the previous snapshot. The cache keeps exactly the
+/// contributions this snapshot uses.
 ///
 /// This reproduces `generate_candidates(&values, config)` exactly: clusters
 /// are independent, contributions are appended in cluster order (first-seen
@@ -416,30 +350,22 @@ fn merged_candidates(
     values: &[Vec<String>],
     config: &ConsolidationConfig,
 ) -> CandidateSet {
-    let metrics = ingest_metrics();
+    let mut previous = std::mem::take(&mut cache.contributions);
+    let mut misses = 0;
     let mut merged = CandidateSet::default();
     for (c, cluster_values) in values.iter().enumerate() {
-        cache.tick += 1;
-        let tick = cache.tick;
-        match cache.contributions.get_mut(cluster_values) {
-            Some(cached) => {
-                cached.last_hit = tick;
-                metrics.cache_hits.inc();
-            }
-            None => {
-                let set =
-                    generate_candidates(std::slice::from_ref(cluster_values), &config.candidates);
-                cache.contributions.insert(
-                    cluster_values.clone(),
-                    CachedContribution {
-                        set,
-                        last_hit: tick,
-                    },
-                );
-                metrics.cache_misses.inc();
-            }
-        }
-        let contrib = &cache.contributions[cluster_values].set;
+        let contrib = match previous.remove_entry(cluster_values) {
+            Some((key, set)) => cache.contributions.entry(key).or_insert(set),
+            // A miss, or a value vector an earlier cluster of this snapshot
+            // already moved over.
+            None => cache
+                .contributions
+                .entry(cluster_values.clone())
+                .or_insert_with(|| {
+                    misses += 1;
+                    generate_candidates(std::slice::from_ref(cluster_values), &config.candidates)
+                }),
+        };
         for r in &contrib.replacements {
             let cells = contrib.set(r);
             merged
@@ -455,13 +381,18 @@ fn merged_candidates(
                 }));
         }
     }
+    let metrics = ingest_metrics();
+    metrics.cache_hits.add((values.len() - misses) as u64);
+    metrics.cache_misses.add(misses as u64);
     merged
 }
 
 /// Returns the prepared graphs for one structure partition, reusing or
-/// growing the cached state when possible.
+/// growing the partition's state from the previous emission (taken out of
+/// `previous`) when possible, and records the state in `partitions`.
 fn prepared_for(
-    cache: &mut ColumnCache,
+    previous: &mut HashMap<ReplacementStructure, CachedPartition>,
+    partitions: &mut HashMap<ReplacementStructure, CachedPartition>,
     members: &[Replacement],
     grouping: &GroupingConfig,
 ) -> Arc<PreparedGraphs> {
@@ -469,50 +400,48 @@ fn prepared_for(
         return Arc::new(PreparedGraphs::build(members, grouping));
     };
     let sig = replacement_structure(first.lhs(), first.rhs());
-    if let Some(cached) = cache.partitions.get_mut(&sig) {
-        if cached.members == members {
-            return Arc::clone(&cached.prepared);
-        }
-        if members.len() > cached.members.len()
-            && members[..cached.members.len()] == cached.members[..]
-        {
+    let cached = match previous.remove(&sig) {
+        Some(cached) if cached.members == members => cached,
+        Some(cached) if members.starts_with(&cached.members) => {
             // The partition only gained members at the end (the common case:
             // novel clusters append their candidates after all existing
-            // ones) — grow a copy instead of rebuilding from scratch.
-            let mut grown = (*cached.prepared).clone();
+            // ones) — grow it instead of rebuilding from scratch. The last
+            // grouper is gone, so the graphs are usually grown in place.
+            let mut grown = Arc::try_unwrap(cached.prepared).unwrap_or_else(|arc| (*arc).clone());
             grown.append(&members[cached.members.len()..], grouping);
-            let arc = Arc::new(grown);
-            cached.members = members.to_vec();
-            cached.prepared = Arc::clone(&arc);
-            return arc;
+            CachedPartition {
+                members: members.to_vec(),
+                prepared: Arc::new(grown),
+            }
         }
-    }
-    let arc = Arc::new(PreparedGraphs::build(members, grouping));
-    cache.partitions.insert(
-        sig,
-        CachedPartition {
+        _ => CachedPartition {
             members: members.to_vec(),
-            prepared: Arc::clone(&arc),
+            prepared: Arc::new(PreparedGraphs::build(members, grouping)),
         },
-    );
-    arc
+    };
+    let prepared = Arc::clone(&cached.prepared);
+    partitions.insert(sig, cached);
+    prepared
 }
 
 /// Computes the group sequence a fresh `StructuredGrouper` would emit for
 /// `candidates` (truncated at `budget` — the review loop never looks
 /// further), reusing prepared partitions from the cache. Also returns how
-/// many pivot searches exhausted their step budget on the way.
+/// many pivot searches exhausted their step budget on the way. The cache
+/// keeps exactly the partitions of `candidates`.
 fn emit_groups(
     cache: &mut ColumnCache,
     candidates: &[Replacement],
     grouping: &GroupingConfig,
     budget: usize,
 ) -> (Vec<Group>, usize) {
+    let mut previous = std::mem::take(&mut cache.partitions);
     let compiled: Vec<(Vec<Replacement>, Arc<PreparedGraphs>)> =
         partition_replacements(candidates, grouping)
             .into_iter()
             .map(|members| {
-                let prepared = prepared_for(cache, &members, grouping);
+                let prepared =
+                    prepared_for(&mut previous, &mut cache.partitions, &members, grouping);
                 (members, prepared)
             })
             .collect();
@@ -712,41 +641,43 @@ mod tests {
     }
 
     #[test]
-    fn a_tight_cache_cap_evicts_but_never_changes_results() {
+    fn caches_hold_exactly_the_live_state_after_every_batch() {
         let records = corpus();
-        let (expected, expected_golden, _) = one_shot(&records, AutoMode::ApproveAll);
-        let mut capped = DeltaPipeline::new(
+        let mut delta = DeltaPipeline::new(
             "delta-test",
             columns(),
             ResolverConfig::default(),
             ConsolidationConfig::default(),
             AutoMode::ApproveAll,
             TruthMethod::MajorityConsensus,
-        )
-        .with_cache_cap(Some(1));
-        for chunk in records.chunks(3) {
-            capped.ingest_batch(chunk.to_vec());
-        }
-        assert_eq!(capped.standardized(), Some(&expected));
-        assert_eq!(capped.golden(), expected_golden.as_slice());
-        assert!(
-            capped.cache_evictions() > 0,
-            "a cap of 1 over a multi-cluster corpus must evict"
         );
-        for cache in &capped.caches {
-            assert!(cache.contributions.len() <= 1, "the cap must hold");
+        let mut grown = false;
+        let mut start = 0;
+        for end in [1, 2, 3, 5, 7, records.len()] {
+            let clusters_before = delta.standardized().map_or(0, |d| d.clusters.len());
+            let report = delta.ingest_batch(records[start..end].to_vec());
+            // Fewer new clusters than new records: an existing one grew.
+            grown |= report.clusters < clusters_before + (end - start);
+            start = end;
+            let snapshot = delta.resolver.snapshot("delta-test", columns());
+            for (col, cache) in delta.caches.iter().enumerate() {
+                let values = snapshot.column_values(col);
+                let live: HashSet<&Vec<String>> = values.iter().collect();
+                let cached: HashSet<&Vec<String>> = cache.contributions.keys().collect();
+                assert_eq!(cached, live, "column {col} after {end} records");
+
+                let config = delta.pipeline.config();
+                let candidates = ReplacementEngine::new(values, &config.candidates).candidates();
+                let structures: HashSet<ReplacementStructure> = candidates
+                    .iter()
+                    .map(|r| replacement_structure(r.lhs(), r.rhs()))
+                    .collect();
+                let partitions: HashSet<ReplacementStructure> =
+                    cache.partitions.keys().cloned().collect();
+                assert_eq!(partitions, structures, "column {col} after {end} records");
+            }
         }
-        // A cap of zero (and None) means unbounded.
-        let unbounded = DeltaPipeline::new(
-            "delta-test",
-            columns(),
-            ResolverConfig::default(),
-            ConsolidationConfig::default(),
-            AutoMode::ApproveAll,
-            TruthMethod::MajorityConsensus,
-        )
-        .with_cache_cap(Some(0));
-        assert_eq!(unbounded.cache_cap, None);
+        assert!(grown, "some batch must grow an existing cluster");
     }
 
     #[test]

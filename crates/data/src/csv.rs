@@ -10,7 +10,7 @@
 //! The workhorse is the **incremental** [`CsvReader`]: it pulls bytes from any
 //! [`std::io::Read`] in fixed-size chunks and yields one record at a time, so
 //! inputs larger than RAM never have to be materialized. [`parse`] and
-//! [`write`] are thin whole-document adapters over [`CsvReader`] and
+//! [`write()`] are thin whole-document adapters over [`CsvReader`] and
 //! [`CsvWriter`] for callers that already hold the text in memory.
 
 use std::fmt;
@@ -82,7 +82,7 @@ impl std::error::Error for CsvError {}
 /// An incremental RFC-4180 reader over any [`Read`].
 ///
 /// Records are yielded one at a time via [`Iterator`]; the reader holds at
-/// most one refill chunk ([`READ_CHUNK`] bytes) plus the bytes of the record
+/// most one refill chunk (`READ_CHUNK` bytes) plus the bytes of the record
 /// currently being assembled, so peak memory is independent of the input
 /// length. Empty input yields no records; a trailing newline does not produce
 /// a trailing empty record; completely empty lines between records are

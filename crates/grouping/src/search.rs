@@ -528,7 +528,7 @@ impl PivotSearcher {
     /// construction**: every search in the call reads only its searched
     /// graph's bound as snapshotted at entry (plus the raises produced by its
     /// own complete paths), and all raises are collected into write-only
-    /// [`BoundRaises`] update lists merged into `lower_bounds` by
+    /// `BoundRaises` update lists merged into `lower_bounds` by
     /// element-wise maximum after the searches finish. A search's pruning
     /// inputs therefore never depend on how the graphs are chunked across
     /// workers — which also keeps results identical when

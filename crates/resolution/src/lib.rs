@@ -13,7 +13,7 @@
 //! * [`similarity`] — edit distance, Damerau–Levenshtein, Jaro / Jaro–Winkler,
 //!   Jaccard and q-gram cosine similarity, implemented as allocation-free
 //!   bit-parallel kernels with threshold-aware early-abandon entry points;
-//! * [`reference`] — the pre-rewrite textbook kernels, frozen verbatim as
+//! * [`reference`](mod@reference) — the pre-rewrite textbook kernels, frozen verbatim as
 //!   differential test references and benchmark baselines;
 //! * [`blocking`] — token blocking and sorted-neighborhood candidate
 //!   generation so that resolution does not need to compare all `O(n²)`
@@ -34,7 +34,7 @@
 //!   bit-identical to it.
 //!
 //! The design mirrors the classical match–cluster architecture surveyed by
-//! Elmagarmid et al. (cited as [18] in the paper): candidate generation via
+//! Elmagarmid et al. (cited as \[18\] in the paper): candidate generation via
 //! blocking, pairwise similarity scoring, thresholding, and transitive
 //! closure.
 //!

@@ -415,7 +415,7 @@ fn osa_inner(s: &mut Scratch, a: &str, b: &str) -> usize {
 
 /// The restricted Damerau–Levenshtein distance (optimal string alignment):
 /// Levenshtein plus transposition of two adjacent characters counted as one
-/// edit. This is the distance the paper's Appendix A cites ([11]) as an
+/// edit. This is the distance the paper's Appendix A cites (\[11\]) as an
 /// alternative alignment for fine-grained candidate generation.
 pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
     SCRATCH.with(|cell| osa_inner(&mut cell.borrow_mut(), a, b))

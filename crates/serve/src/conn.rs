@@ -86,6 +86,26 @@ pub(crate) type HandlerResult = Result<(), HttpFailure>;
 /// The streamed request body handed to [`Service::dispatch`].
 pub(crate) type BodyReader<'a> = http::LimitedReader<&'a mut BufReader<TcpStream>>;
 
+/// The buffered response side of a connection. It remembers whether the
+/// current handler has written anything: once a response head is out, a
+/// failure can only close the connection, because a second response would
+/// land inside the first one's body.
+pub(crate) struct ResponseWriter {
+    inner: BufWriter<TcpStream>,
+    started: bool,
+}
+
+impl Write for ResponseWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.started = true;
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
 /// Stop/statistics state every service embeds; the connection loop reads the
 /// stop flag and counts requests and active connections through it.
 pub(crate) struct Lifecycle {
@@ -145,7 +165,7 @@ pub(crate) trait Service: Send + Sync + Sized + 'static {
         has_body: bool,
         persistence: Persistence,
         body: &mut BodyReader<'_>,
-        writer: &mut BufWriter<TcpStream>,
+        writer: &mut ResponseWriter,
     ) -> HandlerResult;
 }
 
@@ -306,7 +326,10 @@ fn handle_connection<S: Service>(stream: TcpStream, service: &Arc<S>) -> Turn {
         return Turn::Close;
     };
     let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::with_capacity(8 * 1024, write_half);
+    let mut writer = ResponseWriter {
+        inner: BufWriter::with_capacity(8 * 1024, write_half),
+        started: false,
+    };
     let mut served = 0usize;
     // One iteration per request: the connection is reused for the next
     // request whenever the client asked to keep it alive and this request
@@ -392,6 +415,7 @@ fn handle_connection<S: Service>(stream: TcpStream, service: &Arc<S>) -> Turn {
         };
         let mut body = http::LimitedReader::new(&mut reader, declared_length.unwrap_or(0));
         let dispatched = Instant::now();
+        writer.started = false;
         let outcome = S::dispatch(
             service,
             &request,
@@ -432,18 +456,20 @@ fn handle_connection<S: Service>(stream: TcpStream, service: &Arc<S>) -> Turn {
             }
         }
         if let Err(failure) = outcome {
-            // Best effort: if the response head already went out this writes
-            // into the body and the client sees a truncated chunked stream,
-            // which is the correct failure signal mid-stream.
-            let _ = http::write_response(
-                &mut writer,
-                failure.status,
-                "text/plain",
-                &[],
-                Persistence::Close,
-                format!("{}\n", failure.message).as_bytes(),
-            )
-            .and_then(|()| writer.flush());
+            // A failure before the handler wrote anything gets its own
+            // response. After that the head is out, so closing is the only
+            // signal left: the client sees a chunked body that never ends.
+            if !writer.started {
+                let _ = http::write_response(
+                    &mut writer,
+                    failure.status,
+                    "text/plain",
+                    &[],
+                    Persistence::Close,
+                    format!("{}\n", failure.message).as_bytes(),
+                )
+                .and_then(|()| writer.flush());
+            }
             return Turn::Close;
         }
         if !flushed

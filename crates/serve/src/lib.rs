@@ -77,7 +77,7 @@ pub mod router;
 pub use ec_graph::pool;
 pub use router::{Router, RouterConfig, RouterHandle};
 
-use conn::{BodyReader, HandlerResult, HttpFailure, Lifecycle, Service};
+use conn::{BodyReader, HandlerResult, HttpFailure, Lifecycle, ResponseWriter, Service};
 use ec_core::{
     standardize_columns_with, write_golden_records_csv, ApplyError, ApplyReport, AutoReview,
     ColumnReport, CompiledDataset, DeltaPipeline, Pipeline, ProgramLibrary, RunOptions,
@@ -86,7 +86,7 @@ use ec_data::{ClusteredCsvWriter, Dataset, DatasetRecords, FlatCsvReader, Record
 use ec_resolution::RawRecord;
 use http::{ChunkedWriter, Persistence, Request};
 use std::io::{self, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
@@ -124,11 +124,6 @@ pub struct ServeConfig {
     /// When set, every mutating (`POST`) endpoint requires
     /// `Authorization: Bearer <token>` and answers `401` without it.
     pub auth_token: Option<String>,
-    /// Bound on the `/ingest` session's per-cluster candidate cache
-    /// (`ec serve --ingest-cache-cap`); `None`/0 = unbounded. Eviction is
-    /// memory-only — evicted contributions are regenerated on demand, so
-    /// responses never change.
-    pub ingest_cache_cap: Option<usize>,
 }
 
 impl Default for ServeConfig {
@@ -141,7 +136,6 @@ impl Default for ServeConfig {
             library_ttl: None,
             preloaded: None,
             auth_token: None,
-            ingest_cache_cap: None,
         }
     }
 }
@@ -179,8 +173,6 @@ struct ServerState {
     /// Lifetime fast-path misses: `/apply` cells no program covered plus
     /// `/ingest` records that entered the residue path.
     library_misses: ec_obs::Counter,
-    /// Bound on the `/ingest` session's per-cluster candidate cache.
-    ingest_cache_cap: Option<usize>,
     auth_token: Option<String>,
     life: Lifecycle,
 }
@@ -243,7 +235,7 @@ impl Service for ServerState {
         has_body: bool,
         persistence: Persistence,
         body: &mut BodyReader<'_>,
-        writer: &mut BufWriter<TcpStream>,
+        writer: &mut ResponseWriter,
     ) -> HandlerResult {
         dispatch(request, has_body, persistence, body, writer, this)
     }
@@ -315,7 +307,6 @@ impl Server {
             ingest: Mutex::new(None),
             library_hits,
             library_misses,
-            ingest_cache_cap: config.ingest_cache_cap,
             auth_token: config.auth_token,
             life: Lifecycle::new(listener.local_addr()?),
         });
@@ -347,7 +338,7 @@ fn dispatch(
     has_body: bool,
     persistence: Persistence,
     body: &mut BodyReader<'_>,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     state: &Arc<ServerState>,
 ) -> HandlerResult {
     let require_body = || -> Result<(), HttpFailure> {
@@ -444,7 +435,7 @@ fn io_failure(e: io::Error) -> HttpFailure {
 /// metric collectors sit on the same trust boundary. Shared with the router
 /// (one registry per process either way).
 pub(crate) fn handle_metrics(
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     persistence: Persistence,
 ) -> HandlerResult {
     let body = ec_obs::render();
@@ -460,7 +451,7 @@ pub(crate) fn handle_metrics(
 }
 
 fn handle_healthz(
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     state: &ServerState,
     persistence: Persistence,
 ) -> HandlerResult {
@@ -486,7 +477,7 @@ fn handle_healthz(
 }
 
 fn handle_library(
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     state: &ServerState,
     persistence: Persistence,
 ) -> HandlerResult {
@@ -543,7 +534,7 @@ fn handle_library(
 /// server by hand. Answers with the resulting version.
 fn handle_library_merge(
     body: impl Read,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     state: &ServerState,
     persistence: Persistence,
 ) -> HandlerResult {
@@ -598,7 +589,7 @@ fn handle_pipeline(
     request: &Request,
     body_empty: bool,
     body: impl Read,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     state: &Arc<ServerState>,
     persistence: Persistence,
 ) -> HandlerResult {
@@ -677,7 +668,7 @@ fn handle_pipeline(
 /// serialization point for both the fresh and preloaded paths, which is what
 /// makes their outputs byte-identical.
 fn stream_pipeline_output(
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     persistence: Persistence,
     dataset: &Dataset,
     golden: &[Vec<Option<String>>],
@@ -744,7 +735,7 @@ fn stream_pipeline_output(
 fn handle_ingest(
     request: &Request,
     body: impl Read,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     state: &Arc<ServerState>,
     persistence: Persistence,
 ) -> HandlerResult {
@@ -800,9 +791,7 @@ fn handle_ingest(
         }
     } else {
         *guard = Some(IngestSession {
-            delta: options
-                .delta_pipeline(columns, state.threads)
-                .with_cache_cap(state.ingest_cache_cap),
+            delta: options.delta_pipeline(columns, state.threads),
             options,
             mid_batch: false,
         });
@@ -860,7 +849,7 @@ fn handle_ingest(
 fn handle_apply(
     body_empty: bool,
     body: impl Read,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     state: &Arc<ServerState>,
     persistence: Persistence,
 ) -> HandlerResult {
@@ -909,7 +898,7 @@ pub(crate) const APPLY_TRAILERS: [&str; 5] = [
 /// Writes the head of an `/apply` response (node or router), announcing
 /// [`APPLY_TRAILERS`].
 pub(crate) fn write_apply_head(
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     persistence: Persistence,
     library_version: u64,
 ) -> io::Result<()> {
@@ -942,7 +931,7 @@ pub(crate) fn apply_trailers(values: [u64; 5]) -> Vec<(String, String)> {
 /// program covered. The same counts accumulate into the server-lifetime
 /// totals `GET /library` reports.
 fn finish_apply_body(
-    body_writer: ChunkedWriter<&mut BufWriter<TcpStream>>,
+    body_writer: ChunkedWriter<&mut ResponseWriter>,
     report: &ApplyReport,
     state: &ServerState,
 ) -> HandlerResult {
@@ -1074,6 +1063,35 @@ mod tests {
         assert!(String::from_utf8(snapshot.body)
             .unwrap()
             .contains("rewrite \"Lee, Mary\" \"Mary Lee\""));
+        handle.stop();
+        join.join().unwrap();
+    }
+
+    #[test]
+    fn an_apply_input_error_mid_stream_closes_without_a_second_response() {
+        let failures = || {
+            ec_obs::counter_with(
+                "ec_http_responses_total",
+                "Handler outcomes by status class.",
+                &[("class", "4xx"), ("service", "serve")],
+            )
+            .get()
+        };
+        let before = failures();
+        let (handle, join) = start_server(ephemeral_config());
+        // The 50th row's source is not a number: the reader fails only after
+        // the 200 head has gone out.
+        let rows: String = (1..50).map(|row| format!("{row},Mary Lee\n")).collect();
+        let body = format!("source,Name\n{rows}x,Mary Lee\n");
+        let request = format!(
+            "POST /apply HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let raw = raw_response(handle.addr(), &request);
+        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+        assert_eq!(raw.matches("HTTP/1.1 ").count(), 1, "{raw}");
+        assert!(!raw.contains("\r\n0\r\n"), "no terminating chunk: {raw}");
+        assert!(failures() > before, "the request counts as a 4xx");
         handle.stop();
         join.join().unwrap();
     }
@@ -1670,18 +1688,19 @@ mod tests {
         join.join().unwrap();
     }
 
-    /// Writes `raw` to a fresh socket and returns the status line — for
-    /// malformed requests the test client cannot produce.
-    fn raw_status_line(addr: SocketAddr, raw: &str) -> String {
+    /// Writes `raw` to a fresh socket and returns every byte the server
+    /// sends until it closes — for requests and responses the test client
+    /// cannot produce or parse.
+    fn raw_response(addr: SocketAddr, raw: &str) -> String {
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
         stream.write_all(raw.as_bytes()).unwrap();
         stream.flush().unwrap();
-        let mut response = String::new();
+        let mut response = Vec::new();
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        Read::read_to_string(&mut stream, &mut response).unwrap();
-        response.lines().next().unwrap_or_default().to_string()
+        stream.read_to_end(&mut response).unwrap();
+        String::from_utf8_lossy(&response).into_owned()
     }
 
     #[test]
@@ -1690,7 +1709,7 @@ mod tests {
                        Content-Length: 4\r\nContent-Length: 4\r\n\r\nabcd";
         let (handle, join) = start_server(ephemeral_config());
         assert!(
-            raw_status_line(handle.addr(), smuggle).starts_with("HTTP/1.1 400"),
+            raw_response(handle.addr(), smuggle).starts_with("HTTP/1.1 400"),
             "server must refuse duplicate framing headers"
         );
 
@@ -1702,7 +1721,7 @@ mod tests {
         let router_handle = router.handle();
         let router_join = std::thread::spawn(move || router.run().unwrap());
         assert!(
-            raw_status_line(router_handle.addr(), smuggle).starts_with("HTTP/1.1 400"),
+            raw_response(router_handle.addr(), smuggle).starts_with("HTTP/1.1 400"),
             "the router shares the rejection, never relaying the request"
         );
 

@@ -40,12 +40,14 @@
 //! (one process in tests, and the same machine in small deployments) would
 //! starve the very work being waited on.
 
-use crate::conn::{self, BodyReader, HandlerResult, HttpFailure, Lifecycle, Service};
+use crate::conn::{
+    self, BodyReader, HandlerResult, HttpFailure, Lifecycle, ResponseWriter, Service,
+};
 use crate::http::{self, ChunkedWriter, ClientConn, Persistence, Request, Response};
 use crate::ring::{Ring, DEFAULT_REPLICAS};
 use ec_data::{csv::CsvWriter, FlatCsvReader, RecordStream};
 use std::io::{self, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -386,7 +388,7 @@ impl Service for RouterState {
         has_body: bool,
         persistence: Persistence,
         body: &mut BodyReader<'_>,
-        writer: &mut BufWriter<TcpStream>,
+        writer: &mut ResponseWriter,
     ) -> HandlerResult {
         let require_body = || -> Result<(), HttpFailure> {
             if has_body {
@@ -853,7 +855,7 @@ fn resync_recovered(state: &Arc<RouterState>, recovered: usize) {
 
 fn handle_healthz(
     state: &RouterState,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     persistence: Persistence,
 ) -> HandlerResult {
     let healthy = state.backends.iter().filter(|b| b.is_healthy()).count();
@@ -893,7 +895,7 @@ fn handle_healthz(
 /// (saturated, not dead) backends still answers.
 fn handle_library(
     state: &RouterState,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     persistence: Persistence,
 ) -> HandlerResult {
     let mut order: Vec<usize> = (0..state.backends.len())
@@ -932,7 +934,7 @@ fn handle_library(
 fn handle_library_replicate(
     state: &RouterState,
     body: &mut BodyReader<'_>,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     persistence: Persistence,
 ) -> HandlerResult {
     let snapshot = read_capped_body(body)?;
@@ -974,7 +976,7 @@ fn handle_pipeline(
     state: &Arc<RouterState>,
     request: &Request,
     body: &mut BodyReader<'_>,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     persistence: Persistence,
 ) -> HandlerResult {
     let buffered = read_capped_body(body)?;
@@ -1012,7 +1014,7 @@ fn handle_apply(
     state: &Arc<RouterState>,
     request: &Request,
     body: &mut BodyReader<'_>,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     persistence: Persistence,
 ) -> HandlerResult {
     let buffered = read_capped_body(body)?;
@@ -1258,7 +1260,7 @@ fn relay_response(
     mut lease: Lease<'_>,
     status: u16,
     headers: Vec<(String, String)>,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut ResponseWriter,
     persistence: Persistence,
     before_finish: impl FnOnce(&RouterState),
 ) -> HandlerResult {

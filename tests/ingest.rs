@@ -12,6 +12,7 @@ mod common;
 
 use common::scaled;
 use entity_consolidation::prelude::*;
+use entity_consolidation::resolution::{BlockingConfig, BlockingScheme};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,7 +59,17 @@ fn one_shot(
     threads: usize,
     mode: AutoMode,
 ) -> (Dataset, Vec<u8>, ProgramLibrary) {
-    let resolver = Resolver::new(ResolverConfig::default());
+    one_shot_with(&ResolverConfig::default(), records, threads, mode)
+}
+
+/// [`one_shot`] under a given resolver configuration.
+fn one_shot_with(
+    config: &ResolverConfig,
+    records: &[RawRecord],
+    threads: usize,
+    mode: AutoMode,
+) -> (Dataset, Vec<u8>, ProgramLibrary) {
+    let resolver = Resolver::new(config.clone());
     let mut stream = VecRecordStream::new(
         vec!["Address".to_string()],
         records
@@ -214,4 +225,54 @@ fn reingesting_the_same_corpus_rides_the_fast_path() {
         second.replayed_columns, 1,
         "unchanged candidates must replay the cached group sequence"
     );
+}
+
+#[test]
+fn a_later_batch_that_splits_a_cluster_still_replays_the_one_shot_pipeline() {
+    // Resolution is non-monotone: with token blocking and a block cap of 2,
+    // the first batch joins the two "mary" records through their one shared
+    // token, and the second batch overflows that block, so the cluster
+    // splits and its value vector shrinks. The third batch grows the other
+    // cluster.
+    let config = ResolverConfig {
+        scheme: BlockingScheme::Token,
+        blocking: BlockingConfig {
+            max_block_size: 2,
+            ..BlockingConfig::default()
+        },
+        ..ResolverConfig::default()
+    };
+    let records: Vec<RawRecord> = [
+        "Mary Lee",
+        "Mary Leigh",
+        "James Smith",
+        "Jamess Smith",
+        "Mary Stone",
+        "Stone Mary",
+        "James Smyth",
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, value)| RawRecord::new(i % 3, [*value]))
+    .collect();
+    let mut delta = DeltaPipeline::new(
+        "ingest-diff",
+        vec!["Address".to_string()],
+        config.clone(),
+        ConsolidationConfig::default(),
+        AutoMode::ApproveAll,
+        TruthMethod::MajorityConsensus,
+    );
+    let mut clusters = Vec::new();
+    for (start, end) in [(0, 4), (4, 5), (5, 7)] {
+        clusters.push(delta.ingest_batch(records[start..end].to_vec()).clusters);
+        let (expected, expected_csv, _) =
+            one_shot_with(&config, &records[..end], 1, AutoMode::ApproveAll);
+        assert_eq!(delta.standardized(), Some(&expected), "after {end} records");
+        let mut csv = Vec::new();
+        delta.write_golden_csv(&mut csv).unwrap();
+        assert_eq!(csv, expected_csv, "after {end} records");
+    }
+    // One record more, two clusters more: the "mary" cluster split.
+    assert_eq!(clusters, [2, 4, 5]);
 }
