@@ -7,9 +7,9 @@
 //! shape is already learned — the decision cache scores no pairs, the
 //! per-cluster candidates and prepared partitions are reused, the cached
 //! group sequences replay, and no pivot search runs — so throughput measures
-//! the fast path. Even then each batch regenerates the state's candidate
-//! pairs, repackages the dataset and re-runs review and truth discovery over
-//! it. At fraction 1 every record is new and the delta path degenerates
+//! the fast path. Even then each batch streams the state's candidate pairs
+//! through the decision cache, refills the previous batch's dataset in place
+//! and re-runs review and truth discovery over it. At fraction 1 every record is new and the delta path degenerates
 //! toward a full run. Each batch is compared against the
 //! **full-rebuild baseline**: a one-shot pipeline over the union of
 //! everything ingested so far, which is exactly what a service without the

@@ -561,8 +561,9 @@ pub fn pipeline(
 /// decisions, per-cluster candidates, prepared grouping partitions and the
 /// emitted group sequence survive between batches, so a batch of
 /// already-seen shapes scores no pairs and runs no pivot search. Every batch
-/// still regenerates the state's candidate pairs, repackages the dataset and
-/// re-runs review and truth discovery over it. The final `--output` /
+/// still streams the state's candidate pairs through the decision cache,
+/// refills the previous batch's dataset in place and re-runs review and
+/// truth discovery over it. The final `--output` /
 /// `--golden` files are byte-identical to `ec pipeline` over the same
 /// records with the same flags.
 pub fn ingest(

@@ -323,28 +323,30 @@ pub fn standardize_columns_with(
     oracles: &mut dyn OracleSource,
     library: Option<&mut ProgramLibrary>,
 ) -> Vec<ColumnReport> {
-    let source = |_: &Dataset, col: usize| match compiled {
+    let source = |_: &mut Dataset, col: usize| match compiled {
         Some(compiled) => ColumnSource::Compiled(&compiled.columns[col]),
         None => ColumnSource::Fresh,
     };
     review_columns(pipeline, dataset, columns, source, oracles, library)
 }
 
-/// The multi-column driver behind every entry point: per column, prepares
-/// the [`ColumnSource`], takes the column's oracle, runs the pipeline's
-/// review loop and records the approved groups into `library`.
+/// The multi-column driver behind every entry point: per column, takes the
+/// column's oracle, prepares the [`ColumnSource`] (which may take the
+/// column's values out of `dataset`), runs the pipeline's review loop and
+/// records the approved groups into `library`.
 pub(crate) fn review_columns<'a>(
     pipeline: &Pipeline,
     dataset: &mut Dataset,
     columns: &[usize],
-    mut source: impl FnMut(&Dataset, usize) -> ColumnSource<'a>,
+    mut source: impl FnMut(&mut Dataset, usize) -> ColumnSource<'a>,
     oracles: &mut dyn OracleSource,
     mut library: Option<&mut ProgramLibrary>,
 ) -> Vec<ColumnReport> {
     let mut reports = Vec::with_capacity(columns.len());
     for &col in columns {
-        let source = source(dataset, col);
+        // The oracle reads the column before the source may take it.
         let mut oracle = oracles.oracle_for(dataset, col);
+        let source = source(dataset, col);
         let (report, approved) = pipeline.review_column(dataset, col, source, oracle.as_mut());
         if let Some(library) = library.as_deref_mut() {
             for group in &approved {

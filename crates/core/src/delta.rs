@@ -9,13 +9,20 @@
 //! * **Resolution** rides on [`DeltaResolver`]: records are pushed once,
 //!   blocks and the sorted-neighborhood key list grow incrementally, and match
 //!   decisions are cached by value content, so a batch of already-seen values
-//!   scores nothing. Each snapshot still regenerates every candidate pair of
-//!   the state and repackages the whole dataset.
+//!   scores nothing. What a batch still redoes over the whole state is cheap
+//!   and copy-free: the snapshot streams every candidate pair out of the
+//!   blocks unsorted and looks each one's decision up once, then refills the
+//!   dataset the previous batch produced in place (cell strings overwritten
+//!   with `clone_from`, clusters and rows truncated or pushed). The review
+//!   loop moves each column's strings into the engine and back instead of
+//!   copying them, and truth discovery reruns over the whole dataset.
 //! * **Candidate generation** is cached per cluster, keyed by the cluster's
-//!   value vector. Clusters are independent (`generate_candidates` shards by
-//!   cluster), and the union-find emits clusters ordered by smallest member,
-//!   so cluster order is stable under appends and the merged candidate set is
-//!   bit-identical to a fresh global generation.
+//!   value vector; a cluster over the distinct-value cap contributes no
+//!   candidates and skips the cache. Clusters are independent
+//!   (`generate_candidates` shards by cluster), and the union-find emits
+//!   clusters ordered by smallest member, so cluster order is stable under
+//!   appends and the merged candidate set is bit-identical to a fresh global
+//!   generation.
 //! * **Grouping** reuses prepared structure partitions: a partition whose
 //!   members are unchanged reuses its [`PreparedGraphs`] as-is; a partition
 //!   that only gained members at the end grows via
@@ -44,7 +51,8 @@
 //! `X-Ec-Library-Misses` counters.
 //!
 //! Retention rule: after each batch a column's caches hold exactly the live
-//! state — the contributions keyed by the current clusters' value vectors,
+//! state — the contributions keyed by the value vectors of the current
+//! clusters under the distinct-value cap,
 //! the prepared partitions of the structures in the current candidate list,
 //! and the one group sequence. The contribution map is rebuilt from each
 //! batch's hits and misses, the partition map from each new emission, so an
@@ -292,7 +300,12 @@ impl DeltaPipeline {
             self.resolver.push(record);
         }
 
-        let mut dataset = self.resolver.snapshot(&self.name, self.columns.clone());
+        // The snapshot refills the dataset the previous batch produced.
+        let mut dataset = self
+            .standardized
+            .take()
+            .unwrap_or_else(|| Dataset::new(self.name.as_str(), self.columns.clone()));
+        self.resolver.snapshot_into(&mut dataset);
         let clusters = dataset.clusters.len();
 
         // Resolver snapshots always carry ground truth (truth := observed),
@@ -301,8 +314,9 @@ impl DeltaPipeline {
         // verdicts depend on current cluster contents and are never replayed.
         let mut replayed_columns = 0;
         let (caches, config) = (&mut self.caches, self.pipeline.config());
-        let source = |dataset: &Dataset, col: usize| {
-            let (source, replayed) = delta_column(&mut caches[col], config, dataset, col);
+        let source = |dataset: &mut Dataset, col: usize| {
+            let values = dataset.take_column_values(col);
+            let (source, replayed) = delta_column(&mut caches[col], config, values);
             replayed_columns += usize::from(replayed);
             source
         };
@@ -339,7 +353,9 @@ impl DeltaPipeline {
 /// Merges per-cluster cached candidate contributions into the column's global
 /// candidate set, generating the contribution of any cluster whose value
 /// vector was not live in the previous snapshot. The cache keeps exactly the
-/// contributions this snapshot uses.
+/// contributions this snapshot uses. A cluster over the distinct-value cap
+/// contributes nothing, so it is neither looked up nor cached (nor counted
+/// as a hit or miss): its value vector is never cloned or hashed.
 ///
 /// This reproduces `generate_candidates(&values, config)` exactly: clusters
 /// are independent, contributions are appended in cluster order (first-seen
@@ -351,9 +367,13 @@ fn merged_candidates(
     config: &ConsolidationConfig,
 ) -> CandidateSet {
     let mut previous = std::mem::take(&mut cache.contributions);
-    let mut misses = 0;
+    let (mut looked_up, mut misses) = (0, 0);
     let mut merged = CandidateSet::default();
     for (c, cluster_values) in values.iter().enumerate() {
+        if config.candidates.skips_cluster(cluster_values) {
+            continue;
+        }
+        looked_up += 1;
         let contrib = match previous.remove_entry(cluster_values) {
             Some((key, set)) => cache.contributions.entry(key).or_insert(set),
             // A miss, or a value vector an earlier cluster of this snapshot
@@ -382,8 +402,8 @@ fn merged_candidates(
         }
     }
     let metrics = ingest_metrics();
-    metrics.cache_hits.add((values.len() - misses) as u64);
-    metrics.cache_misses.add(misses as u64);
+    metrics.cache_hits.add(looked_up - misses);
+    metrics.cache_misses.add(misses);
     merged
 }
 
@@ -456,17 +476,16 @@ fn emit_groups(
     (seq, grouper.searches_truncated())
 }
 
-/// Prepares one column of the snapshot for the review loop: merges the
-/// cached candidate contributions, then replays the cached group sequence
-/// when the candidate list is unchanged or recomputes (and caches) it
-/// otherwise. Returns the source and whether the sequence was replayed.
+/// Prepares one column of the snapshot, whose cell `values` the engine
+/// takes over, for the review loop: merges the cached candidate
+/// contributions, then replays the cached group sequence when the candidate
+/// list is unchanged or recomputes (and caches) it otherwise. Returns the
+/// source and whether the sequence was replayed.
 fn delta_column(
     cache: &mut ColumnCache,
     config: &ConsolidationConfig,
-    dataset: &Dataset,
-    col: usize,
+    values: Vec<Vec<String>>,
 ) -> (ColumnSource<'static>, bool) {
-    let values = dataset.column_values(col);
     let merged = merged_candidates(cache, &values, config);
     let engine = ReplacementEngine::from_parts(values, merged);
     let candidates = engine.candidates();
@@ -528,6 +547,7 @@ mod tests {
     fn one_shot(
         records: &[RawRecord],
         mode: AutoMode,
+        config: &ConsolidationConfig,
     ) -> (Dataset, Vec<Vec<Option<String>>>, ProgramLibrary) {
         let resolver = Resolver::new(ResolverConfig::default());
         let mut stream = VecRecordStream::new(
@@ -541,7 +561,7 @@ mod tests {
                 .collect(),
         );
         let mut dataset = resolver.resolve_stream("delta-test", &mut stream).unwrap();
-        let pipeline = Pipeline::new(ConsolidationConfig::default());
+        let pipeline = Pipeline::new(config.clone());
         let mut library = ProgramLibrary::new();
         let cols: Vec<usize> = (0..dataset.columns.len()).collect();
         standardize_columns(
@@ -581,7 +601,8 @@ mod tests {
     fn delta_batches_match_the_one_shot_pipeline() {
         let records = corpus();
         for mode in [AutoMode::ApproveAll, AutoMode::Auto] {
-            let (expected, expected_golden, expected_library) = one_shot(&records, mode);
+            let (expected, expected_golden, expected_library) =
+                one_shot(&records, mode, &ConsolidationConfig::default());
             for boundaries in [vec![], vec![3], vec![1, 2, 5, 9], vec![4, 8]] {
                 let delta = delta_over_splits(&records, &boundaries, mode);
                 assert_eq!(
@@ -643,41 +664,61 @@ mod tests {
     #[test]
     fn caches_hold_exactly_the_live_state_after_every_batch() {
         let records = corpus();
-        let mut delta = DeltaPipeline::new(
-            "delta-test",
-            columns(),
-            ResolverConfig::default(),
-            ConsolidationConfig::default(),
-            AutoMode::ApproveAll,
-            TruthMethod::MajorityConsensus,
-        );
-        let mut grown = false;
-        let mut start = 0;
-        for end in [1, 2, 3, 5, 7, records.len()] {
-            let clusters_before = delta.standardized().map_or(0, |d| d.clusters.len());
-            let report = delta.ingest_batch(records[start..end].to_vec());
-            // Fewer new clusters than new records: an existing one grew.
-            grown |= report.clusters < clusters_before + (end - start);
-            start = end;
-            let snapshot = delta.resolver.snapshot("delta-test", columns());
-            for (col, cache) in delta.caches.iter().enumerate() {
-                let values = snapshot.column_values(col);
-                let live: HashSet<&Vec<String>> = values.iter().collect();
-                let cached: HashSet<&Vec<String>> = cache.contributions.keys().collect();
-                assert_eq!(cached, live, "column {col} after {end} records");
+        // The default cap, and one low enough that the three-spelling name
+        // clusters pass it.
+        let mut lowered = ConsolidationConfig::default();
+        lowered.candidates.max_distinct_values_per_cluster = Some(2);
+        for config in [ConsolidationConfig::default(), lowered] {
+            let mut delta = DeltaPipeline::new(
+                "delta-test",
+                columns(),
+                ResolverConfig::default(),
+                config.clone(),
+                AutoMode::ApproveAll,
+                TruthMethod::MajorityConsensus,
+            );
+            let (mut grown, mut over_cap) = (false, false);
+            let mut start = 0;
+            for end in [1, 2, 3, 5, 7, records.len()] {
+                let clusters_before = delta.standardized().map_or(0, |d| d.clusters.len());
+                let report = delta.ingest_batch(records[start..end].to_vec());
+                // Fewer new clusters than new records: an existing one grew.
+                grown |= report.clusters < clusters_before + (end - start);
+                start = end;
+                let (expected, expected_golden, _) =
+                    one_shot(&records[..end], AutoMode::ApproveAll, &config);
+                assert_eq!(delta.standardized(), Some(&expected), "after {end} records");
+                assert_eq!(delta.golden(), expected_golden.as_slice());
 
-                let config = delta.pipeline.config();
-                let candidates = ReplacementEngine::new(values, &config.candidates).candidates();
-                let structures: HashSet<ReplacementStructure> = candidates
-                    .iter()
-                    .map(|r| replacement_structure(r.lhs(), r.rhs()))
-                    .collect();
-                let partitions: HashSet<ReplacementStructure> =
-                    cache.partitions.keys().cloned().collect();
-                assert_eq!(partitions, structures, "column {col} after {end} records");
+                let snapshot = delta.resolver.snapshot("delta-test", columns());
+                for (col, cache) in delta.caches.iter().enumerate() {
+                    // Retention rule: one contribution per live value vector
+                    // under the cap; a cluster over it has none (`live`
+                    // leaves it out).
+                    let values = snapshot.column_values(col);
+                    let (skipped, live): (Vec<&Vec<String>>, Vec<&Vec<String>>) = values
+                        .iter()
+                        .partition(|v| config.candidates.skips_cluster(v));
+                    over_cap |= !skipped.is_empty();
+                    let live: HashSet<&Vec<String>> = live.into_iter().collect();
+                    let cached: HashSet<&Vec<String>> = cache.contributions.keys().collect();
+                    assert_eq!(cached, live, "column {col} after {end} records");
+
+                    let candidates =
+                        ReplacementEngine::new(values, &config.candidates).candidates();
+                    let structures: HashSet<ReplacementStructure> = candidates
+                        .iter()
+                        .map(|r| replacement_structure(r.lhs(), r.rhs()))
+                        .collect();
+                    let partitions: HashSet<ReplacementStructure> =
+                        cache.partitions.keys().cloned().collect();
+                    assert_eq!(partitions, structures, "column {col} after {end} records");
+                }
             }
+            assert!(grown, "some batch must grow an existing cluster");
+            let capped = config.candidates.max_distinct_values_per_cluster == Some(2);
+            assert_eq!(over_cap, capped, "only the lowered cap is ever passed");
         }
-        assert!(grown, "some batch must grow an existing cluster");
     }
 
     #[test]

@@ -100,7 +100,8 @@ pub(crate) enum ColumnSource<'a> {
     /// Replay a group sequence an incremental run cached for this exact
     /// candidate list; no pivot search runs.
     Replay {
-        /// The engine over the column's current values and candidates.
+        /// The engine over the column's values, taken out of the dataset with
+        /// [`Dataset::take_column_values`], and their candidates.
         engine: ReplacementEngine,
         /// Number of candidate replacements.
         candidates: usize,
@@ -169,7 +170,11 @@ impl Pipeline {
     /// entry point, compiled artifacts and incremental ingest included,
     /// standardizes a column here. Asks the oracle about the groups in
     /// emission order until the budget is spent, applies every approved
-    /// group, and writes the column back.
+    /// group, and writes the column back. The column's observed strings are
+    /// moved into the engine and back ([`Dataset::take_column_values`]), so
+    /// `dataset`'s cells in `col` read empty while the loop runs — a
+    /// [`ColumnSource::Replay`] engine must already hold them, and the
+    /// oracle must be built before the column is taken.
     pub(crate) fn review_column(
         &self,
         dataset: &mut Dataset,
@@ -180,15 +185,17 @@ impl Pipeline {
         let _span = ec_obs::span!("core.standardize_column", col);
         let (mut engine, candidates, mut groups) = match source {
             ColumnSource::Fresh => {
-                let engine =
-                    ReplacementEngine::new(dataset.column_values(col), &self.config.candidates);
+                let engine = ReplacementEngine::new(
+                    dataset.take_column_values(col),
+                    &self.config.candidates,
+                );
                 let candidates = engine.candidates();
                 let grouper = StructuredGrouper::new(&candidates, self.config.grouping.clone());
                 (engine, candidates.len(), Groups::Lazy(grouper))
             }
             ColumnSource::Compiled(compiled) => {
                 let engine = ReplacementEngine::from_parts(
-                    dataset.column_values(col),
+                    dataset.take_column_values(col),
                     compiled.candidates.clone(),
                 );
                 let parts = compiled

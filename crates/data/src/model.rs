@@ -104,13 +104,15 @@ pub struct DatasetStats {
 /// The per-column majority of the rows' truth values — how both the synthetic
 /// generators and the CSV/resolution loaders define a cluster's golden record
 /// when only row-level truth is known. Ties break towards the
-/// lexicographically smallest value so the result is deterministic.
+/// lexicographically smallest value so the result is deterministic. A row
+/// with fewer cells (a shorter record the resolver clustered with longer
+/// ones) does not vote on the columns it lacks.
 pub fn majority_golden(rows: &[Row], num_columns: usize) -> Vec<String> {
     (0..num_columns)
         .map(|col| {
             let mut counts: HashMap<&str, usize> = HashMap::new();
-            for row in rows {
-                *counts.entry(row.cells[col].truth.as_str()).or_insert(0) += 1;
+            for cell in rows.iter().filter_map(|row| row.cells.get(col)) {
+                *counts.entry(cell.truth.as_str()).or_insert(0) += 1;
             }
             counts
                 .into_iter()
@@ -150,6 +152,21 @@ impl Dataset {
                 c.rows
                     .iter()
                     .map(|r| r.cells[col].observed.clone())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// [`Dataset::column_values`] without the copy: moves the observed
+    /// strings out and leaves each cell's `observed` empty until
+    /// [`Dataset::set_column_values`] moves them (or their rewrites) back.
+    pub fn take_column_values(&mut self, col: usize) -> Vec<Vec<String>> {
+        self.clusters
+            .iter_mut()
+            .map(|c| {
+                c.rows
+                    .iter_mut()
+                    .map(|r| std::mem::take(&mut r.cells[col].observed))
                     .collect()
             })
             .collect()
@@ -379,6 +396,20 @@ mod tests {
         assert_eq!(d.clusters[0].rows[2].cells[col].observed, "Mary Lee");
         // Truth is untouched.
         assert_eq!(d.clusters[0].rows[2].cells[col].truth, "Mary Lee");
+
+        // Taking the values moves them out and leaves the cells empty;
+        // setting them back restores the dataset.
+        let before = d.clone();
+        let taken = d.take_column_values(col);
+        assert_eq!(taken, before.column_values(col));
+        assert!(d
+            .clusters
+            .iter()
+            .flat_map(|c| &c.rows)
+            .all(|r| r.cells[col].observed.is_empty()));
+        assert_eq!(d.clusters[0].rows[0].cells[col].truth, "Mary Lee");
+        d.set_column_values(col, taken);
+        assert_eq!(d, before);
     }
 
     #[test]

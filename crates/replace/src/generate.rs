@@ -45,6 +45,27 @@ impl CandidateConfig {
             ..Self::default()
         }
     }
+
+    /// True when a cluster with these cell values has more distinct values
+    /// than [`CandidateConfig::max_distinct_values_per_cluster`] allows, so
+    /// candidate generation skips it and it contributes no candidate.
+    pub fn skips_cluster(&self, values: &[String]) -> bool {
+        let Some(max) = self.max_distinct_values_per_cluster else {
+            return false;
+        };
+        // Only whether the count passes `max` matters, so the scan stops
+        // there: a huge cluster costs O(len * max), not O(len²).
+        let mut distinct: Vec<&String> = Vec::new();
+        for v in values {
+            if !distinct.contains(&v) {
+                distinct.push(v);
+                if distinct.len() > max {
+                    return true;
+                }
+            }
+        }
+        false
+    }
 }
 
 /// The candidate replacements of one column together with their replacement
@@ -153,21 +174,8 @@ fn generate_cluster_range(
     let mut out = CandidateSet::default();
     for (offset, values) in clusters.iter().enumerate() {
         let c = first_cluster + offset;
-        if let Some(max) = config.max_distinct_values_per_cluster {
-            // Only whether the count passes `max` matters, so the scan stops
-            // there: a huge cluster costs O(len * max), not O(len²).
-            let mut distinct: Vec<&String> = Vec::new();
-            for v in values {
-                if !distinct.contains(&v) {
-                    distinct.push(v);
-                    if distinct.len() > max {
-                        break;
-                    }
-                }
-            }
-            if distinct.len() > max {
-                continue;
-            }
+        if config.skips_cluster(values) {
+            continue;
         }
         for (i, a) in values.iter().enumerate() {
             for (j, b) in values.iter().enumerate() {

@@ -16,7 +16,11 @@
 //! replaced by an `Oversized` tombstone and its id list is dropped — and each
 //! record appends one small sort key. The candidate pairs of everything pushed
 //! so far are derived from that state on demand, so one-shot and incremental
-//! resolution share a single blocking implementation.
+//! resolution share a single blocking implementation. They come out in no
+//! particular order (token blocks are visited in hash-map order) and with
+//! duplicates; the resolution state's snapshot consumes them as they are,
+//! and only [`crate::matcher::Resolver::match_pairs`], which reports pairs,
+//! sorts and dedups them.
 
 use crate::matcher::{BlockingScheme, ResolverConfig};
 use crate::tokenize::{normalize_into, words_into, TokenBuf};
@@ -138,15 +142,19 @@ impl Blocks {
         }
     }
 
-    /// The candidate pairs of the pushed records, deduplicated, ordered, and
-    /// with `a < b`. Sorts the keys in place (sound: sorting is idempotent
-    /// and later pushes append keys that the next call re-sorts) so no
-    /// O(records) copy is made at the peak-memory moment.
-    pub(crate) fn candidate_pairs(&mut self, config: &ResolverConfig) -> Vec<(u32, u32)> {
+    /// Writes the candidate pairs of the pushed records into `pairs` (cleared
+    /// first), each with `a < b`, in no particular order and with
+    /// duplicates: a pair sharing several tokens, or found by both schemes,
+    /// appears once per finding. Callers that report pairs sort and dedup;
+    /// a snapshot only needs each pair's decision, so it skips that
+    /// O(pairs log pairs) step. Sorts the keys in place (sound: sorting is
+    /// idempotent and later pushes append keys that the next call re-sorts)
+    /// so no O(records) copy is made at the peak-memory moment.
+    pub(crate) fn candidate_pairs(&mut self, config: &ResolverConfig, pairs: &mut Vec<(u32, u32)>) {
+        pairs.clear();
         if self.len < 2 {
-            return Vec::new();
+            return;
         }
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
         if matches!(config.scheme, BlockingScheme::Token | BlockingScheme::Both) {
             for block in self.token_blocks.values() {
                 let TokenBlock::Ids(ids) = block else {
@@ -178,11 +186,6 @@ impl Blocks {
                 }
             }
         }
-        // Sort-and-dedup beats a hash set here: the pair list is regenerated
-        // on every snapshot, and most blocks emit runs of nearly-sorted pairs.
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
     }
 }
 
@@ -307,13 +310,23 @@ mod tests {
         }
     }
 
+    /// The state's candidate pairs, sorted and deduplicated.
+    fn sorted_pairs(blocks: &mut Blocks, config: &ResolverConfig) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        blocks.candidate_pairs(config, &mut pairs);
+        assert!(pairs.iter().all(|&(a, b)| a < b));
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    }
+
     /// The candidate pairs of `records` pushed one at a time.
     fn state_pairs(records: &[Vec<String>], config: &ResolverConfig) -> Vec<(u32, u32)> {
         let mut blocks = Blocks::default();
         for fields in records {
             blocks.push(config, fields);
         }
-        blocks.candidate_pairs(config)
+        sorted_pairs(&mut blocks, config)
     }
 
     /// Pushes `records` one at a time and compares the state's candidate
@@ -328,7 +341,7 @@ mod tests {
             let len = n + 1;
             if len % every == 0 || len == records.len() {
                 assert_eq!(
-                    blocks.candidate_pairs(config),
+                    sorted_pairs(&mut blocks, config),
                     reference_pairs(&records[..len], config),
                     "{config:?} after {len} records"
                 );
@@ -465,11 +478,6 @@ mod tests {
         assert!(pairs.contains(&(3, 4)));
         // The unrelated record shares no token with the Lees.
         assert!(!pairs.contains(&(0, 5)));
-        // Output is sorted and deduplicated.
-        let mut sorted = pairs.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(pairs, sorted);
     }
 
     #[test]

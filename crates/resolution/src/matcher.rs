@@ -411,8 +411,9 @@ impl Resolver {
     }
 
     /// Generates candidate pairs and scores each one. Decisions are returned
-    /// in candidate order (sorted by record indices) and every score is
-    /// exact — this entry point reports scores, so it never early-abandons
+    /// sorted by record indices, one per distinct pair — the only entry point
+    /// that sorts and dedups the candidate pairs, since it is the only one
+    /// that reports them — and every score is exact: it never early-abandons
     /// and never consults the decision cache.
     pub fn match_pairs(&self, records: &[RawRecord]) -> Vec<MatchDecision> {
         let mut state = self.state_of(records);
@@ -463,8 +464,11 @@ impl Resolver {
         if let Some(t) = truths {
             assert_eq!(t.len(), records.len(), "one truth row per record required");
         }
-        let clusters = self.resolve(records);
-        clusters_to_dataset(name, columns, records, clusters, truths)
+        let mut dataset = Dataset::new(name, columns);
+        self.state_of(records).snapshot_with(|records, clusters| {
+            fill_dataset(&mut dataset, records, &clusters, truths)
+        });
+        dataset
     }
 
     /// Streaming entry point: consumes a [`RecordStream`] record-at-a-time
@@ -491,45 +495,57 @@ impl Resolver {
     }
 }
 
-/// Packages resolved clusters of record indices as a [`Dataset`] — shared by
-/// the slice and snapshot entry points so both produce identical output. The
+/// Packages resolved clusters of record indices into `dataset` — the one
+/// packaging every dataset-producing entry point shares, fresh or refilled.
+/// Its clusters, rows and cells are reused: every cell string is
+/// overwritten with `clone_from` (which keeps the old allocation when it
+/// fits), and clusters, rows and cells are truncated or pushed to the new
+/// shape, so refilling the previous snapshot's dataset costs no allocation
+/// where the shape held and the result equals filling an empty one. The
 /// golden record of a cluster is unknown at resolution time; the per-column
-/// majority of truths serves as the best available label.
-pub(crate) fn clusters_to_dataset(
-    name: &str,
-    columns: Vec<String>,
+/// majority of truths serves as the best available label. `truths`, when
+/// given, holds one truth row per record; otherwise truth := observed.
+pub(crate) fn fill_dataset(
+    dataset: &mut Dataset,
     records: &[RawRecord],
-    clusters: Vec<Vec<usize>>,
+    clusters: &[Vec<usize>],
     truths: Option<&[Vec<String>]>,
-) -> Dataset {
-    let mut dataset = Dataset::new(name, columns);
-    for member_ids in clusters {
-        let rows: Vec<Row> = member_ids
-            .iter()
-            .map(|&id| {
-                let record = &records[id];
-                let cells: Vec<Cell> = record
-                    .fields
-                    .iter()
-                    .enumerate()
-                    .map(|(col, observed)| Cell {
-                        observed: observed.clone(),
-                        truth: truths
-                            .map(|t| t[id][col].clone())
-                            .unwrap_or_else(|| observed.clone()),
-                    })
-                    .collect();
-                Row {
+) {
+    dataset.clusters.truncate(clusters.len());
+    for (c, member_ids) in clusters.iter().enumerate() {
+        if c == dataset.clusters.len() {
+            dataset.clusters.push(Cluster::default());
+        }
+        let cluster = &mut dataset.clusters[c];
+        cluster.rows.truncate(member_ids.len());
+        for (r, &id) in member_ids.iter().enumerate() {
+            let record = &records[id];
+            if r == cluster.rows.len() {
+                cluster.rows.push(Row {
                     source: record.source,
-                    cells,
+                    cells: Vec::with_capacity(record.fields.len()),
+                });
+            }
+            let row = &mut cluster.rows[r];
+            row.source = record.source;
+            row.cells.truncate(record.fields.len());
+            for (col, observed) in record.fields.iter().enumerate() {
+                let truth = truths.map_or(observed, |t| &t[id][col]);
+                match row.cells.get_mut(col) {
+                    Some(cell) => {
+                        cell.observed.clone_from(observed);
+                        cell.truth.clone_from(truth);
+                    }
+                    None => row.cells.push(Cell {
+                        observed: observed.clone(),
+                        truth: truth.clone(),
+                    }),
                 }
-            })
-            .collect();
-        let num_cols = rows.first().map(|r| r.cells.len()).unwrap_or(0);
-        let golden = ec_data::majority_golden(&rows, num_cols);
-        dataset.clusters.push(Cluster { rows, golden });
+            }
+        }
+        let num_cols = cluster.rows.first().map_or(0, |r| r.cells.len());
+        cluster.golden = ec_data::majority_golden(&cluster.rows, num_cols);
     }
-    dataset
 }
 
 impl Default for Resolver {

@@ -5,7 +5,9 @@
 //! per-block memory and one sort key per record; see [`crate::blocking`]),
 //! the interned field vectors, and a cache of match decisions keyed by the
 //! two records' values. [`DeltaResolver::push`] ingests one record and
-//! [`DeltaResolver::snapshot`] clusters everything pushed so far.
+//! [`DeltaResolver::snapshot`] clusters everything pushed so far;
+//! [`DeltaResolver::snapshot_into`] packages that clustering into a dataset
+//! an earlier snapshot produced, reusing its allocations.
 //!
 //! Every way of resolving is that state plus a snapshot. Incremental ingest
 //! keeps one state alive across batches and snapshots after each;
@@ -18,10 +20,14 @@
 //!
 //! Scoring waits for the snapshot: whether a token block survives the size
 //! cap is only known once its records have arrived, so emitting pairs
-//! eagerly could union records a later snapshot never compares.
+//! eagerly could union records a later snapshot never compares. A snapshot
+//! streams the candidate pairs unsorted, duplicates included, into a buffer
+//! the state keeps, and looks each pair's decision up once; the clustering
+//! does not depend on pair order, so only [`Resolver::match_pairs`], which
+//! reports pairs, sorts and dedups them.
 
 use crate::blocking::Blocks;
-use crate::matcher::{clusters_to_dataset, score_pairs, RawRecord, Resolver, ResolverConfig};
+use crate::matcher::{fill_dataset, score_pairs, RawRecord, Resolver, ResolverConfig};
 use crate::unionfind::UnionFind;
 use ec_data::Dataset;
 use std::collections::hash_map::Entry;
@@ -64,6 +70,15 @@ impl std::hash::BuildHasher for PairHashBuilder {
     }
 }
 
+/// A decision-cache entry. `Pending` only lives inside one snapshot: the
+/// value pair was first met there and is waiting to be scored.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Decision {
+    Pending,
+    Match,
+    NoMatch,
+}
+
 /// Incremental resolution: the one resolution state (see the module docs).
 ///
 /// A [`DeltaResolver`] owns its [`Resolver`] and keeps its state alive
@@ -71,12 +86,12 @@ impl std::hash::BuildHasher for PairHashBuilder {
 /// [`DeltaResolver::snapshot`] then produces the clustering of everything
 /// pushed so far:
 ///
-/// * the candidate-pair set is regenerated from the live block state on every
-///   snapshot — it is *non-monotone* (a token block can outgrow the cap and
-///   tombstone pairs away; a sorted-neighborhood window shifts as records
-///   insert between old neighbors), so pairs unioned in an earlier snapshot
-///   may legitimately vanish, and the union-find for a snapshot is rebuilt
-///   from the current pair set rather than carried over;
+/// * the candidate pairs are regenerated from the live block state on every
+///   snapshot — the pair set is *non-monotone* (a token block can outgrow
+///   the cap and tombstone pairs away; a sorted-neighborhood window shifts
+///   as records insert between old neighbors), so pairs unioned in an
+///   earlier snapshot may legitimately vanish, and the union-find for a
+///   snapshot is rebuilt from the current pair set rather than carried over;
 /// * what *is* carried over is the expensive part: match **decisions**,
 ///   cached by the two records' value contents (the pair score is a pure,
 ///   exactly symmetric function of the field strings — record ids would never
@@ -105,8 +120,11 @@ pub struct DeltaResolver {
     /// commutativity of `+`), so one decision serves both argument orders —
     /// without this, re-ingesting seen values in a new interleaving
     /// re-scores every reversed pair.
-    decisions: HashMap<(u32, u32), bool, PairHashBuilder>,
+    decisions: HashMap<(u32, u32), Decision, PairHashBuilder>,
     scored_pairs: u64,
+    /// The candidate-pair buffer, kept between snapshots so its allocation
+    /// is reused.
+    pairs: Vec<(u32, u32)>,
 }
 
 impl DeltaResolver {
@@ -120,6 +138,7 @@ impl DeltaResolver {
             record_values: Vec::new(),
             decisions: HashMap::default(),
             scored_pairs: 0,
+            pairs: Vec::new(),
         }
     }
 
@@ -170,7 +189,12 @@ impl DeltaResolver {
     /// ordered, and with `a < b`.
     pub(crate) fn candidate_pairs(&mut self) -> Vec<(u32, u32)> {
         let _span = ec_obs::span!("resolution.blocking");
-        self.blocks.candidate_pairs(self.resolver.config())
+        let mut pairs = Vec::new();
+        self.blocks
+            .candidate_pairs(self.resolver.config(), &mut pairs);
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
     }
 
     /// The clustering of everything pushed so far — groups of record
@@ -179,27 +203,50 @@ impl DeltaResolver {
     /// records. `package` runs inside the `resolution.scoring` span, so
     /// traces charge turning clusters into output to resolution.
     ///
-    /// A sequential pass collects the first-occurrence cache misses in pair
-    /// order; the misses are scored sharded over the pool with early abandon
+    /// One sequential pass over the streamed pairs looks each pair's
+    /// decision up once: a decided pair is unioned (or not) on the spot, a
+    /// pair whose value pair is new is marked pending and queued for
+    /// scoring, and a later pair of a pending value pair is deferred. The
+    /// queued pairs are scored sharded over the pool with early abandon
     /// (only `score >= threshold` is kept, and an abandoned pair is provably
-    /// below it); then every pair is unioned from the cache. Cache contents,
-    /// `scored_pairs` and the clustering are independent of the thread count.
+    /// below it); then the queued and deferred pairs are unioned by their
+    /// decisions. A value pair's decision depends only on the two field
+    /// vectors and the clustering only on the set of unioned pairs, so
+    /// neither pair order nor duplicates matter: cache contents,
+    /// `scored_pairs` and the clustering are independent of both and of the
+    /// thread count.
     pub(crate) fn snapshot_with<T>(
         &mut self,
         package: impl FnOnce(&[RawRecord], Vec<Vec<usize>>) -> T,
     ) -> T {
-        let pairs = self.candidate_pairs();
+        let mut pairs = std::mem::take(&mut self.pairs);
+        {
+            let _span = ec_obs::span!("resolution.blocking");
+            self.blocks
+                .candidate_pairs(self.resolver.config(), &mut pairs);
+        }
         let _span = ec_obs::span!("resolution.scoring", pairs.len());
         let record_values = &self.record_values;
         let key = |a: u32, b: u32| {
             let (va, vb) = (record_values[a as usize], record_values[b as usize]);
             (va.min(vb), va.max(vb))
         };
+        let mut uf = UnionFind::new(self.records.len());
         let mut misses: Vec<(u32, u32)> = Vec::new();
+        let mut deferred: Vec<(u32, u32)> = Vec::new();
         for &(a, b) in &pairs {
-            if let Entry::Vacant(slot) = self.decisions.entry(key(a, b)) {
-                slot.insert(false);
-                misses.push((a, b));
+            match self.decisions.entry(key(a, b)) {
+                Entry::Occupied(decision) => match decision.get() {
+                    Decision::Match => {
+                        uf.union(a as usize, b as usize);
+                    }
+                    Decision::NoMatch => {}
+                    Decision::Pending => deferred.push((a, b)),
+                },
+                Entry::Vacant(slot) => {
+                    slot.insert(Decision::Pending);
+                    misses.push((a, b));
+                }
             }
         }
         let threshold = self.resolver.config().threshold;
@@ -212,24 +259,40 @@ impl DeltaResolver {
         );
         self.scored_pairs += misses.len() as u64;
         for (&(a, b), score) in misses.iter().zip(scores) {
-            self.decisions.insert(key(a, b), score >= threshold);
+            let decision = if score >= threshold {
+                uf.union(a as usize, b as usize);
+                Decision::Match
+            } else {
+                Decision::NoMatch
+            };
+            self.decisions.insert(key(a, b), decision);
         }
-        let mut uf = UnionFind::new(self.records.len());
-        for &(a, b) in &pairs {
-            if self.decisions[&key(a, b)] {
+        for &(a, b) in &deferred {
+            if self.decisions[&key(a, b)] == Decision::Match {
                 uf.union(a as usize, b as usize);
             }
         }
+        self.pairs = pairs;
         package(&self.records, uf.into_groups())
     }
 
-    /// The clustering of everything pushed so far, packaged as a [`Dataset`]
-    /// with each cell's truth set to its observed value — bit-identical to
-    /// [`Resolver::resolve_stream`] over the same records.
+    /// Packages the clustering of everything pushed so far into `dataset`,
+    /// reusing its clusters, rows and cell strings: cells are overwritten
+    /// in place, and clusters, rows and cells are truncated or pushed to the
+    /// new shape. Each cell's truth is set to its observed value; the
+    /// dataset's name and columns are left as they are. The result equals
+    /// packaging into an empty dataset, whatever `dataset` held.
+    pub fn snapshot_into(&mut self, dataset: &mut Dataset) {
+        self.snapshot_with(|records, clusters| fill_dataset(dataset, records, &clusters, None))
+    }
+
+    /// The clustering of everything pushed so far, packaged as a fresh
+    /// [`Dataset`] with each cell's truth set to its observed value —
+    /// bit-identical to [`Resolver::resolve_stream`] over the same records.
     pub fn snapshot(&mut self, name: &str, columns: Vec<String>) -> Dataset {
-        self.snapshot_with(|records, clusters| {
-            clusters_to_dataset(name, columns, records, clusters, None)
-        })
+        let mut dataset = Dataset::new(name, columns);
+        self.snapshot_into(&mut dataset);
+        dataset
     }
 }
 
@@ -440,6 +503,147 @@ mod tests {
             }
             assert_eq!(scored, vec![990, 3206, 6028], "threshold {threshold}");
             assert_eq!(sizes, clusters, "threshold {threshold}");
+        }
+    }
+
+    /// A seeded LCG step, returning a value in `0..n`.
+    fn draw(state: &mut u64, n: usize) -> usize {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (*state >> 33) as usize % n
+    }
+
+    /// Overwrites every cell of a used dataset with junk of varying length,
+    /// so a refill that skipped a cell would show.
+    fn scribble(dataset: &mut Dataset) {
+        for (c, cluster) in dataset.clusters.iter_mut().enumerate() {
+            for row in &mut cluster.rows {
+                row.source = usize::MAX;
+                for cell in &mut row.cells {
+                    cell.observed = "#".repeat(c % 7);
+                    cell.truth = "junk truth".to_string();
+                }
+            }
+            cluster.golden = vec!["stale".to_string(); 5];
+        }
+    }
+
+    #[test]
+    fn packaging_into_a_used_dataset_equals_packaging_into_an_empty_one() {
+        const WORDS: [&str; 8] = ["mary", "lee", "smith", "james", "st", "9", "ave", "kim"];
+        let columns: Vec<String> = ["A", "B", "C"].iter().map(|c| c.to_string()).collect();
+        // Used datasets packaged into hold more or fewer clusters, rows and
+        // cells than the new clustering needs; both directions must occur.
+        let (mut fewer_clusters, mut more_clusters) = (false, false);
+        for (seed, max_block_size) in [(1u64, 2usize), (2, 3), (3, 4), (4, 3)] {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let field = |state: &mut u64| {
+                let len = 1 + draw(state, 3);
+                (0..len)
+                    .map(|_| WORDS[draw(state, WORDS.len())])
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            };
+            // Mixed arity: records carry one to three fields.
+            let records: Vec<RawRecord> = (0..60)
+                .map(|_| {
+                    let arity = 1 + draw(&mut state, 3);
+                    let fields: Vec<String> = (0..arity).map(|_| field(&mut state)).collect();
+                    RawRecord::new(draw(&mut state, 4), fields)
+                })
+                .collect();
+            let truths: Vec<Vec<String>> = records
+                .iter()
+                .map(|r| r.fields.iter().map(|_| field(&mut state)).collect())
+                .collect();
+            let config = ResolverConfig {
+                scheme: BlockingScheme::Token,
+                threshold: 0.5,
+                blocking: BlockingConfig {
+                    max_block_size,
+                    ..BlockingConfig::default()
+                },
+                ..ResolverConfig::default()
+            };
+            let resolver = Resolver::new(config.clone());
+            let mut big =
+                resolver.resolve_to_dataset("r", columns.clone(), &records, Some(&truths));
+            let mut delta = DeltaResolver::new(config);
+            let mut used = Dataset::new("r", columns.clone());
+            let mut used_truths = Dataset::new("r", columns.clone());
+            while delta.len() < records.len() {
+                let end = (delta.len() + 1 + draw(&mut state, 12)).min(records.len());
+                while delta.len() < end {
+                    delta.push(records[delta.len()].clone());
+                }
+                let fresh = delta.snapshot("r", columns.clone());
+                for target in [&mut used, &mut big] {
+                    fewer_clusters |= target.clusters.len() > fresh.clusters.len();
+                    more_clusters |= target.clusters.len() < fresh.clusters.len();
+                    scribble(target);
+                    delta.snapshot_into(target);
+                    assert_eq!(*target, fresh, "seed {seed} after {end} records");
+                }
+                // With truths: the slice entry point packages into an empty
+                // dataset; the same refill of a used one must agree.
+                let expected = resolver.resolve_to_dataset(
+                    "r",
+                    columns.clone(),
+                    &records[..end],
+                    Some(&truths[..end]),
+                );
+                scribble(&mut used_truths);
+                delta.snapshot_with(|records, clusters| {
+                    fill_dataset(&mut used_truths, records, &clusters, Some(&truths[..end]))
+                });
+                assert_eq!(used_truths, expected, "seed {seed} after {end} records");
+                big = expected;
+            }
+        }
+        assert!(fewer_clusters && more_clusters);
+    }
+
+    #[test]
+    fn repeated_unseen_value_pairs_in_one_batch_are_all_unioned() {
+        // Record 4 repeats record 0's values and reaches the cluster only
+        // through pairs whose value pair the same snapshot first met on
+        // another record pair: those later pairs wait for the first one's
+        // score and must still be unioned.
+        let mut records: Vec<RawRecord> = ["Mary Lee", "Mary Leee", "Mary Lee", "Mary Leee"]
+            .iter()
+            .map(|name| RawRecord::new(0, [*name]))
+            .collect();
+        records.push(RawRecord::new(1, ["Mary Lee"]));
+        records.push(RawRecord::new(2, ["James Smith"]));
+        records.push(RawRecord::new(3, ["James Smith"]));
+        for scheme in [
+            BlockingScheme::Token,
+            BlockingScheme::SortedNeighborhood,
+            BlockingScheme::Both,
+        ] {
+            let resolver = Resolver::new(ResolverConfig {
+                scheme,
+                ..ResolverConfig::default()
+            });
+            let mut uf = UnionFind::new(records.len());
+            for d in resolver.match_pairs(&records) {
+                if d.is_match {
+                    uf.union(d.a, d.b);
+                }
+            }
+            let expected = uf.into_groups();
+            let mut delta = DeltaResolver::new(resolver.config().clone());
+            for r in &records {
+                delta.push(r.clone());
+            }
+            let clusters = delta.snapshot_with(|_, clusters| clusters);
+            assert_eq!(clusters, expected, "{scheme:?}");
+            assert_eq!(
+                clusters,
+                vec![vec![0, 1, 2, 3, 4], vec![5, 6]],
+                "{scheme:?}"
+            );
         }
     }
 

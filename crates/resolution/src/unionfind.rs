@@ -85,12 +85,38 @@ impl UnionFind {
     /// Materializes the sets as a vector of element-index groups. Groups are
     /// ordered by their smallest member and each group is sorted, so the
     /// output is deterministic regardless of union order.
+    ///
+    /// One ascending scan does it: a root gets the next slot the first time
+    /// one of its members is seen, so slots open in smallest-member order and
+    /// members land in each group already sorted.
     pub fn into_groups(mut self) -> Vec<Vec<usize>> {
-        let len = self.len();
+        const UNSEEN: usize = usize::MAX;
+        let mut slot = vec![UNSEEN; self.len()];
+        let mut groups: Vec<Vec<usize>> = Vec::with_capacity(self.components);
+        for x in 0..self.len() {
+            let root = self.find(x);
+            if slot[root] == UNSEEN {
+                slot[root] = groups.len();
+                groups.push(Vec::new());
+            }
+            groups[slot[root]].push(x);
+        }
+        groups
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The hash-and-sort grouping [`UnionFind::into_groups`] replaced, kept
+    /// as the reference of the property test below.
+    fn into_groups_reference(mut uf: UnionFind) -> Vec<Vec<usize>> {
         let mut by_root: std::collections::HashMap<usize, Vec<usize>> =
             std::collections::HashMap::new();
-        for x in 0..len {
-            let root = self.find(x);
+        for x in 0..uf.len() {
+            let root = uf.find(x);
             by_root.entry(root).or_default().push(x);
         }
         let mut groups: Vec<Vec<usize>> = by_root.into_values().collect();
@@ -100,12 +126,6 @@ impl UnionFind {
         groups.sort_by_key(|g| g[0]);
         groups
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn singletons_start_disconnected() {
@@ -175,6 +195,22 @@ mod tests {
             for pair in groups.windows(2) {
                 prop_assert!(!uf.connected(pair[0][0], pair[1][0]));
             }
+        }
+
+        /// The one-scan grouping equals the hash-and-sort reference for any
+        /// union sequence.
+        #[test]
+        fn prop_groups_match_the_reference(
+            n in 0usize..60,
+            edges in proptest::collection::vec((0usize..60, 0usize..60), 0..80)
+        ) {
+            let mut uf = UnionFind::new(n);
+            if n > 0 {
+                for (a, b) in edges {
+                    uf.union(a % n, b % n);
+                }
+            }
+            prop_assert_eq!(uf.clone().into_groups(), into_groups_reference(uf));
         }
     }
 }
