@@ -303,7 +303,8 @@ file is ever buffered whole (only the parsed records / clusters a command
 works on are held in memory). --threads N sets the worker shards for
 candidate generation and grouping (0 = auto: the EC_THREADS environment
 variable, else the machine); the work runs on one process-wide
-work-stealing pool. Results are bit-identical for every thread count.
+worker pool fed by a single FIFO queue. Results are bit-identical for
+every thread count.
 
 The program-library workflow is learn -> save -> apply: a consolidate or
 pipeline run with --save-library FILE stores every group the oracle

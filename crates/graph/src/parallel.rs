@@ -4,13 +4,15 @@
 //! and pivot-path search (`ec-grouping`) all shard their work across the
 //! shared worker pool.
 //! [`Parallelism`] is the single configuration value they consult: a fixed
-//! thread count, or *auto* — resolve from the `EC_THREADS` environment
-//! variable when set, otherwise from [`std::thread::available_parallelism`].
+//! thread count, or *auto* — resolved once per process from the `EC_THREADS`
+//! environment variable when set, otherwise from
+//! [`std::thread::available_parallelism`].
 //!
 //! Every sharded stage is required to produce **bit-identical output** for
 //! every `Parallelism` value; the knob only trades wall-clock time for cores.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Environment variable consulted by [`Parallelism::AUTO`].
 pub const EC_THREADS_ENV: &str = "EC_THREADS";
@@ -22,7 +24,7 @@ const MAX_AUTO_THREADS: usize = 8;
 /// Number of worker threads a sharded stage may use.
 ///
 /// The inner value is the configured thread count, with `0` meaning *auto*
-/// (resolve at use time from `EC_THREADS` or the machine). Constructed via
+/// (resolved on first use from `EC_THREADS` or the machine). Constructed via
 /// [`Parallelism::AUTO`], [`Parallelism::SEQUENTIAL`] or
 /// [`Parallelism::fixed`]; `From<usize>` maps `0` to auto, which is what the
 /// CLI's `--threads 0` default relies on.
@@ -30,8 +32,10 @@ const MAX_AUTO_THREADS: usize = 8;
 pub struct Parallelism(usize);
 
 impl Parallelism {
-    /// Resolve the thread count at use time: `EC_THREADS` when set and valid,
-    /// otherwise the machine's available parallelism (clamped to 8).
+    /// Resolve the thread count on first use: `EC_THREADS` when set and
+    /// valid, otherwise the machine's available parallelism (clamped to 8).
+    /// The answer is kept for the rest of the process, the same way the
+    /// shared pool is sized once.
     pub const AUTO: Parallelism = Parallelism(0);
 
     /// Exactly one thread: the sharded stages run their plain sequential
@@ -48,17 +52,19 @@ impl Parallelism {
         if self.0 > 0 {
             return self.0;
         }
-        if let Ok(v) = std::env::var(EC_THREADS_ENV) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, MAX_AUTO_THREADS)
+        static AUTO_THREADS: OnceLock<usize> = OnceLock::new();
+        *AUTO_THREADS.get_or_init(|| {
+            std::env::var(EC_THREADS_ENV)
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+                .filter(|&n| n > 0)
+                .unwrap_or_else(|| {
+                    std::thread::available_parallelism()
+                        .map(|n| n.get())
+                        .unwrap_or(1)
+                        .clamp(1, MAX_AUTO_THREADS)
+                })
+        })
     }
 
     /// The number of shards to split `items` units of work into: the resolved
@@ -70,7 +76,7 @@ impl Parallelism {
     /// Runs one task per shard and returns the results in task order.
     ///
     /// Zero or one task runs inline on the calling thread; larger batches run
-    /// on the process-wide work-stealing pool ([`crate::pool::shared`])
+    /// on the process-wide FIFO pool ([`crate::pool::shared`])
     /// instead of spawning scoped threads per call. The number of pool
     /// workers is independent of this `Parallelism` value — the knob decides
     /// how many *shards* a stage cuts its work into, and since every sharded

@@ -540,8 +540,8 @@ impl PivotSearcher {
     /// Each worker is handed only its own chunk's graph bounds plus a sparse
     /// update list, so the per-batch memory traffic is O(graphs searched +
     /// raises recorded) instead of O(threads × graphs) full-vector copies.
-    /// Sharded batches run as `'static` tasks on the process-wide
-    /// work-stealing pool (`ec_graph::pool`) — no scoped threads are spawned
+    /// Sharded batches run as `'static` tasks on the process-wide FIFO
+    /// pool (`ec_graph::pool`) — no scoped threads are spawned
     /// per call, which is what makes the incremental grouper's speculative
     /// batch loop cheap inside long-lived processes like `ec serve`. A single
     /// chunk runs inline on the calling thread.

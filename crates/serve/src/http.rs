@@ -139,11 +139,15 @@ pub fn percent_decode(s: &str) -> String {
         match bytes[i] {
             b'+' => out.push(b' '),
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3).and_then(|h| {
-                    std::str::from_utf8(h)
-                        .ok()
-                        .and_then(|h| u8::from_str_radix(h, 16).ok())
-                });
+                // Exactly two hex digits (`from_str_radix` would also take a
+                // sign, decoding `%+1` as 0x01).
+                let digit = |b: u8| char::from(b).to_digit(16);
+                let hex = match bytes.get(i + 1..i + 3) {
+                    Some(&[hi, lo]) => digit(hi)
+                        .zip(digit(lo))
+                        .map(|(hi, lo)| (hi * 16 + lo) as u8),
+                    _ => None,
+                };
                 match hex {
                     Some(b) => {
                         out.push(b);
@@ -956,5 +960,12 @@ mod tests {
         assert_eq!(percent_decode("a%20b+c"), "a b c");
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");
+        // A sign is not a hex digit: these stay literal.
+        assert_eq!(percent_decode("%+1"), "% 1");
+        assert_eq!(percent_decode("%+f"), "% f");
+        // Short and trailing escapes stay literal too.
+        assert_eq!(percent_decode("%1"), "%1");
+        assert_eq!(percent_decode("a%"), "a%");
+        assert_eq!(percent_decode("%4A%4a"), "JJ");
     }
 }

@@ -5,7 +5,7 @@
 //! (`TcpListener` + hand-rolled HTTP/1.1, no external dependencies) service
 //! started via `ec serve --addr … --threads N`. Three pieces work together:
 //!
-//! * the **shared work-stealing worker pool** (re-exported here as
+//! * the **shared FIFO worker pool** (re-exported here as
 //!   [`pool`], implemented in `ec_graph::pool` so the `Parallelism` knob can
 //!   adopt it without a dependency cycle) both executes connection handlers
 //!   and the sharded consolidation stages they fan out — no scoped threads
@@ -220,13 +220,12 @@ impl Service for ServerState {
     }
 
     /// Connections are detached, panic-isolated jobs on the shared pool —
-    /// handlers are the CPU work, so the pool is the right executor. FIFO
-    /// submission matters: a connection that yields its worker mid-burst
-    /// re-queues itself through here, and on the worker's own LIFO deque it
-    /// would be popped straight back, starving every other connection (and
-    /// the router's health probes) behind it.
+    /// handlers are the CPU work, so the pool is the right executor. A
+    /// connection that yields its worker mid-burst re-queues itself through
+    /// here; the pool's one FIFO queue puts it behind every connection (and
+    /// router health probe) already waiting, so it cannot starve them.
     fn execute(&self, job: Box<dyn FnOnce() + Send + 'static>) {
-        pool::shared().spawn_fifo(job);
+        pool::shared().spawn(job);
     }
 
     fn dispatch(
