@@ -9,13 +9,24 @@
 //! * **Resolution** rides on [`DeltaResolver`]: records are pushed once,
 //!   blocks and the sorted-neighborhood key list grow incrementally, and match
 //!   decisions are cached by value content, so a batch of already-seen values
-//!   scores nothing. What a batch still redoes over the whole state is cheap
-//!   and copy-free: the snapshot streams every candidate pair out of the
-//!   blocks unsorted and looks each one's decision up once, then refills the
-//!   dataset the previous batch produced in place (cell strings overwritten
-//!   with `clone_from`, clusters and rows truncated or pushed). The review
-//!   loop moves each column's strings into the engine and back instead of
-//!   copying them, and truth discovery reruns over the whole dataset.
+//!   scores nothing. What a batch still redoes over the whole state is
+//!   copy-free but O(state):
+//!   - the snapshot streams every candidate pair out of the blocks unsorted
+//!     and rebuilds the union-find. It looks a pair's decision up only when
+//!     the pair involves a record of this batch or its records are not yet
+//!     connected. The skip is exact: a pair of two older records was a
+//!     candidate at the previous snapshot too (token blocks only gain ids or
+//!     become tombstones; a sorted-neighborhood insertion only widens the
+//!     gaps between old records), so its decision is already cached;
+//!   - the snapshot refills the dataset the previous batch produced in
+//!     place (cell strings overwritten with `clone_from`, clusters and rows
+//!     truncated or pushed) and re-votes every cluster's label;
+//!   - the review loop moves each column's strings into the engine and back
+//!     instead of copying them;
+//!   - truth discovery reruns over the whole dataset.
+//!
+//!   Both votes count with one presized [`ec_data::Tally`] per call, so the
+//!   giant cluster of a feed costs one keyed hash per vote and no rehashing.
 //! * **Candidate generation** is cached per cluster, keyed by the cluster's
 //!   value vector; a cluster over the distinct-value cap contributes no
 //!   candidates and skips the cache. Clusters are independent

@@ -22,9 +22,11 @@
 //! cap is only known once its records have arrived, so emitting pairs
 //! eagerly could union records a later snapshot never compares. A snapshot
 //! streams the candidate pairs unsorted, duplicates included, into a buffer
-//! the state keeps, and looks each pair's decision up once; the clustering
-//! does not depend on pair order, so only [`Resolver::match_pairs`], which
-//! reports pairs, sorts and dedups them.
+//! the state keeps, and looks each pair's decision up once, except a pair of
+//! two records from earlier batches that is already connected (see
+//! `DeltaResolver::snapshot_with`); the clustering does not depend on pair
+//! order, so only [`Resolver::match_pairs`], which reports pairs, sorts and
+//! dedups them.
 
 use crate::blocking::Blocks;
 use crate::matcher::{fill_dataset, score_pairs, RawRecord, Resolver, ResolverConfig};
@@ -79,6 +81,23 @@ enum Decision {
     NoMatch,
 }
 
+/// Adds one snapshot's streamed candidate pairs to
+/// `ec_resolution_pair_lookups_total`, by outcome: `skipped` (settled and
+/// already connected, no lookup), `cached` (a decision was cached, or is
+/// pending on an earlier pair of this snapshot) and `scored` (a value pair
+/// first met in this snapshot).
+fn count_lookups(skipped: u64, cached: u64, scored: u64) {
+    const HELP: &str = "Snapshot candidate-pair decision lookups by outcome";
+    for (outcome, n) in [("skipped", skipped), ("cached", cached), ("scored", scored)] {
+        ec_obs::counter_with(
+            "ec_resolution_pair_lookups_total",
+            HELP,
+            &[("outcome", outcome)],
+        )
+        .add(n);
+    }
+}
+
 /// Incremental resolution: the one resolution state (see the module docs).
 ///
 /// A [`DeltaResolver`] owns its [`Resolver`] and keeps its state alive
@@ -122,6 +141,9 @@ pub struct DeltaResolver {
     /// re-scores every reversed pair.
     decisions: HashMap<(u32, u32), Decision, PairHashBuilder>,
     scored_pairs: u64,
+    /// Records pushed before the last snapshot: every candidate pair among
+    /// them has a cached decision (see `DeltaResolver::snapshot_with`).
+    settled: u32,
     /// The candidate-pair buffer, kept between snapshots so its allocation
     /// is reused.
     pairs: Vec<(u32, u32)>,
@@ -138,6 +160,7 @@ impl DeltaResolver {
             record_values: Vec::new(),
             decisions: HashMap::default(),
             scored_pairs: 0,
+            settled: 0,
             pairs: Vec::new(),
         }
     }
@@ -215,6 +238,20 @@ impl DeltaResolver {
     /// neither pair order nor duplicates matter: cache contents,
     /// `scored_pairs` and the clustering are independent of both and of the
     /// thread count.
+    ///
+    /// A pair of two *settled* records — both pushed before the previous
+    /// snapshot — that the union-find already connects is skipped without a
+    /// lookup. That is exact. Such a pair was a candidate pair at the
+    /// previous snapshot too: a token block only gains ids or becomes a
+    /// tombstone for good, and a sorted-neighborhood insertion only widens
+    /// the gaps between old records. So its decision is cached and not
+    /// pending: looking it up would change neither the cache nor
+    /// `scored_pairs`, and unioning connected records changes nothing. A
+    /// pair involving a record of this batch is always looked up: its value
+    /// pair may be new. Everything else a snapshot does is still O(state):
+    /// it regenerates every candidate pair, rebuilds the union-find, and
+    /// `package` sees the whole clustering. The lookups are counted per
+    /// outcome in `ec_resolution_pair_lookups_total`.
     pub(crate) fn snapshot_with<T>(
         &mut self,
         package: impl FnOnce(&[RawRecord], Vec<Vec<usize>>) -> T,
@@ -234,7 +271,13 @@ impl DeltaResolver {
         let mut uf = UnionFind::new(self.records.len());
         let mut misses: Vec<(u32, u32)> = Vec::new();
         let mut deferred: Vec<(u32, u32)> = Vec::new();
+        let mut skipped = 0u64;
         for &(a, b) in &pairs {
+            // Candidate pairs have `a < b`, so `b < settled` settles both.
+            if b < self.settled && uf.connected(a as usize, b as usize) {
+                skipped += 1;
+                continue;
+            }
             match self.decisions.entry(key(a, b)) {
                 Entry::Occupied(decision) => match decision.get() {
                     Decision::Match => {
@@ -257,7 +300,8 @@ impl DeltaResolver {
             &misses,
             Some(threshold),
         );
-        self.scored_pairs += misses.len() as u64;
+        let scored = misses.len() as u64;
+        self.scored_pairs += scored;
         for (&(a, b), score) in misses.iter().zip(scores) {
             let decision = if score >= threshold {
                 uf.union(a as usize, b as usize);
@@ -272,6 +316,8 @@ impl DeltaResolver {
                 uf.union(a as usize, b as usize);
             }
         }
+        count_lookups(skipped, pairs.len() as u64 - skipped - scored, scored);
+        self.settled = self.records.len() as u32;
         self.pairs = pairs;
         package(&self.records, uf.into_groups())
     }
@@ -301,7 +347,8 @@ mod tests {
     use super::*;
     use crate::blocking::BlockingConfig;
     use crate::matcher::BlockingScheme;
-    use ec_data::{FlatRecord, RecordStream, VecRecordStream};
+    use ec_data::{majority_golden, FlatRecord, RecordStream, VecRecordStream};
+    use std::collections::HashSet;
 
     fn sample_records() -> Vec<RawRecord> {
         vec![
@@ -506,6 +553,93 @@ mod tests {
         }
     }
 
+    #[test]
+    fn skipping_settled_connected_pairs_is_exact() {
+        let dataset = ec_data::address(&ec_data::GeneratorConfig {
+            num_clusters: 40,
+            seed: 11,
+            num_sources: 6,
+        });
+        let records: Vec<RawRecord> = dataset
+            .clusters
+            .iter()
+            .flat_map(|c| c.rows.iter())
+            .map(|r| RawRecord::new(r.source, r.cells.iter().map(|c| c.observed.clone())))
+            .collect();
+        let columns = vec!["Address".to_string()];
+        let lookups = |outcome| {
+            ec_obs::counter_with(
+                "ec_resolution_pair_lookups_total",
+                "",
+                &[("outcome", outcome)],
+            )
+            .get()
+        };
+        let skipped_before = lookups("skipped");
+        for scheme in [
+            BlockingScheme::Token,
+            BlockingScheme::SortedNeighborhood,
+            BlockingScheme::Both,
+        ] {
+            // Small blocks and windows: token blocks outgrow the cap and
+            // windows shift between snapshots, so pairs a snapshot unioned
+            // drop out of later ones.
+            let config = ResolverConfig {
+                scheme,
+                blocking: BlockingConfig {
+                    max_block_size: 10,
+                    window: 4,
+                    ..BlockingConfig::default()
+                },
+                ..ResolverConfig::default()
+            };
+            let resolver = Resolver::new(config.clone());
+            let mut dropped = false;
+            for seed in 1..=3u64 {
+                let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let mut delta = DeltaResolver::new(config.clone());
+                // Every value pair any snapshot so far had as a candidate.
+                let mut met: HashSet<(&[String], &[String])> = HashSet::new();
+                let mut previous: HashSet<(u32, u32)> = HashSet::new();
+                while delta.len() < records.len() {
+                    let end = (delta.len() + 1 + draw(&mut state, 40)).min(records.len());
+                    while delta.len() < end {
+                        delta.push(records[delta.len()].clone());
+                    }
+                    // The prefix's candidate pairs, from a state that saw
+                    // the prefix in one batch.
+                    let mut fresh = DeltaResolver::new(config.clone());
+                    for r in &records[..end] {
+                        fresh.push(r.clone());
+                    }
+                    let pairs: HashSet<(u32, u32)> = fresh.candidate_pairs().into_iter().collect();
+                    dropped |= !previous.is_subset(&pairs);
+                    for &(a, b) in &pairs {
+                        let (fa, fb) = (
+                            &records[a as usize].fields[..],
+                            &records[b as usize].fields[..],
+                        );
+                        met.insert((fa.min(fb), fa.max(fb)));
+                    }
+                    previous = pairs;
+                    let snapshot = delta.snapshot("r", columns.clone());
+                    let one_shot =
+                        resolver.resolve_to_dataset("r", columns.clone(), &records[..end], None);
+                    assert_eq!(snapshot, one_shot, "{scheme:?} seed {seed} after {end}");
+                    assert_eq!(
+                        delta.scored_pairs(),
+                        met.len() as u64,
+                        "{scheme:?} seed {seed} after {end}"
+                    );
+                }
+            }
+            assert!(dropped, "{scheme:?}: no candidate pair dropped out");
+        }
+        // The counter only grows, so other tests running alongside cannot
+        // make this fail; it fails when no snapshot skips anything.
+        assert!(lookups("skipped") > skipped_before, "nothing was skipped");
+    }
+
     /// A seeded LCG step, returning a value in `0..n`.
     fn draw(state: &mut u64, n: usize) -> usize {
         *state = state
@@ -598,6 +732,12 @@ mod tests {
                     fill_dataset(&mut used_truths, records, &clusters, Some(&truths[..end]))
                 });
                 assert_eq!(used_truths, expected, "seed {seed} after {end} records");
+                // Packaging votes straight from the records and truths, as
+                // `majority_golden` votes over the packaged rows.
+                for cluster in &used_truths.clusters {
+                    let num_cols = cluster.rows[0].cells.len();
+                    assert_eq!(cluster.golden, majority_golden(&cluster.rows, num_cols));
+                }
                 big = expected;
             }
         }

@@ -47,33 +47,43 @@ pub struct Resolution {
 /// yields no golden value (the paper: "if there are two values with the same
 /// frequency, MC could not produce a golden value").
 pub fn majority_consensus<S: AsRef<str>>(values: &[S]) -> Resolution {
-    let mut counts: HashMap<&str, usize> = HashMap::new();
+    let mut counts: HashMap<&str, usize> = HashMap::with_capacity(values.len());
     for v in values {
         *counts.entry(v.as_ref()).or_insert(0) += 1;
     }
-    if counts.is_empty() {
-        return Resolution {
-            value: None,
-            confidence: 0.0,
-        };
+    majority_of_counts(counts, values.len())
+}
+
+/// [`majority_consensus`] over votes already counted: `counts` yields each
+/// distinct value once with its number of votes, and `votes` is their total.
+/// The confidence of a unique winner is its share of `votes`. Callers that
+/// vote over many cluster-columns count with one reused, presized
+/// `ec_data::Tally` and pass its counts here.
+pub fn majority_of_counts<'a>(
+    counts: impl IntoIterator<Item = (&'a str, usize)>,
+    votes: usize,
+) -> Resolution {
+    let mut top: Option<(&str, usize)> = None;
+    let mut tied = false;
+    for (value, count) in counts {
+        match top {
+            Some((_, max)) if count < max => {}
+            Some((_, max)) if count == max => tied = true,
+            _ => {
+                top = Some((value, count));
+                tied = false;
+            }
+        }
     }
-    let max = counts.values().copied().max().unwrap_or(0);
-    let mut top: Vec<&str> = counts
-        .iter()
-        .filter(|(_, &c)| c == max)
-        .map(|(&v, _)| v)
-        .collect();
-    top.sort_unstable();
-    if top.len() == 1 {
-        Resolution {
-            value: Some(top[0].to_string()),
-            confidence: max as f64 / values.len() as f64,
-        }
-    } else {
-        Resolution {
+    match top {
+        Some((value, max)) if !tied => Resolution {
+            value: Some(value.to_string()),
+            confidence: max as f64 / votes as f64,
+        },
+        _ => Resolution {
             value: None,
             confidence: 0.0,
-        }
+        },
     }
 }
 
@@ -200,6 +210,80 @@ pub fn reliability_truth_discovery(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_data::Tally;
+    use proptest::prelude::*;
+
+    /// [`majority_consensus`] as it counted before presizing and
+    /// [`majority_of_counts`]: a map grown from empty, and a sorted list of
+    /// the values sharing the top count. The oracle of the differential test
+    /// below.
+    fn majority_consensus_reference<S: AsRef<str>>(values: &[S]) -> Resolution {
+        let mut counts: HashMap<&str, usize> = HashMap::new();
+        for v in values {
+            *counts.entry(v.as_ref()).or_insert(0) += 1;
+        }
+        if counts.is_empty() {
+            return Resolution {
+                value: None,
+                confidence: 0.0,
+            };
+        }
+        let max = counts.values().copied().max().unwrap_or(0);
+        let mut top: Vec<&str> = counts
+            .iter()
+            .filter(|(_, &c)| c == max)
+            .map(|(&v, _)| v)
+            .collect();
+        top.sort_unstable();
+        if top.len() == 1 {
+            Resolution {
+                value: Some(top[0].to_string()),
+                confidence: max as f64 / values.len() as f64,
+            }
+        } else {
+            Resolution {
+                value: None,
+                confidence: 0.0,
+            }
+        }
+    }
+
+    /// Vote values that tie often: the empty string, non-ASCII text, and
+    /// values that are prefixes of one another.
+    const VOTES: [&str; 7] = ["", "a", "ab", "é", "e\u{301}", "日本", "ß"];
+
+    proptest! {
+        /// Both entry points — the slice one, and a [`Tally`] reused across
+        /// vote sets of very different sizes fed to [`majority_of_counts`] —
+        /// agree with the reference on the value and, bit for bit, on the
+        /// confidence.
+        #[test]
+        fn majority_consensus_matches_the_reference(
+            sets in proptest::collection::vec(
+                (0usize..3).prop_flat_map(|scale| {
+                    proptest::collection::vec(0..VOTES.len(), 0..[4, 30, 300][scale])
+                }),
+                1..6usize,
+            ),
+        ) {
+            let mut tally = Tally::default();
+            for set in &sets {
+                let values: Vec<&str> = set.iter().map(|&v| VOTES[v]).collect();
+                let expected = majority_consensus_reference(&values);
+                tally.reset(values.len());
+                for &v in &values {
+                    tally.add(v);
+                }
+                for got in [
+                    majority_consensus(&values),
+                    majority_of_counts(tally.counts(), tally.votes()),
+                ] {
+                    prop_assert_eq!(&got.value, &expected.value);
+                    prop_assert_eq!(got.confidence.to_bits(), expected.confidence.to_bits());
+                }
+            }
+        }
+    }
 
     #[test]
     fn majority_consensus_picks_the_most_frequent_value() {
