@@ -25,8 +25,8 @@
 //!     instead of copying them;
 //!   - truth discovery reruns over the whole dataset.
 //!
-//!   Both votes count with one presized [`ec_data::Tally`] per call, so the
-//!   giant cluster of a feed costs one keyed hash per vote and no rehashing.
+//!   Both votes presize their counts to the cluster, so the giant cluster
+//!   of a feed costs one keyed hash per vote and no rehashing.
 //! * **Candidate generation** is cached per cluster, keyed by the cluster's
 //!   value vector; a cluster over the distinct-value cap contributes no
 //!   candidates and skips the cache. Clusters are independent

@@ -3,10 +3,10 @@
 use crate::compiled::CompiledColumn;
 use crate::library::ApprovedGroup;
 use crate::oracle::{Oracle, Verdict};
-use ec_data::{Dataset, Tally};
+use ec_data::Dataset;
 use ec_grouping::{Group, GroupingConfig, StructuredGrouper};
 use ec_replace::{CandidateConfig, ReplacementEngine};
-use ec_truth::{majority_of_counts, reliability_truth_discovery, Claim, ReliabilityConfig};
+use ec_truth::{majority_consensus_iter, reliability_truth_discovery, Claim, ReliabilityConfig};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -267,26 +267,19 @@ impl Pipeline {
     ) -> Vec<Vec<Option<String>>> {
         let _span = ec_obs::span!("core.truth_discovery");
         match method {
-            TruthMethod::MajorityConsensus => {
-                // One presized tally for every cluster-column, fed straight
-                // from the rows.
-                let mut tally = Tally::default();
-                dataset
-                    .clusters
-                    .iter()
-                    .map(|cluster| {
-                        (0..dataset.columns.len())
-                            .map(|col| {
-                                tally.reset(cluster.rows.len());
-                                for row in &cluster.rows {
-                                    tally.add(&row.cells[col].observed);
-                                }
-                                majority_of_counts(tally.counts(), tally.votes()).value
-                            })
-                            .collect()
-                    })
-                    .collect()
-            }
+            TruthMethod::MajorityConsensus => dataset
+                .clusters
+                .iter()
+                .map(|cluster| {
+                    (0..dataset.columns.len())
+                        .map(|col| {
+                            let values =
+                                cluster.rows.iter().map(|r| r.cells[col].observed.as_str());
+                            majority_consensus_iter(values).value
+                        })
+                        .collect()
+                })
+                .collect(),
             TruthMethod::SourceReliability => {
                 // Reliability estimation works one column at a time; transpose
                 // the per-column resolutions back into per-cluster rows.
@@ -442,41 +435,6 @@ mod tests {
         });
         let report = pipeline.standardize_column(&mut dataset, 0, &mut ApproveAllOracle);
         assert_eq!(report.groups_reviewed, 2);
-    }
-
-    #[test]
-    fn majority_truth_discovery_votes_like_majority_consensus() {
-        let mut dataset = PaperDataset::Address.generate(&GeneratorConfig {
-            num_clusters: 60,
-            seed: 4,
-            num_sources: 6,
-        });
-        // A giant cluster ahead of small ones, so the one tally reused
-        // across clusters both grows and is replaced by a smaller one.
-        let giant: Vec<Row> = dataset.clusters.drain(..30).flat_map(|c| c.rows).collect();
-        dataset.clusters.insert(
-            0,
-            Cluster {
-                rows: giant,
-                golden: Vec::new(),
-            },
-        );
-        let golden =
-            Pipeline::default().discover_golden_records(&dataset, TruthMethod::MajorityConsensus);
-        assert_eq!(golden.len(), dataset.clusters.len());
-        for (cluster, record) in dataset.clusters.iter().zip(&golden) {
-            for (col, value) in record.iter().enumerate() {
-                let values: Vec<&str> = cluster
-                    .rows
-                    .iter()
-                    .map(|r| r.cells[col].observed.as_str())
-                    .collect();
-                assert_eq!(*value, ec_truth::majority_consensus(&values).value);
-            }
-        }
-        // Both outcomes occur: a unique majority and a tie.
-        assert!(golden.iter().any(|r| r[0].is_some()));
-        assert!(golden.iter().any(|r| r[0].is_none()));
     }
 
     #[test]

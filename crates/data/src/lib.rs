@@ -23,7 +23,7 @@ pub mod stream;
 
 pub use generate::{address, author_list, journal_title, GeneratorConfig, PaperDataset};
 pub use io::{dataset_from_csv, dataset_to_csv, raw_records_from_csv, DatasetIoError, RawRecords};
-pub use model::{majority_golden, Cell, Cluster, Dataset, DatasetStats, LabeledPair, Row, Tally};
+pub use model::{majority_golden, Cell, Cluster, Dataset, DatasetStats, LabeledPair, Row};
 pub use stream::{
     ClusteredCsvReader, ClusteredCsvWriter, ClusteredRow, DatasetRecords, DatasetSink,
     FlatCsvReader, FlatRecord, RecordStream, VecRecordStream,

@@ -101,77 +101,29 @@ pub struct DatasetStats {
     pub conflict_pair_fraction: f64,
 }
 
-/// The vote counts of one cluster-column: how often each value was cast.
-///
-/// Both golden-record votes count with it: [`majority_golden`] (and the
-/// resolver's packaging, which votes the same way) and the majority
-/// consensus of `ec-core`'s truth discovery. [`Tally::reset`] presizes the
-/// map to the number of votes about to be cast, so counting never rehashes,
-/// and one tally is reused across the clusters and columns of a call
-/// whenever the counted strings outlive it. The map keeps std's keyed
-/// hasher: the values arrive in request bodies, and an unkeyed hash would
-/// let a client craft collisions.
-#[derive(Debug, Default)]
-pub struct Tally<'a> {
-    counts: HashMap<&'a str, usize>,
-    votes: usize,
-}
-
-impl<'a> Tally<'a> {
-    /// Empties the tally and makes room for `votes` distinct values. A map
-    /// more than four times larger than that is replaced rather than
-    /// cleared, so a small cluster after a giant one neither clears nor
-    /// scans the giant one's buckets.
-    pub fn reset(&mut self, votes: usize) {
-        self.votes = 0;
-        if self.counts.capacity() > 4 * votes.max(8) {
-            self.counts = HashMap::with_capacity(votes);
-        } else {
-            self.counts.clear();
-            self.counts.reserve(votes);
-        }
-    }
-
-    /// Casts one vote for `value`.
-    pub fn add(&mut self, value: &'a str) {
-        *self.counts.entry(value).or_insert(0) += 1;
-        self.votes += 1;
-    }
-
-    /// Votes cast since the last [`Tally::reset`].
-    pub fn votes(&self) -> usize {
-        self.votes
-    }
-
-    /// Each distinct value once, with its vote count, in no particular order.
-    pub fn counts(&self) -> impl Iterator<Item = (&'a str, usize)> + '_ {
-        self.counts.iter().map(|(&value, &count)| (value, count))
-    }
-
-    /// The most-voted value, ties broken towards the lexicographically
-    /// smallest; `None` when no vote was cast.
-    pub fn plurality(&self) -> Option<&'a str> {
-        self.counts()
-            .max_by_key(|&(value, count)| (count, std::cmp::Reverse(value)))
-            .map(|(value, _)| value)
-    }
-}
-
 /// The per-column majority of the rows' truth values — how both the synthetic
 /// generators and the CSV/resolution loaders define a cluster's golden record
 /// when only row-level truth is known. Ties break towards the
 /// lexicographically smallest value so the result is deterministic. A row
 /// with fewer cells (a shorter record the resolver clustered with longer
 /// ones) does not vote on the columns it lacks.
+///
+/// Each column's count is presized to the number of rows, so a giant
+/// cluster never rehashes its values. It keeps std's keyed hasher: the
+/// values arrive in request bodies, and an unkeyed hash would let a client
+/// craft collisions.
 pub fn majority_golden(rows: &[Row], num_columns: usize) -> Vec<String> {
-    let mut tally = Tally::default();
     (0..num_columns)
         .map(|col| {
-            tally.reset(rows.len());
+            let mut counts: HashMap<&str, usize> = HashMap::with_capacity(rows.len());
             for cell in rows.iter().filter_map(|row| row.cells.get(col)) {
-                tally.add(&cell.truth);
+                *counts.entry(cell.truth.as_str()).or_insert(0) += 1;
             }
-            tally.plurality().unwrap_or_default().to_string()
+            counts
+                .into_iter()
+                .max_by_key(|&(v, c)| (c, std::cmp::Reverse(v)))
+                .map(|(v, _)| v.to_string())
+                .unwrap_or_default()
         })
         .collect()
 }
@@ -542,8 +494,10 @@ mod tests {
         d.set_column_values(0, vec![vec![]]);
     }
 
-    /// [`majority_golden`] as it counted before [`Tally`]: a fresh map per
-    /// column, grown from empty. The oracle of the differential tests below.
+    use proptest::prelude::*;
+
+    /// [`majority_golden`] as it counted before presizing: a fresh map per
+    /// column, grown from empty. The oracle of the differential test below.
     fn majority_golden_reference(rows: &[Row], num_columns: usize) -> Vec<String> {
         (0..num_columns)
             .map(|col| {
@@ -592,8 +546,6 @@ mod tests {
         })
     }
 
-    use proptest::prelude::*;
-
     proptest! {
         #[test]
         fn majority_golden_matches_the_reference((rows, num_columns) in arb_rows()) {
@@ -601,39 +553,6 @@ mod tests {
                 majority_golden(&rows, num_columns),
                 majority_golden_reference(&rows, num_columns)
             );
-        }
-
-        /// One tally reused across vote sets of very different sizes (so
-        /// both the clear and the replace branch of `reset` run) counts
-        /// exactly what a fresh tally counts.
-        #[test]
-        fn a_reused_tally_counts_like_a_fresh_one(
-            sets in proptest::collection::vec(
-                (0usize..3).prop_flat_map(|scale| {
-                    proptest::collection::vec(0..VOTES.len(), 0..[3, 40, 400][scale])
-                }),
-                1..6usize,
-            ),
-        ) {
-            let mut reused = Tally::default();
-            for set in &sets {
-                reused.reset(set.len());
-                let mut fresh = Tally::default();
-                fresh.reset(set.len());
-                for &v in set {
-                    reused.add(VOTES[v]);
-                    fresh.add(VOTES[v]);
-                }
-                let sorted = |tally: &Tally| {
-                    let mut counts: Vec<(String, usize)> =
-                        tally.counts().map(|(v, c)| (v.to_string(), c)).collect();
-                    counts.sort();
-                    counts
-                };
-                prop_assert_eq!(sorted(&reused), sorted(&fresh));
-                prop_assert_eq!(reused.votes(), set.len());
-                prop_assert_eq!(reused.plurality(), fresh.plurality());
-            }
         }
     }
 
@@ -653,6 +572,5 @@ mod tests {
         // Column 0 ties three ways; column 1 ties "" and "x" between the two
         // rows long enough to vote; column 2 has no voter.
         assert_eq!(majority_golden(&rows, 3), vec!["a", "", ""]);
-        assert_eq!(Tally::default().plurality(), None);
     }
 }

@@ -30,7 +30,7 @@
 use crate::blocking::BlockingConfig;
 use crate::similarity::{take_kernel_path_counts, SimilarityMeasure};
 use crate::streaming::DeltaResolver;
-use ec_data::{Cell, Cluster, Dataset, DatasetIoError, RecordStream, Row, Tally};
+use ec_data::{Cell, Cluster, Dataset, DatasetIoError, RecordStream, Row};
 use ec_graph::{Parallelism, PoolTask};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -503,19 +503,14 @@ impl Resolver {
 /// shape, so refilling the previous snapshot's dataset costs no allocation
 /// where the shape held and the result equals filling an empty one. The
 /// golden record of a cluster is unknown at resolution time; the per-column
-/// majority of truths serves as the best available label, voted exactly as
-/// [`ec_data::majority_golden`] votes over the packaged rows but counted
-/// straight from `records`/`truths` with one [`Tally`] for the whole call.
-/// `truths`, when given, holds one truth row per record; otherwise
-/// truth := observed.
+/// majority of truths serves as the best available label. `truths`, when
+/// given, holds one truth row per record; otherwise truth := observed.
 pub(crate) fn fill_dataset(
     dataset: &mut Dataset,
     records: &[RawRecord],
     clusters: &[Vec<usize>],
     truths: Option<&[Vec<String>]>,
 ) {
-    let truth = |id: usize, col: usize| truths.map_or(&records[id].fields[col], |t| &t[id][col]);
-    let mut tally = Tally::default();
     dataset.clusters.truncate(clusters.len());
     for (c, member_ids) in clusters.iter().enumerate() {
         if c == dataset.clusters.len() {
@@ -535,7 +530,7 @@ pub(crate) fn fill_dataset(
             row.source = record.source;
             row.cells.truncate(record.fields.len());
             for (col, observed) in record.fields.iter().enumerate() {
-                let truth = truth(id, col);
+                let truth = truths.map_or(observed, |t| &t[id][col]);
                 match row.cells.get_mut(col) {
                     Some(cell) => {
                         cell.observed.clone_from(observed);
@@ -549,17 +544,7 @@ pub(crate) fn fill_dataset(
             }
         }
         let num_cols = cluster.rows.first().map_or(0, |r| r.cells.len());
-        cluster.golden = (0..num_cols)
-            .map(|col| {
-                tally.reset(member_ids.len());
-                for &id in member_ids {
-                    if col < records[id].fields.len() {
-                        tally.add(truth(id, col));
-                    }
-                }
-                tally.plurality().unwrap_or_default().to_string()
-            })
-            .collect();
+        cluster.golden = ec_data::majority_golden(&cluster.rows, num_cols);
     }
 }
 

@@ -47,22 +47,20 @@ pub struct Resolution {
 /// yields no golden value (the paper: "if there are two values with the same
 /// frequency, MC could not produce a golden value").
 pub fn majority_consensus<S: AsRef<str>>(values: &[S]) -> Resolution {
-    let mut counts: HashMap<&str, usize> = HashMap::with_capacity(values.len());
-    for v in values {
-        *counts.entry(v.as_ref()).or_insert(0) += 1;
-    }
-    majority_of_counts(counts, values.len())
+    majority_consensus_iter(values.iter().map(AsRef::as_ref))
 }
 
-/// [`majority_consensus`] over votes already counted: `counts` yields each
-/// distinct value once with its number of votes, and `votes` is their total.
-/// The confidence of a unique winner is its share of `votes`. Callers that
-/// vote over many cluster-columns count with one reused, presized
-/// `ec_data::Tally` and pass its counts here.
-pub fn majority_of_counts<'a>(
-    counts: impl IntoIterator<Item = (&'a str, usize)>,
-    votes: usize,
-) -> Resolution {
+/// [`majority_consensus`] over a stream of votes, so a caller can count
+/// straight from its rows without collecting them first. The count is
+/// presized to the number of votes, so a giant cluster never rehashes its
+/// values. It keeps std's keyed hasher: the values arrive in request bodies,
+/// and an unkeyed hash would let a client craft collisions.
+pub fn majority_consensus_iter<'a>(values: impl ExactSizeIterator<Item = &'a str>) -> Resolution {
+    let votes = values.len();
+    let mut counts: HashMap<&str, usize> = HashMap::with_capacity(votes);
+    for v in values {
+        *counts.entry(v).or_insert(0) += 1;
+    }
     let mut top: Option<(&str, usize)> = None;
     let mut tied = false;
     for (value, count) in counts {
@@ -210,13 +208,11 @@ pub fn reliability_truth_discovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ec_data::Tally;
     use proptest::prelude::*;
 
-    /// [`majority_consensus`] as it counted before presizing and
-    /// [`majority_of_counts`]: a map grown from empty, and a sorted list of
-    /// the values sharing the top count. The oracle of the differential test
-    /// below.
+    /// [`majority_consensus`] as it counted before presizing: a map grown
+    /// from empty, and a sorted list of the values sharing the top count.
+    /// The oracle of the differential test below.
     fn majority_consensus_reference<S: AsRef<str>>(values: &[S]) -> Resolution {
         let mut counts: HashMap<&str, usize> = HashMap::new();
         for v in values {
@@ -253,34 +249,22 @@ mod tests {
     const VOTES: [&str; 7] = ["", "a", "ab", "é", "e\u{301}", "日本", "ß"];
 
     proptest! {
-        /// Both entry points — the slice one, and a [`Tally`] reused across
-        /// vote sets of very different sizes fed to [`majority_of_counts`] —
-        /// agree with the reference on the value and, bit for bit, on the
-        /// confidence.
+        /// Both entry points agree with the reference on the value and, bit
+        /// for bit, on the confidence.
         #[test]
         fn majority_consensus_matches_the_reference(
-            sets in proptest::collection::vec(
-                (0usize..3).prop_flat_map(|scale| {
-                    proptest::collection::vec(0..VOTES.len(), 0..[4, 30, 300][scale])
-                }),
-                1..6usize,
-            ),
+            votes in (0usize..3).prop_flat_map(|scale| {
+                proptest::collection::vec(0..VOTES.len(), 0..[4, 30, 300][scale])
+            }),
         ) {
-            let mut tally = Tally::default();
-            for set in &sets {
-                let values: Vec<&str> = set.iter().map(|&v| VOTES[v]).collect();
-                let expected = majority_consensus_reference(&values);
-                tally.reset(values.len());
-                for &v in &values {
-                    tally.add(v);
-                }
-                for got in [
-                    majority_consensus(&values),
-                    majority_of_counts(tally.counts(), tally.votes()),
-                ] {
-                    prop_assert_eq!(&got.value, &expected.value);
-                    prop_assert_eq!(got.confidence.to_bits(), expected.confidence.to_bits());
-                }
+            let values: Vec<&str> = votes.iter().map(|&v| VOTES[v]).collect();
+            let expected = majority_consensus_reference(&values);
+            for got in [
+                majority_consensus(&values),
+                majority_consensus_iter(votes.iter().map(|&v| VOTES[v])),
+            ] {
+                prop_assert_eq!(&got.value, &expected.value);
+                prop_assert_eq!(got.confidence.to_bits(), expected.confidence.to_bits());
             }
         }
     }
