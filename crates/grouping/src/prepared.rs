@@ -3,11 +3,13 @@
 //! [`PreparedGraphs`] owns everything the pivot-path search needs for one set
 //! of candidate replacements: the transformation graphs, the shared label
 //! interner and the inverted index, plus the per-graph upper bounds of
-//! Section 6.2 used by the incremental algorithm.
+//! Section 6.2 used by the incremental algorithm and the per-label tables the
+//! pivot search reads (derived once per state, not once per searcher).
 
 use crate::config::GroupingConfig;
+use ec_dsl::StringFn;
 use ec_graph::{GraphBuilder, LabelId, LabelInterner, Replacement, TransformationGraph};
-use ec_index::{GraphId, InvertedIndex};
+use ec_index::{GraphId, InvertedIndex, Posting};
 use std::collections::HashSet;
 
 /// The preprocessed state of one grouping problem.
@@ -24,6 +26,14 @@ pub struct PreparedGraphs {
     interner: LabelInterner,
     /// The inverted index over all edge labels.
     index: InvertedIndex,
+    /// `last_nodes[g]` — the last node of graph `g`.
+    last_nodes: Vec<u32>,
+    /// `constant_chars[label]` — output characters the label emits as a
+    /// constant (0 for non-constant labels).
+    constant_chars: Vec<usize>,
+    /// `posting_classes[label]` — the smallest label id whose posting list
+    /// equals this label's (see [`PreparedGraphs::posting_classes`]).
+    posting_classes: Vec<u32>,
 }
 
 impl PreparedGraphs {
@@ -43,6 +53,9 @@ impl PreparedGraphs {
             skipped: Vec::new(),
             interner: LabelInterner::new(),
             index: InvertedIndex::build(&[], 0),
+            last_nodes: Vec::new(),
+            constant_chars: Vec::new(),
+            posting_classes: Vec::new(),
         };
         prepared.grow(replacements, config);
         prepared
@@ -101,8 +114,25 @@ impl PreparedGraphs {
         if built > 0 || self.index.num_labels() < self.interner.len() {
             self.index = self.index.append(&new_graphs, base, self.interner.len());
             self.graphs.extend(new_graphs);
+            self.derive_search_tables();
         }
         built
+    }
+
+    /// Recomputes the per-graph and per-label tables the pivot search reads
+    /// from the graphs, the interner and the index. Appended postings can
+    /// change any label's list, so the posting classes are recomputed whole.
+    fn derive_search_tables(&mut self) {
+        self.last_nodes = self.graphs.iter().map(|g| g.last_node()).collect();
+        self.constant_chars = self
+            .interner
+            .iter()
+            .map(|(_, f)| match f {
+                StringFn::ConstantStr(c) => c.chars().count(),
+                _ => 0,
+            })
+            .collect();
+        self.posting_classes = posting_classes(&self.index);
     }
 
     /// Reassembles a prepared state from already-built components (e.g. a
@@ -126,13 +156,18 @@ impl PreparedGraphs {
         // decoder checks every id against the interner as it copies the
         // label blocks, where the ids are already in cache — re-walking
         // millions of labels here doubled the cost of an artifact load.
-        Some(PreparedGraphs {
+        let mut prepared = PreparedGraphs {
             replacements,
             graphs,
             skipped,
             interner,
             index,
-        })
+            last_nodes: Vec::new(),
+            constant_chars: Vec::new(),
+            posting_classes: Vec::new(),
+        };
+        prepared.derive_search_tables();
+        Some(prepared)
     }
 
     /// Number of graphs.
@@ -182,7 +217,27 @@ impl PreparedGraphs {
 
     /// The last node of a graph (the target every transformation path must reach).
     pub fn last_node(&self, g: GraphId) -> u32 {
-        self.graphs[g.index()].last_node()
+        self.last_nodes[g.index()]
+    }
+
+    /// `last_nodes()[g]` — the last node of every graph, by graph id.
+    pub(crate) fn last_nodes(&self) -> &[u32] {
+        &self.last_nodes
+    }
+
+    /// `constant_chars()[label]` — how many output characters each label
+    /// emits as a constant (0 for non-constant labels), the pivot search's
+    /// tie-break weight.
+    pub(crate) fn constant_chars(&self) -> &[usize] {
+        &self.constant_chars
+    }
+
+    /// `posting_classes()[label]` — the label's *posting class*: the smallest
+    /// label id whose posting list in the index is identical to its own. Two
+    /// labels of one class extend every path list identically, so the pivot
+    /// search extends one label per class and target node.
+    pub(crate) fn posting_classes(&self) -> &[u32] {
+        &self.posting_classes
     }
 
     /// The upper bound of Section 6.2 for graph `g`: for every output-string
@@ -223,6 +278,50 @@ impl PreparedGraphs {
                 .collect(),
         )
     }
+}
+
+/// The posting class of every label of `index` (see
+/// [`PreparedGraphs::posting_classes`]). Labels are sorted by the hash of
+/// their posting list and only labels of equal hash are compared, so the
+/// cost is one pass over the postings plus a sort of one `(hash, label)`
+/// pair per label, with no allocation per label.
+fn posting_classes(index: &InvertedIndex) -> Vec<u32> {
+    let num_labels = index.num_labels() as u32;
+    let mut keyed: Vec<(u64, u32)> = (0..num_labels)
+        .map(|l| (postings_hash(index.list(LabelId(l))), l))
+        .collect();
+    keyed.sort_unstable();
+    let mut classes: Vec<u32> = (0..num_labels).collect();
+    let mut start = 0;
+    while start < keyed.len() {
+        let hash = keyed[start].0;
+        let run = &keyed[start..start + keyed[start..].partition_point(|k| k.0 == hash)];
+        // A run is in ascending label order, so the first representative
+        // with an equal list is the smallest label id of the class.
+        for (i, &(_, label)) in run.iter().enumerate() {
+            let list = index.list(LabelId(label));
+            if let Some(&(_, rep)) = run[..i]
+                .iter()
+                .find(|&&(_, r)| classes[r as usize] == r && index.list(LabelId(r)) == list)
+            {
+                classes[label as usize] = rep;
+            }
+        }
+        start += run.len();
+    }
+    classes
+}
+
+/// A 64-bit multiply-rotate hash of a posting list.
+fn postings_hash(postings: &[Posting]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h = (postings.len() as u64).wrapping_mul(K);
+    for p in postings {
+        for word in [p.graph.0, p.from, p.to] {
+            h = (h.rotate_left(5) ^ u64::from(word)).wrapping_mul(K);
+        }
+    }
+    h
 }
 
 #[cfg(test)]
@@ -411,6 +510,79 @@ mod tests {
         assert!(
             PreparedGraphs::from_parts(replacements, graphs, Vec::new(), interner, small).is_none()
         );
+    }
+
+    /// Asserts that two labels share a class iff their posting lists are
+    /// equal, and that a class is the smallest label id of its list; returns
+    /// how many labels the classes join to a smaller label.
+    fn assert_classes_follow_lists(prepared: &PreparedGraphs, what: &str) -> usize {
+        let index = prepared.index();
+        let classes = prepared.posting_classes();
+        assert_eq!(classes.len(), index.num_labels(), "{what}");
+        let mut by_list: std::collections::BTreeMap<&[ec_index::Posting], u32> =
+            std::collections::BTreeMap::new();
+        let mut joined = 0;
+        for (label, &class) in classes.iter().enumerate() {
+            let smallest = *by_list
+                .entry(index.list(LabelId(label as u32)))
+                .or_insert(label as u32);
+            assert_eq!(class, smallest, "{what}: label {label}");
+            joined += usize::from(class != label as u32);
+        }
+        joined
+    }
+
+    #[test]
+    fn posting_classes_join_exactly_the_labels_with_equal_lists() {
+        let mut many = Vec::new();
+        for (last, first) in [("Lee", "Mary"), ("Smith", "James"), ("Brown", "Anna")] {
+            many.push(Replacement::new(
+                format!("{last}, {first}"),
+                format!("{first} {last}"),
+            ));
+            many.push(Replacement::new(
+                format!("{last}, {first}"),
+                format!("{}. {last}", &first[..1]),
+            ));
+        }
+        many.push(Replacement::new("12 Main Street", "12 Main St"));
+        many.push(Replacement::new("7 Oak Avenue", "7 Oak Ave"));
+        let config = GroupingConfig::default();
+        let full = PreparedGraphs::build(&many, &config);
+        assert!(
+            assert_classes_follow_lists(&full, "build") > 0,
+            "some labels must share a list"
+        );
+        // Appending changes the lists of labels the new graphs use, so the
+        // classes must be recomputed, not extended.
+        for split in [0, 1, 3, many.len() - 1, many.len()] {
+            let mut grown = PreparedGraphs::build(&many[..split], &config);
+            grown.append(&many[split..], &config);
+            let what = format!("append at {split}");
+            assert_classes_follow_lists(&grown, &what);
+            assert_eq!(grown.posting_classes(), full.posting_classes(), "{what}");
+            assert_eq!(grown.last_nodes(), full.last_nodes(), "{what}");
+            assert_eq!(grown.constant_chars(), full.constant_chars(), "{what}");
+        }
+        let (postings, offsets, counts) = full.index().raw_parts();
+        let index = InvertedIndex::from_parts(
+            postings.to_vec().into(),
+            offsets.to_vec().into(),
+            counts.to_vec().into(),
+        )
+        .unwrap();
+        let rebuilt = PreparedGraphs::from_parts(
+            full.replacements().to_vec(),
+            full.graphs().to_vec(),
+            full.skipped().to_vec(),
+            full.interner().clone(),
+            index,
+        )
+        .unwrap();
+        assert_classes_follow_lists(&rebuilt, "from_parts");
+        assert_eq!(rebuilt.posting_classes(), full.posting_classes());
+        assert_eq!(rebuilt.last_nodes(), full.last_nodes());
+        assert_eq!(rebuilt.constant_chars(), full.constant_chars());
     }
 
     #[test]

@@ -42,6 +42,19 @@
 //! A collapsed label is still charged its step, so budgets, truncation
 //! points and `ec_pivot_search_steps` do not depend on the collapse.
 //!
+//! Most duplicate siblings are known before they are extended. Every label
+//! has a *posting class*, the smallest label id with an identical posting
+//! list ([`PreparedGraphs::posting_classes`], derived once per prepared
+//! state). Labels of one class extend every list identically, so
+//! [`collect_candidates`] extends one label per class and edge, that is per
+//! `(class, target node)`, and settles the others from the memo: they join
+//! the collapse of the state their class reached, or, when the class was
+//! rejected, are re-checked for viability with their own quality. Structure
+//! refinement puts graphs of one shape in one partition, where the many
+//! `SubStr` position-function pairs of one substring land on the same
+//! postings, so on the address ladder about nine in ten examined labels are
+//! settled this way.
+//!
 //! Each search also owns one hash-keyed state table. [`collect_candidates`]
 //! commits the surviving extensions to it in exploration order, after the
 //! local-threshold checks, so it is a transposition table for the whole
@@ -64,7 +77,6 @@
 
 use crate::config::GroupingConfig;
 use crate::prepared::PreparedGraphs;
-use ec_dsl::StringFn;
 use ec_graph::{LabelId, PoolTask};
 use ec_index::{GraphId, InvertedIndex, PathList, PathOccurrence};
 use std::collections::HashMap;
@@ -150,21 +162,16 @@ pub struct SearchBatch {
 
 /// Searches pivot paths over one [`PreparedGraphs`] collection.
 ///
-/// The searcher is cheap to construct (two passes over the graphs and the
-/// interner) and immutable afterwards, so one instance can serve the searches
-/// of many graphs — including concurrently via [`PivotSearcher::search_many`].
-/// All state is held behind [`Arc`]s, so cloning a searcher is cheap and a
-/// clone can be moved into a `'static` task on the shared worker pool.
+/// The searcher is cheap to construct (the per-label tables it reads are
+/// derived once per [`PreparedGraphs`]) and immutable afterwards, so one
+/// instance can serve the searches of many graphs — including concurrently
+/// via [`PivotSearcher::search_many`]. All state is held behind [`Arc`]s, so
+/// cloning a searcher is cheap and a clone can be moved into a `'static` task
+/// on the shared worker pool.
 #[derive(Clone)]
 pub struct PivotSearcher {
     prepared: Arc<PreparedGraphs>,
     config: Arc<GroupingConfig>,
-    /// `last_nodes[g]` — the last node of graph `g`, precomputed once instead
-    /// of per search.
-    last_nodes: Arc<Vec<u32>>,
-    /// `constant_chars[label]` — constant output characters per label,
-    /// precomputed once instead of per search.
-    constant_chars: Arc<Vec<usize>>,
 }
 
 struct SearchState<'a> {
@@ -185,6 +192,10 @@ struct SearchState<'a> {
     /// tie-break: among equally shared paths the one whose output depends the
     /// least on constants (and then the shorter one) is preferred.
     constant_chars: &'a [usize],
+    /// `classes[label]` — the label's posting class
+    /// ([`PreparedGraphs::posting_classes`]); labels of one class on one
+    /// edge are extended once (see [`collect_candidates`]).
+    classes: &'a [u32],
     /// The searched graph's own global lower bound (the paper's `G_lo[g]`) —
     /// the only bound the DFS ever *reads*. Starts from the caller-provided
     /// value and is raised when a complete path of the graph itself is found,
@@ -206,6 +217,9 @@ struct SearchState<'a> {
     /// The buffer every examined extension is written into; a
     /// [`PathList`] is built from it only for a state not seen before.
     scratch: Vec<PathOccurrence>,
+    /// The posting classes [`collect_candidates`] has examined on the edge
+    /// it is scanning, with their outcomes; reused across calls.
+    memo: Vec<(u32, ClassOutcome)>,
 }
 
 impl SearchState<'_> {
@@ -402,20 +416,9 @@ impl PivotSearcher {
     /// Creates a searcher over `prepared` using `config`'s path-length cap and
     /// early-termination setting.
     pub fn new(prepared: Arc<PreparedGraphs>, config: &GroupingConfig) -> Self {
-        let last_nodes: Vec<u32> = prepared.graphs().iter().map(|g| g.last_node()).collect();
-        let constant_chars: Vec<usize> = prepared
-            .interner()
-            .iter()
-            .map(|(_, f)| match f {
-                StringFn::ConstantStr(c) => c.chars().count(),
-                _ => 0,
-            })
-            .collect();
         PivotSearcher {
             prepared,
             config: Arc::new(config.clone()),
-            last_nodes: Arc::new(last_nodes),
-            constant_chars: Arc::new(constant_chars),
         }
     }
 
@@ -462,6 +465,24 @@ impl PivotSearcher {
         own_bound: u32,
         raised: &mut BoundRaises,
     ) -> SearchRun {
+        let classes = self.prepared.posting_classes();
+        self.search_with_classes(g, threshold, active, own_bound, raised, classes)
+    }
+
+    /// [`PivotSearcher::search_with_bounds`] with the posting-class table
+    /// as an input: any table whose classes only join labels with identical
+    /// posting lists yields the same search, step for step. The identity
+    /// table (every label its own class) collapses no label ahead of its
+    /// extension.
+    fn search_with_classes(
+        &self,
+        g: GraphId,
+        threshold: usize,
+        active: &[bool],
+        own_bound: u32,
+        raised: &mut BoundRaises,
+        classes: &[u32],
+    ) -> SearchRun {
         let graph = self.prepared.graph(g);
         // Minimum number of edges from each node of `graph` to its last node;
         // paths that cannot complete within the length cap are never
@@ -471,18 +492,20 @@ impl PivotSearcher {
         let mut state = SearchState {
             index: self.prepared.index(),
             active,
-            last_nodes: &self.last_nodes,
+            last_nodes: self.prepared.last_nodes(),
             max_path_len: self.config.max_path_len,
             early_termination: self.config.early_termination,
             dist_to_end: &dist_to_end,
             steps_left: budget,
-            constant_chars: &self.constant_chars,
+            constant_chars: self.prepared.constant_chars(),
+            classes,
             own_bound,
             raised,
             best: None,
             threshold,
             table: StateTable::default(),
             scratch: Vec::new(),
+            memo: Vec::new(),
         };
         let universe = PathList::universe(self.prepared.len());
 
@@ -648,6 +671,16 @@ struct Collected {
     examined: usize,
 }
 
+/// What extending by one posting class on the edge being scanned gave.
+#[derive(Clone, Copy)]
+enum ClassOutcome {
+    /// The state reached is collected, at this slot.
+    Kept(usize),
+    /// The state reached was rejected; its active share count (0 for an
+    /// empty or inactive list).
+    Rejected(usize),
+}
+
 /// The DFS's candidate step: collects the viable extensions of `node`, sorted
 /// into exploration order — decreasing share count (ties: longer edges, then
 /// fewer constant characters, then edge-label order). Finding a high-share
@@ -664,6 +697,15 @@ struct Collected {
 /// seen before in this call. The survivors are then committed to the state
 /// table in exploration order, dropping every one dominated by a state
 /// committed before it by another prefix (module docs).
+///
+/// Labels of one posting class extend every list identically, so a label
+/// whose class was already examined on the same edge skips its extension: it
+/// joins the collapse of the state its class reached, or, when its class was
+/// rejected, is re-checked for viability with its own quality and extended
+/// only if that passes. The memo is per edge, that is per `(class, target
+/// node)`: a label can sit on several out-edges of one node (suffixes of one
+/// `Suffix` match that end at different output positions can start at the
+/// same one), and each edge reaches a different state.
 ///
 /// Consumes one step per examined label, duplicates included; returns `None`
 /// when the budget ran out mid-collection (the caller must stop, keeping its
@@ -682,6 +724,7 @@ fn collect_candidates(
     let remaining = state.max_path_len - path_len;
     let mut collected: Vec<Collected> = Vec::new();
     let mut examined = 0usize;
+    let mut memo = std::mem::take(&mut state.memo);
     for edge in graph.out_edges(node) {
         if last_step && edge.to != graph.last_node() {
             continue;
@@ -692,6 +735,7 @@ fn collect_candidates(
         if to_end == u32::MAX || 1 + to_end as usize > remaining {
             continue;
         }
+        memo.clear();
         for &label in &edge.labels {
             // Cheap upper bound: a label occurring in at most `threshold`
             // graphs can never lead to an acceptable path.
@@ -699,52 +743,64 @@ fn collect_candidates(
                 continue;
             }
             if state.steps_left == 0 {
+                state.memo = memo;
                 return None;
             }
             state.steps_left -= 1;
             examined += 1;
-            state.index.extend_into(list, label, &mut state.scratch);
-            let extended = &state.scratch[..];
-            if extended.is_empty() {
-                continue;
-            }
             let next_chars = const_chars + state.constant_chars[label.index()];
-            let hash = state_hash(edge.to, extended);
-            let seen = collected.iter_mut().find(|c| {
-                c.hash == hash
-                    && c.candidate.1 == edge.to
-                    && c.candidate.2.occurrences() == extended
-            });
-            if let Some(kept) = seen {
-                // A sibling already reached this state with the same share
-                // count, so the local threshold accepts this label whenever
-                // it has fewer constant characters than the kept one.
-                if next_chars < kept.candidate.4 {
-                    kept.candidate.0 = label;
-                    kept.candidate.4 = next_chars;
-                    kept.examined = examined;
-                }
-                continue;
-            }
-            let count = active_count(extended, state.active);
-            if count == 0 {
-                continue;
-            }
             let partial = Quality {
                 constant_chars: next_chars,
                 len: path_len + 1,
             };
-            if !state.viable(count, partial) {
-                continue;
+            let class = state.classes[label.index()];
+            let known = memo.iter().position(|&(c, _)| c == class);
+            match known.map(|m| memo[m].1) {
+                Some(ClassOutcome::Kept(slot)) => {
+                    collapse(&mut collected[slot], label, next_chars, examined);
+                    continue;
+                }
+                // A label with fewer constant characters than the rejected
+                // one of its class may still be viable.
+                Some(ClassOutcome::Rejected(count))
+                    if count == 0 || !state.viable(count, partial) =>
+                {
+                    continue
+                }
+                _ => {}
             }
-            let extended = PathList::from_sorted_slice(extended);
-            collected.push(Collected {
-                candidate: (label, edge.to, extended, count, next_chars),
-                hash,
-                examined,
+            state.index.extend_into(list, label, &mut state.scratch);
+            let extended = &state.scratch[..];
+            let hash = state_hash(edge.to, extended);
+            let seen = collected.iter().position(|c| {
+                c.hash == hash
+                    && c.candidate.1 == edge.to
+                    && c.candidate.2.occurrences() == extended
             });
+            let outcome = if let Some(slot) = seen {
+                collapse(&mut collected[slot], label, next_chars, examined);
+                ClassOutcome::Kept(slot)
+            } else {
+                let count = active_count(extended, state.active);
+                if count > 0 && state.viable(count, partial) {
+                    let extended = PathList::from_sorted_slice(extended);
+                    collected.push(Collected {
+                        candidate: (label, edge.to, extended, count, next_chars),
+                        hash,
+                        examined,
+                    });
+                    ClassOutcome::Kept(collected.len() - 1)
+                } else {
+                    ClassOutcome::Rejected(count)
+                }
+            };
+            match known {
+                Some(m) => memo[m].1 = outcome,
+                None => memo.push((class, outcome)),
+            }
         }
     }
+    state.memo = memo;
     collected.sort_unstable_by(|x, y| {
         let (a, b) = (&x.candidate, &y.candidate);
         b.3.cmp(&a.3) // larger share count first
@@ -766,6 +822,17 @@ fn collect_candidates(
             .map(|c| c.candidate)
             .collect(),
     )
+}
+
+/// A sibling reached the kept candidate's state with the same share count,
+/// so the local threshold accepts it whenever it has fewer constant
+/// characters than the kept one.
+fn collapse(kept: &mut Collected, label: LabelId, next_chars: usize, examined: usize) {
+    if next_chars < kept.candidate.4 {
+        kept.candidate.0 = label;
+        kept.candidate.4 = next_chars;
+        kept.examined = examined;
+    }
 }
 
 fn dfs(
@@ -1228,8 +1295,8 @@ mod tests {
             g: g.index(),
             index: prepared.index(),
             active,
-            last_nodes: &searcher.last_nodes,
-            constant_chars: &searcher.constant_chars,
+            last_nodes: prepared.last_nodes(),
+            constant_chars: prepared.constant_chars(),
             dist_to_end: distance_to_end(graph),
             max_path_len: searcher.config.max_path_len,
             early_termination: searcher.config.early_termination,
@@ -1254,7 +1321,7 @@ mod tests {
             oracle.dfs(0, &mut Vec::new(), &universe, 0);
         }
         let steps = budget - oracle.steps_left;
-        let last_nodes = &searcher.last_nodes;
+        let last_nodes = prepared.last_nodes();
         let result = oracle
             .best
             .map(|(path, list, count, _)| PivotResult::new(path, list, count, active, last_nodes));
@@ -1332,9 +1399,15 @@ mod tests {
     /// Column 0 of the generated 20-cluster address data (seed 30), split
     /// into the structure partitions the grouper searches.
     fn address_partitions() -> Vec<Vec<Replacement>> {
+        address_partitions_of(30)
+    }
+
+    /// Column 0 of the generated 20-cluster address data of `seed`, split
+    /// into structure partitions.
+    fn address_partitions_of(seed: u64) -> Vec<Vec<Replacement>> {
         let dataset = ec_data::PaperDataset::Address.generate(&ec_data::GeneratorConfig {
             num_clusters: 20,
-            seed: 30,
+            seed,
             num_sources: 6,
         });
         let candidates = ec_replace::generate_candidates(
@@ -1342,6 +1415,116 @@ mod tests {
             &ec_replace::CandidateConfig::default(),
         );
         crate::partition_replacements(&candidates.replacements, &GroupingConfig::default())
+    }
+
+    /// The candidates of Figure 9's single-mega-group axis: one cluster of
+    /// lookalike spellings of a long title, split into structure partitions.
+    fn mega_group_partitions() -> Vec<Vec<Replacement>> {
+        let values: Vec<String> = (10..22)
+            .map(|i| format!("International Journal of Distributed Data Systems Volume {i}"))
+            .collect();
+        let candidates =
+            ec_replace::generate_candidates(&[values], &ec_replace::CandidateConfig::default());
+        crate::partition_replacements(&candidates.replacements, &GroupingConfig::default())
+    }
+
+    /// Runs every search of `reps` (threshold 1, fresh own bound) twice: with
+    /// the prepared posting classes and with identity classes, which is the
+    /// collection without the class memo. Asserts the two runs agree on
+    /// every result and every step count; returns the total steps and how
+    /// many labels the classes join to a smaller label.
+    fn classes_vs_identity(reps: &[Replacement], config: &GroupingConfig) -> (usize, usize) {
+        let prep = prepared(reps, config);
+        let searcher = PivotSearcher::new(Arc::clone(&prep), config);
+        let active = vec![true; prep.len()];
+        let identity: Vec<u32> = (0..prep.posting_classes().len() as u32).collect();
+        let joined = prep
+            .posting_classes()
+            .iter()
+            .zip(&identity)
+            .filter(|(class, label)| class != label)
+            .count();
+        let mut steps = 0;
+        for g in (0..prep.len()).map(|g| GraphId(g as u32)) {
+            let run = |classes: &[u32]| {
+                let mut raised = BoundRaises::default();
+                let run = searcher.search_with_classes(g, 1, &active, 1, &mut raised, classes);
+                raised.compact();
+                (run, raised.entries)
+            };
+            let (real, real_raised) = run(prep.posting_classes());
+            let (plain, plain_raised) = run(&identity);
+            assert_eq!(real.steps, plain.steps, "graph {g:?}: steps");
+            assert_eq!(real_raised, plain_raised, "graph {g:?}: bound raises");
+            assert_same_results(
+                &[real.result],
+                &[plain.result],
+                &format!("graph {g:?} of {} graphs", prep.len()),
+            );
+            steps += real.steps;
+        }
+        (steps, joined)
+    }
+
+    #[test]
+    fn posting_classes_change_no_search_on_the_address_ladder_and_the_mega_group() {
+        let ladder: Vec<Vec<Replacement>> = [30, 14, 18]
+            .into_iter()
+            .flat_map(address_partitions_of)
+            .collect();
+        let mega = mega_group_partitions();
+        // The default budget, and a starved one that truncates many
+        // searches, so truncation points are compared too.
+        for budget in [50_000, 400] {
+            let config = GroupingConfig {
+                max_search_steps: budget,
+                ..GroupingConfig::default()
+            };
+            for (what, parts) in [("ladder", &ladder), ("mega group", &mega)] {
+                let joined: usize = parts
+                    .iter()
+                    .map(|part| classes_vs_identity(part, &config).1)
+                    .sum();
+                assert!(joined > 0, "{what}: the classes must join labels");
+            }
+        }
+    }
+
+    #[test]
+    fn the_class_memo_keys_on_the_target_node_too() {
+        // Each input has exactly one lowercase run, so `Suffix(Tl, 1)` and
+        // `Suffix(Tl, -1)` have identical postings: one class. Both sit on
+        // two out-edges of node 0, `0 -> 1` ("a") and `0 -> 2` ("aa"), and
+        // extend the universe to the same list, but the two edges reach
+        // different states. A memo keyed on the class alone would fold the
+        // `0 -> 2` state into the `0 -> 1` one and never explore it.
+        let reps: Vec<Replacement> = [("Aaa 7", "aa7"), ("Bbb 8", "bb8"), ("Ccc 9", "cc9")]
+            .iter()
+            .map(|&(s, t)| Replacement::new(s, t))
+            .collect();
+        let config = GroupingConfig::default();
+        let prep = prepared(&reps, &config);
+        let classes = prep.posting_classes();
+        let graph = prep.graph(GraphId(0));
+        let on_edge = |to: u32| -> Vec<u32> {
+            let edge = graph.edge(0, to).expect("edge");
+            edge.labels.iter().map(|l| classes[l.index()]).collect()
+        };
+        let (one, two) = (on_edge(1), on_edge(2));
+        let shared: Vec<u32> = one.iter().copied().filter(|c| two.contains(c)).collect();
+        assert!(!shared.is_empty(), "a class must sit on both out-edges");
+        let joined_suffix = |c: u32| {
+            matches!(prep.interner().resolve(LabelId(c)), StringFn::Suffix { .. })
+                && classes.iter().filter(|&&x| x == c).count() > 1
+        };
+        assert!(
+            shared.iter().any(|&c| joined_suffix(c)),
+            "a `Suffix` class joining two labels must sit on both out-edges"
+        );
+        // The step total pins the states explored (a class-only key spends
+        // 108).
+        let (steps, _) = classes_vs_identity(&reps, &config);
+        assert_eq!(steps, 144, "pinned step total");
     }
 
     #[test]
