@@ -34,7 +34,7 @@ fn bench_dsl(c: &mut Criterion) {
 }
 
 fn bench_graph_build(c: &mut Criterion) {
-    let builder = GraphBuilder::new(GraphConfig::default());
+    let mut builder = GraphBuilder::new(GraphConfig::default());
     let replacement = Replacement::new("3rd E Avenue, 33990 California", "3 E Ave, 33990 CA");
     c.bench_function("graph_build_address_pair", |b| {
         b.iter(|| {

@@ -214,9 +214,13 @@ impl TransformationGraph {
 
 /// Builds transformation graphs for candidate replacements, interning their
 /// edge labels into a shared [`LabelInterner`].
+///
+/// A builder keeps the working buffers of one build for the next, so a batch
+/// of builds allocates little beyond the graphs it returns.
 #[derive(Debug)]
 pub struct GraphBuilder {
     config: GraphConfig,
+    scratch: Scratch,
 }
 
 impl Default for GraphBuilder {
@@ -228,7 +232,10 @@ impl Default for GraphBuilder {
 impl GraphBuilder {
     /// Creates a builder with the given configuration.
     pub fn new(config: GraphConfig) -> Self {
-        GraphBuilder { config }
+        GraphBuilder {
+            config,
+            scratch: Scratch::default(),
+        }
     }
 
     /// The configuration in use.
@@ -242,48 +249,62 @@ impl GraphBuilder {
     /// Labels are pushed edge by edge in a fixed order — per edge `(i, j)`
     /// in `(i, j)` order: the constant, then the `SubStr` labels by
     /// occurrence and position-function order; then the affix labels — and
-    /// each push interns its label, so ids follow first occurrence. Every
-    /// push is integer work: position functions are packed into integer keys
-    /// once per input string, `SubStr`/`Prefix`/`Suffix` labels intern
-    /// through the interner's integer-keyed side index and constants through
-    /// its text-keyed one (sliced from `rhs` without allocating), and the
-    /// per-edge label lists live in a dense `(i, j)` table.
+    /// each push interns its label, so ids follow first occurrence. A
+    /// `SubStr` push is two array reads: the interner numbers each position
+    /// function once per input string, and its dense pair table maps two
+    /// numbers to the label (functions past the table's bound intern by
+    /// value). Constants probe the interner by their text, sliced from `rhs`
+    /// without allocating. No push checks the edge for a duplicate, because
+    /// one edge's labels are distinct by construction: a position function
+    /// evaluates to one input position, so a `SubStr` label names one
+    /// occurrence; an edge gets one constant; and an affix label is unique
+    /// per term, ordinal and edge end. Only edges that receive a label are
+    /// stored, each label list in one exactly sized allocation.
     ///
     /// Returns `None` when the output string exceeds
     /// [`GraphConfig::max_output_len`].
     pub fn build(
-        &self,
+        &mut self,
         replacement: &Replacement,
         interner: &mut LabelInterner,
     ) -> Option<TransformationGraph> {
+        let config = &self.config;
         let t = replacement.rhs();
-        let t_chars: Vec<char> = t.chars().collect();
-        let t_len = t_chars.len();
-        if let Some(max) = self.config.max_output_len {
-            if t_len > max {
-                return None;
-            }
+        let t_len = t.chars().count();
+        if config.max_output_len.is_some_and(|max| t_len > max) {
+            return None;
         }
+        let Scratch {
+            t_chars,
+            t_bytes,
+            positions,
+            occurrences,
+            table,
+        } = &mut self.scratch;
+        // The characters of t and the byte offset of every character
+        // boundary, for constant slices.
+        t_chars.clear();
+        t_bytes.clear();
+        for (b, c) in t.char_indices() {
+            t_chars.push(c);
+            t_bytes.push(b);
+        }
+        t_bytes.push(t.len());
         let ctx = StrCtx::new(replacement.lhs());
-        let s_chars = ctx.chars();
-        let s_len = s_chars.len();
-        let keyed = s_len < MAX_KEYED_LEN;
-        // Byte offset of every character boundary of t, for constant slices.
-        let t_bytes: Vec<usize> = t
-            .char_indices()
-            .map(|(b, _)| b)
-            .chain(std::iter::once(t.len()))
-            .collect();
-        let positions = self.position_table(&ctx);
-        // occurrences[i]: every x with s[x..] and t[i..] sharing a non-empty
-        // prefix, ascending, with that prefix's length.
-        let occurrences = occurrence_table(s_chars, &t_chars);
+        positions.fill(config, &ctx, interner);
+        occurrences.fill(ctx.chars(), t_chars);
 
-        let mut table = EdgeTable::new(t_len, self.config.max_labels_per_edge);
+        table.reset(t_len, config.max_labels_per_edge);
         for i in 0..t_len {
+            let at_i = occurrences.at(i);
+            let longest = at_i
+                .iter()
+                .map(|&(_, common)| common as usize)
+                .max()
+                .unwrap_or(0);
             for j in (i + 1)..=t_len {
                 // Constant label (Line 15).
-                let keep_constant = match self.config.constant_policy {
+                let keep_constant = match config.constant_policy {
                     ConstantPolicy::All => true,
                     ConstantPolicy::MaxLen(n) => j - i <= n || (i == 0 && j == t_len),
                     ConstantPolicy::FullOnly => i == 0 && j == t_len,
@@ -293,18 +314,20 @@ impl GraphBuilder {
                 }
                 // SubStr labels for every occurrence s[x..y) = t[i..j) (Lines 16-18).
                 let len = j - i;
-                for &(x, common) in &occurrences[i] {
+                if len > longest {
+                    continue;
+                }
+                for &(x, common) in at_i {
                     if (common as usize) < len {
                         continue;
                     }
                     let (x, y) = (x as usize, x as usize + len);
-                    for (lk, l) in positions.at(x) {
-                        for (rk, r) in positions.at(y) {
+                    for (lid, l) in positions.at(x) {
+                        for (rid, r) in positions.at(y) {
                             let make = || StringFn::sub_str(l.clone(), r.clone());
-                            let id = if keyed {
-                                interner.intern_keyed(lk << POS_BITS | rk, make)
-                            } else {
-                                interner.intern(make())
+                            let id = match (lid, rid) {
+                                (Some(lid), Some(rid)) => interner.intern_pair(lid, rid, make),
+                                _ => interner.intern(make()),
                             };
                             table.push(i, j, id);
                         }
@@ -314,26 +337,13 @@ impl GraphBuilder {
         }
 
         // --- Affix labels (Appendix D), longest-affix-only (Appendix E). ---
-        if self.config.enable_affix {
-            self.add_affix_labels(&ctx, &t_chars, &mut table, interner, keyed);
+        if config.enable_affix {
+            add_affix_labels(config, &ctx, t_chars, table, interner);
         }
 
-        // --- Assemble CSR: the table is walked in `(from, to)` order. ---
-        let mut edges = Vec::with_capacity(table.non_empty());
-        for i in 0..t_len {
-            for j in (i + 1)..=t_len {
-                let labels = table.take(i, j);
-                if !labels.is_empty() {
-                    edges.push(Edge {
-                        from: i as u32,
-                        to: j as u32,
-                        labels,
-                    });
-                }
-            }
-        }
-        let graph = TransformationGraph::from_parts(replacement.clone(), t_len as u32, edges)
-            .expect("edges are sorted, in range and labelled");
+        let graph =
+            TransformationGraph::from_parts(replacement.clone(), t_len as u32, table.take_edges())
+                .expect("edges are sorted, in range and labelled");
         Some(graph)
     }
 
@@ -341,7 +351,7 @@ impl GraphBuilder {
     /// configuration rejects. The i-th returned graph corresponds to the i-th
     /// retained replacement; the return value pairs them up explicitly.
     pub fn build_all(
-        &self,
+        &mut self,
         replacements: &[Replacement],
         interner: &mut LabelInterner,
     ) -> Vec<(Replacement, TransformationGraph)> {
@@ -350,110 +360,59 @@ impl GraphBuilder {
             .filter_map(|r| self.build(r, interner).map(|g| (r.clone(), g)))
             .collect()
     }
+}
 
-    /// The position-function table `P`: `P[x]` holds the position functions
-    /// that evaluate to position `x` in the input string, each with its
-    /// integer key.
-    fn position_table(&self, ctx: &StrCtx<'_>) -> PositionTable {
-        let s_len = ctx.len();
-        let mut positions: Vec<Vec<PositionFn>> = vec![Vec::new(); s_len + 1];
-        for term in CLASS_TERMS {
-            let matches = ctx.class_matches(&term);
-            let m_count = matches.len() as i32;
-            for (idx, m) in matches.iter().enumerate() {
-                let k = idx as i32 + 1;
-                positions[m.start].push(PositionFn::match_pos(term.clone(), k, Dir::Begin));
-                positions[m.end].push(PositionFn::match_pos(term.clone(), k, Dir::End));
-                if self.config.enable_negative_ordinals {
-                    let neg = k - m_count - 1;
-                    positions[m.start].push(PositionFn::match_pos(term.clone(), neg, Dir::Begin));
-                    positions[m.end].push(PositionFn::match_pos(term.clone(), neg, Dir::End));
+/// Adds the `Prefix`/`Suffix` labels: for each class-term match in `s` and
+/// each output position, only the longest prefix (resp. suffix) of that
+/// match occurring at the position is labelled.
+fn add_affix_labels(
+    config: &GraphConfig,
+    ctx: &StrCtx<'_>,
+    t_chars: &[char],
+    table: &mut EdgeTable,
+    interner: &mut LabelInterner,
+) {
+    let t_len = t_chars.len();
+    let mut intern = |suffix: bool, term: &Term, k: i32| {
+        interner.intern(if suffix {
+            StringFn::suffix(term.clone(), k)
+        } else {
+            StringFn::prefix(term.clone(), k)
+        })
+    };
+    for term in CLASS_TERMS {
+        let matches = ctx.class_matches(&term);
+        let m_count = matches.len() as i32;
+        for (idx, m) in matches.iter().enumerate() {
+            let k = idx as i32 + 1;
+            let neg = k - m_count - 1;
+            let matched = &ctx.chars()[m.start..m.end];
+            // Longest prefix of `matched` starting at each output position i.
+            for i in 0..t_len {
+                let mut len = 0;
+                while len < matched.len() && i + len < t_len && t_chars[i + len] == matched[len] {
+                    len += 1;
                 }
-            }
-        }
-        if self.config.enable_const_pos {
-            for (x, slot) in positions.iter_mut().enumerate() {
-                slot.push(PositionFn::const_pos(x as i32 + 1));
-                if self.config.enable_negative_ordinals {
-                    slot.push(PositionFn::const_pos(x as i32 - s_len as i32 - 1));
-                }
-            }
-        }
-        let mut table = PositionTable {
-            start: Vec::with_capacity(s_len + 2),
-            entries: Vec::new(),
-        };
-        table.start.push(0);
-        for slot in positions {
-            table
-                .entries
-                .extend(slot.into_iter().map(|p| (position_key(&p), p)));
-            table.start.push(table.entries.len());
-        }
-        table
-    }
-
-    /// Adds the `Prefix`/`Suffix` labels: for each class-term match in `s` and
-    /// each output position, only the longest prefix (resp. suffix) of that
-    /// match occurring at the position is labelled.
-    fn add_affix_labels(
-        &self,
-        ctx: &StrCtx<'_>,
-        t_chars: &[char],
-        table: &mut EdgeTable,
-        interner: &mut LabelInterner,
-        keyed: bool,
-    ) {
-        let t_len = t_chars.len();
-        let mut intern = |suffix: bool, term: &Term, k: i32| {
-            let make = || {
-                if suffix {
-                    StringFn::suffix(term.clone(), k)
-                } else {
-                    StringFn::prefix(term.clone(), k)
-                }
-            };
-            if keyed {
-                interner.intern_keyed(affix_key(suffix, term, k), make)
-            } else {
-                interner.intern(make())
-            }
-        };
-        for term in CLASS_TERMS {
-            let matches = ctx.class_matches(&term);
-            let m_count = matches.len() as i32;
-            for (idx, m) in matches.iter().enumerate() {
-                let k = idx as i32 + 1;
-                let neg = k - m_count - 1;
-                let matched = &ctx.chars()[m.start..m.end];
-                // Longest prefix of `matched` starting at each output position i.
-                for i in 0..t_len {
-                    let mut len = 0;
-                    while len < matched.len() && i + len < t_len && t_chars[i + len] == matched[len]
-                    {
-                        len += 1;
-                    }
-                    if len >= 1 {
-                        table.push(i, i + len, intern(false, &term, k));
-                        if self.config.enable_negative_ordinals {
-                            table.push(i, i + len, intern(false, &term, neg));
-                        }
+                if len >= 1 {
+                    table.push(i, i + len, intern(false, &term, k));
+                    if config.enable_negative_ordinals {
+                        table.push(i, i + len, intern(false, &term, neg));
                     }
                 }
-                // Longest suffix of `matched` ending at each output position j.
-                for j in 1..=t_len {
-                    let mut len = 0;
-                    while len < matched.len()
-                        && len < j
-                        && t_chars[j - 1 - len] == matched[matched.len() - 1 - len]
-                    {
-                        len += 1;
-                    }
-                    if len >= 1 {
-                        table.push(j - len, j, intern(true, &term, k));
-                        if self.config.enable_negative_ordinals {
-                            table.push(j - len, j, intern(true, &term, neg));
-                        }
+            }
+            // Longest suffix of `matched` ending at each output position j.
+            for j in 1..=t_len {
+                let mut len = 0;
+                while len < matched.len()
+                    && len < j
+                    && t_chars[j - 1 - len] == matched[matched.len() - 1 - len]
+                {
+                    len += 1;
+                }
+                if len >= 1 {
+                    table.push(j - len, j, intern(true, &term, k));
+                    if config.enable_negative_ordinals {
+                        table.push(j - len, j, intern(true, &term, neg));
                     }
                 }
             }
@@ -461,121 +420,249 @@ impl GraphBuilder {
     }
 }
 
-/// Bits of one packed position function; a `SubStr` key is two of them.
-const POS_BITS: u32 = 31;
-/// Bits of a packed match ordinal or constant position (two's complement).
-const ORD_BITS: u32 = 27;
-/// Input strings this long or longer intern without the integer side index:
-/// their ordinals (at most `|s| + 1` in magnitude) might not fit `ORD_BITS`.
-const MAX_KEYED_LEN: usize = (1 << (ORD_BITS - 1)) - 2;
-/// Tag bits that keep affix keys apart from `SubStr` keys (which use the
-/// low `2 * POS_BITS` bits only).
-const PREFIX_TAG: u64 = 1 << 62;
-const SUFFIX_TAG: u64 = 1 << 63;
-
-fn ordinal_bits(k: i32) -> u64 {
-    (k as u32 & ((1 << ORD_BITS) - 1)) as u64
+/// The working buffers of one build, kept by the builder for the next.
+#[derive(Debug, Default)]
+struct Scratch {
+    t_chars: Vec<char>,
+    t_bytes: Vec<usize>,
+    positions: PositionTable,
+    occurrences: Occurrences,
+    table: EdgeTable,
 }
 
-fn class_index(term: &Term) -> u64 {
-    CLASS_TERMS
-        .iter()
-        .position(|c| c == term)
-        .expect("the builder only generates class terms") as u64
-}
-
-/// Packs a position function into `POS_BITS` bits: a `ConstPos` flag, the
-/// class-term index, the direction and the ordinal.
-fn position_key(p: &PositionFn) -> u64 {
-    match p {
-        PositionFn::ConstPos(k) => 1 << (POS_BITS - 1) | ordinal_bits(*k),
-        PositionFn::MatchPos { term, k, dir } => {
-            let dir = matches!(dir, Dir::End) as u64;
-            class_index(term) << (ORD_BITS + 1) | dir << ORD_BITS | ordinal_bits(*k)
-        }
-    }
-}
-
-/// Packs `Prefix(term, k)` or `Suffix(term, k)`.
-fn affix_key(suffix: bool, term: &Term, k: i32) -> u64 {
-    let tag = if suffix { SUFFIX_TAG } else { PREFIX_TAG };
-    tag | class_index(term) << ORD_BITS | ordinal_bits(k)
-}
-
-/// The position-function table in CSR form: `entries[start[x]..start[x + 1]]`
-/// are the `(key, function)` pairs evaluating to input position `x`.
+/// The position-function table `P` in CSR form: `entries[start[x]..start[x + 1]]`
+/// are the position functions that evaluate to input position `x`, each
+/// with its number in the interner's pair table (if it got one).
+#[derive(Debug, Default)]
 struct PositionTable {
     start: Vec<usize>,
-    entries: Vec<(u64, PositionFn)>,
+    entries: Vec<(Option<u32>, PositionFn)>,
+    /// `(x, function)` in generation order, before grouping by `x`.
+    generated: Vec<(usize, PositionFn)>,
 }
 
 impl PositionTable {
-    fn at(&self, x: usize) -> impl Iterator<Item = (u64, &PositionFn)> {
+    /// Refills the table for the input string of `ctx`.
+    fn fill(&mut self, config: &GraphConfig, ctx: &StrCtx<'_>, interner: &mut LabelInterner) {
+        let s_len = ctx.len();
+        let generated = &mut self.generated;
+        generated.clear();
+        for term in CLASS_TERMS {
+            let matches = ctx.class_matches(&term);
+            let m_count = matches.len() as i32;
+            for (idx, m) in matches.iter().enumerate() {
+                let k = idx as i32 + 1;
+                generated.push((m.start, PositionFn::match_pos(term.clone(), k, Dir::Begin)));
+                generated.push((m.end, PositionFn::match_pos(term.clone(), k, Dir::End)));
+                if config.enable_negative_ordinals {
+                    let neg = k - m_count - 1;
+                    generated.push((
+                        m.start,
+                        PositionFn::match_pos(term.clone(), neg, Dir::Begin),
+                    ));
+                    generated.push((m.end, PositionFn::match_pos(term.clone(), neg, Dir::End)));
+                }
+            }
+        }
+        if config.enable_const_pos {
+            for x in 0..=s_len {
+                generated.push((x, PositionFn::const_pos(x as i32 + 1)));
+                if config.enable_negative_ordinals {
+                    generated.push((x, PositionFn::const_pos(x as i32 - s_len as i32 - 1)));
+                }
+            }
+        }
+        // A stable sort keeps generation order within each position.
+        generated.sort_by_key(|&(x, _)| x);
+        self.start.clear();
+        self.entries.clear();
+        for (x, p) in generated.drain(..) {
+            while self.start.len() <= x {
+                self.start.push(self.entries.len());
+            }
+            self.entries.push((interner.position_id(&p), p));
+        }
+        while self.start.len() < s_len + 2 {
+            self.start.push(self.entries.len());
+        }
+    }
+
+    fn at(&self, x: usize) -> impl Iterator<Item = (Option<u32>, &PositionFn)> {
         self.entries[self.start[x]..self.start[x + 1]]
             .iter()
-            .map(|(k, p)| (*k, p))
+            .map(|(id, p)| (*id, p))
     }
 }
 
-/// The per-edge label lists of one graph under construction, one slot per
-/// edge `(i, j)` with `i < j <= t_len`.
+/// The edges of one graph under construction. An edge is opened when it
+/// receives its first label; `slots` maps each `(i, j)` with `i < j` to its
+/// edge. Labels are collected in push order in one buffer and copied into
+/// exactly sized per-edge lists at the end.
+#[derive(Debug, Default)]
 struct EdgeTable {
-    slots: Vec<LabelList>,
+    /// `slots[slot(i, j)]` is `1 +` the edge's index in `edges`, or 0. The
+    /// slot of `(i, j)` does not depend on the output length, so a reset
+    /// clears only the slots of the previous graph's edges.
+    slots: Vec<u32>,
+    /// `(from, to, label count)` of every opened edge, in opening order.
+    edges: Vec<(u32, u32, u32)>,
+    /// `(edge index, label)` of every kept push, in push order.
+    pushes: Vec<(u32, LabelId)>,
+    /// The pushes regrouped edge by edge, and each edge's write cursor.
+    grouped: Vec<LabelId>,
+    cursors: Vec<usize>,
+    /// Whether `edges` is still in `(from, to)` order — true unless the
+    /// affix pass opened an edge the main pass left empty.
+    sorted: bool,
     max_labels: usize,
 }
 
 impl EdgeTable {
-    fn new(t_len: usize, max_labels: usize) -> Self {
-        EdgeTable {
-            slots: vec![LabelList::new(); t_len * (t_len + 1) / 2],
-            max_labels,
-        }
-    }
-
     fn slot(i: usize, j: usize) -> usize {
         j * (j - 1) / 2 + i
     }
 
-    /// Appends `id` to edge `(i, j)` unless the edge already carries it or
-    /// is full. The label is interned either way, so ids never depend on
-    /// the cap.
+    /// Empties the table for a graph over an output of `t_len` characters.
+    fn reset(&mut self, t_len: usize, max_labels: usize) {
+        for &(from, to, _) in &self.edges {
+            self.slots[Self::slot(from as usize, to as usize)] = 0;
+        }
+        let needed = t_len * (t_len + 1) / 2;
+        if self.slots.len() < needed {
+            self.slots.resize(needed, 0);
+        }
+        self.edges.clear();
+        self.pushes.clear();
+        self.sorted = true;
+        self.max_labels = max_labels;
+    }
+
+    /// Appends `id` to edge `(i, j)` unless the edge is full. The label is
+    /// interned either way, so ids never depend on the cap. The caller never
+    /// pushes one label twice onto an edge (see [`GraphBuilder::build`]);
+    /// debug builds check that when [`EdgeTable::take_edges`] assembles the
+    /// lists.
     fn push(&mut self, i: usize, j: usize, id: LabelId) {
-        let labels = &mut self.slots[Self::slot(i, j)];
-        if labels.len() < self.max_labels && !labels.contains(&id) {
-            labels.push(id);
+        if self.max_labels == 0 {
+            return;
+        }
+        let slot = &mut self.slots[Self::slot(i, j)];
+        if *slot == 0 {
+            if let Some(&(from, to, _)) = self.edges.last() {
+                self.sorted &= (from as usize, to as usize) < (i, j);
+            }
+            self.edges.push((i as u32, j as u32, 0));
+            *slot = self.edges.len() as u32;
+        }
+        let edge = *slot - 1;
+        let count = &mut self.edges[edge as usize].2;
+        if (*count as usize) < self.max_labels {
+            *count += 1;
+            self.pushes.push((edge, id));
         }
     }
 
-    /// Number of edges with at least one label.
-    fn non_empty(&self) -> usize {
-        self.slots.iter().filter(|l| !l.is_empty()).count()
-    }
-
-    fn take(&mut self, i: usize, j: usize) -> LabelList {
-        std::mem::take(&mut self.slots[Self::slot(i, j)])
+    /// The labelled edges, sorted by `(from, to)`, each label list in push
+    /// order.
+    fn take_edges(&mut self) -> Vec<Edge> {
+        // Regroup the pushes edge by edge; a stable pass keeps push order.
+        self.cursors.clear();
+        let mut total = 0;
+        for &(_, _, count) in &self.edges {
+            self.cursors.push(total);
+            total += count as usize;
+        }
+        self.grouped.clear();
+        self.grouped.resize(total, LabelId(0));
+        for &(edge, id) in &self.pushes {
+            let cursor = &mut self.cursors[edge as usize];
+            self.grouped[*cursor] = id;
+            *cursor += 1;
+        }
+        let mut start = 0;
+        let mut edges: Vec<Edge> = self
+            .edges
+            .iter()
+            .map(|&(from, to, count)| {
+                let end = start + count as usize;
+                let labels = &self.grouped[start..end];
+                debug_assert!(
+                    (1..labels.len()).all(|n| !labels[..n].contains(&labels[n])),
+                    "edge ({from}, {to}) carries a label twice: {labels:?}"
+                );
+                start = end;
+                Edge {
+                    from,
+                    to,
+                    labels: LabelList::from(labels),
+                }
+            })
+            .collect();
+        if !self.sorted {
+            edges.sort_unstable_by_key(|e| (e.from, e.to));
+        }
+        edges
     }
 }
 
-/// `occurrences[i]` lists, by ascending `x`, every input position `x` where
-/// `s[x..]` and `t[i..]` share a non-empty common prefix, with its length.
-fn occurrence_table(s: &[char], t: &[char]) -> Vec<Vec<(u32, u32)>> {
-    let mut occurrences = vec![Vec::new(); t.len()];
-    // Row x + 1 of the longest-common-extension table, then row x.
-    let mut next = vec![0u32; t.len() + 1];
-    let mut row = vec![0u32; t.len() + 1];
-    for x in (0..s.len()).rev() {
-        for i in (0..t.len()).rev() {
-            row[i] = if s[x] == t[i] { next[i + 1] + 1 } else { 0 };
-            if row[i] > 0 {
-                occurrences[i].push((x as u32, row[i]));
+/// For every output position `i`, by ascending `x`, every input position `x`
+/// where `s[x..]` and `t[i..]` share a non-empty common prefix, with that
+/// prefix's length: `(x, length)` pairs in CSR form.
+#[derive(Debug, Default)]
+struct Occurrences {
+    start: Vec<usize>,
+    entries: Vec<(u32, u32)>,
+    /// `(i, x, length)` in the order the table below finds them.
+    found: Vec<(u32, u32, u32)>,
+    /// Rows `x + 1` and `x` of the longest-common-extension table.
+    next: Vec<u32>,
+    row: Vec<u32>,
+}
+
+impl Occurrences {
+    /// Refills the table for input `s` and output `t`.
+    fn fill(&mut self, s: &[char], t: &[char]) {
+        self.found.clear();
+        self.next.clear();
+        self.next.resize(t.len() + 1, 0);
+        self.row.clear();
+        self.row.resize(t.len() + 1, 0);
+        // Fill the rows for descending x, counting the finds per i in `start`.
+        self.start.clear();
+        self.start.resize(t.len() + 1, 0);
+        for x in (0..s.len()).rev() {
+            for i in (0..t.len()).rev() {
+                self.row[i] = if s[x] == t[i] {
+                    self.next[i + 1] + 1
+                } else {
+                    0
+                };
+                if self.row[i] > 0 {
+                    self.found.push((i as u32, x as u32, self.row[i]));
+                    self.start[i + 1] += 1;
+                }
             }
+            std::mem::swap(&mut self.row, &mut self.next);
         }
-        std::mem::swap(&mut row, &mut next);
+        for i in 1..self.start.len() {
+            self.start[i] += self.start[i - 1];
+        }
+        // Each i's finds arrive by descending x: place them back to front.
+        self.entries.clear();
+        self.entries.resize(self.found.len(), (0, 0));
+        let ends = &mut self.row;
+        ends.clear();
+        ends.extend(self.start[1..].iter().map(|&e| e as u32));
+        for &(i, x, common) in &self.found {
+            let end = &mut ends[i as usize];
+            *end -= 1;
+            self.entries[*end as usize] = (x, common);
+        }
     }
-    for list in &mut occurrences {
-        list.reverse();
+
+    fn at(&self, i: usize) -> &[(u32, u32)] {
+        &self.entries[self.start[i]..self.start[i + 1]]
     }
-    occurrences
 }
 
 #[cfg(test)]
@@ -583,152 +670,21 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    /// The builder as it was before labels were interned through integer
-    /// keys: one `StringFn` per push, interned by value, and a `BTreeMap`
-    /// of edges. Kept as the oracle of the differential tests below.
-    fn reference_build(
-        config: &GraphConfig,
-        replacement: &Replacement,
-        interner: &mut LabelInterner,
-    ) -> Option<TransformationGraph> {
-        let s = replacement.lhs();
-        let t_chars: Vec<char> = replacement.rhs().chars().collect();
-        let t_len = t_chars.len();
-        if config.max_output_len.is_some_and(|max| t_len > max) {
-            return None;
-        }
-        let ctx = StrCtx::new(s);
-        let s_chars = ctx.chars().to_vec();
-        let s_len = s_chars.len();
-        let mut positions: Vec<Vec<PositionFn>> = vec![Vec::new(); s_len + 1];
-        for term in CLASS_TERMS {
-            let matches = ctx.class_matches(&term);
-            let m_count = matches.len() as i32;
-            for (idx, m) in matches.iter().enumerate() {
-                let k = idx as i32 + 1;
-                positions[m.start].push(PositionFn::match_pos(term.clone(), k, Dir::Begin));
-                positions[m.end].push(PositionFn::match_pos(term.clone(), k, Dir::End));
-                if config.enable_negative_ordinals {
-                    let neg = k - m_count - 1;
-                    positions[m.start].push(PositionFn::match_pos(term.clone(), neg, Dir::Begin));
-                    positions[m.end].push(PositionFn::match_pos(term.clone(), neg, Dir::End));
-                }
-            }
-        }
-        if config.enable_const_pos {
-            for (x, slot) in positions.iter_mut().enumerate() {
-                slot.push(PositionFn::const_pos(x as i32 + 1));
-                if config.enable_negative_ordinals {
-                    slot.push(PositionFn::const_pos(x as i32 - s_len as i32 - 1));
-                }
-            }
-        }
-        let mut lce = vec![vec![0usize; t_len + 1]; s_len + 1];
-        for x in (0..s_len).rev() {
-            for i in (0..t_len).rev() {
-                if s_chars[x] == t_chars[i] {
-                    lce[x][i] = lce[x + 1][i + 1] + 1;
-                }
-            }
-        }
-        let mut edge_labels: BTreeMap<(u32, u32), Vec<LabelId>> = BTreeMap::new();
-        let mut push = |i: usize, j: usize, f: StringFn| {
-            let id = interner.intern(f);
-            let labels = edge_labels.entry((i as u32, j as u32)).or_default();
-            if labels.len() < config.max_labels_per_edge && !labels.contains(&id) {
-                labels.push(id);
-            }
-        };
-        for i in 0..t_len {
-            for j in (i + 1)..=t_len {
-                let keep_constant = match config.constant_policy {
-                    ConstantPolicy::All => true,
-                    ConstantPolicy::MaxLen(n) => j - i <= n || (i == 0 && j == t_len),
-                    ConstantPolicy::FullOnly => i == 0 && j == t_len,
-                };
-                if keep_constant {
-                    let piece: String = t_chars[i..j].iter().collect();
-                    push(i, j, StringFn::constant(piece));
-                }
-                let len = j - i;
-                for x in 0..s_len {
-                    if lce[x][i] >= len {
-                        for l in &positions[x] {
-                            for r in &positions[x + len] {
-                                push(i, j, StringFn::sub_str(l.clone(), r.clone()));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if config.enable_affix {
-            for term in CLASS_TERMS {
-                let matches = ctx.class_matches(&term).to_vec();
-                let m_count = matches.len() as i32;
-                for (idx, m) in matches.iter().enumerate() {
-                    let k = idx as i32 + 1;
-                    let neg = k - m_count - 1;
-                    let matched: Vec<char> = ctx.chars()[m.start..m.end].to_vec();
-                    for i in 0..t_len {
-                        let mut len = 0;
-                        while len < matched.len()
-                            && i + len < t_len
-                            && t_chars[i + len] == matched[len]
-                        {
-                            len += 1;
-                        }
-                        if len >= 1 {
-                            push(i, i + len, StringFn::prefix(term.clone(), k));
-                            if config.enable_negative_ordinals {
-                                push(i, i + len, StringFn::prefix(term.clone(), neg));
-                            }
-                        }
-                    }
-                    for j in 1..=t_len {
-                        let mut len = 0;
-                        while len < matched.len()
-                            && len < j
-                            && t_chars[j - 1 - len] == matched[matched.len() - 1 - len]
-                        {
-                            len += 1;
-                        }
-                        if len >= 1 {
-                            push(j - len, j, StringFn::suffix(term.clone(), k));
-                            if config.enable_negative_ordinals {
-                                push(j - len, j, StringFn::suffix(term.clone(), neg));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let edges: Vec<Edge> = edge_labels
-            .into_iter()
-            .filter(|(_, labels)| !labels.is_empty())
-            .map(|((from, to), labels)| Edge {
-                from,
-                to,
-                labels: labels.into(),
-            })
-            .collect();
-        TransformationGraph::from_parts(replacement.clone(), t_len as u32, edges)
-    }
-
     /// Builds every replacement of every partition with both builders (one
     /// shared interner per partition and builder) and asserts identical
     /// graphs, per-edge label lists and interner id order. Returns the
     /// number of graphs compared.
     fn assert_builders_agree(partitions: &[Vec<Replacement>], config: &GraphConfig) -> usize {
-        let builder = GraphBuilder::new(config.clone());
+        let mut builder = GraphBuilder::new(config.clone());
         let mut compared = 0;
         for part in partitions {
             let (mut fast, mut slow) = (LabelInterner::new(), LabelInterner::new());
             for r in part {
                 let got = builder.build(r, &mut fast);
-                let want = reference_build(config, r, &mut slow);
+                let want = crate::reference::reference_build(config, r, &mut slow);
                 match (got, want) {
                     (Some(got), Some(want)) => {
+                        assert_labels_distinct(&got, &format!("{r}"));
                         assert_eq!(got.last_node(), want.last_node(), "{r}");
                         assert_eq!(got.edges(), want.edges(), "{r}");
                         for i in 0..=got.last_node() {
@@ -745,6 +701,23 @@ mod tests {
             assert_eq!(fast, slow, "interner order");
         }
         compared
+    }
+
+    /// Asserts that no edge of `g` carries a label twice — the property that
+    /// lets [`GraphBuilder::build`] push without a duplicate check.
+    fn assert_labels_distinct(g: &TransformationGraph, what: &str) {
+        for e in g.edges() {
+            let mut labels = e.labels.to_vec();
+            labels.sort_unstable();
+            labels.dedup();
+            assert_eq!(
+                labels.len(),
+                e.labels.len(),
+                "{what}: edge ({}, {})",
+                e.from,
+                e.to
+            );
+        }
     }
 
     /// The configurations the differential tests sweep: the default, the
@@ -832,6 +805,31 @@ mod tests {
             for config in differential_configs() {
                 let compared = assert_builders_agree(&partitions, &config);
                 assert!(compared > 20, "{dataset:?}: {compared} graphs");
+            }
+        }
+    }
+
+    /// Short strings over a small alphabet with every character class and
+    /// non-ASCII letters, so substrings repeat and classes match many times.
+    fn arb_text() -> impl proptest::strategy::Strategy<Value = String> {
+        proptest::string::string_regex("[aAb1 .üßÉ]{1,14}").unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Random partitions of one to three replacements, built against one
+        /// interner: every edge carries distinct labels (checked by
+        /// `assert_builders_agree`) and the builders agree, under every
+        /// differential configuration, the per-edge cap of 3 included.
+        #[test]
+        fn builder_matches_the_reference_on_random_inputs(
+            pairs in proptest::collection::vec((arb_text(), arb_text()), 1..4)
+        ) {
+            let part: Vec<Replacement> =
+                pairs.iter().map(|(lhs, rhs)| Replacement::new(lhs, rhs)).collect();
+            for config in differential_configs() {
+                assert_builders_agree(std::slice::from_ref(&part), &config);
             }
         }
     }
@@ -996,7 +994,7 @@ mod tests {
             ..GraphConfig::default()
         };
         let mut interner = LabelInterner::new();
-        let builder = GraphBuilder::new(config);
+        let mut builder = GraphBuilder::new(config);
         assert!(builder
             .build(&Replacement::new("abcd", "abcde"), &mut interner)
             .is_none());
@@ -1026,7 +1024,7 @@ mod tests {
     #[test]
     fn shared_interner_shares_labels_across_graphs() {
         let mut interner = LabelInterner::new();
-        let builder = GraphBuilder::default();
+        let mut builder = GraphBuilder::default();
         let g1 = builder
             .build(&Replacement::new("Lee, Mary", "M. Lee"), &mut interner)
             .unwrap();
@@ -1058,7 +1056,7 @@ mod tests {
     #[test]
     fn build_all_skips_rejected() {
         let mut interner = LabelInterner::new();
-        let builder = GraphBuilder::new(GraphConfig {
+        let mut builder = GraphBuilder::new(GraphConfig {
             max_output_len: Some(4),
             ..GraphConfig::default()
         });

@@ -8,41 +8,120 @@
 //! [`LabelId`]s by a [`LabelInterner`] that is shared by all graphs built for
 //! one collection of candidate replacements.
 
-use ec_dsl::StringFn;
+use ec_dsl::{Dir, PositionFn, StringFn, Term};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
-use std::sync::Arc;
 
-/// FNV-1a 64 as the interner's hasher. The label map sees hundreds of
-/// thousands of small structural keys on both the graph-build and the
-/// artifact-load path, where SipHash's per-key setup cost dominates the
-/// actual mixing. Hash flooding is not a concern here: keys derive from the
-/// dataset being consolidated, not from input crafted against this map.
-#[derive(Debug, Clone)]
-struct Fnv1a(u64);
+/// Most position functions one interner numbers for its dense `SubStr`
+/// table. The table holds one `u32` per ordered pair of numbered functions,
+/// so it never exceeds `POSITION_BOUND² × 4` bytes (256 KiB); `SubStr`
+/// labels over a function past the bound intern through the hashed table.
+pub(crate) const POSITION_BOUND: usize = 256;
 
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+/// The multiplier of the word mix (FxHash's).
+const MIX: u64 = 0x517c_c1b7_2722_0a95;
+
+/// Folds one word into a running hash. The interner's keys are a handful of
+/// small integers or a short text, so they are mixed a word at a time and
+/// scrambled once by [`finish`], instead of byte by byte. Hash flooding is
+/// not a concern: keys derive from the dataset being consolidated, and
+/// equality is always confirmed on the key itself.
+fn mix(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(MIX)
+}
+
+/// Folds `bytes` into `h` eight at a time (little-endian, the last word
+/// zero-padded), after their length.
+fn mix_bytes(h: u64, bytes: &[u8]) -> u64 {
+    let mut h = mix(h, bytes.len() as u64);
+    for chunk in bytes.chunks(8) {
+        let word = chunk
+            .iter()
+            .rev()
+            .fold(0, |word, &b| word << 8 | u64::from(b));
+        h = mix(h, word);
+    }
+    h
+}
+
+/// MurmurHash3's 64-bit finalizer: spreads every input bit over the low
+/// bits that pick a table slot.
+fn finish(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+fn mix_term(h: u64, term: &Term) -> u64 {
+    match term {
+        Term::Upper => mix(h, 0),
+        Term::Lower => mix(h, 1),
+        Term::Digits => mix(h, 2),
+        Term::Whitespace => mix(h, 3),
+        Term::Literal(text) => mix_bytes(mix(h, 4), text.as_bytes()),
+    }
+}
+
+fn mix_position(h: u64, p: &PositionFn) -> u64 {
+    match p {
+        PositionFn::ConstPos(k) => mix(h, u64::from(*k as u32)),
+        PositionFn::MatchPos { term, k, dir } => {
+            let word = 1 << 33 | (matches!(dir, Dir::End) as u64) << 32 | u64::from(*k as u32);
+            mix(mix_term(h, term), word)
         }
+    }
+}
+
+/// The interner's hash of `ConstantStr(text)`, computable without building
+/// the function.
+fn constant_hash(text: &str) -> u32 {
+    finish(mix_bytes(0, text.as_bytes())) as u32
+}
+
+/// The interner's hash of a string function.
+fn fn_hash(f: &StringFn) -> u32 {
+    let h = match f {
+        StringFn::ConstantStr(text) => return constant_hash(text),
+        StringFn::SubStr(l, r) => mix_position(mix_position(1, l), r),
+        StringFn::Prefix { term, k } => mix(mix_term(2, term), u64::from(*k as u32)),
+        StringFn::Suffix { term, k } => mix(mix_term(3, term), u64::from(*k as u32)),
+    };
+    finish(h) as u32
+}
+
+/// [`mix`] and [`finish`] as a [`Hasher`], for the position-id map.
+#[derive(Debug, Default, Clone)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = mix_bytes(self.0, bytes);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = mix(self.0, u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = mix(self.0, n as u64);
     }
 
     fn finish(&self) -> u64 {
-        self.0
+        finish(self.0)
     }
 }
 
 #[derive(Debug, Default, Clone)]
-struct FnvBuild;
+struct WordBuild;
 
-impl BuildHasher for FnvBuild {
-    type Hasher = Fnv1a;
+impl BuildHasher for WordBuild {
+    type Hasher = WordHasher;
 
-    fn build_hasher(&self) -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher::default()
     }
 }
 
@@ -59,20 +138,33 @@ impl LabelId {
 
 /// A hash-consing table mapping string functions to dense [`LabelId`]s.
 ///
-/// Besides the map keyed by [`StringFn`], the graph builder reaches labels
-/// through two side indexes that need no `StringFn` to probe: one keyed by
-/// the builder's integer packing of a `SubStr`/`Prefix`/`Suffix` label, one
-/// keyed by a constant's text. Both are filled lazily — a miss falls through
-/// to [`LabelInterner::intern`] and records the id it returns — so ids are
+/// The functions live once, in id order; an open-addressed table of ids,
+/// probed linearly, finds a function by its hash, so a lookup or an
+/// insertion hashes the function once. Constants probe the same table by
+/// their text, without building a [`StringFn`].
+///
+/// The graph builder also reaches `SubStr` labels through a side index that
+/// needs no `StringFn` to probe: the interner numbers the position functions
+/// it is shown (at most 256 of them), and a dense table maps
+/// each ordered pair of numbers to the `SubStr` label over that pair. The
+/// side index is filled lazily — a miss falls through to
+/// [`LabelInterner::intern`] and records the id it returns — so ids are
 /// assigned in exactly the order plain interning would assign them, and an
-/// interner assembled by [`LabelInterner::from_ordered`] starts with empty
-/// side indexes at no cost.
+/// interner assembled by [`LabelInterner::from_ordered`] starts with an
+/// empty side index at no cost.
 #[derive(Debug, Default, Clone)]
 pub struct LabelInterner {
-    by_fn: HashMap<StringFn, LabelId, FnvBuild>,
     by_id: Vec<StringFn>,
-    by_key: HashMap<u64, LabelId, FnvBuild>,
-    by_constant: HashMap<Arc<str>, LabelId, FnvBuild>,
+    /// A power-of-two table, at most half full: each used slot holds the
+    /// function's 32-bit hash in its high half and `id + 1` in its low half;
+    /// 0 marks an empty slot.
+    slots: Vec<u64>,
+    /// The builder's position-function numbering (side index).
+    position_ids: HashMap<PositionFn, u32, WordBuild>,
+    /// `pairs[l * pairs_dim + r]` is `id + 1` of `SubStr` over the position
+    /// functions numbered `l` and `r`, or 0 when not seen yet (side index).
+    pairs: Vec<u32>,
+    pairs_dim: usize,
 }
 
 impl LabelInterner {
@@ -82,71 +174,159 @@ impl LabelInterner {
     }
 
     /// Reassembles an interner from functions listed in id order — the
-    /// artifact-load path, which knows every label up front and would
-    /// otherwise pay one incrementally-growing map insertion per label.
-    /// Returns `None` if `fns` contains a duplicate.
+    /// artifact-load path, which knows every label up front and sizes the
+    /// table once. Returns `None` if `fns` contains a duplicate.
     pub fn from_ordered(fns: Vec<StringFn>) -> Option<Self> {
-        let mut by_fn = HashMap::with_capacity_and_hasher(fns.len(), FnvBuild);
-        for (i, f) in fns.iter().enumerate() {
-            if by_fn.insert(f.clone(), LabelId(i as u32)).is_some() {
-                return None;
-            }
-        }
-        Some(LabelInterner {
-            by_fn,
-            by_id: fns,
+        let mut interner = LabelInterner {
+            by_id: Vec::with_capacity(fns.len()),
             ..Self::default()
-        })
+        };
+        interner.resize((fns.len() * 2).next_power_of_two().max(16));
+        for f in fns {
+            let hash = fn_hash(&f);
+            let slot = interner.probe(hash, |g| *g == f).err()?;
+            interner.insert_at(slot, hash, f);
+        }
+        Some(interner)
     }
 
     /// Interns `f`, returning its id (existing or freshly assigned).
     pub fn intern(&mut self, f: StringFn) -> LabelId {
-        if let Some(&id) = self.by_fn.get(&f) {
-            return id;
+        self.reserve_one();
+        let hash = fn_hash(&f);
+        match self.probe(hash, |g| *g == f) {
+            Ok(id) => id,
+            Err(slot) => self.insert_at(slot, hash, f),
         }
-        let id = LabelId(self.by_id.len() as u32);
-        self.by_id.push(f.clone());
-        self.by_fn.insert(f, id);
-        id
     }
 
-    /// Interns the function the graph builder packs into `key`, building it
-    /// with `make` only when the side index has not seen the key. The
-    /// packing is private to the builder, which is what keeps keys unique.
-    pub(crate) fn intern_keyed(&mut self, key: u64, make: impl FnOnce() -> StringFn) -> LabelId {
-        if let Some(&id) = self.by_key.get(&key) {
-            return id;
-        }
-        let id = self.intern(make());
-        self.by_key.insert(key, id);
-        id
-    }
-
-    /// Interns `ConstantStr(text)`, allocating only when the side index has
-    /// not seen `text`.
+    /// Interns `ConstantStr(text)`, allocating only when `text` is new.
     pub(crate) fn intern_constant(&mut self, text: &str) -> LabelId {
-        if let Some(&id) = self.by_constant.get(text) {
-            return id;
+        self.reserve_one();
+        let hash = constant_hash(text);
+        match self.probe(
+            hash,
+            |g| matches!(g, StringFn::ConstantStr(c) if **c == *text),
+        ) {
+            Ok(id) => id,
+            Err(slot) => self.insert_at(slot, hash, StringFn::constant(text)),
         }
-        let id = self.intern(StringFn::constant(text));
-        let StringFn::ConstantStr(shared) = self.resolve(id) else {
-            unreachable!("a constant interns as ConstantStr")
-        };
-        self.by_constant.insert(Arc::clone(shared), id);
-        id
     }
 
-    /// Frees the graph builder's side indexes. Ids are unaffected and the
-    /// indexes refill lazily on the next build, so a holder that keeps the
-    /// interner only to resolve ids can drop them after building.
+    /// The side index's number for position function `p`, assigned on first
+    /// sight; `None` once [`POSITION_BOUND`] functions are numbered.
+    pub(crate) fn position_id(&mut self, p: &PositionFn) -> Option<u32> {
+        if let Some(&id) = self.position_ids.get(p) {
+            return Some(id);
+        }
+        let id = self.position_ids.len();
+        (id < POSITION_BOUND).then(|| {
+            self.position_ids.insert(p.clone(), id as u32);
+            id as u32
+        })
+    }
+
+    /// Interns `SubStr` over the position functions numbered `left` and
+    /// `right` by [`LabelInterner::position_id`], building it with `make`
+    /// only when the side index has not seen the pair.
+    pub(crate) fn intern_pair(
+        &mut self,
+        left: u32,
+        right: u32,
+        make: impl FnOnce() -> StringFn,
+    ) -> LabelId {
+        let (left, right) = (left as usize, right as usize);
+        if left.max(right) >= self.pairs_dim {
+            self.grow_pairs(left.max(right) + 1);
+        }
+        let slot = left * self.pairs_dim + right;
+        match self.pairs[slot] {
+            0 => {
+                let id = self.intern(make());
+                self.pairs[slot] = id.0 + 1;
+                id
+            }
+            known => LabelId(known - 1),
+        }
+    }
+
+    /// Widens the pair table to at least `dim` numbers per side, doubling so
+    /// that a build re-lays it out O(log [`POSITION_BOUND`]) times.
+    fn grow_pairs(&mut self, dim: usize) {
+        let dim = dim.next_power_of_two().clamp(16, POSITION_BOUND);
+        let old = self.pairs_dim;
+        let mut pairs = vec![0u32; dim * dim];
+        for (row, known) in self.pairs.chunks_exact(old.max(1)).enumerate() {
+            pairs[row * dim..row * dim + old].copy_from_slice(known);
+        }
+        self.pairs = pairs;
+        self.pairs_dim = dim;
+    }
+
+    /// Frees the graph builder's side index. Ids are unaffected and the
+    /// index refills lazily on the next build, so a holder that keeps the
+    /// interner only to resolve ids can drop it after building.
     pub fn release_side_indexes(&mut self) {
-        self.by_key = HashMap::default();
-        self.by_constant = HashMap::default();
+        self.position_ids = HashMap::default();
+        self.pairs = Vec::new();
+        self.pairs_dim = 0;
     }
 
     /// Looks up an already-interned function without inserting.
     pub fn get(&self, f: &StringFn) -> Option<LabelId> {
-        self.by_fn.get(f).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(fn_hash(f), |g| g == f).ok()
+    }
+
+    /// The id of the function with hash `hash` that `eq` accepts, or the
+    /// empty slot where it would go. The table must have an empty slot.
+    fn probe(&self, hash: u32, eq: impl Fn(&StringFn) -> bool) -> Result<LabelId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let entry = self.slots[slot];
+            if entry == 0 {
+                return Err(slot);
+            }
+            if (entry >> 32) as u32 == hash {
+                let id = LabelId(entry as u32 - 1);
+                if eq(&self.by_id[id.index()]) {
+                    return Ok(id);
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Appends `f` as the next id, at the empty `slot` [`Self::probe`] found.
+    fn insert_at(&mut self, slot: usize, hash: u32, f: StringFn) -> LabelId {
+        let id = LabelId(self.by_id.len() as u32);
+        self.slots[slot] = u64::from(hash) << 32 | u64::from(id.0 + 1);
+        self.by_id.push(f);
+        id
+    }
+
+    /// Keeps the table at most half full after one more insertion.
+    fn reserve_one(&mut self) {
+        if (self.by_id.len() + 1) * 2 > self.slots.len() {
+            self.resize((self.slots.len() * 2).max(16));
+        }
+    }
+
+    /// Re-slots every id into a table of `len` slots (a power of two). The
+    /// stored hashes place them without rehashing a function.
+    fn resize(&mut self, len: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![0; len]);
+        let mask = len - 1;
+        for entry in old.into_iter().filter(|&e| e != 0) {
+            let mut slot = (entry >> 32) as usize & mask;
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = entry;
+        }
     }
 
     /// Resolves an id back to its string function.
@@ -231,23 +411,6 @@ impl LabelList {
         }
     }
 
-    /// Drops adjacent duplicates, like [`Vec::dedup`].
-    pub fn dedup(&mut self) {
-        match &mut self.0 {
-            Repr::Inline(len, buf) => {
-                let mut kept = 0usize;
-                for i in 0..*len as usize {
-                    if kept == 0 || buf[kept - 1] != buf[i] {
-                        buf[kept] = buf[i];
-                        kept += 1;
-                    }
-                }
-                *len = kept as u8;
-            }
-            Repr::Heap(v) => v.dedup(),
-        }
-    }
-
     fn as_slice(&self) -> &[LabelId] {
         match &self.0 {
             Repr::Inline(len, buf) => &buf[..*len as usize],
@@ -298,6 +461,21 @@ impl From<Vec<LabelId>> for LabelList {
     }
 }
 
+impl From<&[LabelId]> for LabelList {
+    /// Copies `labels`, taking one exactly sized heap allocation when they
+    /// do not fit inline.
+    fn from(labels: &[LabelId]) -> Self {
+        if labels.len() > Self::INLINE {
+            return LabelList(Repr::Heap(labels.to_vec()));
+        }
+        let mut buf = [LabelId(0); Self::INLINE];
+        for (slot, &label) in buf.iter_mut().zip(labels) {
+            *slot = label;
+        }
+        LabelList(Repr::Inline(labels.len() as u8, buf))
+    }
+}
+
 impl std::ops::Deref for LabelList {
     type Target = [LabelId];
 
@@ -341,7 +519,8 @@ impl<'a> IntoIterator for &'a mut LabelList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ec_dsl::{Dir, PositionFn, Term};
+    use crate::reference::reference_build;
+    use crate::{GraphBuilder, GraphConfig, Replacement};
 
     #[test]
     fn interning_is_idempotent() {
@@ -403,29 +582,87 @@ mod tests {
     }
 
     #[test]
-    fn label_list_spills_and_dedups_like_a_vec() {
+    fn label_list_spills_like_a_vec() {
         // Stays inline through INLINE pushes, spills on the next one, and
         // always reads back like the equivalent Vec.
         let mut list = LabelList::new();
         let mut reference = Vec::new();
         for i in 0..(LabelList::INLINE as u32 + 3) {
-            list.push(LabelId(i / 2)); // adjacent duplicates
-            reference.push(LabelId(i / 2));
+            list.push(LabelId(i));
+            reference.push(LabelId(i));
             assert_eq!(&list[..], &reference[..]);
+            assert_eq!(list, LabelList::from(reference.clone()));
+            assert_eq!(list, LabelList::from(&reference[..]));
         }
-        reference.dedup();
-        list.dedup();
-        assert_eq!(&list[..], &reference[..]);
-        assert_eq!(list, LabelList::from(reference.clone()));
 
-        let mut inline = LabelList::from(vec![LabelId(7), LabelId(7), LabelId(3)]);
-        inline.dedup();
-        assert_eq!(&inline[..], &[LabelId(7), LabelId(3)]);
+        let mut inline = LabelList::from(&[LabelId(7), LabelId(3)][..]);
         for l in inline.iter_mut() {
             *l = LabelId(l.0 + 1);
         }
         assert_eq!(&inline[..], &[LabelId(8), LabelId(4)]);
         assert!(LabelList::with_capacity(64).is_empty());
+    }
+
+    /// Builds `reps` with the builder against one interner, and with the
+    /// reference builder against another, calling `after_each` on the
+    /// builder's interner after every graph; asserts equal graphs and
+    /// interner order.
+    fn assert_matches_reference(
+        reps: &[Replacement],
+        mut after_each: impl FnMut(&mut LabelInterner),
+    ) -> LabelInterner {
+        let config = GraphConfig::default();
+        let mut builder = GraphBuilder::new(config.clone());
+        let (mut fast, mut slow) = (LabelInterner::new(), LabelInterner::new());
+        for r in reps {
+            let got = builder.build(r, &mut fast).expect("graph");
+            after_each(&mut fast);
+            let want = reference_build(&config, r, &mut slow).expect("graph");
+            assert_eq!(got.edges(), want.edges(), "{r}");
+        }
+        let order = |i: &LabelInterner| i.iter().map(|(_, f)| f.clone()).collect::<Vec<_>>();
+        assert_eq!(order(&fast), order(&slow), "interner order");
+        fast
+    }
+
+    #[test]
+    fn substr_labels_past_the_position_bound_intern_by_value() {
+        // 90 class matches give 360 position functions (two ordinals and two
+        // directions each), more than the pair table numbers.
+        let lhs = "a1 ".repeat(30);
+        let reps = [
+            Replacement::new(&lhs, "a1 a1"),
+            Replacement::new(&lhs, " 1a1"),
+        ];
+        let interner = assert_matches_reference(&reps, |_| {});
+        assert_eq!(interner.position_ids.len(), POSITION_BOUND);
+        assert_eq!(interner.pairs.len(), POSITION_BOUND * POSITION_BOUND);
+        let numbered = |p: &PositionFn| interner.position_ids.contains_key(p);
+        let past_bound = interner
+            .iter()
+            .filter(|(_, f)| matches!(f, StringFn::SubStr(l, r) if !numbered(l) || !numbered(r)))
+            .count();
+        assert!(past_bound > 0, "some SubStr label interned by value");
+    }
+
+    #[test]
+    fn released_side_index_is_freed_and_refills_with_equal_ids() {
+        let reps = [
+            Replacement::new("Lee, Mary", "M. Lee"),
+            Replacement::new("Smith, James", "J. Smith"),
+            Replacement::new("Lee, Mary", "Mary Lee"),
+            Replacement::new("Zürich Straße", "Straße Zürich"),
+        ];
+        // Release after every graph: the next build renumbers position
+        // functions from scratch, and still interns exactly the reference ids.
+        assert_matches_reference(&reps, |interner| {
+            assert!(interner.pairs_dim > 0, "the pair table was used");
+            interner.release_side_indexes();
+            assert!(interner.position_ids.is_empty());
+            assert_eq!(interner.position_ids.capacity(), 0);
+            assert_eq!(interner.pairs.capacity(), 0);
+            assert_eq!(interner.pairs_dim, 0);
+        });
     }
 
     #[test]

@@ -28,6 +28,8 @@ pub mod builder;
 pub mod label;
 pub mod parallel;
 pub mod pool;
+#[doc(hidden)]
+pub mod reference;
 pub mod replacement;
 pub mod structure;
 

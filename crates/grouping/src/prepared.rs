@@ -9,7 +9,7 @@
 use crate::config::GroupingConfig;
 use ec_dsl::StringFn;
 use ec_graph::{GraphBuilder, LabelId, LabelInterner, Replacement, TransformationGraph};
-use ec_index::{GraphId, InvertedIndex, Posting};
+use ec_index::{GraphId, InvertedIndex};
 use std::collections::HashSet;
 
 /// The preprocessed state of one grouping problem.
@@ -97,7 +97,7 @@ impl PreparedGraphs {
         if fresh.is_empty() {
             return 0;
         }
-        let builder = GraphBuilder::new(config.graph.clone());
+        let mut builder = GraphBuilder::new(config.graph.clone());
         let base = self.graphs.len();
         let mut new_graphs = Vec::with_capacity(fresh.len());
         for r in fresh {
@@ -132,7 +132,7 @@ impl PreparedGraphs {
                 _ => 0,
             })
             .collect();
-        self.posting_classes = posting_classes(&self.index);
+        self.posting_classes = posting_classes(&self.graphs, self.index.num_labels());
     }
 
     /// Reassembles a prepared state from already-built components (e.g. a
@@ -141,7 +141,8 @@ impl PreparedGraphs {
     /// Returns `None` when the components are structurally inconsistent:
     /// `graphs` and `replacements` must pair up one-to-one, and the index must
     /// cover every interned label. Edge-label ids must already be validated
-    /// against `interner` by the caller.
+    /// against `interner` by the caller, and `index` must be the index over
+    /// `graphs`: the posting classes are derived from the graphs' edges.
     pub fn from_parts(
         replacements: Vec<Replacement>,
         graphs: Vec<TransformationGraph>,
@@ -280,48 +281,83 @@ impl PreparedGraphs {
     }
 }
 
-/// The posting class of every label of `index` (see
-/// [`PreparedGraphs::posting_classes`]). Labels are sorted by the hash of
-/// their posting list and only labels of equal hash are compared, so the
-/// cost is one pass over the postings plus a sort of one `(hash, label)`
-/// pair per label, with no allocation per label.
-fn posting_classes(index: &InvertedIndex) -> Vec<u32> {
-    let num_labels = index.num_labels() as u32;
-    let mut keyed: Vec<(u64, u32)> = (0..num_labels)
-        .map(|l| (postings_hash(index.list(LabelId(l))), l))
-        .collect();
-    keyed.sort_unstable();
-    let mut classes: Vec<u32> = (0..num_labels).collect();
-    let mut start = 0;
-    while start < keyed.len() {
-        let hash = keyed[start].0;
-        let run = &keyed[start..start + keyed[start..].partition_point(|k| k.0 == hash)];
-        // A run is in ascending label order, so the first representative
-        // with an equal list is the smallest label id of the class.
-        for (i, &(_, label)) in run.iter().enumerate() {
-            let list = index.list(LabelId(label));
-            if let Some(&(_, rep)) = run[..i]
-                .iter()
-                .find(|&&(_, r)| classes[r as usize] == r && index.list(LabelId(r)) == list)
-            {
-                classes[label as usize] = rep;
+/// The posting class of every label of the index over `graphs` (see
+/// [`PreparedGraphs::posting_classes`]).
+///
+/// Two labels have identical posting lists exactly when every edge carries
+/// them equally often, so the classes are the blocks of a partition
+/// refinement over the edges: all labels start in one block, and each edge
+/// moves the labels it carries out of their blocks into new ones (one new
+/// block per old block and edge). Labels that share a list move together at
+/// every edge; labels whose lists differ part at an edge that carries one
+/// of them more often, and blocks never merge. Each block is then named by
+/// its smallest label. The cost is one pass over the postings with no hash
+/// or sort, and the lists are never compared. A block an edge leaves empty
+/// is reused from the next edge on, so at most one block per label is live.
+fn posting_classes(graphs: &[TransformationGraph], num_labels: usize) -> Vec<u32> {
+    const NONE: u32 = u32::MAX;
+    /// A block: its label count (`NONE` once it is free for reuse), and
+    /// the edge that last split it with the block its labels on that edge
+    /// moved to.
+    #[derive(Clone, Copy)]
+    struct Block {
+        size: u32,
+        split_by: u32,
+        moved_to: u32,
+    }
+    let new_block = Block {
+        size: 0,
+        split_by: NONE,
+        moved_to: 0,
+    };
+    let mut of_label = vec![0u32; num_labels];
+    let mut blocks = vec![Block {
+        size: num_labels as u32,
+        ..new_block
+    }];
+    let (mut free, mut emptied) = (Vec::new(), Vec::new());
+    for (edge_stamp, edge) in graphs.iter().flat_map(|g| g.edges()).enumerate() {
+        let edge_stamp = edge_stamp as u32;
+        for &label in &edge.labels {
+            let from = of_label[label.index()] as usize;
+            if blocks[from].split_by != edge_stamp {
+                let to = free.pop().unwrap_or_else(|| {
+                    blocks.push(new_block);
+                    blocks.len() as u32 - 1
+                });
+                blocks[to as usize] = new_block;
+                blocks[from].split_by = edge_stamp;
+                blocks[from].moved_to = to;
+            }
+            let to = blocks[from].moved_to;
+            of_label[label.index()] = to;
+            blocks[to as usize].size += 1;
+            blocks[from].size -= 1;
+            if blocks[from].size == 0 {
+                emptied.push(from);
             }
         }
-        start += run.len();
-    }
-    classes
-}
-
-/// A 64-bit multiply-rotate hash of a posting list.
-fn postings_hash(postings: &[Posting]) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let mut h = (postings.len() as u64).wrapping_mul(K);
-    for p in postings {
-        for word in [p.graph.0, p.from, p.to] {
-            h = (h.rotate_left(5) ^ u64::from(word)).wrapping_mul(K);
+        // Only now: a label carried twice by this edge may have refilled a
+        // block it emptied.
+        for b in emptied.drain(..) {
+            if blocks[b].size == 0 {
+                blocks[b].size = NONE;
+                free.push(b as u32);
+            }
         }
     }
-    h
+    let mut smallest = vec![NONE; blocks.len()];
+    of_label
+        .iter()
+        .enumerate()
+        .map(|(label, &b)| {
+            let rep = &mut smallest[b as usize];
+            if *rep == NONE {
+                *rep = label as u32;
+            }
+            *rep
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -583,6 +619,184 @@ mod tests {
         assert_eq!(rebuilt.posting_classes(), full.posting_classes());
         assert_eq!(rebuilt.last_nodes(), full.last_nodes());
         assert_eq!(rebuilt.constant_chars(), full.constant_chars());
+    }
+
+    /// What a prepared state must hold, derived the plain way: graphs from
+    /// the reference builder, a fresh index over them, posting classes from
+    /// a map keyed by the posting lists themselves, and upper bounds by
+    /// scanning every position's covering edges.
+    struct Expected {
+        labels: Vec<StringFn>,
+        graphs: Vec<TransformationGraph>,
+        index: InvertedIndex,
+        classes: Vec<u32>,
+        last_nodes: Vec<u32>,
+        constant_chars: Vec<usize>,
+        upper_bounds: Vec<usize>,
+    }
+
+    fn expected_state(members: &[Replacement], config: &GroupingConfig) -> Expected {
+        let mut seen = HashSet::new();
+        let mut interner = LabelInterner::new();
+        let graphs: Vec<TransformationGraph> = members
+            .iter()
+            .filter(|r| seen.insert(*r))
+            .filter_map(|r| ec_graph::reference::reference_build(&config.graph, r, &mut interner))
+            .collect();
+        let index = InvertedIndex::build(&graphs, interner.len());
+        let mut first_with_list = std::collections::BTreeMap::new();
+        let classes = (0..index.num_labels() as u32)
+            .map(|l| *first_with_list.entry(index.list(LabelId(l))).or_insert(l))
+            .collect();
+        let upper_bounds = graphs
+            .iter()
+            .map(|g| {
+                (0..g.t_len())
+                    .map(|p| {
+                        g.edges()
+                            .iter()
+                            .filter(|e| e.from as usize <= p && p < e.to as usize)
+                            .flat_map(|e| e.labels.iter())
+                            .map(|&l| index.list_graph_count(l))
+                            .max()
+                            .unwrap_or(0)
+                    })
+                    .min()
+                    .unwrap_or(1)
+                    .max(1)
+            })
+            .collect();
+        Expected {
+            labels: interner.iter().map(|(_, f)| f.clone()).collect(),
+            last_nodes: graphs.iter().map(|g| g.last_node()).collect(),
+            constant_chars: interner
+                .iter()
+                .map(|(_, f)| match f {
+                    StringFn::ConstantStr(c) => c.chars().count(),
+                    _ => 0,
+                })
+                .collect(),
+            graphs,
+            index,
+            classes,
+            upper_bounds,
+        }
+    }
+
+    fn assert_prepared_matches(got: &PreparedGraphs, want: &Expected, what: &str) {
+        let labels: Vec<StringFn> = got.interner().iter().map(|(_, f)| f.clone()).collect();
+        assert_eq!(labels, want.labels, "{what}: interner order");
+        assert_eq!(got.len(), want.graphs.len(), "{what}: graphs");
+        for (g, (got_g, want_g)) in got.graphs().iter().zip(&want.graphs).enumerate() {
+            assert_eq!(
+                got_g.replacement(),
+                want_g.replacement(),
+                "{what}: graph {g}"
+            );
+            assert_eq!(got_g.edges(), want_g.edges(), "{what}: graph {g}");
+        }
+        assert_eq!(
+            got.index().raw_parts(),
+            want.index.raw_parts(),
+            "{what}: index"
+        );
+        assert_eq!(got.posting_classes(), &want.classes[..], "{what}: classes");
+        assert_eq!(got.last_nodes(), &want.last_nodes[..], "{what}: last nodes");
+        assert_eq!(
+            got.constant_chars(),
+            &want.constant_chars[..],
+            "{what}: constants"
+        );
+        let upper_bounds: Vec<usize> = (0..got.len())
+            .map(|g| got.upper_bound(GraphId(g as u32)))
+            .collect();
+        assert_eq!(upper_bounds, want.upper_bounds, "{what}: upper bounds");
+    }
+
+    /// Every structure partition of the three inputs perfbench's
+    /// `consolidate` workload times (20-cluster address data, generator seeds
+    /// 30, 14 and 18): a built state, and states grown by `append` at three
+    /// splits, equal the reference state.
+    #[test]
+    fn prepared_state_matches_the_reference_at_ladder_scale() {
+        let config = GroupingConfig::default();
+        let mut partitions = Vec::new();
+        for seed in [30, 14, 18] {
+            let data = ec_data::PaperDataset::Address.generate(&ec_data::GeneratorConfig {
+                num_clusters: 20,
+                seed,
+                ..ec_data::PaperDataset::Address.default_config()
+            });
+            for col in 0..data.columns.len() {
+                let candidates = ec_replace::generate_candidates(
+                    &data.column_values(col),
+                    &ec_replace::CandidateConfig::default(),
+                );
+                partitions.extend(crate::partition_replacements(
+                    &candidates.replacements,
+                    &config,
+                ));
+            }
+        }
+        let mut graphs = 0;
+        for (p, members) in partitions.iter().enumerate() {
+            let want = expected_state(members, &config);
+            let built = PreparedGraphs::build(members, &config);
+            assert_prepared_matches(&built, &want, &format!("partition {p}"));
+            graphs += built.len();
+            let n = members.len();
+            for split in [n / 4, n / 2, n - n / 4] {
+                let mut grown = PreparedGraphs::build(&members[..split], &config);
+                grown.append(&members[split..], &config);
+                assert_prepared_matches(&grown, &want, &format!("partition {p} split {split}"));
+            }
+        }
+        assert_eq!((partitions.len(), graphs), (158, 1874), "the ladder's size");
+    }
+
+    #[test]
+    fn posting_classes_follow_lists_with_repeated_labels_on_an_edge() {
+        // Graphs reassembled from parts may carry a label twice on one edge;
+        // the refinement must still join exactly the labels of equal lists.
+        let mut state = 7u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % n
+        };
+        // Labels 0..6 are drawn with repeats; 6, 7 and 8 shadow 0, 1 and 2
+        // (equal lists), and 9..12 never occur (equal, empty lists).
+        let graphs: Vec<TransformationGraph> = (0..40)
+            .map(|g| {
+                let edges = (0..4)
+                    .map(|to| {
+                        let mut labels = Vec::new();
+                        for _ in 0..1 + next(4) {
+                            let l = next(6) as u32;
+                            labels.push(LabelId(l));
+                            if l < 3 {
+                                labels.push(LabelId(l + 6));
+                            }
+                        }
+                        ec_graph::Edge {
+                            from: to,
+                            to: to + 1,
+                            labels: labels.into(),
+                        }
+                    })
+                    .collect();
+                let r = Replacement::new(format!("g{g}"), "abcd");
+                TransformationGraph::from_parts(r, 4, edges).unwrap()
+            })
+            .collect();
+        let index = InvertedIndex::build(&graphs, 12);
+        let mut first_with_list = std::collections::BTreeMap::new();
+        let want: Vec<u32> = (0..12)
+            .map(|l| *first_with_list.entry(index.list(LabelId(l))).or_insert(l))
+            .collect();
+        assert_eq!(&want[6..], &[0, 1, 2, 9, 9, 9]);
+        assert_eq!(posting_classes(&graphs, 12), want);
     }
 
     #[test]

@@ -447,12 +447,12 @@ impl InvertedIndex {
                 *cursor += 1;
             }
         }
-        // Graphs were scattered in ascending id order, so each range is
-        // already grouped by graph; the sort settles `(from, to)` within it.
+        // Graphs were scattered in ascending id order and each graph's
+        // edges in `(from, to)` order, so every range is already sorted.
         let mut graph_counts: Vec<u32> = Vec::with_capacity(counts.len());
         for l in 0..counts.len() {
             let range = label_offsets[l] as usize..label_offsets[l + 1] as usize;
-            postings[range.clone()].sort_unstable();
+            debug_assert!(postings[range.clone()].windows(2).all(|w| w[0] <= w[1]));
             let mut distinct = 0u32;
             let mut last = None;
             for p in &postings[range] {
@@ -477,9 +477,10 @@ impl InvertedIndex {
     /// labels).
     ///
     /// Because every new graph id exceeds every existing id, a touched label's
-    /// range stays sorted as soon as its appended tail is: only the tails are
-    /// sorted and only the touched labels' distinct-graph counts recomputed,
-    /// while untouched ranges and counts are copied verbatim. The result is
+    /// range stays sorted as soon as its appended tail is, and a tail
+    /// scattered graph by graph is: only the touched labels' distinct-graph
+    /// counts are recomputed, while untouched ranges and counts are copied
+    /// verbatim. The result is
     /// array-for-array identical to [`InvertedIndex::build`] over the
     /// concatenated graph slice (pinned by a property test), so the delta
     /// ingest path can grow an index without ever rebuilding it.
@@ -496,12 +497,13 @@ impl InvertedIndex {
         // Pass 1: appended postings per label.
         let mut added: Vec<u32> = vec![0; num_labels.max(old_labels)];
         for graph in new_graphs {
-            for (_, _, label) in graph.label_triples() {
-                let idx = label.index();
-                if idx >= added.len() {
-                    added.resize(idx + 1, 0);
+            for edge in graph.edges() {
+                for label in edge.labels.iter().map(|l| l.index()) {
+                    if label >= added.len() {
+                        added.resize(label + 1, 0);
+                    }
+                    added[label] += 1;
                 }
-                added[idx] += 1;
             }
         }
         let num_labels = added.len();
@@ -540,20 +542,23 @@ impl InvertedIndex {
             cursors.push(label_offsets[l] + len as u32);
         }
         for (i, graph) in new_graphs.iter().enumerate() {
-            let gid = GraphId((base_graphs + i) as u32);
-            for (from, to, label) in graph.label_triples() {
-                let cursor = &mut cursors[label.index()];
-                postings[*cursor as usize] = Posting {
-                    graph: gid,
-                    from,
-                    to,
+            let graph_id = GraphId((base_graphs + i) as u32);
+            for edge in graph.edges() {
+                let posting = Posting {
+                    graph: graph_id,
+                    from: edge.from,
+                    to: edge.to,
                 };
-                *cursor += 1;
+                for label in edge.labels.iter() {
+                    let cursor = &mut cursors[label.index()];
+                    postings[*cursor as usize] = posting;
+                    *cursor += 1;
+                }
             }
         }
-        // New graphs were scattered in ascending id order, so each tail is
-        // grouped by graph; sorting it settles `(from, to)` within groups,
-        // and the whole range is sorted because new ids exceed old ones.
+        // New graphs were scattered in ascending id order and each graph's
+        // edges in `(from, to)` order, so each tail is sorted, and the whole
+        // range is because new ids exceed old ones.
         let mut graph_counts: Vec<u32> = Vec::with_capacity(num_labels);
         for (l, &extra) in added.iter().enumerate() {
             let old = if l < old_labels { old_counts[l] } else { 0 };
@@ -563,7 +568,7 @@ impl InvertedIndex {
             }
             let tail =
                 label_offsets[l] as usize + old_len(l) as usize..label_offsets[l + 1] as usize;
-            postings[tail.clone()].sort_unstable();
+            debug_assert!(postings[tail.clone()].windows(2).all(|w| w[0] <= w[1]));
             let mut distinct = 0u32;
             let mut last = None;
             for p in &postings[tail] {
@@ -807,7 +812,7 @@ mod tests {
     /// Builds the three-replacement example of Example 5.1.
     fn example_5_1() -> (Vec<TransformationGraph>, LabelInterner, InvertedIndex) {
         let mut interner = LabelInterner::new();
-        let builder = GraphBuilder::new(GraphConfig::default());
+        let mut builder = GraphBuilder::new(GraphConfig::default());
         let reps = [
             Replacement::new("Lee, Mary", "M. Lee"),
             Replacement::new("Smith, James", "J. Smith"),
@@ -1113,7 +1118,7 @@ mod tests {
         split: usize,
     ) -> (Vec<TransformationGraph>, usize, usize) {
         let mut interner = LabelInterner::new();
-        let builder = GraphBuilder::new(GraphConfig::default());
+        let mut builder = GraphBuilder::new(GraphConfig::default());
         let mut graphs = Vec::new();
         let mut labels_at_split = 0;
         for (i, (lhs, rhs)) in pairs.iter().enumerate() {
@@ -1172,7 +1177,7 @@ mod tests {
             // The builder may skip degenerate pairs; graphs built from the
             // first `split` pairs form the prefix regardless.
             let mut interner = LabelInterner::new();
-            let builder = GraphBuilder::new(GraphConfig::default());
+            let mut builder = GraphBuilder::new(GraphConfig::default());
             let mut prefix_graphs = Vec::new();
             for (lhs, rhs) in &pairs[..split] {
                 if lhs == rhs {
@@ -1213,7 +1218,7 @@ mod tests {
             picks in proptest::collection::vec(0u32..10_000, 1..24),
         ) {
             let mut interner = LabelInterner::new();
-            let builder = GraphBuilder::new(GraphConfig::default());
+            let mut builder = GraphBuilder::new(GraphConfig::default());
             let graphs: Vec<TransformationGraph> = pairs
                 .iter()
                 .filter(|(lhs, rhs)| lhs != rhs)

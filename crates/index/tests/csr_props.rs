@@ -109,7 +109,7 @@ fn build_both(
     InvertedIndex,
     ReferenceIndex,
 ) {
-    let builder = GraphBuilder::new(GraphConfig::default());
+    let mut builder = GraphBuilder::new(GraphConfig::default());
     let mut interner = LabelInterner::new();
     let graphs: Vec<ec_graph::TransformationGraph> = replacements
         .iter()
