@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 const AXES: [&str; 3] = ["methods", "threads", "mega"];
 
 /// Axis gate: `EC_FIG9_AXES=mega` (comma list of `methods`, `threads`,
-/// `mega`) runs a subset of the harness — CI runs only the fast mega-group
-/// axis; unset (or blank) runs everything. An unknown axis name is a hard
+/// `mega`) runs a subset of the harness; unset (or blank) runs everything,
+/// which is what CI does. An unknown axis name is a hard
 /// error, so a typo cannot silently turn the bin into a green no-op.
 fn enabled_axes() -> Vec<&'static str> {
     let raw = match std::env::var("EC_FIG9_AXES") {
@@ -242,9 +242,9 @@ fn mega_values() -> Vec<String> {
 }
 
 /// The single-mega-group axis of Figure 9: one huge cluster of variant
-/// spellings — the worst-case column shape, where the graphs-to-search axis
-/// offers little parallelism (the incremental ramp's early batches search
-/// one or two graphs at a time, and each search is one sequential DFS).
+/// spellings — the worst-case column shape, which offers little parallelism
+/// (its candidates land in one structure partition, whose searches run one
+/// after another).
 /// Measures the time to the *first* group (the `ec serve` latency proxy) at
 /// 1, 2 and 4 threads, asserts the group is bit-identical across rows, and
 /// exports `fig9_mega_group.csv`.

@@ -3,9 +3,9 @@
 //! Before this module existed every sharded stage (candidate generation,
 //! graph preparation, pivot-path search) spawned *scoped* threads per batch —
 //! cheap for one-shot CLI runs, wasteful for long-lived processes like
-//! `ec serve`, where the incremental grouper re-spawned a handful of threads
-//! for every speculative batch of every request. [`WorkerPool`] keeps a fixed
-//! set of long-lived workers instead:
+//! `ec serve`, where grouping re-spawned a handful of threads for every
+//! parallel step of every request. [`WorkerPool`] keeps a fixed set of
+//! long-lived workers instead:
 //!
 //! * one **FIFO queue** holds every submitted job, whoever submits it — a
 //!   job that re-queues itself from inside a worker (a server connection
@@ -18,7 +18,7 @@
 //! Batches ([`WorkerPool::run`]) block the submitting thread, but the
 //! submitter *participates*: it claims unclaimed tasks of its own batch while
 //! waiting, so a batch submitted from inside a pool worker (a server
-//! connection handler fanning out a pivot-path search, say) can always make
+//! connection handler fanning out structure partitions, say) can always make
 //! progress even when every worker is busy — the pool is deadlock-free by
 //! construction.
 //!

@@ -34,9 +34,9 @@ pub struct GroupingConfig {
     ///
     /// **Determinism:** results are bit-identical for every
     /// [`GroupingConfig::parallelism`] even when this budget truncates a
-    /// search — each search is one sequential DFS, and the drivers use
-    /// thread-count-independent batch schedules and snapshot bound semantics,
-    /// so step consumption never depends on the thread count. Changing *this cap itself* (or toggling
+    /// search — each search is one sequential DFS, and the searches of one
+    /// partition run one after another, so step consumption never depends
+    /// on the thread count. Changing *this cap itself* (or toggling
     /// [`GroupingConfig::early_termination`]) can change the groups on
     /// workloads where the budget binds, since pruning strength then decides
     /// where a search is cut off.
@@ -44,11 +44,11 @@ pub struct GroupingConfig {
     /// Worker threads for grouping. [`crate::StructuredGrouper`] materializes
     /// up to this many structure partitions at once (the partition the
     /// sequential rule needs plus prefetched ones, revealed in sequential
-    /// order), and the one-shot and incremental groupers run up to this many
-    /// pivot-path searches at once (one search never spans more than one
-    /// worker). Graph preparation is sequential within a partition, so
-    /// prepared graphs and label ids never depend on it. Every setting
-    /// produces bit-identical groups; only the wall-clock time changes (see
+    /// order), and [`crate::StructuredGrouper::one_shot_all`] groups up to
+    /// this many partitions at once. Within a partition, graph preparation
+    /// and the pivot searches are sequential, so prepared graphs, label ids
+    /// and search results never depend on it. Every setting produces
+    /// bit-identical groups; only the wall-clock time changes (see
     /// `ec_graph::Parallelism`).
     pub parallelism: Parallelism,
 }

@@ -8,6 +8,12 @@
 //! bound. Only then is the (expensive) pivot-path search run, and only on the
 //! few graphs that could still win.
 //!
+//! The scan is the paper's sequential loop: one search per visited graph, at
+//! the current best share, and every global lower bound a search raises is
+//! read by the searches after it. Its cores come from the structure
+//! partitions `StructuredGrouper` runs side by side, not from within the
+//! scan, so the groups never depend on the thread count.
+//!
 //! Deviation from the paper's pseudocode, documented here: the paper carries
 //! per-graph lower bounds (`G_lo`) across invocations. Once graphs are removed
 //! from `G` after a group is emitted those stale bounds can exceed the true
@@ -85,8 +91,7 @@ impl IncrementalGrouper {
 
     /// How many of the pivot searches run so far exhausted
     /// [`GroupingConfig::max_search_steps`] — each one contributed its best
-    /// path found so far rather than its exact pivot. Counts every search
-    /// the speculative batches ran, so it is the same at every thread count.
+    /// path found so far rather than its exact pivot.
     pub fn searches_truncated(&self) -> usize {
         self.searches_truncated
     }
@@ -97,22 +102,6 @@ impl IncrementalGrouper {
     /// Groups are produced in non-increasing size order (Theorem 6.4); after
     /// all graphs are exhausted, replacements whose graphs could not be built
     /// are emitted one per call as singleton groups.
-    ///
-    /// The scan runs pivot-path searches **speculatively in batches** and
-    /// then replays the sequential visiting protocol over the batch's
-    /// results: a search's outcome only depends on the graph, the active set
-    /// and whether its true share count clears the threshold — not on the
-    /// threshold's exact value — so a result computed at the batch-entry
-    /// threshold can stand in for the sequential search at the (possibly
-    /// higher) replay threshold. Batch sizes follow a fixed exponential ramp
-    /// (1, 2, 4, … capped), *independent of the thread count*: together with
-    /// [`PivotSearcher::search_many`]'s snapshot semantics this makes the
-    /// emitted groups and stored upper bounds bit-identical for every
-    /// [`GroupingConfig::parallelism`] — even when the step budget truncates
-    /// a search — while the ramp bounds the speculation wasted when the stop
-    /// condition halts mid-batch (at most one round's worth, ≤ the work
-    /// already done). Each search is one sequential DFS, so the ramp's early
-    /// one- and two-graph batches run on one or two workers.
     pub fn next_group(&mut self) -> Option<Group> {
         if self.remaining == 0 {
             return self.skipped.pop().map(Group::singleton);
@@ -126,55 +115,34 @@ impl IncrementalGrouper {
 
         let mut lower_bounds = vec![1u32; self.prepared.len()];
         let mut best: Option<PivotResult> = None;
-        /// Upper limit of the speculative batch ramp.
-        const MAX_SEARCH_BATCH: usize = 64;
-        let mut batch_size = 1usize;
-        let mut start = 0usize;
-        'scan: while start < order.len() {
-            let batch = &order[start..(start + batch_size).min(order.len())];
-            start += batch.len();
-            batch_size = (batch_size * 2).min(MAX_SEARCH_BATCH);
+        for &g in &order {
+            // Stop condition: no unvisited graph can beat the best group.
+            if let Some(b) = &best {
+                if b.share_count >= self.upper_bounds[g] as usize {
+                    break;
+                }
+            }
             // A pivot path shared by a single graph yields a singleton group
             // no matter which path it is, so the search only needs paths
             // shared by at least two graphs (threshold ≥ 1); graphs whose
             // every path is unshared fall through to the singleton fallback
             // below. This prunes conflict-heavy partitions (where most labels
             // occur in one graph only) by orders of magnitude.
-            let batch_threshold = best.as_ref().map(|b| b.share_count).unwrap_or(0).max(1);
-            let gids: Vec<GraphId> = batch.iter().map(|&g| GraphId(g as u32)).collect();
-            let searched = searcher.search_many(
-                &gids,
-                batch_threshold,
+            let threshold = best.as_ref().map_or(1, |b| b.share_count);
+            let run = searcher.run(
+                GraphId(g as u32),
+                threshold,
                 &self.active,
                 &mut lower_bounds,
-                self.config.parallelism,
             );
-            self.searches_truncated += searched.truncated;
-            // Replay the sequential protocol over the speculative results.
-            for (result, &g) in searched.results.into_iter().zip(batch) {
-                if let Some(b) = &best {
-                    // Stop condition: no unvisited graph can beat the best
-                    // group. Later batch results are discarded, exactly as the
-                    // sequential scan would never have computed them.
-                    if b.share_count >= self.upper_bounds[g] as usize {
-                        break 'scan;
-                    }
+            self.searches_truncated += usize::from(run.steps == searcher.budget());
+            match run.result {
+                Some(result) => {
+                    self.upper_bounds[g] = result.share_count as u32;
+                    best = Some(result);
                 }
-                let threshold = best.as_ref().map(|b| b.share_count).unwrap_or(0).max(1);
-                match result {
-                    // `search` accepts only paths shared by strictly more than
-                    // its threshold, so a speculative result that does not
-                    // clear the replay threshold is exactly what the
-                    // sequential search would have rejected as `None`.
-                    Some(result) if result.share_count > threshold => {
-                        self.upper_bounds[g] = result.share_count as u32;
-                        best = Some(result);
-                    }
-                    _ => {
-                        // The pivot of g is shared by at most `threshold` graphs.
-                        self.upper_bounds[g] = self.upper_bounds[g].min(threshold as u32);
-                    }
-                }
+                // The pivot of g is shared by at most `threshold` graphs.
+                None => self.upper_bounds[g] = self.upper_bounds[g].min(threshold as u32),
             }
         }
         let Some(best) = best else {

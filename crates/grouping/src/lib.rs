@@ -51,5 +51,5 @@ pub use group::Group;
 pub use incremental::IncrementalGrouper;
 pub use oneshot::OneShotGrouper;
 pub use prepared::PreparedGraphs;
-pub use search::{PivotResult, PivotSearcher, SearchBatch};
+pub use search::{PivotResult, PivotSearcher};
 pub use structured::{partition_replacements, StructuredGrouper};

@@ -4,6 +4,11 @@
 //! form a group. With [`GroupingConfig::early_termination`] disabled this is
 //! the paper's `OneShot` method; enabled, it is `EarlyTerm` (Figure 9). The
 //! produced groups are identical either way; only the running time differs.
+//!
+//! The graphs are searched one after another, as in Algorithms 2 and 4, so
+//! every global lower bound a search raises prunes the searches after it.
+//! `StructuredGrouper::one_shot_all` runs whole structure partitions in
+//! parallel instead.
 
 use crate::config::GroupingConfig;
 use crate::group::Group;
@@ -36,38 +41,17 @@ impl OneShotGrouper {
     /// Partitions all replacements into groups (Algorithm 2) and returns them
     /// sorted by size, largest first. Replacements whose graphs could not be
     /// built are appended as singleton groups.
-    ///
-    /// The per-graph pivot-path searches are sharded across
-    /// [`GroupingConfig::parallelism`] worker threads; the produced groups are
-    /// bit-identical for every thread count (see
-    /// [`PivotSearcher::search_many`]). Searches run in fixed-size batches:
-    /// the batch boundaries are where the global lower bounds of Algorithm 4
-    /// merge, so pruning strength — and with it every search's step
-    /// consumption — depends only on the (thread-count-independent) batch
-    /// schedule, while bounds still propagate with at most one batch of lag.
     pub fn group_all(&self) -> Vec<Group> {
-        /// Graphs searched per bound-merge round.
-        const SEARCH_BATCH: usize = 32;
         let n = self.prepared.len();
         let searcher = PivotSearcher::new(Arc::clone(&self.prepared), &self.config);
         let active = vec![true; n];
         let mut lower_bounds = vec![1u32; n];
-        let gids: Vec<GraphId> = (0..n).map(|g| GraphId(g as u32)).collect();
         let mut by_pivot: HashMap<Vec<LabelId>, Vec<GraphId>> = HashMap::new();
-        for batch in gids.chunks(SEARCH_BATCH) {
-            let results = searcher
-                .search_many(
-                    batch,
-                    0,
-                    &active,
-                    &mut lower_bounds,
-                    self.config.parallelism,
-                )
-                .results;
-            for (&gid, result) in batch.iter().zip(results) {
-                let result = result.expect("every graph has at least one transformation path");
-                by_pivot.entry(result.path).or_default().push(gid);
-            }
+        for gid in (0..n).map(|g| GraphId(g as u32)) {
+            let result = searcher
+                .search(gid, 0, &active, &mut lower_bounds)
+                .expect("every graph has at least one transformation path");
+            by_pivot.entry(result.path).or_default().push(gid);
         }
         let mut groups: Vec<Group> = by_pivot
             .into_iter()
@@ -207,9 +191,8 @@ mod tests {
 
     #[test]
     fn group_all_is_thread_independent_even_when_the_step_budget_binds() {
-        // A starved step budget truncates every search; the batched snapshot
-        // protocol must keep the truncation point — and so the groups —
-        // independent of the thread count.
+        // A starved step budget truncates every search; the truncation
+        // points — and so the groups — must not depend on the thread count.
         let reps = figure2_name_replacements();
         let group = |threads: usize| {
             let config = GroupingConfig {

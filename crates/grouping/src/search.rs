@@ -71,13 +71,14 @@
 //! results stay bit-identical at every thread count. It holds at most one
 //! entry per step taken.
 //!
-//! Each search is one sequential DFS from the first node; parallelism comes
-//! from running the searches of a [`PivotSearcher::search_many`] batch on
-//! the shared worker pool.
+//! Each search is one sequential DFS from the first node, and the groupers
+//! run their searches one after another, as in the paper's Algorithms 2, 4
+//! and 7: every bound a search raises is visible to the next search. Only
+//! whole structure partitions run in parallel (see `StructuredGrouper`).
 
 use crate::config::GroupingConfig;
 use crate::prepared::PreparedGraphs;
-use ec_graph::{LabelId, PoolTask};
+use ec_graph::LabelId;
 use ec_index::{GraphId, InvertedIndex, PathList, PathOccurrence};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -149,29 +150,14 @@ impl PivotResult {
     }
 }
 
-/// The results of one [`PivotSearcher::search_many`] call.
-#[derive(Debug, Clone)]
-pub struct SearchBatch {
-    /// One result per searched graph, in the order the graphs were given.
-    pub results: Vec<Option<PivotResult>>,
-    /// How many of the searches ran out of their step budget
-    /// ([`GroupingConfig::max_search_steps`]) and returned the best path
-    /// found so far instead of the exact pivot.
-    pub truncated: usize,
-}
-
 /// Searches pivot paths over one [`PreparedGraphs`] collection.
 ///
 /// The searcher is cheap to construct (the per-label tables it reads are
 /// derived once per [`PreparedGraphs`]) and immutable afterwards, so one
-/// instance can serve the searches of many graphs — including concurrently
-/// via [`PivotSearcher::search_many`]. All state is held behind [`Arc`]s, so
-/// cloning a searcher is cheap and a clone can be moved into a `'static` task
-/// on the shared worker pool.
-#[derive(Clone)]
+/// instance serves the searches of many graphs.
 pub struct PivotSearcher {
     prepared: Arc<PreparedGraphs>,
-    config: Arc<GroupingConfig>,
+    config: GroupingConfig,
 }
 
 struct SearchState<'a> {
@@ -196,16 +182,12 @@ struct SearchState<'a> {
     /// ([`PreparedGraphs::posting_classes`]); labels of one class on one
     /// edge are extended once (see [`collect_candidates`]).
     classes: &'a [u32],
-    /// The searched graph's own global lower bound (the paper's `G_lo[g]`) —
-    /// the only bound the DFS ever *reads*. Starts from the caller-provided
-    /// value and is raised when a complete path of the graph itself is found,
-    /// so a search's pruning inputs never depend on the bounds raised by
-    /// sibling searches running in the same [`PivotSearcher::search_many`]
-    /// call.
-    own_bound: u32,
-    /// Write-only update list of bound raises; the caller merges it into the
-    /// shared bounds afterwards by element-wise maximum.
-    raised: &'a mut BoundRaises,
+    /// The searched graph's index into `bounds`.
+    searched: usize,
+    /// The per-graph global lower bounds (the paper's `G_lo`), raised in
+    /// place by maximum whenever a complete path is found. The DFS reads
+    /// only the searched graph's own entry.
+    bounds: &'a mut [u32],
     /// Best complete path found so far: `(path, list, share count,
     /// quality)`. Its `(share count, quality)` is the acceptance bar every new
     /// complete path must beat.
@@ -238,7 +220,7 @@ impl SearchState<'_> {
     fn viable(&self, count: usize, partial: Quality) -> bool {
         !self.early_termination
             || (count > self.threshold
-                && count as u32 >= self.own_bound
+                && count as u32 >= self.bounds[self.searched]
                 && beats(count, partial, &self.bar()))
     }
 
@@ -350,66 +332,13 @@ fn state_hash(node: u32, occurrences: &[PathOccurrence]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// A sparse, write-only accumulator of global-threshold raises
-/// (`graph → bound`, merged by maximum).
-///
-/// Workers used to carry a dense `vec![0u32; graphs]` each — O(threads ×
-/// graphs) allocation and merge traffic per batch even when a batch raises a
-/// handful of bounds. The update list stores only the raises that actually
-/// happened; duplicates are compacted away (keeping the maximum per graph)
-/// whenever the list doubles past its watermark, so its memory is
-/// proportional to the number of *distinct* graphs raised, not to the
-/// collection size.
-#[derive(Debug, Default)]
-pub struct BoundRaises {
-    entries: Vec<(u32, u32)>,
-    /// Compact when the list grows past this length.
-    watermark: usize,
-}
-
-impl BoundRaises {
-    /// Records `bound` as a lower bound for `graph`.
-    fn push(&mut self, graph: usize, bound: u32) {
-        self.entries.push((graph as u32, bound));
-        if self.entries.len() > self.watermark.max(64) {
-            self.compact();
-            // Keep amortized-O(1) pushes: only re-compact after the list
-            // doubles past the distinct-entry count.
-            self.watermark = self.entries.len() * 2;
-        }
-    }
-
-    /// Sorts and deduplicates the list, keeping the maximum bound per graph.
-    fn compact(&mut self) {
-        self.entries.sort_unstable();
-        self.entries.dedup_by(|next, kept| {
-            if kept.0 == next.0 {
-                kept.1 = kept.1.max(next.1);
-                true
-            } else {
-                false
-            }
-        });
-    }
-
-    /// Merges the recorded raises into `lower_bounds` by element-wise
-    /// maximum.
-    fn merge_into(&self, lower_bounds: &mut [u32]) {
-        for &(graph, bound) in &self.entries {
-            let slot = &mut lower_bounds[graph as usize];
-            if *slot < bound {
-                *slot = bound;
-            }
-        }
-    }
-}
-
 /// What one whole pivot search produced.
-struct SearchRun {
-    result: Option<PivotResult>,
-    /// Path extensions spent; equal to the budget when the search was
-    /// truncated.
-    steps: usize,
+pub(crate) struct SearchRun {
+    pub(crate) result: Option<PivotResult>,
+    /// Path extensions spent; equal to [`PivotSearcher::budget`] when the
+    /// search ran out of steps and returned the best path found so far
+    /// instead of the exact pivot.
+    pub(crate) steps: usize,
 }
 
 impl PivotSearcher {
@@ -418,8 +347,13 @@ impl PivotSearcher {
     pub fn new(prepared: Arc<PreparedGraphs>, config: &GroupingConfig) -> Self {
         PivotSearcher {
             prepared,
-            config: Arc::new(config.clone()),
+            config: config.clone(),
         }
+    }
+
+    /// The step budget of one search ([`GroupingConfig::max_search_steps`]).
+    pub(crate) fn budget(&self) -> usize {
+        self.config.max_search_steps.max(1)
     }
 
     /// Searches the pivot path of graph `g`.
@@ -429,9 +363,9 @@ impl PivotSearcher {
     ///   one-shot algorithm passes 0).
     /// * `active` — graphs still participating (inactive graphs are invisible
     ///   to share counts and group membership).
-    /// * `lower_bounds` — the per-graph global thresholds, updated in place
+    /// * `lower_bounds` — the per-graph global thresholds, raised in place
     ///   whenever a complete path is found (only when early termination is
-    ///   enabled, mirroring Algorithm 4).
+    ///   enabled, mirroring Algorithm 4). The search reads only `g`'s entry.
     ///
     /// Returns `None` when no transformation path of `g` is shared by more
     /// than `threshold` active graphs (within the path-length cap).
@@ -442,53 +376,40 @@ impl PivotSearcher {
         active: &[bool],
         lower_bounds: &mut [u32],
     ) -> Option<PivotResult> {
-        // Raises are merged into `lower_bounds` after the search, which keeps
-        // the cumulative-bounds behavior of Algorithm 4 for a lone `search`
-        // call (the DFS itself only ever reads the searched graph's own
-        // bound, tracked separately).
-        let mut raised = BoundRaises::default();
-        let run =
-            self.search_with_bounds(g, threshold, active, lower_bounds[g.index()], &mut raised);
-        raised.merge_into(lower_bounds);
-        run.result
+        self.run(g, threshold, active, lower_bounds).result
     }
 
-    /// The core search: one DFS from the first node that reads only
-    /// `own_bound` (the searched graph's own global threshold) and records
-    /// every bound raise into the write-only `raised` list, without ever
-    /// reading other graphs' entries.
-    fn search_with_bounds(
+    /// [`PivotSearcher::search`], also reporting the steps spent.
+    pub(crate) fn run(
         &self,
         g: GraphId,
         threshold: usize,
         active: &[bool],
-        own_bound: u32,
-        raised: &mut BoundRaises,
+        lower_bounds: &mut [u32],
     ) -> SearchRun {
         let classes = self.prepared.posting_classes();
-        self.search_with_classes(g, threshold, active, own_bound, raised, classes)
+        self.run_with_classes(g, threshold, active, lower_bounds, classes)
     }
 
-    /// [`PivotSearcher::search_with_bounds`] with the posting-class table
-    /// as an input: any table whose classes only join labels with identical
-    /// posting lists yields the same search, step for step. The identity
-    /// table (every label its own class) collapses no label ahead of its
-    /// extension.
-    fn search_with_classes(
+    /// [`PivotSearcher::run`] with the posting-class table as an input: any
+    /// table whose classes only join labels with identical posting lists
+    /// yields the same search, step for step. The identity table (every
+    /// label its own class) collapses no label ahead of its extension.
+    fn run_with_classes(
         &self,
         g: GraphId,
         threshold: usize,
         active: &[bool],
-        own_bound: u32,
-        raised: &mut BoundRaises,
+        lower_bounds: &mut [u32],
         classes: &[u32],
     ) -> SearchRun {
+        let _span = ec_obs::span!("grouping.pivot_search", g.index());
         let graph = self.prepared.graph(g);
         // Minimum number of edges from each node of `graph` to its last node;
         // paths that cannot complete within the length cap are never
         // explored.
         let dist_to_end = distance_to_end(graph);
-        let budget = self.config.max_search_steps.max(1);
+        let budget = self.budget();
         let mut state = SearchState {
             index: self.prepared.index(),
             active,
@@ -499,8 +420,8 @@ impl PivotSearcher {
             steps_left: budget,
             constant_chars: self.prepared.constant_chars(),
             classes,
-            own_bound,
-            raised,
+            searched: g.index(),
+            bounds: lower_bounds,
             best: None,
             threshold,
             table: StateTable::default(),
@@ -528,7 +449,7 @@ impl PivotSearcher {
         // An empty output (last node 0) is covered too: the empty path is its
         // only transformation path, and `dfs` at the last node just offers it.
         if state.dist_to_end[0] as usize <= state.max_path_len {
-            dfs(graph, g, 0, &mut Vec::new(), &universe, 0, &mut state);
+            dfs(graph, 0, &mut Vec::new(), &universe, 0, &mut state);
         }
         let steps = budget - state.steps_left;
         let metrics = search_metrics();
@@ -542,86 +463,6 @@ impl PivotSearcher {
             .take()
             .map(|(path, list, count, _)| PivotResult::new(path, list, count, active, last_nodes));
         SearchRun { result, steps }
-    }
-
-    /// Searches the pivot paths of `gids`, sharded across the shared worker
-    /// pool, and returns the results in `gids` order.
-    ///
-    /// The output is **bit-identical for every thread count, by
-    /// construction**: every search in the call reads only its searched
-    /// graph's bound as snapshotted at entry (plus the raises produced by its
-    /// own complete paths), and all raises are collected into write-only
-    /// `BoundRaises` update lists merged into `lower_bounds` by
-    /// element-wise maximum after the searches finish. A search's pruning
-    /// inputs therefore never depend on how the graphs are chunked across
-    /// workers — which also keeps results identical when
-    /// [`GroupingConfig::max_search_steps`] truncates a search, since the
-    /// number of steps a search consumes depends only on chunk-independent
-    /// state. (Every raise is a sound lower bound, so deferring the merge
-    /// only weakens pruning within one call, never correctness.)
-    ///
-    /// Each worker is handed only its own chunk's graph bounds plus a sparse
-    /// update list, so the per-batch memory traffic is O(graphs searched +
-    /// raises recorded) instead of O(threads × graphs) full-vector copies.
-    /// Sharded batches run as `'static` tasks on the process-wide FIFO
-    /// pool (`ec_graph::pool`) — no scoped threads are spawned
-    /// per call, which is what makes the incremental grouper's speculative
-    /// batch loop cheap inside long-lived processes like `ec serve`. A single
-    /// chunk runs inline on the calling thread.
-    pub fn search_many(
-        &self,
-        gids: &[GraphId],
-        threshold: usize,
-        active: &[bool],
-        lower_bounds: &mut [u32],
-        parallelism: ec_graph::Parallelism,
-    ) -> SearchBatch {
-        let _span = ec_obs::span!("grouping.pivot_search", gids.len());
-        let chunk_size = gids.len().div_ceil(parallelism.shards(gids.len())).max(1);
-        let active: Arc<[bool]> = active.into();
-        type ShardOutput = (Vec<SearchRun>, BoundRaises);
-        // Snapshot only the searched graphs' own bounds, chunk by chunk,
-        // before any search runs — the values every search reads are fixed
-        // at entry no matter how chunks are scheduled.
-        let tasks: Vec<PoolTask<ShardOutput>> = gids
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let searcher = self.clone();
-                let chunk: Vec<GraphId> = chunk.to_vec();
-                let bounds: Vec<u32> = chunk.iter().map(|&g| lower_bounds[g.index()]).collect();
-                let active = Arc::clone(&active);
-                Box::new(move || {
-                    let mut raised = BoundRaises::default();
-                    let runs = chunk
-                        .iter()
-                        .zip(&bounds)
-                        .map(|(&g, &own_bound)| {
-                            searcher.search_with_bounds(
-                                g,
-                                threshold,
-                                &active,
-                                own_bound,
-                                &mut raised,
-                            )
-                        })
-                        .collect();
-                    (runs, raised)
-                }) as PoolTask<ShardOutput>
-            })
-            .collect();
-        let budget = self.config.max_search_steps.max(1);
-        let mut batch = SearchBatch {
-            results: Vec::with_capacity(gids.len()),
-            truncated: 0,
-        };
-        for (runs, raised) in parallelism.run_tasks(tasks) {
-            for run in runs {
-                batch.truncated += usize::from(run.steps == budget);
-                batch.results.push(run.result);
-            }
-            raised.merge_into(lower_bounds);
-        }
-        batch
     }
 }
 
@@ -837,7 +678,6 @@ fn collapse(kept: &mut Collected, label: LabelId, next_chars: usize, examined: u
 
 fn dfs(
     graph: &ec_graph::TransformationGraph,
-    g: GraphId,
     node: u32,
     path: &mut Vec<LabelId>,
     list: &PathList,
@@ -858,10 +698,8 @@ fn dfs(
             for occ in list.occurrences() {
                 let gi = occ.graph.index();
                 if state.active[gi] && occ.end == state.last_nodes[gi] {
-                    state.raised.push(gi, count as u32);
-                    if gi == g.index() && state.own_bound < count as u32 {
-                        state.own_bound = count as u32;
-                    }
+                    let bound = &mut state.bounds[gi];
+                    *bound = (*bound).max(count as u32);
                 }
             }
         }
@@ -887,7 +725,7 @@ fn dfs(
             continue;
         }
         path.push(label);
-        dfs(graph, g, to, path, &extended, next_chars, state);
+        dfs(graph, to, path, &extended, next_chars, state);
         path.pop();
     }
 }
@@ -895,6 +733,7 @@ fn dfs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::structured::tests::{address_candidates, mega_group_candidates};
     use ec_dsl::{Dir, PositionFn, StringFn, Term};
     use ec_graph::Replacement;
 
@@ -1079,65 +918,41 @@ mod tests {
     }
 
     #[test]
-    fn search_many_is_bit_identical_to_sequential_searches() {
+    fn sequential_searches_keep_every_bound_sound() {
         // Several transformation families, so the searches interact through
-        // the shared lower bounds.
+        // the shared lower bounds. Each graph's true pivot share comes from a
+        // search with fresh bounds; searching the graphs one after another
+        // over shared bounds must find the same pivots and never raise a
+        // bound past a true share.
         let reps = family_replacements();
-        let gids: Vec<GraphId> = (0..reps.len()).map(|g| GraphId(g as u32)).collect();
-        let active = vec![true; reps.len()];
-        let batch = |searcher: &PivotSearcher, threads: usize| {
-            let mut bounds = vec![1u32; reps.len()];
-            let batch = searcher.search_many(
-                &gids,
-                0,
-                &active,
-                &mut bounds,
-                ec_graph::Parallelism::fixed(threads),
-            );
-            (batch, bounds)
-        };
-
         let config = GroupingConfig::default();
         let prep = prepared(&reps, &config);
         let searcher = PivotSearcher::new(Arc::clone(&prep), &config);
-        let mut seq_bounds = vec![1u32; prep.len()];
+        let active = vec![true; prep.len()];
+        let gids: Vec<GraphId> = (0..prep.len()).map(|g| GraphId(g as u32)).collect();
+        let fresh: Vec<Option<PivotResult>> = gids
+            .iter()
+            .map(|&g| searcher.search(g, 0, &active, &mut vec![1u32; prep.len()]))
+            .collect();
+        let mut bounds = vec![1u32; prep.len()];
         let sequential: Vec<Option<PivotResult>> = gids
             .iter()
-            .map(|&g| searcher.search(g, 0, &active, &mut seq_bounds))
+            .map(|&g| searcher.search(g, 0, &active, &mut bounds))
             .collect();
-        assert!(sequential.iter().all(Option::is_some));
-        for threads in [1, 2, 4, 7] {
-            let (sharded, bounds) = batch(&searcher, threads);
-            assert_same_results(&sequential, &sharded.results, &format!("threads={threads}"));
-            // The merged bounds are sound: each graph's bound must not exceed
-            // its true pivot share count.
-            for (g, bound) in bounds.iter().enumerate() {
-                let share = sequential[g].as_ref().unwrap().share_count;
-                assert!(
-                    *bound as usize <= share,
-                    "threads={threads}: bound {bound} exceeds true share {share} of graph {g}"
-                );
-            }
-        }
-
-        // A starved budget truncates the searches. A lone `search` merges its
-        // raises before the next search reads them, so with a binding budget
-        // it may prune differently; the whole batch at 1 thread is the
-        // reference, and sharding must move neither a truncation point nor a
-        // merged bound.
-        let starved = GroupingConfig {
-            max_search_steps: 25,
-            ..GroupingConfig::default()
-        };
-        let searcher = PivotSearcher::new(prepared(&reps, &starved), &starved);
-        let (base, base_bounds) = batch(&searcher, 1);
-        assert!(base.truncated > 0, "the starved budget must bind");
-        for threads in [2, 4, 7] {
-            let (sharded, bounds) = batch(&searcher, threads);
-            let what = format!("starved, threads={threads}");
-            assert_same_results(&base.results, &sharded.results, &what);
-            assert_eq!(sharded.truncated, base.truncated, "{what}");
-            assert_eq!(bounds, base_bounds, "{what}");
+        assert_same_results(&fresh, &sequential, "shared bounds");
+        assert!(
+            bounds.iter().any(|&bound| bound > 1),
+            "the bounds must rise"
+        );
+        for (g, bound) in bounds.iter().enumerate() {
+            let share = fresh[g]
+                .as_ref()
+                .expect("every graph has a pivot")
+                .share_count;
+            assert!(
+                *bound as usize <= share,
+                "bound {bound} exceeds true share {share} of graph {g}"
+            );
         }
     }
 
@@ -1358,8 +1173,7 @@ mod tests {
         let active = vec![true; prep.len()];
         let mut totals = Differential::default();
         for g in (0..prep.len()).map(|g| GraphId(g as u32)) {
-            let mut raised = BoundRaises::default();
-            let engine = searcher.search_with_bounds(g, threshold, &active, 1, &mut raised);
+            let engine = searcher.run(g, threshold, &active, &mut vec![1u32; prep.len()]);
             let (oracle, oracle_steps) =
                 oracle_search(&searcher, g, threshold, &active, oracle_budget);
             totals.searches += 1;
@@ -1405,27 +1219,13 @@ mod tests {
     /// Column 0 of the generated 20-cluster address data of `seed`, split
     /// into structure partitions.
     fn address_partitions_of(seed: u64) -> Vec<Vec<Replacement>> {
-        let dataset = ec_data::PaperDataset::Address.generate(&ec_data::GeneratorConfig {
-            num_clusters: 20,
-            seed,
-            num_sources: 6,
-        });
-        let candidates = ec_replace::generate_candidates(
-            &dataset.column_values(0),
-            &ec_replace::CandidateConfig::default(),
-        );
-        crate::partition_replacements(&candidates.replacements, &GroupingConfig::default())
+        crate::partition_replacements(&address_candidates(seed), &GroupingConfig::default())
     }
 
-    /// The candidates of Figure 9's single-mega-group axis: one cluster of
-    /// lookalike spellings of a long title, split into structure partitions.
+    /// The candidates of Figure 9's single-mega-group axis, split into
+    /// structure partitions.
     fn mega_group_partitions() -> Vec<Vec<Replacement>> {
-        let values: Vec<String> = (10..22)
-            .map(|i| format!("International Journal of Distributed Data Systems Volume {i}"))
-            .collect();
-        let candidates =
-            ec_replace::generate_candidates(&[values], &ec_replace::CandidateConfig::default());
-        crate::partition_replacements(&candidates.replacements, &GroupingConfig::default())
+        crate::partition_replacements(&mega_group_candidates(), &GroupingConfig::default())
     }
 
     /// Runs every search of `reps` (threshold 1, fresh own bound) twice: with
@@ -1447,15 +1247,14 @@ mod tests {
         let mut steps = 0;
         for g in (0..prep.len()).map(|g| GraphId(g as u32)) {
             let run = |classes: &[u32]| {
-                let mut raised = BoundRaises::default();
-                let run = searcher.search_with_classes(g, 1, &active, 1, &mut raised, classes);
-                raised.compact();
-                (run, raised.entries)
+                let mut bounds = vec![1u32; prep.len()];
+                let run = searcher.run_with_classes(g, 1, &active, &mut bounds, classes);
+                (run, bounds)
             };
-            let (real, real_raised) = run(prep.posting_classes());
-            let (plain, plain_raised) = run(&identity);
+            let (real, real_bounds) = run(prep.posting_classes());
+            let (plain, plain_bounds) = run(&identity);
             assert_eq!(real.steps, plain.steps, "graph {g:?}: steps");
-            assert_eq!(real_raised, plain_raised, "graph {g:?}: bound raises");
+            assert_eq!(real_bounds, plain_bounds, "graph {g:?}: raised bounds");
             assert_same_results(
                 &[real.result],
                 &[plain.result],
@@ -1529,7 +1328,7 @@ mod tests {
 
     #[test]
     fn engine_matches_the_plain_dfs_oracle_on_address_partitions() {
-        // Threshold 1 is what the incremental grouper's first batch passes.
+        // Threshold 1 is what the incremental grouper's first search passes.
         let parts = address_partitions();
         let mut total = Differential::default();
         for part in &parts {
@@ -1576,8 +1375,7 @@ mod tests {
                 let searcher = PivotSearcher::new(Arc::clone(&prep), &config);
                 let active = vec![true; prep.len()];
                 for g in (0..prep.len()).map(|g| GraphId(g as u32)) {
-                    let mut raised = BoundRaises::default();
-                    let run = searcher.search_with_bounds(g, 1, &active, 1, &mut raised);
+                    let run = searcher.run(g, 1, &active, &mut vec![1u32; prep.len()]);
                     searches += 1;
                     steps += run.steps;
                     truncated += usize::from(run.steps == budget);

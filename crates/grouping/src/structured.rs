@@ -31,6 +31,7 @@ use crate::oneshot::{sort_groups, OneShotGrouper};
 use crate::prepared::PreparedGraphs;
 use ec_graph::{structure::replacement_structure, PoolTask, Replacement, ReplacementStructure};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Registry handles for partition prefetch: prefetched results the
@@ -371,11 +372,27 @@ impl StructuredGrouper {
     /// Upfront (one-shot) structure-refined grouping: partitions by structure,
     /// runs [`OneShotGrouper`] per partition, and returns all groups sorted by
     /// size. Used by the `OneShot`/`EarlyTerm` timing comparison of Figure 9.
+    ///
+    /// Partitions are independent, so up to [`GroupingConfig::parallelism`]
+    /// pool tasks each claim the next unclaimed partition until none is left.
+    /// Which task groups which partition does not matter: the merged groups
+    /// are sorted by size and first member.
     pub fn one_shot_all(replacements: &[Replacement], config: GroupingConfig) -> Vec<Group> {
-        let mut groups = Vec::new();
-        for part in partition_replacements(replacements, &config) {
-            groups.extend(OneShotGrouper::new(&part, config.clone()).group_all());
-        }
+        let parts = Arc::new(partition_replacements(replacements, &config));
+        let next = Arc::new(AtomicUsize::new(0));
+        let tasks: Vec<PoolTask<Vec<Group>>> = (0..config.parallelism.shards(parts.len()))
+            .map(|_| {
+                let (parts, next, config) = (Arc::clone(&parts), Arc::clone(&next), config.clone());
+                Box::new(move || {
+                    let mut groups = Vec::new();
+                    while let Some(part) = parts.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        groups.extend(OneShotGrouper::new(part, config.clone()).group_all());
+                    }
+                    groups
+                }) as PoolTask<Vec<Group>>
+            })
+            .collect();
+        let mut groups: Vec<Group> = config.parallelism.run_tasks(tasks).concat();
         sort_groups(&mut groups);
         groups
     }
@@ -396,8 +413,33 @@ impl Drop for StructuredGrouper {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Column 0's candidate replacements of the generated 20-cluster address
+    /// data of `seed` (the benchmark ladder is seeds 30, 14 and 18).
+    pub(crate) fn address_candidates(seed: u64) -> Vec<Replacement> {
+        let dataset = ec_data::PaperDataset::Address.generate(&ec_data::GeneratorConfig {
+            num_clusters: 20,
+            seed,
+            num_sources: 6,
+        });
+        ec_replace::generate_candidates(
+            &dataset.column_values(0),
+            &ec_replace::CandidateConfig::default(),
+        )
+        .replacements
+    }
+
+    /// The candidates of Figure 9's single-mega-group axis: one cluster of
+    /// lookalike spellings of a long title.
+    pub(crate) fn mega_group_candidates() -> Vec<Replacement> {
+        let values: Vec<String> = (10..22)
+            .map(|i| format!("International Journal of Distributed Data Systems Volume {i}"))
+            .collect();
+        ec_replace::generate_candidates(&[values], &ec_replace::CandidateConfig::default())
+            .replacements
+    }
 
     fn mixed_replacements() -> Vec<Replacement> {
         vec![
@@ -603,25 +645,16 @@ mod tests {
 
     #[test]
     fn starved_multi_partition_groups_and_truncation_do_not_depend_on_threads() {
-        let dataset = ec_data::PaperDataset::Address.generate(&ec_data::GeneratorConfig {
-            num_clusters: 20,
-            seed: 30,
-            num_sources: 6,
-        });
-        let candidates = ec_replace::generate_candidates(
-            &dataset.column_values(0),
-            &ec_replace::CandidateConfig::default(),
-        );
+        let candidates = address_candidates(30);
         let config = GroupingConfig {
             max_search_steps: 25,
             ..GroupingConfig::default()
         };
-        assert!(partition_replacements(&candidates.replacements, &config).len() > 10);
+        assert!(partition_replacements(&candidates, &config).len() > 10);
         // The truncation count after every emitted group: a prefetched run
         // counts only once the sequential rule reveals it.
         let run = |threads| {
-            let mut grouper =
-                StructuredGrouper::new(&candidates.replacements, with_threads(&config, threads));
+            let mut grouper = StructuredGrouper::new(&candidates, with_threads(&config, threads));
             let mut groups = Vec::new();
             let mut truncated = Vec::new();
             while let Some(g) = grouper.next_group() {
@@ -654,5 +687,58 @@ mod tests {
                 .collect();
         let compiled = StructuredGrouper::from_compiled(parts, config).all_groups();
         assert_eq!(fresh, compiled);
+    }
+
+    /// 64-bit FNV-1a, a digest that does not depend on the toolchain.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn first_fifty_groups_match_their_pinned_digests() {
+        // The sizes and programs of the first 50 groups of column 0 of each
+        // address ladder seed and of the fig9 mega group, at the default
+        // budget and at a starved one that truncates searches.
+        let inputs: Vec<(&str, Vec<Replacement>)> = vec![
+            ("address 30", address_candidates(30)),
+            ("address 14", address_candidates(14)),
+            ("address 18", address_candidates(18)),
+            ("mega group", mega_group_candidates()),
+        ];
+        let mut digests = Vec::new();
+        for budget in [50_000, 400] {
+            let config = GroupingConfig {
+                max_search_steps: budget,
+                ..GroupingConfig::default()
+            };
+            for (what, reps) in &inputs {
+                let groups = StructuredGrouper::new(reps, config.clone()).top_groups(50);
+                let text: String = groups
+                    .iter()
+                    .map(|g| match g.program() {
+                        Some(program) => format!("{} {program}\n", g.size()),
+                        None => format!("{} -\n", g.size()),
+                    })
+                    .collect();
+                digests.push((budget, *what, format!("{:016x}", fnv1a(text.as_bytes()))));
+            }
+        }
+        let pinned = [
+            (50_000, "address 30", "8af7bccb3bf8cf5d"),
+            (50_000, "address 14", "1cfe225ade72df2a"),
+            (50_000, "address 18", "13e04293b52a4fab"),
+            (50_000, "mega group", "d724ce67feb18b1f"),
+            (400, "address 30", "9d8cebfe2a1463ab"),
+            (400, "address 14", "b695024d5c900bac"),
+            (400, "address 18", "02440c0cfd9eaaba"),
+            (400, "mega group", "d724ce67feb18b1f"),
+        ];
+        let pinned: Vec<(usize, &str, String)> = pinned
+            .iter()
+            .map(|&(budget, what, digest)| (budget, what, digest.to_string()))
+            .collect();
+        assert_eq!(digests, pinned);
     }
 }

@@ -9,7 +9,7 @@
 //!   [`pool`], implemented in `ec_graph::pool` so the `Parallelism` knob can
 //!   adopt it without a dependency cycle) both executes connection handlers
 //!   and the sharded consolidation stages they fan out — no scoped threads
-//!   are spawned per request or per speculative grouping batch;
+//!   are spawned per request or per batch of grouping partitions;
 //! * the **[`ProgramLibrary`]** holds human-verified transformation
 //!   programs; `POST /pipeline` runs accumulate newly approved groups into
 //!   it, `POST /apply` standardizes incoming records through it *without

@@ -102,8 +102,8 @@ fn incremental_grouping_is_identical_at_any_parallelism() {
 #[test]
 fn plain_incremental_grouper_is_identical_at_any_parallelism() {
     // Without the structure refinement everything sits in one partition, so
-    // this exercises the batched speculative scan of `IncrementalGrouper`
-    // directly and over many invocations. The unpartitioned scan is the
+    // this exercises the sequential scan of `IncrementalGrouper` directly
+    // and over many invocations. The unpartitioned scan is the
     // slowest configuration in the repo, so it runs on a trimmed workload.
     let mut replacements = seeded_candidates();
     replacements.truncate(80);
@@ -121,9 +121,8 @@ fn plain_incremental_grouper_is_identical_at_any_parallelism() {
 
 /// One cluster, many variants — the mega-group shape real columns produce
 /// when sorted-neighborhood resolution false-merges a pile of lookalikes.
-/// Candidates concentrate in a handful of structure partitions, so the
-/// incremental ramp's early batches search one or two huge graphs at a time,
-/// so workers outnumber the graphs to search.
+/// Candidates concentrate in a handful of structure partitions, so workers
+/// outnumber the partitions there are to run side by side.
 fn mega_group_candidates() -> Vec<Replacement> {
     // Systematic variant spellings of one journal title: the base form, each
     // word abbreviated on its own, and growing abbreviated prefixes. With
