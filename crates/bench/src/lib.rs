@@ -231,8 +231,7 @@ pub fn export_figure_csv(name: &str, figure: &ec_report::Figure) -> Option<std::
 /// Scrapes `GET /metrics` from a live server, returning the raw Prometheus
 /// exposition — or `None` when anything fails, because a telemetry hiccup
 /// must never fail a benchmark run. Pair two scrapes around the measured
-/// section with [`metrics_delta_json`] to embed the movement in the
-/// exported `BENCH_*.json`.
+/// section and diff their [`parse_metric_samples`] to see what moved.
 pub fn scrape_metrics(addr: std::net::SocketAddr) -> Option<String> {
     let timeout = std::time::Duration::from_secs(2);
     let mut conn = ec_serve::http::ClientConn::connect(addr, Some(timeout)).ok()?;
@@ -266,51 +265,6 @@ pub fn parse_metric_samples(text: &str) -> std::collections::BTreeMap<String, f6
         }
     }
     samples
-}
-
-/// Renders the before→after movement of every series whose metric name
-/// starts with one of `prefixes` as a compact JSON object
-/// (`{"series": delta, …}`), suitable for embedding verbatim in a
-/// hand-built report. Zero-delta series and per-bucket histogram series
-/// (`*_bucket`) are omitted — `_sum`/`_count` carry the signal; gauges show
-/// their (possibly negative) net movement.
-pub fn metrics_delta_json(before: &str, after: &str, prefixes: &[&str]) -> String {
-    let before = parse_metric_samples(before);
-    let after = parse_metric_samples(after);
-    let mut entries = Vec::new();
-    for (series, &value) in &after {
-        let name = series.split('{').next().unwrap_or(series);
-        if !prefixes.iter().any(|prefix| name.starts_with(prefix)) || name.ends_with("_bucket") {
-            continue;
-        }
-        let delta = value - before.get(series).copied().unwrap_or(0.0);
-        if delta == 0.0 || !delta.is_finite() {
-            continue;
-        }
-        let escaped = series.replace('\\', "\\\\").replace('"', "\\\"");
-        let rendered = if delta.fract() == 0.0 && delta.abs() < 1e15 {
-            format!("{}", delta as i64)
-        } else {
-            format!("{delta:.6}")
-        };
-        entries.push(format!("\"{escaped}\": {rendered}"));
-    }
-    format!("{{{}}}", entries.join(", "))
-}
-
-/// Writes a non-CSV artifact (e.g. a JSON report) as
-/// `<EC_BENCH_EXPORT_DIR>/<filename>`; falls back to the current directory
-/// when no export directory is configured, so the artifact always lands
-/// somewhere inspectable. Returns the written path.
-pub fn export_artifact(filename: &str, contents: &str) -> std::path::PathBuf {
-    let dir = export_dir().unwrap_or_else(|| std::path::PathBuf::from("."));
-    std::fs::create_dir_all(&dir)
-        .unwrap_or_else(|e| panic!("cannot create export dir {}: {e}", dir.display()));
-    let path = dir.join(filename);
-    std::fs::write(&path, contents)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("exported {}", path.display());
-    path
 }
 
 #[cfg(test)]
@@ -363,141 +317,13 @@ mod tests {
     }
 
     #[test]
-    fn metric_samples_parse_and_diff() {
-        let before = "# HELP ec_x_total x\n# TYPE ec_x_total counter\n\
-                      ec_x_total{kind=\"a b\"} 3\nec_y_seconds_sum 0.25\n\
-                      ec_y_seconds_bucket{le=\"+Inf\"} 4\nother_total 9\n";
-        let after = "ec_x_total{kind=\"a b\"} 10\nec_y_seconds_sum 1\n\
-                     ec_y_seconds_bucket{le=\"+Inf\"} 6\nother_total 12\n";
-        let samples = parse_metric_samples(before);
+    fn metric_samples_parse_keeping_label_sets() {
+        let text = "# HELP ec_x_total x\n# TYPE ec_x_total counter\n\
+                    ec_x_total{kind=\"a b\"} 3\nec_y_seconds_sum 0.25\n\
+                    ec_y_seconds_bucket{le=\"+Inf\"} 4\nother_total 9\n";
+        let samples = parse_metric_samples(text);
         assert_eq!(samples["ec_x_total{kind=\"a b\"}"], 3.0);
+        assert_eq!(samples["ec_y_seconds_sum"], 0.25);
         assert_eq!(samples.len(), 4);
-
-        // Deltas keep matching-prefix counters (labels JSON-escaped), render
-        // fractional sums with decimals, and drop buckets and foreign names.
-        let json = metrics_delta_json(before, after, &["ec_"]);
-        assert!(json.contains("\"ec_x_total{kind=\\\"a b\\\"}\": 7"));
-        assert!(json.contains("\"ec_y_seconds_sum\": 0.750000"));
-        assert!(!json.contains("bucket"));
-        assert!(!json.contains("other_total"));
-    }
-}
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-    use ec_data::GeneratorConfig;
-    use ec_grouping::StructuredGrouper;
-    use std::time::Instant;
-
-    #[test]
-    #[ignore = "manual performance probe"]
-    fn probe_mega_group_cost() {
-        // Where does the single-mega-group axis of fig9 spend its time —
-        // preparation (graphs + index) or the pivot searches?
-        let values: Vec<String> = (10..22)
-            .map(|i| format!("International Journal of Distributed Data Systems Volume {i}"))
-            .collect();
-        let candidates = generate_candidates(&[values], &CandidateConfig::default());
-        println!("candidates: {}", candidates.len());
-        let tprep = Instant::now();
-        let mut grouper = ec_grouping::IncrementalGrouper::new(
-            &candidates.replacements,
-            GroupingConfig::default(),
-        );
-        println!("prepared in {:?}", tprep.elapsed());
-        let tg = Instant::now();
-        let g = grouper.next_group();
-        println!(
-            "first group: size {:?} in {:?}",
-            g.map(|g| g.size()),
-            tg.elapsed()
-        );
-    }
-
-    #[test]
-    #[ignore = "manual performance probe"]
-    fn probe_address_grouping_cost() {
-        let ds = PaperDataset::Address.generate(&GeneratorConfig {
-            num_clusters: 15,
-            seed: 3,
-            num_sources: 3,
-        });
-        let t0 = Instant::now();
-        let candidates = generate_candidates(&ds.column_values(0), &CandidateConfig::default());
-        println!(
-            "candidates: {} in {:?}",
-            candidates.replacements.len(),
-            t0.elapsed()
-        );
-        let lens: Vec<usize> = candidates
-            .replacements
-            .iter()
-            .map(|r| r.lhs().len().max(r.rhs().len()))
-            .collect();
-        println!(
-            "max len {} avg len {:.1}",
-            lens.iter().max().unwrap(),
-            lens.iter().sum::<usize>() as f64 / lens.len() as f64
-        );
-        // How large are the structure partitions?
-        use std::collections::HashMap;
-        let mut by_struct: HashMap<String, usize> = HashMap::new();
-        for r in &candidates.replacements {
-            *by_struct
-                .entry(ec_graph::structure::replacement_structure(r.lhs(), r.rhs()).to_string())
-                .or_insert(0) += 1;
-        }
-        let mut sizes: Vec<usize> = by_struct.values().copied().collect();
-        sizes.sort_unstable_by(|a, b| b.cmp(a));
-        println!(
-            "structure partitions: {} largest: {:?}",
-            sizes.len(),
-            &sizes[..sizes.len().min(8)]
-        );
-        // Time graph preparation on the largest partition alone.
-        let largest_struct = by_struct.iter().max_by_key(|(_, &c)| c).unwrap().0.clone();
-        let largest: Vec<_> = candidates
-            .replacements
-            .iter()
-            .filter(|r| {
-                ec_graph::structure::replacement_structure(r.lhs(), r.rhs()).to_string()
-                    == largest_struct
-            })
-            .cloned()
-            .collect();
-        println!(
-            "largest partition lhs/rhs example: {} -> {}",
-            largest[0].lhs(),
-            largest[0].rhs()
-        );
-        let tprep = Instant::now();
-        let mut inc = ec_grouping::IncrementalGrouper::new(&largest, GroupingConfig::default());
-        println!(
-            "prepared largest partition ({} graphs) in {:?}",
-            largest.len(),
-            tprep.elapsed()
-        );
-        let tg = Instant::now();
-        let g = inc.next_group();
-        println!(
-            "largest partition first group: {:?} in {:?}",
-            g.map(|g| g.size()),
-            tg.elapsed()
-        );
-        let t1 = Instant::now();
-        let mut grouper =
-            StructuredGrouper::new(&candidates.replacements, GroupingConfig::default());
-        println!("grouper constructed in {:?}", t1.elapsed());
-        for i in 0..5 {
-            let t = Instant::now();
-            let g = grouper.next_group();
-            println!(
-                "group {}: size {:?} in {:?}",
-                i,
-                g.as_ref().map(|g| g.size()),
-                t.elapsed()
-            );
-        }
     }
 }

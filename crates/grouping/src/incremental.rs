@@ -320,13 +320,17 @@ mod tests {
         reps.push(Replacement::new("Smith, James", "James Smith"));
         reps.push(Replacement::new("Doe, John", "J. Doe"));
         reps.push(Replacement::new("Roe, Jane", "Jane Roe"));
+        // This grouper runs its searches one after another at any thread
+        // count; threads act through the structured grouper, which prefetches
+        // whole partitions of these replacements on the pool.
+        assert!(crate::partition_replacements(&reps, &GroupingConfig::default()).len() > 1);
         let drain = |threads: usize| {
             let config = GroupingConfig {
                 max_search_steps: 20,
                 parallelism: ec_graph::Parallelism::fixed(threads),
                 ..GroupingConfig::default()
             };
-            IncrementalGrouper::new(&reps, config).all_groups()
+            crate::StructuredGrouper::new(&reps, config).all_groups()
         };
         let base = drain(1);
         for threads in [2usize, 4, 7] {

@@ -193,14 +193,18 @@ mod tests {
     fn group_all_is_thread_independent_even_when_the_step_budget_binds() {
         // A starved step budget truncates every search; the truncation
         // points — and so the groups — must not depend on the thread count.
+        // This grouper is sequential; threads act through
+        // `StructuredGrouper::one_shot_all`, which runs one of these per
+        // structure partition on the pool and merges their groups.
         let reps = figure2_name_replacements();
+        assert!(crate::partition_replacements(&reps, &GroupingConfig::default()).len() > 1);
         let group = |threads: usize| {
             let config = GroupingConfig {
                 max_search_steps: 20,
                 parallelism: ec_graph::Parallelism::fixed(threads),
                 ..GroupingConfig::default()
             };
-            OneShotGrouper::new(&reps, config).group_all()
+            crate::StructuredGrouper::one_shot_all(&reps, config)
         };
         let base = group(1);
         for threads in [2usize, 4, 7] {

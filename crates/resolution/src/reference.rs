@@ -8,10 +8,9 @@
 //! equal, `f64` scores equal to the last bit — because resolution output
 //! (cluster membership, `MatchDecision.score`, the delta resolver's pair
 //! cache) is pinned byte-identical across PRs. This module preserves the old
-//! implementations exactly as they were so that `tests/kernel_props.rs` and
-//! the `resolution_rate` benchmark can compare against them, the same way the
-//! CSR index rewrite kept its linear reference (`crates/index/tests/
-//! csr_props.rs`).
+//! implementations exactly as they were so that `tests/kernel_props.rs` can
+//! compare against them, the same way the CSR index rewrite kept its linear
+//! reference (`crates/index/tests/csr_props.rs`).
 //!
 //! Nothing here is used on any production path. Do not "improve" this module:
 //! its value is that it does not change.

@@ -669,9 +669,9 @@ pub fn write_request_head_ext(
 }
 
 /// A persistent (keep-alive) client connection to one server — the router
-/// keeps a pool of these per backend, and the load generator drives one per
-/// simulated client. Requests and responses interleave strictly (send one,
-/// read one); the response may also be consumed in streaming halves via
+/// keeps a pool of these per backend, and perfbench's `apply` workload
+/// drives one per client. Requests and responses interleave strictly (send
+/// one, read one); the response may also be consumed in streaming halves via
 /// [`ClientConn::read_head`] + [`ClientConn::reader`].
 pub struct ClientConn {
     write_half: TcpStream,

@@ -6,6 +6,7 @@
 mod common;
 
 use common::scaled;
+use entity_consolidation::grouping::partition_replacements;
 use entity_consolidation::prelude::*;
 
 /// The seeded workload the comparisons run on: realistic Address candidates
@@ -101,21 +102,46 @@ fn incremental_grouping_is_identical_at_any_parallelism() {
 
 #[test]
 fn plain_incremental_grouper_is_identical_at_any_parallelism() {
-    // Without the structure refinement everything sits in one partition, so
-    // this exercises the sequential scan of `IncrementalGrouper` directly
-    // and over many invocations. The unpartitioned scan is the
-    // slowest configuration in the repo, so it runs on a trimmed workload.
+    // `IncrementalGrouper` scans one partition sequentially at any thread
+    // count, so the threads act through the structured grouper over it: with
+    // the structure refinement on, every partition is one plain incremental
+    // grouper, and the structured grouper prefetches partitions ahead of its
+    // sequential rule over many invocations. Under a starved step budget the
+    // truncation count after each group shows when a prefetched run was
+    // revealed, so it must not depend on the thread count either. The
+    // workload is trimmed to keep two drains per budget short.
     let mut replacements = seeded_candidates();
     replacements.truncate(80);
-    let sequential: Vec<Group> =
-        IncrementalGrouper::new(&replacements, config_with_threads(1)).all_groups();
-    for threads in [3usize, 4] {
-        let sharded: Vec<Group> =
-            IncrementalGrouper::new(&replacements, config_with_threads(threads)).all_groups();
-        assert_eq!(
-            sequential, sharded,
-            "plain incremental groups differ at {threads} threads"
-        );
+    assert!(partition_replacements(&replacements, &config_with_threads(1)).len() > 1);
+    let default_steps = GroupingConfig::default().max_search_steps;
+    for max_search_steps in [default_steps, 20] {
+        let drain = |threads| {
+            let config = GroupingConfig {
+                structure_refinement: true,
+                max_search_steps,
+                ..config_with_threads(threads)
+            };
+            let mut grouper = StructuredGrouper::new(&replacements, config);
+            let mut groups = Vec::new();
+            let mut truncated = Vec::new();
+            while let Some(group) = grouper.next_group() {
+                groups.push(group);
+                truncated.push(grouper.searches_truncated());
+            }
+            (groups, truncated)
+        };
+        let (sequential, sequential_truncated) = drain(1);
+        for threads in [3usize, 4] {
+            let (sharded, sharded_truncated) = drain(threads);
+            assert_eq!(
+                sequential, sharded,
+                "plain incremental groups differ at {threads} threads ({max_search_steps} steps)"
+            );
+            assert_eq!(
+                sequential_truncated, sharded_truncated,
+                "truncated searches differ at {threads} threads ({max_search_steps} steps)"
+            );
+        }
     }
 }
 

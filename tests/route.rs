@@ -8,7 +8,9 @@
 //!    so `/apply` answers identically no matter which backend a column
 //!    shards to;
 //! 3. stopping a backend re-routes around it (fail open) without changing a
-//!    single response byte.
+//!    single response byte;
+//! 4. concurrent clients, each holding one keep-alive connection to the
+//!    router, get the single node's `/apply` bytes on every request.
 //!
 //! Workload sizes respect `EC_TEST_SCALE` like every root suite.
 
@@ -21,6 +23,7 @@ use entity_consolidation::serve::http;
 use entity_consolidation::serve::{
     Router, RouterConfig, RouterHandle, ServeConfig, Server, ServerHandle,
 };
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// Runs one `ec` subcommand in-process against an in-memory namespace.
@@ -186,6 +189,75 @@ fn routed_responses_are_byte_identical_to_a_single_node() {
     router.stop();
     router_join.join().expect("router thread");
     for (handle, join) in [(single, single_join), (backend_a, join_a)] {
+        handle.stop();
+        join.join().expect("server thread");
+    }
+}
+
+#[test]
+fn concurrent_keep_alive_applies_through_the_router_match_a_single_node() {
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 5;
+    let flat = flat_workload();
+    let (single, single_join) = start_server();
+    let (backend_a, join_a) = start_server();
+    let (backend_b, join_b) = start_server();
+    let (router, router_join) = start_router(vec![
+        backend_a.addr().to_string(),
+        backend_b.addr().to_string(),
+    ]);
+
+    // Learn the same library on the single node and, replicated, on both
+    // backends; the single node's answer is the reference.
+    let learn_path = format!("/pipeline?{PIPELINE_FLAGS}&mode=approve-all");
+    for addr in [single.addr(), router.addr()] {
+        let learned = http::request(addr, "POST", &learn_path, flat.as_bytes()).unwrap();
+        assert_eq!(learned.status, 200, "{:?}", learned.body);
+    }
+    let direct = http::request(single.addr(), "POST", "/apply", flat.as_bytes()).unwrap();
+    assert_eq!(direct.status, 200, "{:?}", direct.body);
+
+    // Each client sends its requests back to back over one connection,
+    // asking to keep it open on all but the last. The barrier holds every
+    // client until all connections are open, so they overlap.
+    let router_addr = router.addr();
+    let all_connected = Arc::new(Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let flat = flat.clone();
+            let all_connected = Arc::clone(&all_connected);
+            std::thread::spawn(move || {
+                let mut conn = http::ClientConn::connect(router_addr, None).expect("connect");
+                all_connected.wait();
+                (0..REQUESTS)
+                    .map(|i| {
+                        conn.request("POST", "/apply", flat.as_bytes(), i + 1 < REQUESTS)
+                            .expect("keep-alive apply")
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for (client, join) in clients.into_iter().enumerate() {
+        let responses = join.join().expect("client thread");
+        assert_eq!(responses.len(), REQUESTS);
+        for (i, response) in responses.iter().enumerate() {
+            assert_eq!(response.status, 200, "client {client} request {i}");
+            assert!(
+                response.body == direct.body,
+                "client {client} request {i}: routed apply bytes diverge"
+            );
+        }
+    }
+    assert!(router.requests() >= CLIENTS * REQUESTS);
+
+    router.stop();
+    router_join.join().expect("router thread");
+    for (handle, join) in [
+        (single, single_join),
+        (backend_a, join_a),
+        (backend_b, join_b),
+    ] {
         handle.stop();
         join.join().expect("server thread");
     }
