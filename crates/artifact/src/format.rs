@@ -29,7 +29,7 @@ use crate::ArtifactError;
 use ec_core::{CompiledColumn, CompiledDataset, CompiledPartition};
 use ec_data::{Cell, Cluster, Dataset, Row};
 use ec_dsl::{Dir, PositionFn, StringFn, Term};
-use ec_graph::{Edge, LabelId, LabelInterner, LabelList, Replacement, TransformationGraph};
+use ec_graph::{LabelId, LabelInterner, Replacement, TransformationGraph};
 use ec_grouping::PreparedGraphs;
 use ec_index::{InvertedIndex, Posting, SharedSlice, SliceBacking};
 use ec_replace::{CandidateSet, CellRef};
@@ -162,23 +162,21 @@ pub fn encode_artifact(compiled: &CompiledDataset) -> Vec<u8> {
             }
             w.len(prepared.interner().len());
             for (_, f) in prepared.interner().iter() {
-                write_string_fn(&mut w, f);
+                write_string_fn(&mut w, &f);
             }
-            // Each graph as two flat blocks — 12-byte edge headers, then the
-            // concatenated label ids — so the loader decodes a graph with two
-            // bounds checks instead of several per edge.
+            // Each graph as two flat blocks — 12-byte edge headers, then its
+            // label buffer — so the loader decodes a graph with two bounds
+            // checks instead of several per edge.
             for g in prepared.graphs() {
                 w.u32(g.t_len() as u32);
-                w.len(g.edges().len());
+                w.len(g.num_edges());
                 for e in g.edges() {
                     w.u32(e.from);
                     w.u32(e.to);
                     w.u32(e.labels.len() as u32);
                 }
-                for e in g.edges() {
-                    for l in &e.labels {
-                        w.u32(l.0);
-                    }
+                for l in g.labels() {
+                    w.u32(l.0);
                 }
             }
             let (postings, offsets, counts) = prepared.index().raw_parts();
@@ -715,36 +713,29 @@ pub fn decode_artifact(bytes: Arc<ArtifactBytes>) -> Result<CompiledDataset, Art
                     .and_then(|n| n.checked_mul(4))
                     .ok_or_else(|| malformed("graph label block size overflow".to_string()))?;
                 let label_block = r.bytes(label_bytes, "graph label block")?;
-                let mut edges = Vec::with_capacity(num_edges);
-                let mut offset = 0usize;
                 let mut max_label = 0u32;
-                for h in headers.chunks_exact(12) {
-                    let from = u32::from_le_bytes(h[0..4].try_into().unwrap());
-                    let to = u32::from_le_bytes(h[4..8].try_into().unwrap());
-                    let n = u32::from_le_bytes(h[8..12].try_into().unwrap()) as usize;
-                    let mut labels = LabelList::with_capacity(n);
-                    labels.extend(
-                        label_block[offset..offset + n * 4]
-                            .chunks_exact(4)
-                            .map(|raw| {
-                                let l = u32::from_le_bytes(raw.try_into().unwrap());
-                                max_label = max_label.max(l);
-                                LabelId(l)
-                            }),
-                    );
-                    offset += n * 4;
-                    edges.push(Edge { from, to, labels });
-                }
+                let labels: Vec<LabelId> = label_block
+                    .chunks_exact(4)
+                    .map(|raw| {
+                        let l = u32::from_le_bytes(raw.try_into().unwrap());
+                        max_label = max_label.max(l);
+                        LabelId(l)
+                    })
+                    .collect();
                 // The one label-bound check for this graph: folding the max
                 // while the ids are being copied is free, and
                 // `PreparedGraphs::from_parts` relies on it having happened.
-                if !label_block.is_empty() && max_label as usize >= interner.len() {
+                if !labels.is_empty() && max_label as usize >= interner.len() {
                     return Err(malformed(format!(
                         "edge label {max_label} outside the interner ({})",
                         interner.len()
                     )));
                 }
-                let graph = TransformationGraph::from_parts(rep.clone(), t_len, edges)
+                let edges = headers.chunks_exact(12).map(|h| {
+                    let word = |at: usize| u32::from_le_bytes(h[at..at + 4].try_into().unwrap());
+                    (word(0), word(4), word(8))
+                });
+                let graph = TransformationGraph::from_parts(rep.clone(), t_len, edges, labels)
                     .ok_or_else(|| malformed("invalid transformation graph edges".to_string()))?;
                 graphs.push(graph);
             }

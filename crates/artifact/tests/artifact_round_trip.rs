@@ -45,11 +45,7 @@ fn assert_compiled_eq(fresh: &CompiledDataset, loaded: &CompiledDataset) {
             assert_eq!(fp.prepared.replacements(), lp.prepared.replacements());
             assert_eq!(fp.prepared.skipped(), lp.prepared.skipped());
             assert_eq!(fp.prepared.interner().len(), lp.prepared.interner().len());
-            for (f, l) in fp.prepared.graphs().iter().zip(lp.prepared.graphs()) {
-                assert_eq!(f.replacement(), l.replacement());
-                assert_eq!(f.t_len(), l.t_len());
-                assert_eq!(f.edges(), l.edges());
-            }
+            assert_eq!(fp.prepared.graphs(), lp.prepared.graphs());
             let (fi, li) = (fp.prepared.index(), lp.prepared.index());
             assert_eq!(fi.num_labels(), li.num_labels());
             for raw in 0..fi.num_labels() as u32 + 2 {
@@ -82,10 +78,49 @@ fn artifact_bytes_do_not_depend_on_the_thread_count() {
         compile_dataset(dataset.clone(), 0.75, true, &config)
     };
     let (one, four) = (compile(1), compile(4));
-    // Partitions this large are where graph preparation used to shard.
+    // At 4 threads each column's partitions are prepared on pool tasks, and
+    // large ones take long enough that the tasks finish out of order.
     let largest = one.columns.iter().flat_map(|c| &c.partitions);
     assert!(largest.map(|p| p.members.len()).max().unwrap_or(0) >= 64);
     assert!(encode_artifact(&one) == encode_artifact(&four));
+}
+
+/// 64-bit FNV-1a, a digest that does not depend on the toolchain.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn ladder_artifacts_match_their_pinned_digests() {
+    // The three inputs perfbench's `consolidate` workload times (20-cluster
+    // address data, generator seeds 30, 14 and 18), compiled with the default
+    // configuration. Any change to label ids, per-edge label order, the
+    // index arrays or the encoding itself moves a digest.
+    let digests: Vec<(u64, String)> = [30, 14, 18]
+        .into_iter()
+        .map(|seed| {
+            let dataset = PaperDataset::Address.generate(&GeneratorConfig {
+                num_clusters: 20,
+                seed,
+                ..PaperDataset::Address.default_config()
+            });
+            let compiled = compile_dataset(dataset, 0.75, true, &ConsolidationConfig::default());
+            let bytes = encode_artifact(&compiled);
+            (seed, format!("{:016x}", fnv1a(&bytes)))
+        })
+        .collect();
+    let pinned = [
+        (30, "4c4233c7e4aefab0"),
+        (14, "192a5c6373757e29"),
+        (18, "d15a5a9a4aa7ca8b"),
+    ];
+    let pinned: Vec<(u64, String)> = pinned
+        .iter()
+        .map(|&(seed, digest)| (seed, digest.to_string()))
+        .collect();
+    assert_eq!(digests, pinned);
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! # ec-bench — experiment harnesses
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! per-experiment index and EXPERIMENTS.md for measured results), plus shared
+//! One binary per table/figure of the paper's evaluation, plus shared
 //! helpers used by the binaries and the Criterion micro-benchmarks.
 //!
-//! All binaries print plain-text tables to stdout and accept no arguments;
-//! dataset scale is fixed by each binary so the runs are reproducible.
+//! All binaries print plain-text tables to stdout, and dataset scale is fixed
+//! by each binary so the runs are reproducible. Only `table8_truth_discovery`
+//! takes an argument: `--sample F` runs a fraction `F` of its workload.
 //! Run them with `--release` — e.g.
 //! `cargo run --release -p ec-bench --bin fig6_7_8_effectiveness`.
 

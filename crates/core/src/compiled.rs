@@ -17,9 +17,10 @@
 use crate::consolidate::RunOptions;
 use crate::pipeline::ConsolidationConfig;
 use ec_data::Dataset;
-use ec_graph::Replacement;
-use ec_grouping::{partition_replacements, PreparedGraphs};
+use ec_graph::{PoolTask, Replacement};
+use ec_grouping::{partition_replacements, GroupingConfig, PreparedGraphs};
 use ec_replace::{CandidateSet, ReplacementEngine};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One structure partition of a column, with its preparation done.
@@ -82,7 +83,10 @@ impl CompiledDataset {
 
 /// Compiles `dataset` (already resolved into clusters at `threshold`): per
 /// column, generates candidates, partitions them by structure, and prepares
-/// every partition's graphs and inverted index.
+/// every partition's graphs and inverted index. Partitions are independent,
+/// so a column's are prepared on up to `config.grouping.parallelism` pool
+/// tasks and put back in partition order: the thread count never changes
+/// the result.
 ///
 /// The grouping/candidate parts of `config` must match the configuration the
 /// compiled state will later be *run* with — `ec` entry points all use the
@@ -99,13 +103,10 @@ pub fn compile_dataset(
             let values = dataset.column_values(col);
             let engine = ReplacementEngine::new(values, &config.candidates);
             let candidates = engine.candidates();
-            let partitions = partition_replacements(&candidates, &config.grouping)
-                .into_iter()
-                .map(|members| {
-                    let prepared = Arc::new(PreparedGraphs::build(&members, &config.grouping));
-                    CompiledPartition { members, prepared }
-                })
-                .collect();
+            let partitions = prepare_partitions(
+                partition_replacements(&candidates, &config.grouping),
+                &config.grouping,
+            );
             CompiledColumn {
                 candidates: engine.candidate_set().clone(),
                 partitions,
@@ -119,6 +120,46 @@ pub fn compile_dataset(
         dataset,
         columns,
     }
+}
+
+/// Prepares every partition of `parts`: up to
+/// [`GroupingConfig::parallelism`] pool tasks each claim the next unprepared
+/// partition until none is left, and the results are put back in partition
+/// order. A partition's preparation does not depend on which task ran it,
+/// so the output is the same at every thread count.
+fn prepare_partitions(
+    parts: Vec<Vec<Replacement>>,
+    config: &GroupingConfig,
+) -> Vec<CompiledPartition> {
+    let parts = Arc::new(parts);
+    let next = Arc::new(AtomicUsize::new(0));
+    let tasks: Vec<PoolTask<Vec<(usize, PreparedGraphs)>>> =
+        (0..config.parallelism.shards(parts.len()))
+            .map(|_| {
+                let (parts, next, config) = (Arc::clone(&parts), Arc::clone(&next), config.clone());
+                Box::new(move || {
+                    let mut prepared = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(members) = parts.get(i) else {
+                            break prepared;
+                        };
+                        prepared.push((i, PreparedGraphs::build(members, &config)));
+                    }
+                }) as PoolTask<_>
+            })
+            .collect();
+    let mut prepared = config.parallelism.run_tasks(tasks).concat();
+    prepared.sort_unstable_by_key(|&(i, _)| i);
+    let parts = Arc::try_unwrap(parts).unwrap_or_else(|parts| (*parts).clone());
+    parts
+        .into_iter()
+        .zip(prepared)
+        .map(|(members, (_, prepared))| CompiledPartition {
+            members,
+            prepared: Arc::new(prepared),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -173,6 +214,38 @@ mod tests {
             compiled_library.to_snapshot(),
             "learned programs agree"
         );
+    }
+
+    #[test]
+    fn compiled_partitions_do_not_depend_on_the_thread_count() {
+        let dataset = PaperDataset::Address.generate(&GeneratorConfig {
+            num_clusters: 30,
+            seed: 9,
+            num_sources: 3,
+        });
+        let compile = |threads| {
+            let config = ConsolidationConfig::default()
+                .with_parallelism(ec_graph::Parallelism::fixed(threads));
+            compile_dataset(dataset.clone(), 0.75, true, &config)
+        };
+        let (one, four) = (compile(1), compile(4));
+        assert_eq!(one.columns.len(), four.columns.len());
+        let mut partitions = 0;
+        for (a, b) in one.columns.iter().zip(&four.columns) {
+            assert_eq!(a.partitions.len(), b.partitions.len());
+            for (a, b) in a.partitions.iter().zip(&b.partitions) {
+                let (x, y) = (&a.prepared, &b.prepared);
+                assert_eq!(a.members, b.members);
+                assert_eq!(x.replacements(), y.replacements());
+                assert_eq!(x.skipped(), y.skipped());
+                assert_eq!(x.graphs(), y.graphs());
+                let labels = |p: &PreparedGraphs| p.interner().iter().collect::<Vec<_>>();
+                assert_eq!(labels(x), labels(y));
+                assert_eq!(x.index().raw_parts(), y.index().raw_parts());
+                partitions += 1;
+            }
+        }
+        assert!(partitions > 4, "enough partitions for several tasks");
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! Table 6 — together with per-cell ground truth so that precision, recall,
 //! MCC and golden-record precision can be computed exactly instead of by
 //! manual labelling.
-//!
-//! See DESIGN.md ("Substitutions") for the substitution rationale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -20,9 +20,9 @@
 //! since they have the narrowest "character class" and never generalise across
 //! values of different lengths.
 
-use crate::label::{LabelId, LabelInterner, LabelList};
+use crate::label::{LabelId, LabelInterner};
 use crate::replacement::Replacement;
-use ec_dsl::{Dir, PositionFn, StrCtx, StringFn, Term, CLASS_TERMS};
+use ec_dsl::{Dir, PositionFn, StrCtx, Term, CLASS_TERMS};
 use serde::{Deserialize, Serialize};
 
 /// Which `ConstantStr` labels are added to the graph.
@@ -87,26 +87,38 @@ impl GraphConfig {
 
 /// An edge of the transformation graph: the substring `t[from..to)` of the
 /// output string together with the labels (string functions) that produce it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Edge {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Edge<'a> {
     /// Source node (character position in the output string).
     pub from: u32,
     /// Target node (character position in the output string, `> from`).
     pub to: u32,
-    /// Interned string-function labels, deduplicated, in insertion order.
-    pub labels: LabelList,
+    /// Interned string-function labels, distinct, in insertion order.
+    pub labels: &'a [LabelId],
+}
+
+/// Where one edge's labels start in its graph's label buffer; they end where
+/// the next edge's start (the last edge's at the end of the buffer).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EdgeRecord {
+    from: u32,
+    to: u32,
+    start: u32,
 }
 
 /// The transformation graph of one candidate replacement.
 ///
-/// Nodes are the character positions `0..=t_len` of the output string; edges
-/// are stored in CSR form grouped by source node. Only edges with at least one
-/// label are stored.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Nodes are the character positions `0..=t_len` of the output string. Only
+/// edges with at least one label are stored, in CSR form twice over: the
+/// edge records are grouped by source node, and every edge's labels sit in
+/// one exactly sized buffer, edge after edge.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransformationGraph {
     replacement: Replacement,
     t_len: u32,
-    edges: Vec<Edge>,
+    /// Sorted by `(from, to)`.
+    edges: Vec<EdgeRecord>,
+    labels: Vec<LabelId>,
     /// `edges[out_start[i] .. out_start[i + 1]]` are the edges leaving node `i`.
     out_start: Vec<u32>,
 }
@@ -132,23 +144,45 @@ impl TransformationGraph {
         self.t_len
     }
 
+    /// The labels of the `k`-th edge.
+    fn labels_of(&self, k: usize) -> &[LabelId] {
+        let end = self
+            .edges
+            .get(k + 1)
+            .map_or(self.labels.len(), |e| e.start as usize);
+        &self.labels[self.edges[k].start as usize..end]
+    }
+
     /// All edges, grouped by source node and sorted by `(from, to)`.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = Edge<'_>> + '_ {
+        (0..self.edges.len()).map(|k| Edge {
+            from: self.edges[k].from,
+            to: self.edges[k].to,
+            labels: self.labels_of(k),
+        })
     }
 
-    /// The edges leaving node `i`.
-    pub fn out_edges(&self, i: u32) -> &[Edge] {
+    /// Every edge's labels, edge after edge in [`TransformationGraph::edges`]
+    /// order.
+    pub fn labels(&self) -> &[LabelId] {
+        &self.labels
+    }
+
+    /// The edges leaving node `i`, as `(target node, labels)`.
+    pub fn out_edges(&self, i: u32) -> impl Iterator<Item = (u32, &[LabelId])> + '_ {
         let i = i as usize;
-        if i + 1 >= self.out_start.len() {
-            return &[];
-        }
-        &self.edges[self.out_start[i] as usize..self.out_start[i + 1] as usize]
+        let range = match self.out_start.get(i..i + 2) {
+            Some(&[lo, hi]) => lo as usize..hi as usize,
+            _ => 0..0,
+        };
+        range.map(move |k| (self.edges[k].to, self.labels_of(k)))
     }
 
-    /// The edge `(i, j)`, if it exists and has labels.
-    pub fn edge(&self, i: u32, j: u32) -> Option<&Edge> {
-        self.out_edges(i).iter().find(|e| e.to == j)
+    /// The labels of edge `(i, j)`, if it exists and has labels.
+    pub fn edge(&self, i: u32, j: u32) -> Option<&[LabelId]> {
+        self.out_edges(i)
+            .find(|&(to, _)| to == j)
+            .map(|(_, labels)| labels)
     }
 
     /// Total number of edges (with at least one label).
@@ -158,44 +192,61 @@ impl TransformationGraph {
 
     /// Total number of labels across all edges.
     pub fn num_labels(&self) -> usize {
-        self.edges.iter().map(|e| e.labels.len()).sum()
+        self.labels.len()
     }
 
     /// Iterates over all `(from, to, label)` triples, the payload of the
     /// inverted index.
     pub fn label_triples(&self) -> impl Iterator<Item = (u32, u32, LabelId)> + '_ {
-        self.edges
-            .iter()
+        self.edges()
             .flat_map(|e| e.labels.iter().map(move |&l| (e.from, e.to, l)))
     }
 
     /// Does some edge of this graph carry `label`?
     pub fn contains_label(&self, label: LabelId) -> bool {
-        self.edges.iter().any(|e| e.labels.contains(&label))
+        self.labels.contains(&label)
     }
 
     /// Reassembles a graph from its stored parts — the compiled-artifact load
-    /// path, and the builder's last step. Edges must be sorted by `(from, to)` with `from < to <= t_len`
-    /// and at least one label each (exactly what [`TransformationGraph::edges`]
-    /// returned at write time); the CSR `out_start` table is rebuilt. Returns
-    /// `None` when the edges violate the invariant, so a corrupt artifact is
-    /// rejected instead of producing an inconsistent graph.
+    /// path. `edges` lists `(from, to, label count)` per edge, sorted by
+    /// `(from, to)` with `from < to <= t_len` and at least one label each,
+    /// and `labels` holds every edge's labels back to back (exactly what
+    /// [`TransformationGraph::edges`] and [`TransformationGraph::labels`]
+    /// returned at write time). Returns `None` when the parts violate that
+    /// invariant, so a corrupt artifact is rejected instead of producing an
+    /// inconsistent graph.
     pub fn from_parts(
         replacement: Replacement,
         t_len: u32,
-        edges: Vec<Edge>,
+        edges: impl IntoIterator<Item = (u32, u32, u32)>,
+        labels: Vec<LabelId>,
     ) -> Option<TransformationGraph> {
-        for (i, e) in edges.iter().enumerate() {
-            if e.from >= e.to || e.to > t_len || e.labels.is_empty() {
+        let edges = edges.into_iter();
+        let mut records = Vec::with_capacity(edges.size_hint().0);
+        let mut start = 0usize;
+        let mut prev = None;
+        for (from, to, count) in edges {
+            if from >= to || to > t_len || count == 0 || prev >= Some((from, to)) {
                 return None;
             }
-            if i > 0 {
-                let prev = &edges[i - 1];
-                if (prev.from, prev.to) >= (e.from, e.to) {
-                    return None;
-                }
-            }
+            prev = Some((from, to));
+            records.push(EdgeRecord {
+                from,
+                to,
+                start: u32::try_from(start).ok()?,
+            });
+            start = start.checked_add(count as usize)?;
         }
+        (start == labels.len()).then(|| Self::assemble(replacement, t_len, records, labels))
+    }
+
+    /// Adds the per-node CSR table to valid parts.
+    fn assemble(
+        replacement: Replacement,
+        t_len: u32,
+        edges: Vec<EdgeRecord>,
+        labels: Vec<LabelId>,
+    ) -> TransformationGraph {
         let mut out_start = vec![0u32; t_len as usize + 2];
         for e in &edges {
             out_start[e.from as usize + 1] += 1;
@@ -203,12 +254,13 @@ impl TransformationGraph {
         for i in 1..out_start.len() {
             out_start[i] += out_start[i - 1];
         }
-        Some(TransformationGraph {
+        TransformationGraph {
             replacement,
             t_len,
             edges,
+            labels,
             out_start,
-        })
+        }
     }
 }
 
@@ -252,14 +304,15 @@ impl GraphBuilder {
     /// each push interns its label, so ids follow first occurrence. A
     /// `SubStr` push is two array reads: the interner numbers each position
     /// function once per input string, and its dense pair table maps two
-    /// numbers to the label (functions past the table's bound intern by
-    /// value). Constants probe the interner by their text, sliced from `rhs`
-    /// without allocating. No push checks the edge for a duplicate, because
+    /// numbers to the label (numbers past the table's bound hash the pair).
+    /// No push builds a [`ec_dsl::StringFn`]: constants probe the interner
+    /// by their text, sliced from `rhs`, and affixes by their term and
+    /// ordinal. No push checks the edge for a duplicate, because
     /// one edge's labels are distinct by construction: a position function
     /// evaluates to one input position, so a `SubStr` label names one
     /// occurrence; an edge gets one constant; and an affix label is unique
     /// per term, ordinal and edge end. Only edges that receive a label are
-    /// stored, each label list in one exactly sized allocation.
+    /// stored, and all their labels in one exactly sized buffer.
     ///
     /// Returns `None` when the output string exceeds
     /// [`GraphConfig::max_output_len`].
@@ -322,14 +375,9 @@ impl GraphBuilder {
                         continue;
                     }
                     let (x, y) = (x as usize, x as usize + len);
-                    for (lid, l) in positions.at(x) {
-                        for (rid, r) in positions.at(y) {
-                            let make = || StringFn::sub_str(l.clone(), r.clone());
-                            let id = match (lid, rid) {
-                                (Some(lid), Some(rid)) => interner.intern_pair(lid, rid, make),
-                                _ => interner.intern(make()),
-                            };
-                            table.push(i, j, id);
+                    for &l in positions.at(x) {
+                        for &r in positions.at(y) {
+                            table.push(i, j, interner.intern_pair(l, r));
                         }
                     }
                 }
@@ -341,10 +389,13 @@ impl GraphBuilder {
             add_affix_labels(config, &ctx, t_chars, table, interner);
         }
 
-        let graph =
-            TransformationGraph::from_parts(replacement.clone(), t_len as u32, table.take_edges())
-                .expect("edges are sorted, in range and labelled");
-        Some(graph)
+        let (edges, labels) = table.take_edges();
+        Some(TransformationGraph::assemble(
+            replacement.clone(),
+            t_len as u32,
+            edges,
+            labels,
+        ))
     }
 
     /// Builds graphs for a batch of replacements, skipping those the
@@ -373,13 +424,7 @@ fn add_affix_labels(
     interner: &mut LabelInterner,
 ) {
     let t_len = t_chars.len();
-    let mut intern = |suffix: bool, term: &Term, k: i32| {
-        interner.intern(if suffix {
-            StringFn::suffix(term.clone(), k)
-        } else {
-            StringFn::prefix(term.clone(), k)
-        })
-    };
+    let mut intern = |suffix: bool, term: &Term, k: i32| interner.intern_affix(suffix, term, k);
     for term in CLASS_TERMS {
         let matches = ctx.class_matches(&term);
         let m_count = matches.len() as i32;
@@ -431,12 +476,12 @@ struct Scratch {
 }
 
 /// The position-function table `P` in CSR form: `entries[start[x]..start[x + 1]]`
-/// are the position functions that evaluate to input position `x`, each
-/// with its number in the interner's pair table (if it got one).
+/// are the interner's numbers of the position functions that evaluate to
+/// input position `x`.
 #[derive(Debug, Default)]
 struct PositionTable {
     start: Vec<usize>,
-    entries: Vec<(Option<u32>, PositionFn)>,
+    entries: Vec<u32>,
     /// `(x, function)` in generation order, before grouping by `x`.
     generated: Vec<(usize, PositionFn)>,
 }
@@ -480,24 +525,22 @@ impl PositionTable {
             while self.start.len() <= x {
                 self.start.push(self.entries.len());
             }
-            self.entries.push((interner.position_id(&p), p));
+            self.entries.push(interner.position_id(&p));
         }
         while self.start.len() < s_len + 2 {
             self.start.push(self.entries.len());
         }
     }
 
-    fn at(&self, x: usize) -> impl Iterator<Item = (Option<u32>, &PositionFn)> {
-        self.entries[self.start[x]..self.start[x + 1]]
-            .iter()
-            .map(|(id, p)| (*id, p))
+    fn at(&self, x: usize) -> &[u32] {
+        &self.entries[self.start[x]..self.start[x + 1]]
     }
 }
 
 /// The edges of one graph under construction. An edge is opened when it
 /// receives its first label; `slots` maps each `(i, j)` with `i < j` to its
-/// edge. Labels are collected in push order in one buffer and copied into
-/// exactly sized per-edge lists at the end.
+/// edge. Labels are collected in push order and scattered into the graph's
+/// label buffer at the end.
 #[derive(Debug, Default)]
 struct EdgeTable {
     /// `slots[slot(i, j)]` is `1 +` the edge's index in `edges`, or 0. The
@@ -508,8 +551,9 @@ struct EdgeTable {
     edges: Vec<(u32, u32, u32)>,
     /// `(edge index, label)` of every kept push, in push order.
     pushes: Vec<(u32, LabelId)>,
-    /// The pushes regrouped edge by edge, and each edge's write cursor.
-    grouped: Vec<LabelId>,
+    /// The opened edges' indices in `(from, to)` order, and each edge's
+    /// write cursor into the label buffer.
+    order: Vec<u32>,
     cursors: Vec<usize>,
     /// Whether `edges` is still in `(from, to)` order — true unless the
     /// affix pass opened an edge the main pass left empty.
@@ -540,8 +584,8 @@ impl EdgeTable {
     /// Appends `id` to edge `(i, j)` unless the edge is full. The label is
     /// interned either way, so ids never depend on the cap. The caller never
     /// pushes one label twice onto an edge (see [`GraphBuilder::build`]);
-    /// debug builds check that when [`EdgeTable::take_edges`] assembles the
-    /// lists.
+    /// debug builds check that when [`EdgeTable::take_edges`] lays the
+    /// labels out.
     fn push(&mut self, i: usize, j: usize, id: LabelId) {
         if self.max_labels == 0 {
             return;
@@ -562,46 +606,47 @@ impl EdgeTable {
         }
     }
 
-    /// The labelled edges, sorted by `(from, to)`, each label list in push
-    /// order.
-    fn take_edges(&mut self) -> Vec<Edge> {
-        // Regroup the pushes edge by edge; a stable pass keeps push order.
-        self.cursors.clear();
+    /// The labelled edges sorted by `(from, to)`, and their labels in one
+    /// exactly sized buffer, edge after edge, each edge's in push order.
+    fn take_edges(&mut self) -> (Vec<EdgeRecord>, Vec<LabelId>) {
+        self.order.clear();
+        self.order.extend(0..self.edges.len() as u32);
+        if !self.sorted {
+            let edges = &self.edges;
+            self.order.sort_unstable_by_key(|&k| {
+                let (from, to, _) = edges[k as usize];
+                (from, to)
+            });
+        }
+        self.cursors.resize(self.edges.len(), 0);
+        let mut records = Vec::with_capacity(self.edges.len());
         let mut total = 0;
-        for &(_, _, count) in &self.edges {
-            self.cursors.push(total);
+        for &k in &self.order {
+            let (from, to, count) = self.edges[k as usize];
+            self.cursors[k as usize] = total;
+            records.push(EdgeRecord {
+                from,
+                to,
+                start: total as u32,
+            });
             total += count as usize;
         }
-        self.grouped.clear();
-        self.grouped.resize(total, LabelId(0));
+        // Scatter the pushes edge by edge; a stable pass keeps push order.
+        let mut labels = vec![LabelId(0); total];
         for &(edge, id) in &self.pushes {
             let cursor = &mut self.cursors[edge as usize];
-            self.grouped[*cursor] = id;
+            labels[*cursor] = id;
             *cursor += 1;
         }
-        let mut start = 0;
-        let mut edges: Vec<Edge> = self
-            .edges
-            .iter()
-            .map(|&(from, to, count)| {
-                let end = start + count as usize;
-                let labels = &self.grouped[start..end];
-                debug_assert!(
-                    (1..labels.len()).all(|n| !labels[..n].contains(&labels[n])),
-                    "edge ({from}, {to}) carries a label twice: {labels:?}"
-                );
-                start = end;
-                Edge {
-                    from,
-                    to,
-                    labels: LabelList::from(labels),
-                }
-            })
-            .collect();
-        if !self.sorted {
-            edges.sort_unstable_by_key(|e| (e.from, e.to));
-        }
-        edges
+        debug_assert!(
+            records.iter().enumerate().all(|(k, e)| {
+                let end = records.get(k + 1).map_or(total, |n| n.start as usize);
+                let labels = &labels[e.start as usize..end];
+                (1..labels.len()).all(|n| !labels[..n].contains(&labels[n]))
+            }),
+            "an edge carries a label twice"
+        );
+        (records, labels)
     }
 }
 
@@ -668,6 +713,7 @@ impl Occurrences {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_dsl::StringFn;
     use std::collections::BTreeMap;
 
     /// Builds every replacement of every partition with both builders (one
@@ -686,9 +732,9 @@ mod tests {
                     (Some(got), Some(want)) => {
                         assert_labels_distinct(&got, &format!("{r}"));
                         assert_eq!(got.last_node(), want.last_node(), "{r}");
-                        assert_eq!(got.edges(), want.edges(), "{r}");
+                        assert_eq!(got, want, "{r}");
                         for i in 0..=got.last_node() {
-                            assert_eq!(got.out_edges(i), want.out_edges(i), "{r} node {i}");
+                            assert!(got.out_edges(i).eq(want.out_edges(i)), "{r} node {i}");
                         }
                         compared += 1;
                     }
@@ -696,8 +742,8 @@ mod tests {
                     (got, want) => panic!("{r}: built {} vs {}", got.is_some(), want.is_some()),
                 }
             }
-            let fast: Vec<&StringFn> = fast.iter().map(|(_, f)| f).collect();
-            let slow: Vec<&StringFn> = slow.iter().map(|(_, f)| f).collect();
+            let fast: Vec<StringFn> = fast.iter().map(|(_, f)| f).collect();
+            let slow: Vec<StringFn> = slow.iter().map(|(_, f)| f).collect();
             assert_eq!(fast, slow, "interner order");
         }
         compared
@@ -850,8 +896,8 @@ mod tests {
         j: u32,
     ) -> Vec<String> {
         g.edge(i, j)
-            .map(|e| {
-                e.labels
+            .map(|labels| {
+                labels
                     .iter()
                     .map(|&l| interner.resolve(l).to_string())
                     .collect()
@@ -901,7 +947,7 @@ mod tests {
             let t_chars: Vec<char> = rhs.chars().collect();
             for e in g.edges() {
                 let piece: String = t_chars[e.from as usize..e.to as usize].iter().collect();
-                for &l in &e.labels {
+                for &l in e.labels {
                     let f = interner.resolve(l);
                     assert!(
                         f.can_produce(&ctx, &piece),
@@ -934,7 +980,7 @@ mod tests {
     fn no_affix_config_omits_affix_labels() {
         let (g, interner) = build("Street", "St", GraphConfig::without_affix());
         for e in g.edges() {
-            for &l in &e.labels {
+            for &l in e.labels {
                 assert!(!interner.resolve(l).is_affix());
             }
         }
@@ -960,7 +1006,7 @@ mod tests {
         let (g, interner) = build("Lee, Mary", "M. Lee", config);
         let mut constant_edges = 0;
         for e in g.edges() {
-            for &l in &e.labels {
+            for &l in e.labels {
                 if matches!(interner.resolve(l), StringFn::ConstantStr(_)) {
                     constant_edges += 1;
                     assert_eq!((e.from, e.to), (0, 6));
@@ -978,7 +1024,7 @@ mod tests {
         };
         let (g, interner) = build("Lee, Mary", "M. Lee", config);
         for e in g.edges() {
-            for &l in &e.labels {
+            for &l in e.labels {
                 if let StringFn::ConstantStr(c) = interner.resolve(l) {
                     let len = c.chars().count();
                     assert!(len <= 2 || len == 6, "unexpected constant {c:?}");
@@ -1008,15 +1054,16 @@ mod tests {
         let (g, _) = build("Smith, James", "J. Smith", GraphConfig::default());
         let mut total = 0;
         for i in 0..=g.last_node() {
-            for e in g.out_edges(i) {
-                assert_eq!(e.from, i);
-                assert!(e.to > i);
-                assert!(e.to <= g.last_node());
+            for (to, labels) in g.out_edges(i) {
+                assert!(to > i);
+                assert!(to <= g.last_node());
+                assert_eq!(g.edge(i, to), Some(labels));
                 total += 1;
             }
         }
         assert_eq!(total, g.num_edges());
-        assert!(g.out_edges(g.last_node()).is_empty());
+        assert_eq!(g.out_edges(g.last_node()).count(), 0);
+        assert_eq!(g.out_edges(g.last_node() + 1).count(), 0);
         assert!(g.edge(0, 1).is_some());
         assert!(g.edge(1, 0).is_none());
     }
@@ -1074,35 +1121,37 @@ mod tests {
     #[test]
     fn from_parts_round_trips_a_built_graph() {
         let (g, _) = build("Lee, Mary", "M. Lee", GraphConfig::default());
+        let rep = g.replacement().clone();
+        let parts = |g: &TransformationGraph| -> Vec<(u32, u32, u32)> {
+            g.edges()
+                .map(|e| (e.from, e.to, e.labels.len() as u32))
+                .collect()
+        };
         let rebuilt = TransformationGraph::from_parts(
-            g.replacement().clone(),
+            rep.clone(),
             g.last_node(),
-            g.edges().to_vec(),
+            parts(&g),
+            g.labels().to_vec(),
         )
         .expect("a built graph round-trips");
-        assert_eq!(rebuilt.num_edges(), g.num_edges());
-        for i in 0..=g.last_node() {
-            assert_eq!(rebuilt.out_edges(i), g.out_edges(i), "node {i}");
-        }
-        // Out-of-range targets, empty labels, and unsorted edges are rejected.
-        let rep = g.replacement().clone();
-        let bad_target = vec![Edge {
-            from: 0,
-            to: g.last_node() + 1,
-            labels: vec![LabelId(0)].into(),
-        }];
-        assert!(TransformationGraph::from_parts(rep.clone(), g.last_node(), bad_target).is_none());
-        let empty_labels = vec![Edge {
-            from: 0,
-            to: 1,
-            labels: LabelList::new(),
-        }];
-        assert!(
-            TransformationGraph::from_parts(rep.clone(), g.last_node(), empty_labels).is_none()
-        );
-        let mut unsorted = g.edges().to_vec();
+        assert_eq!(rebuilt, g);
+        let last = g.last_node();
+        let from_parts = |edges: Vec<(u32, u32, u32)>, labels: Vec<LabelId>| {
+            TransformationGraph::from_parts(rep.clone(), last, edges, labels)
+        };
+        // Out-of-range targets, empty labels, unsorted edges and label
+        // counts that do not cover the buffer are rejected.
+        assert!(from_parts(vec![(0, last + 1, 1)], vec![LabelId(0)]).is_none());
+        assert!(from_parts(vec![(1, 1, 1)], vec![LabelId(0)]).is_none());
+        assert!(from_parts(vec![(0, 1, 0)], Vec::new()).is_none());
+        let mut unsorted = parts(&g);
         unsorted.swap(0, 1);
-        assert!(TransformationGraph::from_parts(rep, g.last_node(), unsorted).is_none());
+        assert!(from_parts(unsorted, g.labels().to_vec()).is_none());
+        let mut duplicated = parts(&g);
+        duplicated[1] = duplicated[0];
+        assert!(from_parts(duplicated, g.labels().to_vec()).is_none());
+        assert!(from_parts(parts(&g), g.labels()[1..].to_vec()).is_none());
+        assert!(from_parts(vec![(0, 1, 1)], vec![LabelId(0); 2]).is_none());
     }
 
     #[test]

@@ -10,13 +10,12 @@
 
 use ec_dsl::{Dir, PositionFn, StringFn, Term};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 
-/// Most position functions one interner numbers for its dense `SubStr`
-/// table. The table holds one `u32` per ordered pair of numbered functions,
-/// so it never exceeds `POSITION_BOUND² × 4` bytes (256 KiB); `SubStr`
-/// labels over a function past the bound intern through the hashed table.
+/// Position functions numbered below this bound get a row and a column in
+/// the interner's dense `SubStr` pair table. The table holds one `u32` per
+/// ordered pair of such numbers, so it never exceeds `POSITION_BOUND² × 4`
+/// bytes (256 KiB); `SubStr` labels over a function numbered past the bound
+/// intern through the hashed table only.
 pub(crate) const POSITION_BOUND: usize = 256;
 
 /// The multiplier of the word mix (FxHash's).
@@ -65,64 +64,35 @@ fn mix_term(h: u64, term: &Term) -> u64 {
     }
 }
 
-fn mix_position(h: u64, p: &PositionFn) -> u64 {
-    match p {
-        PositionFn::ConstPos(k) => mix(h, u64::from(*k as u32)),
+fn position_hash(p: &PositionFn) -> u32 {
+    let h = match p {
+        PositionFn::ConstPos(k) => mix(0, u64::from(*k as u32)),
         PositionFn::MatchPos { term, k, dir } => {
             let word = 1 << 33 | (matches!(dir, Dir::End) as u64) << 32 | u64::from(*k as u32);
-            mix(mix_term(h, term), word)
+            mix(mix_term(0, term), word)
         }
-    }
-}
-
-/// The interner's hash of `ConstantStr(text)`, computable without building
-/// the function.
-fn constant_hash(text: &str) -> u32 {
-    finish(mix_bytes(0, text.as_bytes())) as u32
-}
-
-/// The interner's hash of a string function.
-fn fn_hash(f: &StringFn) -> u32 {
-    let h = match f {
-        StringFn::ConstantStr(text) => return constant_hash(text),
-        StringFn::SubStr(l, r) => mix_position(mix_position(1, l), r),
-        StringFn::Prefix { term, k } => mix(mix_term(2, term), u64::from(*k as u32)),
-        StringFn::Suffix { term, k } => mix(mix_term(3, term), u64::from(*k as u32)),
     };
     finish(h) as u32
 }
 
-/// [`mix`] and [`finish`] as a [`Hasher`], for the position-id map.
-#[derive(Debug, Default, Clone)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        self.0 = mix_bytes(self.0, bytes);
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.0 = mix(self.0, u64::from(n));
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.0 = mix(self.0, n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        finish(self.0)
-    }
+fn affix_hash((term, k): &(Term, i32)) -> u32 {
+    finish(mix(mix_term(0, term), u64::from(*k as u32))) as u32
 }
 
-#[derive(Debug, Default, Clone)]
-struct WordBuild;
+/// The hash of `ConstantStr(text)`.
+fn constant_hash(text: &str) -> u32 {
+    finish(mix_bytes(0, text.as_bytes())) as u32
+}
 
-impl BuildHasher for WordBuild {
-    type Hasher = WordHasher;
-
-    fn build_hasher(&self) -> WordHasher {
-        WordHasher::default()
-    }
+/// The hash of a non-constant label, from its table indices.
+fn record_hash(label: Label) -> u32 {
+    let h = match label {
+        Label::Constant { .. } => unreachable!("constants hash by text"),
+        Label::SubStr(l, r) => mix(mix(1, u64::from(l)), u64::from(r)),
+        Label::Prefix(a) => mix(2, u64::from(a)),
+        Label::Suffix(a) => mix(3, u64::from(a)),
+    };
+    finish(h) as u32
 }
 
 /// A dense identifier for an interned string function.
@@ -136,35 +106,161 @@ impl LabelId {
     }
 }
 
+/// One interned string function, as a 12-byte record of indices into the
+/// interner's own tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Label {
+    /// `ConstantStr`: `len` bytes of the text arena from `offset`.
+    Constant { offset: u32, len: u32 },
+    /// `SubStr` over the position functions numbered `.0` and `.1`.
+    SubStr(u32, u32),
+    /// `Prefix` of the affix-table entry `.0`.
+    Prefix(u32),
+    /// `Suffix` of the affix-table entry `.0`.
+    Suffix(u32),
+}
+
+/// An open-addressed table of the dense ids `0..n` of some keyed values,
+/// probed linearly. A used slot holds `id + 1`, 0 marks an empty one; the
+/// table's length is a power of two and it is kept at most half full. The
+/// keys and their equality live with the caller.
+#[derive(Debug, Default, Clone)]
+struct Slots(Vec<u32>);
+
+impl Slots {
+    /// The id in `hash`'s probe chain that `eq` accepts, or the empty slot
+    /// where it would go. The table must not be empty.
+    fn probe(&self, hash: u32, eq: impl Fn(u32) -> bool) -> Result<u32, usize> {
+        let mask = self.0.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.0[slot] {
+                0 => return Err(slot),
+                entry if eq(entry - 1) => return Ok(entry - 1),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Makes room for id `len` (ids `0..len` are in the table), re-slotting
+    /// every id by `hash` whenever the table doubles.
+    fn reserve_one(&mut self, len: usize, hash: impl Fn(u32) -> u32) {
+        if (len + 1) * 2 <= self.0.len() {
+            return;
+        }
+        let size = (self.0.len() * 2).max(16);
+        self.0.clear();
+        self.0.resize(size, 0);
+        let mask = size - 1;
+        for id in 0..len as u32 {
+            let mut slot = hash(id) as usize & mask;
+            while self.0[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.0[slot] = id + 1;
+        }
+    }
+}
+
+/// Values numbered densely in first-insertion order, found by hash.
+#[derive(Debug, Clone)]
+struct Numbered<T> {
+    values: Vec<T>,
+    slots: Slots,
+    hash: fn(&T) -> u32,
+}
+
+impl<T: PartialEq + Clone> Numbered<T> {
+    fn new(hash: fn(&T) -> u32) -> Self {
+        Numbered {
+            values: Vec::new(),
+            slots: Slots::default(),
+            hash,
+        }
+    }
+
+    /// The number of `value`, if it has one.
+    fn get(&self, value: &T) -> Option<u32> {
+        if self.values.is_empty() {
+            return None;
+        }
+        let values = &self.values;
+        let found = self
+            .slots
+            .probe((self.hash)(value), |id| values[id as usize] == *value);
+        found.ok()
+    }
+
+    /// The number of `value`, assigned on first sight.
+    fn number(&mut self, value: &T) -> u32 {
+        let Numbered {
+            values,
+            slots,
+            hash,
+        } = self;
+        slots.reserve_one(values.len(), |id| hash(&values[id as usize]));
+        match slots.probe(hash(value), |id| values[id as usize] == *value) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = values.len() as u32;
+                slots.0[slot] = id + 1;
+                values.push(value.clone());
+                id
+            }
+        }
+    }
+}
+
+/// The `len` bytes of the text arena `text` from `offset`.
+fn arena_text(text: &str, offset: u32, len: u32) -> &str {
+    &text[offset as usize..offset as usize + len as usize]
+}
+
 /// A hash-consing table mapping string functions to dense [`LabelId`]s.
 ///
-/// The functions live once, in id order; an open-addressed table of ids,
-/// probed linearly, finds a function by its hash, so a lookup or an
-/// insertion hashes the function once. Constants probe the same table by
-/// their text, without building a [`StringFn`].
+/// Every label is one fixed-size record, in id order: a constant is a range
+/// of one text arena, a `SubStr` is a pair of numbers in a table of the
+/// position functions seen, and a `Prefix`/`Suffix` is a number in a table
+/// of `(term, k)` pairs. Those tables live as long as the interner, so
+/// [`LabelInterner::resolve`] rebuilds any label's [`StringFn`] on demand
+/// and nothing else ever holds one. An open-addressed table of ids, probed
+/// linearly, finds a label by its hash: a constant hashes and compares by
+/// its text, probed against the arena directly; every other label by its
+/// record's numbers.
 ///
-/// The graph builder also reaches `SubStr` labels through a side index that
-/// needs no `StringFn` to probe: the interner numbers the position functions
-/// it is shown (at most 256 of them), and a dense table maps
-/// each ordered pair of numbers to the `SubStr` label over that pair. The
-/// side index is filled lazily — a miss falls through to
-/// [`LabelInterner::intern`] and records the id it returns — so ids are
-/// assigned in exactly the order plain interning would assign them, and an
-/// interner assembled by [`LabelInterner::from_ordered`] starts with an
-/// empty side index at no cost.
-#[derive(Debug, Default, Clone)]
+/// The graph builder also reaches `SubStr` labels through a side index, a
+/// dense table mapping each ordered pair of position numbers below 256 to
+/// the label over that pair. It is filled lazily — a miss falls through to
+/// the hashed table and records the id it returns — so ids are assigned in
+/// exactly the order plain interning would assign them, and
+/// [`LabelInterner::release_side_indexes`] can free it at no cost to the
+/// ids.
+#[derive(Debug, Clone)]
 pub struct LabelInterner {
-    by_id: Vec<StringFn>,
-    /// A power-of-two table, at most half full: each used slot holds the
-    /// function's 32-bit hash in its high half and `id + 1` in its low half;
-    /// 0 marks an empty slot.
-    slots: Vec<u64>,
-    /// The builder's position-function numbering (side index).
-    position_ids: HashMap<PositionFn, u32, WordBuild>,
+    labels: Vec<Label>,
+    slots: Slots,
+    /// The texts of the constant labels, back to back.
+    text: String,
+    positions: Numbered<PositionFn>,
+    affixes: Numbered<(Term, i32)>,
     /// `pairs[l * pairs_dim + r]` is `id + 1` of `SubStr` over the position
     /// functions numbered `l` and `r`, or 0 when not seen yet (side index).
     pairs: Vec<u32>,
     pairs_dim: usize,
+}
+
+impl Default for LabelInterner {
+    fn default() -> Self {
+        LabelInterner {
+            labels: Vec::new(),
+            slots: Slots::default(),
+            text: String::new(),
+            positions: Numbered::new(position_hash),
+            affixes: Numbered::new(affix_hash),
+            pairs: Vec::new(),
+            pairs_dim: 0,
+        }
+    }
 }
 
 impl LabelInterner {
@@ -174,80 +270,89 @@ impl LabelInterner {
     }
 
     /// Reassembles an interner from functions listed in id order — the
-    /// artifact-load path, which knows every label up front and sizes the
-    /// table once. Returns `None` if `fns` contains a duplicate.
+    /// artifact-load path. Returns `None` if `fns` contains a duplicate.
     pub fn from_ordered(fns: Vec<StringFn>) -> Option<Self> {
-        let mut interner = LabelInterner {
-            by_id: Vec::with_capacity(fns.len()),
-            ..Self::default()
-        };
-        interner.resize((fns.len() * 2).next_power_of_two().max(16));
-        for f in fns {
-            let hash = fn_hash(&f);
-            let slot = interner.probe(hash, |g| *g == f).err()?;
-            interner.insert_at(slot, hash, f);
+        let mut interner = LabelInterner::new();
+        interner.labels.reserve_exact(fns.len());
+        for f in &fns {
+            let before = interner.len();
+            if interner.intern_ref(f).index() != before {
+                return None;
+            }
         }
         Some(interner)
     }
 
     /// Interns `f`, returning its id (existing or freshly assigned).
     pub fn intern(&mut self, f: StringFn) -> LabelId {
-        self.reserve_one();
-        let hash = fn_hash(&f);
-        match self.probe(hash, |g| *g == f) {
-            Ok(id) => id,
-            Err(slot) => self.insert_at(slot, hash, f),
+        self.intern_ref(&f)
+    }
+
+    fn intern_ref(&mut self, f: &StringFn) -> LabelId {
+        match f {
+            StringFn::ConstantStr(text) => self.intern_constant(text),
+            StringFn::SubStr(l, r) => {
+                let (l, r) = (self.position_id(l), self.position_id(r));
+                self.intern_record(Label::SubStr(l, r))
+            }
+            StringFn::Prefix { term, k } => self.intern_affix(false, term, *k),
+            StringFn::Suffix { term, k } => self.intern_affix(true, term, *k),
         }
     }
 
-    /// Interns `ConstantStr(text)`, allocating only when `text` is new.
+    /// Interns `ConstantStr(text)`, copying `text` into the arena only when
+    /// it is new.
     pub(crate) fn intern_constant(&mut self, text: &str) -> LabelId {
         self.reserve_one();
         let hash = constant_hash(text);
-        match self.probe(
-            hash,
-            |g| matches!(g, StringFn::ConstantStr(c) if **c == *text),
-        ) {
-            Ok(id) => id,
-            Err(slot) => self.insert_at(slot, hash, StringFn::constant(text)),
+        match self.slots.probe(hash, |id| self.constant_eq(id, text)) {
+            Ok(id) => LabelId(id),
+            Err(slot) => {
+                let offset = self.text.len();
+                u32::try_from(offset + text.len()).expect("the constant arena stays below 4 GiB");
+                self.text.push_str(text);
+                let (offset, len) = (offset as u32, text.len() as u32);
+                self.insert_at(slot, Label::Constant { offset, len })
+            }
         }
     }
 
-    /// The side index's number for position function `p`, assigned on first
-    /// sight; `None` once [`POSITION_BOUND`] functions are numbered.
-    pub(crate) fn position_id(&mut self, p: &PositionFn) -> Option<u32> {
-        if let Some(&id) = self.position_ids.get(p) {
-            return Some(id);
-        }
-        let id = self.position_ids.len();
-        (id < POSITION_BOUND).then(|| {
-            self.position_ids.insert(p.clone(), id as u32);
-            id as u32
-        })
+    /// The number of position function `p` in the interner's position
+    /// table, assigned on first sight.
+    pub(crate) fn position_id(&mut self, p: &PositionFn) -> u32 {
+        self.positions.number(p)
     }
 
     /// Interns `SubStr` over the position functions numbered `left` and
-    /// `right` by [`LabelInterner::position_id`], building it with `make`
-    /// only when the side index has not seen the pair.
-    pub(crate) fn intern_pair(
-        &mut self,
-        left: u32,
-        right: u32,
-        make: impl FnOnce() -> StringFn,
-    ) -> LabelId {
-        let (left, right) = (left as usize, right as usize);
-        if left.max(right) >= self.pairs_dim {
-            self.grow_pairs(left.max(right) + 1);
+    /// `right` by [`LabelInterner::position_id`], through the dense pair
+    /// table when both numbers are below [`POSITION_BOUND`].
+    pub(crate) fn intern_pair(&mut self, left: u32, right: u32) -> LabelId {
+        let (l, r) = (left as usize, right as usize);
+        if l.max(r) >= POSITION_BOUND {
+            return self.intern_record(Label::SubStr(left, right));
         }
-        let slot = left * self.pairs_dim + right;
+        if l.max(r) >= self.pairs_dim {
+            self.grow_pairs(l.max(r) + 1);
+        }
+        let slot = l * self.pairs_dim + r;
         match self.pairs[slot] {
             0 => {
-                let id = self.intern(make());
+                let id = self.intern_record(Label::SubStr(left, right));
                 self.pairs[slot] = id.0 + 1;
                 id
             }
             known => LabelId(known - 1),
         }
+    }
+
+    /// Interns `Suffix(term, k)` when `suffix` is set, else `Prefix(term, k)`.
+    pub(crate) fn intern_affix(&mut self, suffix: bool, term: &Term, k: i32) -> LabelId {
+        let affix = self.affixes.number(&(term.clone(), k));
+        self.intern_record(if suffix {
+            Label::Suffix(affix)
+        } else {
+            Label::Prefix(affix)
+        })
     }
 
     /// Widens the pair table to at least `dim` numbers per side, doubling so
@@ -267,252 +372,120 @@ impl LabelInterner {
     /// index refills lazily on the next build, so a holder that keeps the
     /// interner only to resolve ids can drop it after building.
     pub fn release_side_indexes(&mut self) {
-        self.position_ids = HashMap::default();
         self.pairs = Vec::new();
         self.pairs_dim = 0;
     }
 
     /// Looks up an already-interned function without inserting.
     pub fn get(&self, f: &StringFn) -> Option<LabelId> {
-        if self.slots.is_empty() {
+        if self.labels.is_empty() {
             return None;
         }
-        self.probe(fn_hash(f), |g| g == f).ok()
+        let label = match f {
+            StringFn::ConstantStr(text) => {
+                let found = self
+                    .slots
+                    .probe(constant_hash(text), |id| self.constant_eq(id, text));
+                return found.ok().map(LabelId);
+            }
+            StringFn::SubStr(l, r) => Label::SubStr(self.positions.get(l)?, self.positions.get(r)?),
+            StringFn::Prefix { term, k } => Label::Prefix(self.affixes.get(&(term.clone(), *k))?),
+            StringFn::Suffix { term, k } => Label::Suffix(self.affixes.get(&(term.clone(), *k))?),
+        };
+        let found = self
+            .slots
+            .probe(record_hash(label), |id| self.labels[id as usize] == label);
+        found.ok().map(LabelId)
     }
 
-    /// The id of the function with hash `hash` that `eq` accepts, or the
-    /// empty slot where it would go. The table must have an empty slot.
-    fn probe(&self, hash: u32, eq: impl Fn(&StringFn) -> bool) -> Result<LabelId, usize> {
-        let mask = self.slots.len() - 1;
-        let mut slot = hash as usize & mask;
-        loop {
-            let entry = self.slots[slot];
-            if entry == 0 {
-                return Err(slot);
-            }
-            if (entry >> 32) as u32 == hash {
-                let id = LabelId(entry as u32 - 1);
-                if eq(&self.by_id[id.index()]) {
-                    return Ok(id);
-                }
-            }
-            slot = (slot + 1) & mask;
+    /// Interns a non-constant record.
+    fn intern_record(&mut self, label: Label) -> LabelId {
+        self.reserve_one();
+        let found = self
+            .slots
+            .probe(record_hash(label), |id| self.labels[id as usize] == label);
+        match found {
+            Ok(id) => LabelId(id),
+            Err(slot) => self.insert_at(slot, label),
         }
     }
 
-    /// Appends `f` as the next id, at the empty `slot` [`Self::probe`] found.
-    fn insert_at(&mut self, slot: usize, hash: u32, f: StringFn) -> LabelId {
-        let id = LabelId(self.by_id.len() as u32);
-        self.slots[slot] = u64::from(hash) << 32 | u64::from(id.0 + 1);
-        self.by_id.push(f);
-        id
+    /// Is label `id` the constant `text`?
+    fn constant_eq(&self, id: u32, text: &str) -> bool {
+        match self.labels[id as usize] {
+            Label::Constant { offset, len } => {
+                len as usize == text.len() && arena_text(&self.text, offset, len) == text
+            }
+            _ => false,
+        }
     }
 
-    /// Keeps the table at most half full after one more insertion.
+    /// Appends `label` as the next id, at the empty `slot` a probe found.
+    fn insert_at(&mut self, slot: usize, label: Label) -> LabelId {
+        let id = self.labels.len() as u32;
+        self.slots.0[slot] = id + 1;
+        self.labels.push(label);
+        LabelId(id)
+    }
+
+    /// Keeps the id table at most half full after one more insertion.
     fn reserve_one(&mut self) {
-        if (self.by_id.len() + 1) * 2 > self.slots.len() {
-            self.resize((self.slots.len() * 2).max(16));
-        }
+        let (labels, text) = (&self.labels, &self.text);
+        self.slots
+            .reserve_one(labels.len(), |id| match labels[id as usize] {
+                Label::Constant { offset, len } => constant_hash(arena_text(text, offset, len)),
+                label => record_hash(label),
+            });
     }
 
-    /// Re-slots every id into a table of `len` slots (a power of two). The
-    /// stored hashes place them without rehashing a function.
-    fn resize(&mut self, len: usize) {
-        let old = std::mem::replace(&mut self.slots, vec![0; len]);
-        let mask = len - 1;
-        for entry in old.into_iter().filter(|&e| e != 0) {
-            let mut slot = (entry >> 32) as usize & mask;
-            while self.slots[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = entry;
-        }
-    }
-
-    /// Resolves an id back to its string function.
+    /// Rebuilds the string function of an id.
     ///
     /// # Panics
     /// Panics if the id was not produced by this interner.
-    pub fn resolve(&self, id: LabelId) -> &StringFn {
-        &self.by_id[id.index()]
+    pub fn resolve(&self, id: LabelId) -> StringFn {
+        let affix = |a: u32| self.affixes.values[a as usize].clone();
+        match self.labels[id.index()] {
+            Label::Constant { .. } => StringFn::constant(self.constant(id).expect("a constant")),
+            Label::SubStr(l, r) => StringFn::sub_str(
+                self.positions.values[l as usize].clone(),
+                self.positions.values[r as usize].clone(),
+            ),
+            Label::Prefix(a) => {
+                let (term, k) = affix(a);
+                StringFn::prefix(term, k)
+            }
+            Label::Suffix(a) => {
+                let (term, k) = affix(a);
+                StringFn::suffix(term, k)
+            }
+        }
+    }
+
+    /// The text of label `id` when it is a `ConstantStr`, read in place.
+    ///
+    /// # Panics
+    /// Panics if the id was not produced by this interner.
+    pub fn constant(&self, id: LabelId) -> Option<&str> {
+        match self.labels[id.index()] {
+            Label::Constant { offset, len } => Some(arena_text(&self.text, offset, len)),
+            _ => None,
+        }
     }
 
     /// Number of distinct labels interned so far.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.labels.len()
     }
 
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.labels.is_empty()
     }
 
-    /// Iterates over all interned `(id, function)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (LabelId, &StringFn)> {
-        self.by_id
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LabelId(i as u32), f))
-    }
-}
-
-/// The label set of one edge.
-///
-/// Almost three quarters of real edges carry a single label and most of the
-/// rest only a handful, while artifact loads and graph builds materialize
-/// hundreds of thousands of edges — one heap allocation per edge dominated
-/// those paths. Lists of up to [`LabelList::INLINE`] ids therefore live
-/// inline (at no size cost: the inline variant is no larger than a spilled
-/// `Vec`), and longer lists spill to the heap. The representation is
-/// private; the type dereferences to `[LabelId]` everywhere it is read.
-#[derive(Debug, Clone)]
-pub struct LabelList(Repr);
-
-#[derive(Debug, Clone)]
-enum Repr {
-    Inline(u8, [LabelId; LabelList::INLINE]),
-    Heap(Vec<LabelId>),
-}
-
-impl LabelList {
-    /// Longest list stored without a heap allocation.
-    pub const INLINE: usize = 6;
-
-    /// An empty list.
-    pub fn new() -> Self {
-        LabelList(Repr::Inline(0, [LabelId(0); Self::INLINE]))
-    }
-
-    /// An empty list with room for `n` labels, taking its one heap
-    /// allocation up front when `n` exceeds the inline capacity.
-    pub fn with_capacity(n: usize) -> Self {
-        if n <= Self::INLINE {
-            Self::new()
-        } else {
-            LabelList(Repr::Heap(Vec::with_capacity(n)))
-        }
-    }
-
-    /// Appends `label`, spilling to the heap when the inline buffer is full.
-    pub fn push(&mut self, label: LabelId) {
-        match &mut self.0 {
-            Repr::Inline(len, buf) => {
-                if (*len as usize) < Self::INLINE {
-                    buf[*len as usize] = label;
-                    *len += 1;
-                } else {
-                    let mut spilled = Vec::with_capacity(Self::INLINE * 2);
-                    spilled.extend_from_slice(&buf[..]);
-                    spilled.push(label);
-                    self.0 = Repr::Heap(spilled);
-                }
-            }
-            Repr::Heap(v) => v.push(label),
-        }
-    }
-
-    fn as_slice(&self) -> &[LabelId] {
-        match &self.0 {
-            Repr::Inline(len, buf) => &buf[..*len as usize],
-            Repr::Heap(v) => v,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [LabelId] {
-        match &mut self.0 {
-            Repr::Inline(len, buf) => &mut buf[..*len as usize],
-            Repr::Heap(v) => v,
-        }
-    }
-}
-
-impl Extend<LabelId> for LabelList {
-    fn extend<I: IntoIterator<Item = LabelId>>(&mut self, iter: I) {
-        match &mut self.0 {
-            // Heap lists take `Vec::extend`'s specialized bulk path; inline
-            // lists push one by one (at most INLINE items before a spill).
-            Repr::Heap(v) => v.extend(iter),
-            Repr::Inline(..) => {
-                for label in iter {
-                    self.push(label);
-                }
-            }
-        }
-    }
-}
-
-impl Default for LabelList {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl From<Vec<LabelId>> for LabelList {
-    fn from(v: Vec<LabelId>) -> Self {
-        if v.len() <= Self::INLINE {
-            let mut list = LabelList::new();
-            for &l in &v {
-                list.push(l);
-            }
-            list
-        } else {
-            LabelList(Repr::Heap(v))
-        }
-    }
-}
-
-impl From<&[LabelId]> for LabelList {
-    /// Copies `labels`, taking one exactly sized heap allocation when they
-    /// do not fit inline.
-    fn from(labels: &[LabelId]) -> Self {
-        if labels.len() > Self::INLINE {
-            return LabelList(Repr::Heap(labels.to_vec()));
-        }
-        let mut buf = [LabelId(0); Self::INLINE];
-        for (slot, &label) in buf.iter_mut().zip(labels) {
-            *slot = label;
-        }
-        LabelList(Repr::Inline(labels.len() as u8, buf))
-    }
-}
-
-impl std::ops::Deref for LabelList {
-    type Target = [LabelId];
-
-    fn deref(&self) -> &[LabelId] {
-        self.as_slice()
-    }
-}
-
-impl std::ops::DerefMut for LabelList {
-    fn deref_mut(&mut self) -> &mut [LabelId] {
-        self.as_mut_slice()
-    }
-}
-
-impl PartialEq for LabelList {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for LabelList {}
-
-impl<'a> IntoIterator for &'a LabelList {
-    type Item = &'a LabelId;
-    type IntoIter = std::slice::Iter<'a, LabelId>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a mut LabelList {
-    type Item = &'a mut LabelId;
-    type IntoIter = std::slice::IterMut<'a, LabelId>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_mut_slice().iter_mut()
+    /// Iterates over all interned `(id, function)` pairs, rebuilding each
+    /// function.
+    pub fn iter(&self) -> impl Iterator<Item = (LabelId, StringFn)> + '_ {
+        (0..self.labels.len() as u32).map(|i| (LabelId(i), self.resolve(LabelId(i))))
     }
 }
 
@@ -530,7 +503,7 @@ mod tests {
         let b = interner.intern(f.clone());
         assert_eq!(a, b);
         assert_eq!(interner.len(), 1);
-        assert_eq!(interner.resolve(a), &f);
+        assert_eq!(interner.resolve(a), f);
     }
 
     #[test]
@@ -570,7 +543,7 @@ mod tests {
         assert_eq!(interner.len(), fns.len());
         for (i, f) in fns.iter().enumerate() {
             assert_eq!(interner.get(f), Some(LabelId(i as u32)));
-            assert_eq!(interner.resolve(LabelId(i as u32)), f);
+            assert_eq!(interner.resolve(LabelId(i as u32)), *f);
         }
 
         let dup = vec![
@@ -579,28 +552,6 @@ mod tests {
             StringFn::constant("a"),
         ];
         assert!(LabelInterner::from_ordered(dup).is_none());
-    }
-
-    #[test]
-    fn label_list_spills_like_a_vec() {
-        // Stays inline through INLINE pushes, spills on the next one, and
-        // always reads back like the equivalent Vec.
-        let mut list = LabelList::new();
-        let mut reference = Vec::new();
-        for i in 0..(LabelList::INLINE as u32 + 3) {
-            list.push(LabelId(i));
-            reference.push(LabelId(i));
-            assert_eq!(&list[..], &reference[..]);
-            assert_eq!(list, LabelList::from(reference.clone()));
-            assert_eq!(list, LabelList::from(&reference[..]));
-        }
-
-        let mut inline = LabelList::from(&[LabelId(7), LabelId(3)][..]);
-        for l in inline.iter_mut() {
-            *l = LabelId(l.0 + 1);
-        }
-        assert_eq!(&inline[..], &[LabelId(8), LabelId(4)]);
-        assert!(LabelList::with_capacity(64).is_empty());
     }
 
     /// Builds `reps` with the builder against one interner, and with the
@@ -618,9 +569,9 @@ mod tests {
             let got = builder.build(r, &mut fast).expect("graph");
             after_each(&mut fast);
             let want = reference_build(&config, r, &mut slow).expect("graph");
-            assert_eq!(got.edges(), want.edges(), "{r}");
+            assert_eq!(got, want, "{r}");
         }
-        let order = |i: &LabelInterner| i.iter().map(|(_, f)| f.clone()).collect::<Vec<_>>();
+        let order = |i: &LabelInterner| i.iter().map(|(_, f)| f).collect::<Vec<_>>();
         assert_eq!(order(&fast), order(&slow), "interner order");
         fast
     }
@@ -635,14 +586,15 @@ mod tests {
             Replacement::new(&lhs, " 1a1"),
         ];
         let interner = assert_matches_reference(&reps, |_| {});
-        assert_eq!(interner.position_ids.len(), POSITION_BOUND);
+        assert!(interner.positions.values.len() > POSITION_BOUND);
         assert_eq!(interner.pairs.len(), POSITION_BOUND * POSITION_BOUND);
-        let numbered = |p: &PositionFn| interner.position_ids.contains_key(p);
+        let numbered = |p: u32| (p as usize) < POSITION_BOUND;
         let past_bound = interner
+            .labels
             .iter()
-            .filter(|(_, f)| matches!(f, StringFn::SubStr(l, r) if !numbered(l) || !numbered(r)))
+            .filter(|label| matches!(label, Label::SubStr(l, r) if !numbered(*l) || !numbered(*r)))
             .count();
-        assert!(past_bound > 0, "some SubStr label interned by value");
+        assert!(past_bound > 0, "some SubStr label interned by hash only");
     }
 
     #[test]
@@ -653,16 +605,62 @@ mod tests {
             Replacement::new("Lee, Mary", "Mary Lee"),
             Replacement::new("Zürich Straße", "Straße Zürich"),
         ];
-        // Release after every graph: the next build renumbers position
-        // functions from scratch, and still interns exactly the reference ids.
+        // Release after every graph: the next build refills the pair table
+        // from scratch, and still interns exactly the reference ids.
         assert_matches_reference(&reps, |interner| {
             assert!(interner.pairs_dim > 0, "the pair table was used");
             interner.release_side_indexes();
-            assert!(interner.position_ids.is_empty());
-            assert_eq!(interner.position_ids.capacity(), 0);
             assert_eq!(interner.pairs.capacity(), 0);
             assert_eq!(interner.pairs_dim, 0);
         });
+    }
+
+    #[test]
+    fn every_kind_of_label_resolves_and_is_found_again() {
+        let literal = Term::Literal("Str".into());
+        let fns = [
+            StringFn::constant("Straße"),
+            StringFn::constant(""),
+            StringFn::sub_str(
+                PositionFn::match_pos(Term::Upper, 1, Dir::Begin),
+                PositionFn::match_pos(literal.clone(), -1, Dir::End),
+            ),
+            StringFn::sub_str(PositionFn::const_pos(2), PositionFn::const_pos(-1)),
+            StringFn::prefix(Term::Lower, 1),
+            StringFn::suffix(Term::Lower, 1),
+            StringFn::prefix(literal.clone(), -2),
+            StringFn::suffix(Term::Digits, -1),
+        ];
+        let mut interner = LabelInterner::new();
+        let ids: Vec<LabelId> = fns.iter().map(|f| interner.intern(f.clone())).collect();
+        assert_eq!(ids, (0..fns.len() as u32).map(LabelId).collect::<Vec<_>>());
+        for (f, &id) in fns.iter().zip(&ids) {
+            assert_eq!(interner.resolve(id), *f);
+            assert_eq!(interner.get(f), Some(id));
+            assert_eq!(interner.intern(f.clone()), id, "{f}");
+            let text = match f {
+                StringFn::ConstantStr(c) => Some(&**c),
+                _ => None,
+            };
+            assert_eq!(interner.constant(id), text);
+        }
+        assert_eq!(interner.len(), fns.len());
+        // Near misses share a table entry with an interned label but are not
+        // interned themselves.
+        let absent = [
+            StringFn::constant("Strasse"),
+            StringFn::sub_str(PositionFn::const_pos(-1), PositionFn::const_pos(2)),
+            StringFn::suffix(literal, -2),
+            StringFn::prefix(Term::Whitespace, 1),
+        ];
+        for f in &absent {
+            assert_eq!(interner.get(f), None, "{f}");
+        }
+    }
+
+    #[test]
+    fn a_label_is_one_small_record() {
+        assert!(std::mem::size_of::<Label>() <= 16);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod replacement;
 pub mod structure;
 
 pub use builder::{ConstantPolicy, Edge, GraphBuilder, GraphConfig, TransformationGraph};
-pub use label::{LabelId, LabelInterner, LabelList};
+pub use label::{LabelId, LabelInterner};
 pub use parallel::Parallelism;
 pub use pool::{PoolTask, WorkerPool};
 pub use replacement::Replacement;

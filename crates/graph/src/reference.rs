@@ -5,7 +5,7 @@
 //! its graphs and interner order; differential tests here and in dependent
 //! crates pin that. Not meant for use outside tests.
 
-use crate::builder::{ConstantPolicy, Edge, GraphConfig, TransformationGraph};
+use crate::builder::{ConstantPolicy, GraphConfig, TransformationGraph};
 use crate::label::{LabelId, LabelInterner};
 use crate::replacement::Replacement;
 use ec_dsl::{Dir, PositionFn, StrCtx, StringFn, CLASS_TERMS};
@@ -128,14 +128,13 @@ pub fn reference_build(
             }
         }
     }
-    let edges: Vec<Edge> = edge_labels
+    let edge_labels: Vec<((u32, u32), Vec<LabelId>)> = edge_labels
         .into_iter()
         .filter(|(_, labels)| !labels.is_empty())
-        .map(|((from, to), labels)| Edge {
-            from,
-            to,
-            labels: labels.into(),
-        })
         .collect();
-    TransformationGraph::from_parts(replacement.clone(), t_len as u32, edges)
+    let edges = edge_labels
+        .iter()
+        .map(|&((from, to), ref labels)| (from, to, labels.len() as u32));
+    let labels = edge_labels.iter().flat_map(|(_, l)| l).copied().collect();
+    TransformationGraph::from_parts(replacement.clone(), t_len as u32, edges, labels)
 }

@@ -18,8 +18,12 @@
 //! per-graph lower bounds (`G_lo`) across invocations. Once graphs are removed
 //! from `G` after a group is emitted those stale bounds can exceed the true
 //! pivot share count, so this implementation resets the lower bounds at the
-//! start of every invocation (they are still used for global-threshold pruning
-//! *within* an invocation). Upper bounds remain valid across invocations —
+//! start of every invocation. Within an invocation they never prune either:
+//! a bound a search raises is at most the share of the path it found, which
+//! is at most the current best share, and the next search already runs at
+//! that share as its threshold. Only the one-shot grouper, whose searches
+//! do not share one running best, prunes with them. Upper bounds remain
+//! valid across invocations —
 //! removing graphs can only shrink pivot share counts — and are carried over
 //! and tightened, which is where the incremental speed-up comes from.
 

@@ -7,7 +7,6 @@
 //! pivot search reads (derived once per state, not once per searcher).
 
 use crate::config::GroupingConfig;
-use ec_dsl::StringFn;
 use ec_graph::{GraphBuilder, LabelId, LabelInterner, Replacement, TransformationGraph};
 use ec_index::{GraphId, InvertedIndex};
 use std::collections::HashSet;
@@ -124,12 +123,10 @@ impl PreparedGraphs {
     /// change any label's list, so the posting classes are recomputed whole.
     fn derive_search_tables(&mut self) {
         self.last_nodes = self.graphs.iter().map(|g| g.last_node()).collect();
-        self.constant_chars = self
-            .interner
-            .iter()
-            .map(|(_, f)| match f {
-                StringFn::ConstantStr(c) => c.chars().count(),
-                _ => 0,
+        self.constant_chars = (0..self.interner.len() as u32)
+            .map(|l| {
+                let text = self.interner.constant(LabelId(l));
+                text.map_or(0, |c| c.chars().count())
             })
             .collect();
         self.posting_classes = posting_classes(&self.graphs, self.index.num_labels());
@@ -251,33 +248,21 @@ impl PreparedGraphs {
         if t_len == 0 {
             return 1;
         }
-        let mut ub = vec![0usize; t_len];
+        let mut ub = vec![0u32; t_len];
         for edge in graph.edges() {
-            let mut best = 0usize;
-            for &label in &edge.labels {
-                best = best.max(self.index.list_graph_count(label));
-            }
-            for slot in ub
-                .iter_mut()
-                .take(edge.to as usize)
-                .skip(edge.from as usize)
-            {
-                if *slot < best {
-                    *slot = best;
-                }
+            let best = edge.labels.iter().map(|&l| self.index.list_graph_count(l));
+            let best = best.max().unwrap_or(0) as u32;
+            for slot in &mut ub[edge.from as usize..edge.to as usize] {
+                *slot = (*slot).max(best);
             }
         }
-        ub.into_iter().min().unwrap_or(1).max(1)
+        ub.into_iter().min().map_or(1, |min| min.max(1) as usize)
     }
 
     /// Resolves a path of label ids into the corresponding transformation
     /// program.
     pub fn resolve_program(&self, path: &[LabelId]) -> ec_dsl::Program {
-        ec_dsl::Program::new(
-            path.iter()
-                .map(|&l| self.interner.resolve(l).clone())
-                .collect(),
-        )
+        ec_dsl::Program::new(path.iter().map(|&l| self.interner.resolve(l)).collect())
     }
 }
 
@@ -318,7 +303,7 @@ fn posting_classes(graphs: &[TransformationGraph], num_labels: usize) -> Vec<u32
     let (mut free, mut emptied) = (Vec::new(), Vec::new());
     for (edge_stamp, edge) in graphs.iter().flat_map(|g| g.edges()).enumerate() {
         let edge_stamp = edge_stamp as u32;
-        for &label in &edge.labels {
+        for &label in edge.labels {
             let from = of_label[label.index()] as usize;
             if blocks[from].split_by != edge_stamp {
                 let to = free.pop().unwrap_or_else(|| {
@@ -363,6 +348,7 @@ fn posting_classes(graphs: &[TransformationGraph], num_labels: usize) -> Vec<u32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_dsl::StringFn;
     use ec_graph::Parallelism;
 
     fn reps() -> Vec<Replacement> {
@@ -436,12 +422,12 @@ mod tests {
         let (seq, par) = (build(1), build(4));
         assert_eq!(seq.replacements(), par.replacements());
         let labels = |p: &PreparedGraphs| -> Vec<ec_dsl::StringFn> {
-            p.interner().iter().map(|(_, f)| f.clone()).collect()
+            p.interner().iter().map(|(_, f)| f).collect()
         };
         assert_eq!(labels(&seq), labels(&par), "interner id order");
         for g in 0..seq.len() {
             let gid = GraphId(g as u32);
-            assert_eq!(seq.graph(gid).edges(), par.graph(gid).edges(), "graph {g}");
+            assert_eq!(seq.graph(gid), par.graph(gid), "graph {g}");
         }
         assert_eq!(seq.index().raw_parts(), par.index().raw_parts());
     }
@@ -654,9 +640,8 @@ mod tests {
                 (0..g.t_len())
                     .map(|p| {
                         g.edges()
-                            .iter()
                             .filter(|e| e.from as usize <= p && p < e.to as usize)
-                            .flat_map(|e| e.labels.iter())
+                            .flat_map(|e| e.labels)
                             .map(|&l| index.list_graph_count(l))
                             .max()
                             .unwrap_or(0)
@@ -667,14 +652,11 @@ mod tests {
             })
             .collect();
         Expected {
-            labels: interner.iter().map(|(_, f)| f.clone()).collect(),
+            labels: interner.iter().map(|(_, f)| f).collect(),
             last_nodes: graphs.iter().map(|g| g.last_node()).collect(),
             constant_chars: interner
                 .iter()
-                .map(|(_, f)| match f {
-                    StringFn::ConstantStr(c) => c.chars().count(),
-                    _ => 0,
-                })
+                .map(|(_, f)| f.constant_len().unwrap_or(0))
                 .collect(),
             graphs,
             index,
@@ -684,16 +666,11 @@ mod tests {
     }
 
     fn assert_prepared_matches(got: &PreparedGraphs, want: &Expected, what: &str) {
-        let labels: Vec<StringFn> = got.interner().iter().map(|(_, f)| f.clone()).collect();
+        let labels: Vec<StringFn> = got.interner().iter().map(|(_, f)| f).collect();
         assert_eq!(labels, want.labels, "{what}: interner order");
         assert_eq!(got.len(), want.graphs.len(), "{what}: graphs");
         for (g, (got_g, want_g)) in got.graphs().iter().zip(&want.graphs).enumerate() {
-            assert_eq!(
-                got_g.replacement(),
-                want_g.replacement(),
-                "{what}: graph {g}"
-            );
-            assert_eq!(got_g.edges(), want_g.edges(), "{what}: graph {g}");
+            assert_eq!(got_g, want_g, "{what}: graph {g}");
         }
         assert_eq!(
             got.index().raw_parts(),
@@ -769,25 +746,20 @@ mod tests {
         // (equal lists), and 9..12 never occur (equal, empty lists).
         let graphs: Vec<TransformationGraph> = (0..40)
             .map(|g| {
-                let edges = (0..4)
-                    .map(|to| {
-                        let mut labels = Vec::new();
-                        for _ in 0..1 + next(4) {
-                            let l = next(6) as u32;
-                            labels.push(LabelId(l));
-                            if l < 3 {
-                                labels.push(LabelId(l + 6));
-                            }
+                let (mut edges, mut labels) = (Vec::new(), Vec::new());
+                for from in 0..4 {
+                    let before = labels.len();
+                    for _ in 0..1 + next(4) {
+                        let l = next(6) as u32;
+                        labels.push(LabelId(l));
+                        if l < 3 {
+                            labels.push(LabelId(l + 6));
                         }
-                        ec_graph::Edge {
-                            from: to,
-                            to: to + 1,
-                            labels: labels.into(),
-                        }
-                    })
-                    .collect();
+                    }
+                    edges.push((from, from + 1, (labels.len() - before) as u32));
+                }
                 let r = Replacement::new(format!("g{g}"), "abcd");
-                TransformationGraph::from_parts(r, 4, edges).unwrap()
+                TransformationGraph::from_parts(r, 4, edges, labels).unwrap()
             })
             .collect();
         let index = InvertedIndex::build(&graphs, 12);
@@ -803,8 +775,8 @@ mod tests {
     fn resolve_program_round_trip() {
         let prepared = PreparedGraphs::build(&reps(), &GroupingConfig::default());
         let g = prepared.graph(GraphId(0));
-        let first_edge = &g.edges()[0];
-        let program = prepared.resolve_program(&first_edge.labels);
+        let first_edge = g.edges().next().expect("an edge");
+        let program = prepared.resolve_program(first_edge.labels);
         assert_eq!(program.len(), first_edge.labels.len());
     }
 }

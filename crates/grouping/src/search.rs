@@ -435,7 +435,7 @@ impl PivotSearcher {
         // guarantees that a complete path is known before the search budget
         // can run out and gives the local threshold an immediate baseline.
         if let Some(full_edge) = graph.edge(0, graph.last_node()) {
-            for &label in &full_edge.labels {
+            for &label in full_edge {
                 let list = state.index.extend(&universe, label);
                 let count = active_count(list.occurrences(), state.active);
                 let quality = Quality {
@@ -475,8 +475,8 @@ fn distance_to_end(graph: &ec_graph::TransformationGraph) -> Vec<u32> {
     dist[last as usize] = 0;
     for i in (0..last).rev() {
         let mut best = u32::MAX;
-        for edge in graph.out_edges(i) {
-            let d = dist[edge.to as usize];
+        for (to, _) in graph.out_edges(i) {
+            let d = dist[to as usize];
             if d != u32::MAX {
                 best = best.min(d + 1);
             }
@@ -566,18 +566,18 @@ fn collect_candidates(
     let mut collected: Vec<Collected> = Vec::new();
     let mut examined = 0usize;
     let mut memo = std::mem::take(&mut state.memo);
-    for edge in graph.out_edges(node) {
-        if last_step && edge.to != graph.last_node() {
+    for (to, labels) in graph.out_edges(node) {
+        if last_step && to != graph.last_node() {
             continue;
         }
         // Feasibility: after taking this edge there must still be enough path
         // length left to reach the last node.
-        let to_end = state.dist_to_end[edge.to as usize];
+        let to_end = state.dist_to_end[to as usize];
         if to_end == u32::MAX || 1 + to_end as usize > remaining {
             continue;
         }
         memo.clear();
-        for &label in &edge.labels {
+        for &label in labels {
             // Cheap upper bound: a label occurring in at most `threshold`
             // graphs can never lead to an acceptable path.
             if state.index.list_graph_count(label) <= state.threshold {
@@ -612,11 +612,9 @@ fn collect_candidates(
             }
             state.index.extend_into(list, label, &mut state.scratch);
             let extended = &state.scratch[..];
-            let hash = state_hash(edge.to, extended);
+            let hash = state_hash(to, extended);
             let seen = collected.iter().position(|c| {
-                c.hash == hash
-                    && c.candidate.1 == edge.to
-                    && c.candidate.2.occurrences() == extended
+                c.hash == hash && c.candidate.1 == to && c.candidate.2.occurrences() == extended
             });
             let outcome = if let Some(slot) = seen {
                 collapse(&mut collected[slot], label, next_chars, examined);
@@ -626,7 +624,7 @@ fn collect_candidates(
                 if count > 0 && state.viable(count, partial) {
                     let extended = PathList::from_sorted_slice(extended);
                     collected.push(Collected {
-                        candidate: (label, edge.to, extended, count, next_chars),
+                        candidate: (label, to, extended, count, next_chars),
                         hash,
                         examined,
                     });
@@ -1044,12 +1042,12 @@ mod tests {
                 return;
             }
             let mut children = Vec::new();
-            for edge in self.graph.out_edges(node) {
-                let to_end = self.dist_to_end[edge.to as usize];
+            for (to, labels) in self.graph.out_edges(node) {
+                let to_end = self.dist_to_end[to as usize];
                 if to_end == u32::MAX || len + 1 + to_end as usize > self.max_path_len {
                     continue;
                 }
-                for &label in &edge.labels {
+                for &label in labels {
                     if self.index.list_graph_count(label) <= self.threshold {
                         continue;
                     }
@@ -1065,7 +1063,7 @@ mod tests {
                         len: len + 1,
                     };
                     if count > 0 && self.viable(count, partial) {
-                        children.push((label, edge.to, extended, count, next));
+                        children.push((label, to, extended, count, next));
                     }
                 }
             }
@@ -1122,7 +1120,7 @@ mod tests {
         };
         let universe = PathList::universe(prepared.len());
         if let Some(full_edge) = graph.edge(0, graph.last_node()) {
-            for &label in &full_edge.labels {
+            for &label in full_edge {
                 let list = oracle.index.extend(&universe, label);
                 let count = active_count(list.occurrences(), active);
                 let quality = Quality {
@@ -1306,8 +1304,8 @@ mod tests {
         let classes = prep.posting_classes();
         let graph = prep.graph(GraphId(0));
         let on_edge = |to: u32| -> Vec<u32> {
-            let edge = graph.edge(0, to).expect("edge");
-            edge.labels.iter().map(|l| classes[l.index()]).collect()
+            let labels = graph.edge(0, to).expect("edge");
+            labels.iter().map(|l| classes[l.index()]).collect()
         };
         let (one, two) = (on_edge(1), on_edge(2));
         let shared: Vec<u32> = one.iter().copied().filter(|c| two.contains(c)).collect();

@@ -411,7 +411,7 @@ impl InvertedIndex {
         // Pass 1: postings per label.
         let mut counts: Vec<u32> = vec![0; num_labels];
         for graph in graphs {
-            for (_, _, label) in graph.label_triples() {
+            for label in graph.labels() {
                 let idx = label.index();
                 if idx >= counts.len() {
                     counts.resize(idx + 1, 0);
@@ -497,13 +497,11 @@ impl InvertedIndex {
         // Pass 1: appended postings per label.
         let mut added: Vec<u32> = vec![0; num_labels.max(old_labels)];
         for graph in new_graphs {
-            for edge in graph.edges() {
-                for label in edge.labels.iter().map(|l| l.index()) {
-                    if label >= added.len() {
-                        added.resize(label + 1, 0);
-                    }
-                    added[label] += 1;
+            for label in graph.labels().iter().map(|l| l.index()) {
+                if label >= added.len() {
+                    added.resize(label + 1, 0);
                 }
+                added[label] += 1;
             }
         }
         let num_labels = added.len();
@@ -549,7 +547,7 @@ impl InvertedIndex {
                     from: edge.from,
                     to: edge.to,
                 };
-                for label in edge.labels.iter() {
+                for label in edge.labels {
                     let cursor = &mut cursors[label.index()];
                     postings[*cursor as usize] = posting;
                     *cursor += 1;

@@ -1,7 +1,7 @@
 //! ASCII line charts.
 //!
-//! The experiment binaries print their curves directly to the terminal and
-//! `EXPERIMENTS.md`; an eyeball-able chart is enough to compare the *shape* of
+//! The experiment binaries print their curves directly to the terminal; an
+//! eyeball-able chart is enough to compare the *shape* of
 //! the reproduced figures against the paper (who wins, by how much, where the
 //! curves flatten). Rendering is deterministic: the same figure always
 //! produces the same characters.

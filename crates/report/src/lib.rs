@@ -9,7 +9,7 @@
 //! * [`Series`] / [`Figure`] — named `(x, y)` curves grouped into a figure
 //!   with axis labels, mirroring the paper's Figures 6–10.
 //! * [`ascii_chart`] — renders a figure as a fixed-width ASCII line chart so
-//!   results are readable in a terminal and in `EXPERIMENTS.md`.
+//!   results are readable in a terminal.
 //! * [`TextTable`] — aligned plain-text and Markdown tables for the paper's
 //!   Tables 6 and 8.
 //! * [`gnuplot_dat`] / [`csv_export`] — machine-readable exports for anyone

@@ -1,7 +1,7 @@
 //! Aligned plain-text and Markdown tables.
 //!
-//! The paper's Tables 6 and 8 (and the per-experiment summaries in
-//! `EXPERIMENTS.md`) are small tables of numbers; this module renders them
+//! The paper's Tables 6 and 8 (and the per-experiment summaries the
+//! `ec-bench` binaries print) are small tables of numbers; this module renders them
 //! with aligned columns for the terminal and as GitHub-flavoured Markdown for
 //! documentation.
 
