@@ -245,11 +245,10 @@ SUBCOMMANDS:
                  [--truth-method majority|reliability]
                  [--output FILE]  [--golden FILE]  [--threads N]
                  [--save-library FILE]
-  ingest       incremental (delta) pipeline: stream flat records in batches
-               through a persistent consolidation state; the final golden
-               output is byte-identical to `ec pipeline` over the same
-               records, but seen shapes score no pairs and run no pivot
-               search (residue pays for the learning)
+  ingest       `ec pipeline` fed in batches: every batch's records go into
+               one resolution state, then the consolidation runs once over
+               everything absorbed; the output files are `ec pipeline`'s
+               own, and the summary adds one line per batch
                  --input FILE  [--batch-size N]  [--threshold T]
                  [--name NAME]  [--budget N]  [--mode auto|approve-all]
                  [--truth-method majority|reliability]

@@ -26,7 +26,6 @@ use ec_profile::{prioritize_columns, render_dataset_profile, render_priorities, 
 use ec_replace::{generate_candidates, CandidateConfig};
 use ec_report::table::fmt_f64;
 use ec_report::TextTable;
-use ec_resolution::RawRecord;
 use ec_serve::{Router, RouterConfig, ServeConfig, Server};
 use std::io::{BufRead, Read, Write};
 
@@ -68,25 +67,22 @@ impl<'p> Sinks<'p> {
         })
     }
 
-    /// Streams the standardized dataset (when there is one), the golden
-    /// records and the library snapshot into the files that were opened,
-    /// noting each path — and the number of saved programs — in `output`.
+    /// Streams the standardized dataset, its golden records and the library
+    /// snapshot into the files that were opened, noting each path — and the
+    /// number of saved programs — in `output`.
     fn write(
         self,
         mut output: CommandOutput,
-        standardized: Option<&Dataset>,
-        columns: &[String],
+        standardized: &Dataset,
         golden: &[Vec<Option<String>>],
         library: Option<&ProgramLibrary>,
     ) -> Result<CommandOutput, CliError> {
         if let Some((path, mut sink)) = self.output {
-            if let Some(dataset) = standardized {
-                stream_clustered_csv(dataset, &mut sink).map_err(write_failed(path))?;
-            }
+            stream_clustered_csv(standardized, &mut sink).map_err(write_failed(path))?;
             output = output.note_written(path);
         }
         if let Some((path, mut sink)) = self.golden {
-            write_golden_records_csv(columns, golden, &mut sink)
+            write_golden_records_csv(&standardized.columns, golden, &mut sink)
                 .and_then(|()| sink.flush())
                 .map_err(write_failed(path))?;
             output = output.note_written(path);
@@ -371,8 +367,8 @@ impl OracleSource for InteractiveReview<'_> {
     }
 }
 
-/// The shared consolidation driver behind `ec consolidate` and `ec
-/// pipeline`. The dataset comes from a loaded `--artifact` — whose compiled
+/// The shared consolidation driver behind `ec consolidate`, `ec pipeline`
+/// and `ec ingest`. The dataset comes from a loaded `--artifact` — whose compiled
 /// state is replayed, byte-identically, so candidate generation, grouping
 /// preparation and index building are all skipped — or from `load`, which
 /// also returns whether the dataset carries ground truth and the stdout
@@ -487,8 +483,7 @@ fn consolidate_with(
     }
     sinks.write(
         CommandOutput::text(out),
-        Some(&dataset),
-        &dataset.columns,
+        &dataset,
         &golden,
         library.as_ref(),
     )
@@ -556,89 +551,53 @@ pub fn pipeline(
     consolidate_with(parsed, load, open_output, stdin, prompt_out)
 }
 
-/// `ec ingest`: the incremental (delta) pipeline. Flat records stream in
-/// batch by batch through a persistent [`ec_core::DeltaPipeline`]: match
-/// decisions, per-cluster candidates, prepared grouping partitions and the
-/// emitted group sequence survive between batches, so a batch of
-/// already-seen shapes scores no pairs and runs no pivot search. Every batch
-/// still streams the state's candidate pairs through the decision cache,
-/// refills the previous batch's dataset in place and re-runs review and
-/// truth discovery over it. The final `--output` /
-/// `--golden` files are byte-identical to `ec pipeline` over the same
-/// records with the same flags.
+/// `ec ingest`: `ec pipeline` fed in `--batch-size` batches. The records go
+/// one at a time into the one resolution state `ec pipeline` builds, and
+/// the consolidation runs once, over all of them, exactly as `ec pipeline`
+/// runs it: the `--output`, `--golden` and `--save-library` files are `ec
+/// pipeline`'s own. The summary opens with one line per batch of
+/// `--batch-size` records and the ingest total.
 pub fn ingest(
     parsed: &ParsedArgs,
     input: impl Read,
     open_output: OpenOutput<'_>,
 ) -> Result<CommandOutput, CliError> {
-    let options = run_options(parsed, false)?;
+    // Checks the knobs with `--mode interactive` refused; `consolidate_with`
+    // parses them again.
+    run_options(parsed, false)?;
     let batch_size = parsed.get_usize("batch-size", 256)?;
     if batch_size == 0 {
         return Err(CliError::Usage("--batch-size must be positive".to_string()));
     }
-    let threads = parsed.get_usize("threads", 0)?;
-    let mut stream = FlatCsvReader::new(input)?;
-    let sinks = Sinks::open(parsed, open_output)?;
-    let mut delta = options.delta_pipeline(stream.columns().to_vec(), threads);
-
-    let mut out = String::new();
-    let mut batch: Vec<RawRecord> = Vec::with_capacity(batch_size);
-    loop {
-        batch.clear();
-        while batch.len() < batch_size {
-            match stream.next_record() {
-                Some(record) => {
-                    let record = record?;
-                    batch.push(RawRecord {
-                        source: record.source,
-                        fields: record.fields,
-                    });
-                }
-                None => break,
-            }
+    let load = |options: &RunOptions, parallelism| {
+        let mut stream = FlatCsvReader::new(input)?;
+        let dataset = options.resolve(&mut stream, parallelism)?;
+        // The resolved dataset holds one row per record read.
+        let records = dataset.num_records();
+        let batches = records.div_ceil(batch_size).max(1);
+        let mut summary = String::new();
+        for batch in 1..=batches {
+            let total = (batch * batch_size).min(records);
+            let size = total - (batch - 1) * batch_size;
+            summary.push_str(&format!(
+                "batch {batch}: {size} records, {total} records total\n"
+            ));
         }
-        if batch.is_empty() && delta.batches() > 0 {
-            break;
-        }
-        let report = delta.ingest_batch(std::mem::take(&mut batch));
-        out.push_str(&format!(
-            "batch {}: {} records ({} fast-path hits / {} residue), {} clusters, \
-             {} records total, replayed {}/{} columns\n",
-            delta.batches(),
-            report.batch_records,
-            report.library_hits,
-            report.residue,
-            report.clusters,
-            report.total_records,
-            report.replayed_columns,
-            report.columns.len(),
+        summary.push_str(&format!(
+            "ingested {records} records in {batches} batches of up to {batch_size} \
+             (threshold {}, {} mode): {} clusters\n",
+            options.threshold,
+            options.mode_name(),
+            dataset.clusters.len(),
         ));
-        if report.batch_records < batch_size {
-            break;
-        }
-    }
-
-    let hits = delta.library_hits();
-    let seen = hits + delta.library_misses();
-    out.push_str(&format!(
-        "ingested {} records in {} batches of up to {} (threshold {}, {} mode): {} clusters\n\
-         fast path: {} hits / {} residue ({}% seen shapes)\n",
-        delta.len(),
-        delta.batches(),
-        batch_size,
-        options.threshold,
-        options.mode_name(),
-        delta.standardized().map_or(0, |d| d.clusters.len()),
-        hits,
-        delta.library_misses(),
-        fmt_f64(100.0 * hits as f64 / seen.max(1) as f64, 1),
-    ));
-    sinks.write(
-        CommandOutput::text(out),
-        delta.standardized(),
-        delta.columns(),
-        delta.golden(),
-        Some(delta.library()),
+        Ok((dataset, true, summary))
+    };
+    consolidate_with(
+        parsed,
+        load,
+        open_output,
+        &mut std::io::empty(),
+        &mut std::io::sink(),
     )
 }
 
@@ -1481,6 +1440,8 @@ mod tests {
             "std.csv",
             "--golden",
             "g.csv",
+            "--save-library",
+            "lib.txt",
         ];
 
         let pipeline_fs = MemFiles::new();
@@ -1488,7 +1449,7 @@ mod tests {
         let mut prompts = Vec::new();
         let mut argv = vec!["pipeline", "--input", "f.csv"];
         argv.extend(flags);
-        pipeline(
+        let piped = pipeline(
             &parsed(&argv),
             flat.as_bytes(),
             &pipeline_fs.output_opener(),
@@ -1496,15 +1457,29 @@ mod tests {
             &mut prompts,
         )
         .unwrap();
+        // Past its "resolved …" line, the pipeline's summary is ingest's too.
+        let (_, consolidated) = piped.stdout.split_once('\n').unwrap();
+        let records = flat.lines().count() - 1;
 
-        for batch_size in ["7", "1000"] {
+        for (batch_size, batches) in [(7, records.div_ceil(7)), (1000, 1)] {
             let ingest_fs = MemFiles::new();
-            let mut argv = vec!["ingest", "--input", "f.csv", "--batch-size", batch_size];
+            let size = batch_size.to_string();
+            let mut argv = vec!["ingest", "--input", "f.csv", "--batch-size", &size];
             argv.extend(flags);
             let out = ingest(&parsed(&argv), flat.as_bytes(), &ingest_fs.output_opener()).unwrap();
-            assert!(out.stdout.contains("batch 1:"), "{}", out.stdout);
-            assert!(out.stdout.contains("fast path:"), "{}", out.stdout);
-            for file in ["std.csv", "g.csv"] {
+            let batch_lines = out.stdout.lines().filter(|l| l.starts_with("batch "));
+            assert_eq!(batch_lines.count(), batches, "{}", out.stdout);
+            assert!(
+                out.stdout.contains(&format!(
+                    "batch {batches}: {} records, {records} records total\n\
+                     ingested {records} records in {batches} batches",
+                    records - (batches - 1) * batch_size
+                )),
+                "{}",
+                out.stdout
+            );
+            assert!(out.stdout.ends_with(consolidated), "{}", out.stdout);
+            for file in ["std.csv", "g.csv", "lib.txt"] {
                 assert_eq!(
                     ingest_fs.get(file),
                     pipeline_fs.get(file),

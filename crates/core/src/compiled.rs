@@ -17,10 +17,9 @@
 use crate::consolidate::RunOptions;
 use crate::pipeline::ConsolidationConfig;
 use ec_data::Dataset;
-use ec_graph::{PoolTask, Replacement};
+use ec_graph::Replacement;
 use ec_grouping::{partition_replacements, GroupingConfig, PreparedGraphs};
 use ec_replace::{CandidateSet, ReplacementEngine};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One structure partition of a column, with its preparation done.
@@ -122,40 +121,23 @@ pub fn compile_dataset(
     }
 }
 
-/// Prepares every partition of `parts`: up to
-/// [`GroupingConfig::parallelism`] pool tasks each claim the next unprepared
-/// partition until none is left, and the results are put back in partition
-/// order. A partition's preparation does not depend on which task ran it,
-/// so the output is the same at every thread count.
+/// Prepares every partition of `parts` over [`GroupingConfig::parallelism`]
+/// (see [`ec_graph::Parallelism::map_claimed`]): the output is the same at
+/// every thread count.
 fn prepare_partitions(
     parts: Vec<Vec<Replacement>>,
     config: &GroupingConfig,
 ) -> Vec<CompiledPartition> {
     let parts = Arc::new(parts);
-    let next = Arc::new(AtomicUsize::new(0));
-    let tasks: Vec<PoolTask<Vec<(usize, PreparedGraphs)>>> =
-        (0..config.parallelism.shards(parts.len()))
-            .map(|_| {
-                let (parts, next, config) = (Arc::clone(&parts), Arc::clone(&next), config.clone());
-                Box::new(move || {
-                    let mut prepared = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(members) = parts.get(i) else {
-                            break prepared;
-                        };
-                        prepared.push((i, PreparedGraphs::build(members, &config)));
-                    }
-                }) as PoolTask<_>
-            })
-            .collect();
-    let mut prepared = config.parallelism.run_tasks(tasks).concat();
-    prepared.sort_unstable_by_key(|&(i, _)| i);
+    let build = config.clone();
+    let prepared = config.parallelism.map_claimed(&parts, move |members| {
+        PreparedGraphs::build(members, &build)
+    });
     let parts = Arc::try_unwrap(parts).unwrap_or_else(|parts| (*parts).clone());
     parts
         .into_iter()
         .zip(prepared)
-        .map(|(members, (_, prepared))| CompiledPartition {
+        .map(|(members, prepared)| CompiledPartition {
             members,
             prepared: Arc::new(prepared),
         })

@@ -156,23 +156,21 @@ struct ColumnCache {
 
 /// The incremental ingest orchestrator: feed record batches with
 /// [`DeltaPipeline::ingest_batch`], read the consolidated state back with
-/// [`DeltaPipeline::standardized`] / [`DeltaPipeline::golden`].
+/// [`DeltaPipeline::standardized`] / [`DeltaPipeline::write_golden_csv`].
 pub struct DeltaPipeline {
     resolver: DeltaResolver,
     pipeline: Pipeline,
     mode: AutoMode,
     truth: TruthMethod,
-    name: String,
-    columns: Vec<String>,
     library: ProgramLibrary,
     /// Raw observed values per column, for fast-path accounting.
     seen_values: Vec<HashSet<String>>,
     caches: Vec<ColumnCache>,
-    standardized: Option<Dataset>,
+    /// The standardized dataset of the latest batch, which the next batch's
+    /// snapshot refills in place (empty, under the schema, before the first).
+    dataset: Dataset,
     golden: Vec<Vec<Option<String>>>,
     batches: usize,
-    library_hits: u64,
-    library_misses: u64,
 }
 
 impl DeltaPipeline {
@@ -192,57 +190,23 @@ impl DeltaPipeline {
             pipeline: Pipeline::new(consolidation),
             mode,
             truth,
-            name: name.to_string(),
-            columns,
             library: ProgramLibrary::new(),
             seen_values: (0..num_columns).map(|_| HashSet::new()).collect(),
             caches: (0..num_columns).map(|_| ColumnCache::default()).collect(),
-            standardized: None,
+            dataset: Dataset::new(name, columns),
             golden: Vec::new(),
             batches: 0,
-            library_hits: 0,
-            library_misses: 0,
         }
-    }
-
-    /// The dataset name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The column names.
     pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
-    /// The consolidation configuration in use.
-    pub fn config(&self) -> &ConsolidationConfig {
-        self.pipeline.config()
-    }
-
-    /// Records ingested so far.
-    pub fn len(&self) -> usize {
-        self.resolver.len()
-    }
-
-    /// True when no record has been ingested.
-    pub fn is_empty(&self) -> bool {
-        self.resolver.is_empty()
+        &self.dataset.columns
     }
 
     /// Batches ingested so far.
     pub fn batches(&self) -> usize {
         self.batches
-    }
-
-    /// Total fast-path hits across all batches.
-    pub fn library_hits(&self) -> u64 {
-        self.library_hits
-    }
-
-    /// Total residue records across all batches.
-    pub fn library_misses(&self) -> u64 {
-        self.library_misses
     }
 
     /// The programs learned so far (grows as batches approve groups).
@@ -253,19 +217,14 @@ impl DeltaPipeline {
     /// The standardized dataset after the latest batch (`None` before the
     /// first batch).
     pub fn standardized(&self) -> Option<&Dataset> {
-        self.standardized.as_ref()
-    }
-
-    /// The golden records after the latest batch.
-    pub fn golden(&self) -> &[Vec<Option<String>>] {
-        &self.golden
+        (self.batches > 0).then_some(&self.dataset)
     }
 
     /// Writes the current golden records as CSV — the same serialization the
     /// one-shot pipeline uses, so delta and full-rebuild outputs can be
     /// byte-compared.
     pub fn write_golden_csv(&self, out: &mut dyn std::io::Write) -> std::io::Result<()> {
-        write_golden_records_csv(&self.columns, &self.golden, out)
+        write_golden_records_csv(&self.dataset.columns, &self.golden, out)
     }
 
     /// True when every field of `record` is an already-seen value or is
@@ -275,16 +234,17 @@ impl DeltaPipeline {
         if record.fields.is_empty() {
             return false;
         }
+        let columns = self.columns();
         record
             .fields
             .iter()
-            .take(self.columns.len())
+            .take(columns.len())
             .enumerate()
             .all(|(col, field)| {
                 if self.seen_values[col].contains(field) {
                     return true;
                 }
-                match self.library.standardize_value(&self.columns[col], field) {
+                match self.library.standardize_value(&columns[col], field) {
                     ValueOutcome::Rewritten(v) => self.seen_values[col].contains(&v),
                     ValueOutcome::Unchanged => true,
                     ValueOutcome::Unmatched => false,
@@ -302,8 +262,9 @@ impl DeltaPipeline {
         let hits = records.iter().filter(|r| self.is_library_hit(r)).count();
         let batch_records = records.len();
 
+        let num_columns = self.columns().len();
         for record in records {
-            for (col, field) in record.fields.iter().take(self.columns.len()).enumerate() {
+            for (col, field) in record.fields.iter().take(num_columns).enumerate() {
                 if !self.seen_values[col].contains(field) {
                     self.seen_values[col].insert(field.clone());
                 }
@@ -312,12 +273,8 @@ impl DeltaPipeline {
         }
 
         // The snapshot refills the dataset the previous batch produced.
-        let mut dataset = self
-            .standardized
-            .take()
-            .unwrap_or_else(|| Dataset::new(self.name.as_str(), self.columns.clone()));
-        self.resolver.snapshot_into(&mut dataset);
-        let clusters = dataset.clusters.len();
+        self.resolver.snapshot_into(&mut self.dataset);
+        let clusters = self.dataset.clusters.len();
 
         // Resolver snapshots always carry ground truth (truth := observed),
         // so the oracle selection matches the one-shot path with
@@ -331,10 +288,10 @@ impl DeltaPipeline {
             replayed_columns += usize::from(replayed);
             source
         };
-        let columns: Vec<usize> = (0..self.columns.len()).collect();
+        let columns: Vec<usize> = (0..num_columns).collect();
         let reports = review_columns(
             &self.pipeline,
-            &mut dataset,
+            &mut self.dataset,
             &columns,
             source,
             &mut AutoReview::new(self.mode, true),
@@ -343,11 +300,10 @@ impl DeltaPipeline {
         ingest_metrics()
             .replayed_columns
             .add(replayed_columns as u64);
-        self.golden = self.pipeline.discover_golden_records(&dataset, self.truth);
-        self.standardized = Some(dataset);
+        self.golden = self
+            .pipeline
+            .discover_golden_records(&self.dataset, self.truth);
         self.batches += 1;
-        self.library_hits += hits as u64;
-        self.library_misses += (batch_records - hits) as u64;
 
         BatchReport {
             batch_records,
@@ -561,16 +517,7 @@ mod tests {
         config: &ConsolidationConfig,
     ) -> (Dataset, Vec<Vec<Option<String>>>, ProgramLibrary) {
         let resolver = Resolver::new(ResolverConfig::default());
-        let mut stream = VecRecordStream::new(
-            columns(),
-            records
-                .iter()
-                .map(|r| ec_data::FlatRecord {
-                    source: r.source,
-                    fields: r.fields.clone(),
-                })
-                .collect(),
-        );
+        let mut stream = VecRecordStream::new(columns(), records.to_vec());
         let mut dataset = resolver.resolve_stream("delta-test", &mut stream).unwrap();
         let pipeline = Pipeline::new(config.clone());
         let mut library = ProgramLibrary::new();
@@ -585,6 +532,18 @@ mod tests {
         );
         let golden = pipeline.discover_golden_records(&dataset, TruthMethod::MajorityConsensus);
         (dataset, golden, library)
+    }
+
+    fn golden_csv(delta: &DeltaPipeline) -> Vec<u8> {
+        let mut csv = Vec::new();
+        delta.write_golden_csv(&mut csv).unwrap();
+        csv
+    }
+
+    fn one_shot_golden_csv(golden: &[Vec<Option<String>>]) -> Vec<u8> {
+        let mut csv = Vec::new();
+        write_golden_records_csv(&columns(), golden, &mut csv).unwrap();
+        csv
     }
 
     fn delta_over_splits(
@@ -622,18 +581,12 @@ mod tests {
                     "standardized dataset diverged (mode {mode:?}, splits {boundaries:?})"
                 );
                 assert_eq!(
-                    delta.golden(),
-                    expected_golden.as_slice(),
+                    golden_csv(&delta),
+                    one_shot_golden_csv(&expected_golden),
                     "golden records diverged (mode {mode:?}, splits {boundaries:?})"
                 );
                 // The library must end up with the same learned programs.
                 assert_eq!(delta.library().len(), expected_library.len());
-                // And the golden CSV must be byte-identical.
-                let mut ours = Vec::new();
-                delta.write_golden_csv(&mut ours).unwrap();
-                let mut theirs = Vec::new();
-                write_golden_records_csv(&columns(), &expected_golden, &mut theirs).unwrap();
-                assert_eq!(ours, theirs);
             }
         }
     }
@@ -665,8 +618,6 @@ mod tests {
             columns().len(),
             "unchanged candidates must replay the cached group sequence"
         );
-        assert_eq!(delta.library_hits(), records.len() as u64);
-        assert_eq!(delta.library_misses(), records.len() as u64);
         // Reports stay structurally identical to the one-shot pipeline's.
         assert_eq!(second.columns.len(), columns().len());
         assert!(second.columns.iter().all(|c| c.column < columns().len()));
@@ -699,7 +650,7 @@ mod tests {
                 let (expected, expected_golden, _) =
                     one_shot(&records[..end], AutoMode::ApproveAll, &config);
                 assert_eq!(delta.standardized(), Some(&expected), "after {end} records");
-                assert_eq!(delta.golden(), expected_golden.as_slice());
+                assert_eq!(golden_csv(&delta), one_shot_golden_csv(&expected_golden));
 
                 let snapshot = delta.resolver.snapshot("delta-test", columns());
                 for (col, cache) in delta.caches.iter().enumerate() {
@@ -745,11 +696,13 @@ mod tests {
         let report = delta.ingest_batch(Vec::new());
         assert_eq!(report.batch_records, 0);
         assert_eq!(report.clusters, 0);
-        assert!(delta.is_empty());
+        assert_eq!(report.total_records, 0);
         let report = delta.ingest_batch(vec![RawRecord::new(0, ["Mary Lee", "9 St"])]);
         assert_eq!(report.total_records, 1);
         assert_eq!(report.clusters, 1);
-        assert_eq!(delta.golden().len(), 1);
+        // The header and the one cluster's golden record.
+        let golden = String::from_utf8(golden_csv(&delta)).unwrap();
+        assert_eq!(golden.lines().count(), 2, "{golden}");
         assert_eq!(delta.batches(), 2);
     }
 }

@@ -18,8 +18,9 @@
 //! (oracle choice via an [`OracleSource`], library recording) every entry
 //! point runs. A column reaches that loop freshly generated, reassembled from
 //! a [`CompiledDataset`] (`ec compile` artifacts), or replayed from a
-//! [`DeltaPipeline`]'s cache (incremental ingest); flat records are resolved
-//! into clusters beforehand with `ec_resolution::Resolver::resolve_stream`.
+//! [`DeltaPipeline`]'s cache (`POST /ingest`'s incremental ingest); flat
+//! records are resolved into clusters beforehand with
+//! `ec_resolution::Resolver::resolve_stream`.
 //!
 //! ```
 //! use ec_core::{ConsolidationConfig, Pipeline, SimulatedOracle, TruthMethod};

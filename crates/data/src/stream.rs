@@ -30,13 +30,37 @@ use crate::model::{majority_golden, Cell, Cluster, Dataset, Row};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 
-/// One flat (unclustered) input record.
+/// One flat (unclustered) input record — what the readers yield and the
+/// resolver clusters (`ec_resolution::RawRecord` is this type).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatRecord {
-    /// The data source the record came from.
+    /// The data source the record came from (kept through to the dataset so
+    /// that source-reliability truth discovery can use it).
     pub source: usize,
     /// One value per attribute column.
     pub fields: Vec<String>,
+}
+
+impl FlatRecord {
+    /// Creates a record from anything iterable over string-likes.
+    pub fn new<I, S>(source: usize, fields: I) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        FlatRecord {
+            source,
+            fields: fields.into_iter().map(Into::into).collect(),
+        }
+    }
+}
+
+impl AsRef<[String]> for FlatRecord {
+    /// The field slice — lets blocking run directly over borrowed records
+    /// instead of cloning every field vector.
+    fn as_ref(&self) -> &[String] {
+        &self.fields
+    }
 }
 
 /// A pull-based stream of flat records with a known column schema.

@@ -11,8 +11,10 @@
 //! Every sharded stage is required to produce **bit-identical output** for
 //! every `Parallelism` value; the knob only trades wall-clock time for cores.
 
+use crate::pool::PoolTask;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Environment variable consulted by [`Parallelism::AUTO`].
 pub const EC_THREADS_ENV: &str = "EC_THREADS";
@@ -82,11 +84,43 @@ impl Parallelism {
     /// how many *shards* a stage cuts its work into, and since every sharded
     /// stage is bit-identical for any shard count, sharing one pool across
     /// stages (and server connections) never changes results.
-    pub fn run_tasks<R: Send + 'static>(self, tasks: Vec<crate::pool::PoolTask<R>>) -> Vec<R> {
+    pub fn run_tasks<R: Send + 'static>(self, tasks: Vec<PoolTask<R>>) -> Vec<R> {
         if tasks.len() <= 1 {
             return tasks.into_iter().map(|t| t()).collect();
         }
         crate::pool::shared().run(tasks)
+    }
+
+    /// Maps `f` over `items` and returns the results in item order. Up to
+    /// [`Parallelism::shards`] pool tasks each claim the next unclaimed item
+    /// until none is left, so one slow item holds up only its own task.
+    /// Which task ran an item cannot show in the output: it is the same at
+    /// every thread count.
+    pub fn map_claimed<T, R, F>(self, items: &Arc<Vec<T>>, f: F) -> Vec<R>
+    where
+        T: Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(&T) -> R + Send + Sync + 'static,
+    {
+        let (next, f) = (Arc::new(AtomicUsize::new(0)), Arc::new(f));
+        let tasks: Vec<PoolTask<Vec<(usize, R)>>> = (0..self.shards(items.len()))
+            .map(|_| {
+                let (items, next, f) = (Arc::clone(items), Arc::clone(&next), Arc::clone(&f));
+                Box::new(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            break done;
+                        };
+                        done.push((i, f(item)));
+                    }
+                }) as PoolTask<_>
+            })
+            .collect();
+        let mut done: Vec<(usize, R)> = self.run_tasks(tasks).into_iter().flatten().collect();
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -120,6 +154,23 @@ mod tests {
         assert_eq!(p.shards(3), 3);
         assert_eq!(p.shards(100), 8);
         assert_eq!(p.shards(0), 1);
+    }
+
+    #[test]
+    fn map_claimed_returns_item_order_at_every_thread_count() {
+        let items = Arc::new((0..64u64).collect::<Vec<_>>());
+        let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
+        // Slow items keep every task claiming, so the claims interleave.
+        let square = |x: &u64| {
+            std::thread::sleep(std::time::Duration::from_micros(500));
+            x * x
+        };
+        for threads in [1, 2, 3, 8] {
+            let squares = Parallelism::fixed(threads).map_claimed(&items, square);
+            assert_eq!(squares, expected, "{threads} threads");
+        }
+        let none = Parallelism::fixed(4).map_claimed(&Arc::new(Vec::<u64>::new()), |x| x + 1);
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct PreparedGraphs {
     last_nodes: Vec<u32>,
     /// `constant_chars[label]` — output characters the label emits as a
     /// constant (0 for non-constant labels).
-    constant_chars: Vec<usize>,
+    constant_chars: Vec<u32>,
     /// `posting_classes[label]` — the smallest label id whose posting list
     /// equals this label's (see [`PreparedGraphs::posting_classes`]).
     posting_classes: Vec<u32>,
@@ -126,7 +126,7 @@ impl PreparedGraphs {
         self.constant_chars = (0..self.interner.len() as u32)
             .map(|l| {
                 let text = self.interner.constant(LabelId(l));
-                text.map_or(0, |c| c.chars().count())
+                text.map_or(0, |c| c.chars().count() as u32)
             })
             .collect();
         self.posting_classes = posting_classes(&self.graphs, self.index.num_labels());
@@ -226,7 +226,7 @@ impl PreparedGraphs {
     /// `constant_chars()[label]` — how many output characters each label
     /// emits as a constant (0 for non-constant labels), the pivot search's
     /// tie-break weight.
-    pub(crate) fn constant_chars(&self) -> &[usize] {
+    pub(crate) fn constant_chars(&self) -> &[u32] {
         &self.constant_chars
     }
 
@@ -617,7 +617,7 @@ mod tests {
         index: InvertedIndex,
         classes: Vec<u32>,
         last_nodes: Vec<u32>,
-        constant_chars: Vec<usize>,
+        constant_chars: Vec<u32>,
         upper_bounds: Vec<usize>,
     }
 
@@ -656,7 +656,7 @@ mod tests {
             last_nodes: graphs.iter().map(|g| g.last_node()).collect(),
             constant_chars: interner
                 .iter()
-                .map(|(_, f)| f.constant_len().unwrap_or(0))
+                .map(|(_, f)| f.constant_len().unwrap_or(0) as u32)
                 .collect(),
             graphs,
             index,

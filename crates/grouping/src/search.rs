@@ -177,7 +177,7 @@ struct SearchState<'a> {
     /// as a constant (0 for non-constant labels), used for the static-order
     /// tie-break: among equally shared paths the one whose output depends the
     /// least on constants (and then the shorter one) is preferred.
-    constant_chars: &'a [usize],
+    constant_chars: &'a [u32],
     /// `classes[label]` — the label's posting class
     /// ([`PreparedGraphs::posting_classes`]); labels of one class on one
     /// edge are extended once (see [`collect_candidates`]).
@@ -439,7 +439,7 @@ impl PivotSearcher {
                 let list = state.index.extend(&universe, label);
                 let count = active_count(list.occurrences(), state.active);
                 let quality = Quality {
-                    constant_chars: state.constant_chars[label.index()],
+                    constant_chars: state.constant_chars[label.index()] as usize,
                     len: 1,
                 };
                 state.offer(count, quality, || (vec![label], list));
@@ -589,7 +589,7 @@ fn collect_candidates(
             }
             state.steps_left -= 1;
             examined += 1;
-            let next_chars = const_chars + state.constant_chars[label.index()];
+            let next_chars = const_chars + state.constant_chars[label.index()] as usize;
             let partial = Quality {
                 constant_chars: next_chars,
                 len: path_len + 1,
@@ -987,7 +987,7 @@ mod tests {
         index: &'a InvertedIndex,
         active: &'a [bool],
         last_nodes: &'a [u32],
-        constant_chars: &'a [usize],
+        constant_chars: &'a [u32],
         dist_to_end: Vec<u32>,
         max_path_len: usize,
         early_termination: bool,
@@ -1057,7 +1057,7 @@ mod tests {
                     self.steps_left -= 1;
                     let extended = self.index.extend(list, label);
                     let count = active_count(extended.occurrences(), self.active);
-                    let next = chars + self.constant_chars[label.index()];
+                    let next = chars + self.constant_chars[label.index()] as usize;
                     let partial = Quality {
                         constant_chars: next,
                         len: len + 1,
@@ -1124,7 +1124,7 @@ mod tests {
                 let list = oracle.index.extend(&universe, label);
                 let count = active_count(list.occurrences(), active);
                 let quality = Quality {
-                    constant_chars: oracle.constant_chars[label.index()],
+                    constant_chars: oracle.constant_chars[label.index()] as usize,
                     len: 1,
                 };
                 oracle.offer(count, quality, &[label], &list);

@@ -31,7 +31,6 @@ use crate::oneshot::{sort_groups, OneShotGrouper};
 use crate::prepared::PreparedGraphs;
 use ec_graph::{structure::replacement_structure, PoolTask, Replacement, ReplacementStructure};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Registry handles for partition prefetch: prefetched results the
@@ -373,26 +372,18 @@ impl StructuredGrouper {
     /// runs [`OneShotGrouper`] per partition, and returns all groups sorted by
     /// size. Used by the `OneShot`/`EarlyTerm` timing comparison of Figure 9.
     ///
-    /// Partitions are independent, so up to [`GroupingConfig::parallelism`]
-    /// pool tasks each claim the next unclaimed partition until none is left.
-    /// Which task groups which partition does not matter: the merged groups
-    /// are sorted by size and first member.
+    /// Partitions are independent, so they are grouped in parallel over
+    /// [`GroupingConfig::parallelism`] (see
+    /// [`ec_graph::Parallelism::map_claimed`]); the merged groups are sorted
+    /// by size and first member.
     pub fn one_shot_all(replacements: &[Replacement], config: GroupingConfig) -> Vec<Group> {
         let parts = Arc::new(partition_replacements(replacements, &config));
-        let next = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<PoolTask<Vec<Group>>> = (0..config.parallelism.shards(parts.len()))
-            .map(|_| {
-                let (parts, next, config) = (Arc::clone(&parts), Arc::clone(&next), config.clone());
-                Box::new(move || {
-                    let mut groups = Vec::new();
-                    while let Some(part) = parts.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        groups.extend(OneShotGrouper::new(part, config.clone()).group_all());
-                    }
-                    groups
-                }) as PoolTask<Vec<Group>>
+        let parallelism = config.parallelism;
+        let mut groups = parallelism
+            .map_claimed(&parts, move |part| {
+                OneShotGrouper::new(part, config.clone()).group_all()
             })
-            .collect();
-        let mut groups: Vec<Group> = config.parallelism.run_tasks(tasks).concat();
+            .concat();
         sort_groups(&mut groups);
         groups
     }

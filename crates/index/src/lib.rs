@@ -24,11 +24,9 @@
 //! distinct-graph counts are precomputed at build time, making the search's
 //! hottest pruning probe ([`InvertedIndex::list_graph_count`]) O(1).
 //!
-//! A [`PathList`] is a range view over an `Arc`-shared occurrence arena:
-//! cloning one (the pivot search snapshots its best list on every
-//! improvement) is a reference-count bump, and [`PathList::slice_graphs`]
-//! splits a list by graph range without copying occurrences — which is what
-//! lets search subtasks carry their lists for free.
+//! A [`PathList`] holds its occurrences in one `Arc`-shared slice: cloning
+//! one (the pivot search snapshots its best list on every improvement) is a
+//! reference-count bump.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -176,24 +174,12 @@ impl<T: std::fmt::Debug> std::fmt::Debug for SharedSlice<T> {
 /// *graph count* [`PathList::graph_count`] — what the paper calls `|ℓ|` — is
 /// the number of distinct graphs.
 ///
-/// The list is a `start..end` view over an `Arc`-shared occurrence arena:
-/// [`Clone`] is a reference-count bump and [`PathList::slice_graphs`]
-/// produces a graph-range sub-view without copying, so search subproblems can
-/// carry (and snapshot) lists for free.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// The occurrences live in one `Arc`-shared slice, so [`Clone`] is a
+/// reference-count bump and the search can snapshot lists for free.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PathList {
-    backing: SharedSlice<PathOccurrence>,
-    start: usize,
-    end: usize,
+    occurrences: Arc<[PathOccurrence]>,
 }
-
-impl PartialEq for PathList {
-    fn eq(&self, other: &Self) -> bool {
-        self.occurrences() == other.occurrences()
-    }
-}
-
-impl Eq for PathList {}
 
 impl PathList {
     /// The list for the empty path over `num_graphs` graphs: every graph
@@ -224,44 +210,13 @@ impl PathList {
             return PathList::default();
         }
         PathList {
-            backing: SharedSlice::from(Arc::<[PathOccurrence]>::from(occurrences)),
-            start: 0,
-            end: occurrences.len(),
+            occurrences: occurrences.into(),
         }
-    }
-
-    /// Wraps occurrences held in external (e.g. memory-mapped) backing. The
-    /// caller asserts they are sorted by `(graph, end)` and deduplicated;
-    /// returns `None` when they are not, so a corrupt artifact is rejected
-    /// instead of silently misread.
-    pub fn from_backing(backing: SharedSlice<PathOccurrence>) -> Option<Self> {
-        if backing.windows(2).any(|w| w[0] >= w[1]) {
-            return None;
-        }
-        let end = backing.len();
-        Some(PathList {
-            backing,
-            start: 0,
-            end,
-        })
     }
 
     /// The occurrences, sorted by `(graph, end)`.
     pub fn occurrences(&self) -> &[PathOccurrence] {
-        &self.backing[self.start..self.end]
-    }
-
-    /// The sub-list of occurrences whose graph id lies in `graphs` — a range
-    /// view sharing this list's arena (no occurrences are copied).
-    pub fn slice_graphs(&self, graphs: std::ops::Range<u32>) -> PathList {
-        let occs = self.occurrences();
-        let lo = occs.partition_point(|occ| occ.graph.0 < graphs.start);
-        let hi = lo + occs[lo..].partition_point(|occ| occ.graph.0 < graphs.end);
-        PathList {
-            backing: self.backing.clone(),
-            start: self.start + lo,
-            end: self.start + hi,
-        }
+        &self.occurrences
     }
 
     /// Number of distinct graphs containing the path — the paper's `|ℓ|`.
@@ -306,7 +261,7 @@ impl PathList {
 
     /// True when no graph contains the path.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.occurrences.is_empty()
     }
 }
 
@@ -988,53 +943,6 @@ mod tests {
         assert_eq!(list.graph_count(), 1);
         let complete = list.complete_graphs(|g| graphs[g.index()].last_node());
         assert_eq!(complete, vec![GraphId(0)]);
-    }
-
-    #[test]
-    fn slice_graphs_is_a_zero_copy_sub_view() {
-        let list = PathList::from_occurrences(vec![
-            PathOccurrence {
-                graph: GraphId(0),
-                end: 2,
-            },
-            PathOccurrence {
-                graph: GraphId(2),
-                end: 1,
-            },
-            PathOccurrence {
-                graph: GraphId(2),
-                end: 4,
-            },
-            PathOccurrence {
-                graph: GraphId(5),
-                end: 0,
-            },
-        ]);
-        let mid = list.slice_graphs(1..5);
-        assert_eq!(
-            mid.occurrences(),
-            &[
-                PathOccurrence {
-                    graph: GraphId(2),
-                    end: 1
-                },
-                PathOccurrence {
-                    graph: GraphId(2),
-                    end: 4
-                }
-            ]
-        );
-        assert_eq!(mid.graph_count(), 1);
-        // The sub-view shares the parent's arena.
-        assert!(list.backing.ptr_eq(&mid.backing));
-        assert!(list.slice_graphs(3..5).is_empty());
-        assert_eq!(list.slice_graphs(0..6), list);
-        // Slicing composes with `extend`-style equality semantics.
-        assert_eq!(
-            mid,
-            PathList::from_occurrences(mid.occurrences().to_vec()),
-            "a view equals its materialized copy"
-        );
     }
 
     #[test]

@@ -35,37 +35,8 @@ use ec_graph::{Parallelism, PoolTask};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// An unclustered input record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RawRecord {
-    /// The data source the record came from (kept through to the dataset so
-    /// that source-reliability truth discovery can use it).
-    pub source: usize,
-    /// One value per column.
-    pub fields: Vec<String>,
-}
-
-impl RawRecord {
-    /// Creates a record from anything iterable over string-likes.
-    pub fn new<I, S>(source: usize, fields: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        RawRecord {
-            source,
-            fields: fields.into_iter().map(Into::into).collect(),
-        }
-    }
-}
-
-impl AsRef<[String]> for RawRecord {
-    /// The field slice — lets blocking run directly over borrowed records
-    /// instead of cloning every field vector.
-    fn as_ref(&self) -> &[String] {
-        &self.fields
-    }
-}
+/// An unclustered input record: the flat record the `ec-data` readers yield.
+pub use ec_data::FlatRecord as RawRecord;
 
 /// How one column contributes to the pairwise match score.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -485,11 +456,7 @@ impl Resolver {
         let columns = stream.columns().to_vec();
         let mut state = self.state_of(&[]);
         while let Some(record) = stream.next_record() {
-            let record = record?;
-            state.push(RawRecord {
-                source: record.source,
-                fields: record.fields,
-            });
+            state.push(record?);
         }
         Ok(state.snapshot(name, columns))
     }

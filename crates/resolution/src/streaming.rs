@@ -347,7 +347,7 @@ mod tests {
     use super::*;
     use crate::blocking::BlockingConfig;
     use crate::matcher::BlockingScheme;
-    use ec_data::{FlatRecord, RecordStream, VecRecordStream};
+    use ec_data::{RecordStream, VecRecordStream};
     use std::collections::HashSet;
 
     fn sample_records() -> Vec<RawRecord> {
@@ -365,13 +365,7 @@ mod tests {
     fn stream_of(records: &[RawRecord]) -> VecRecordStream {
         VecRecordStream::new(
             vec!["Name".to_string(), "Address".to_string()],
-            records
-                .iter()
-                .map(|r| FlatRecord {
-                    source: r.source,
-                    fields: r.fields.clone(),
-                })
-                .collect(),
+            records.to_vec(),
         )
     }
 
@@ -383,13 +377,8 @@ mod tests {
         assert!(dataset.clusters.is_empty());
         assert_eq!(dataset.columns, vec!["x"]);
 
-        let mut one = VecRecordStream::new(
-            vec!["x".to_string()],
-            vec![FlatRecord {
-                source: 3,
-                fields: vec!["only".to_string()],
-            }],
-        );
+        let mut one =
+            VecRecordStream::new(vec!["x".to_string()], vec![RawRecord::new(3, ["only"])]);
         let dataset = resolver.resolve_stream("s", &mut one).unwrap();
         assert_eq!(dataset.clusters.len(), 1);
         assert_eq!(dataset.clusters[0].rows[0].source, 3);
@@ -441,16 +430,7 @@ mod tests {
             ..ResolverConfig::default()
         };
         let name_stream = |records: &[RawRecord]| {
-            VecRecordStream::new(
-                vec!["Name".to_string()],
-                records
-                    .iter()
-                    .map(|r| FlatRecord {
-                        source: r.source,
-                        fields: r.fields.clone(),
-                    })
-                    .collect(),
-            )
+            VecRecordStream::new(vec!["Name".to_string()], records.to_vec())
         };
         let resolver = Resolver::new(config.clone());
         let mut delta = DeltaResolver::new(config);

@@ -83,7 +83,6 @@ use ec_core::{
     ColumnReport, CompiledDataset, DeltaPipeline, Pipeline, ProgramLibrary, RunOptions,
 };
 use ec_data::{ClusteredCsvWriter, Dataset, DatasetRecords, FlatCsvReader, RecordStream};
-use ec_resolution::RawRecord;
 use http::{ChunkedWriter, Persistence, Request};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -746,11 +745,7 @@ fn handle_ingest(
     // a slow client must not stall other ingests mid-upload.
     let mut stream = FlatCsvReader::new(body).map_err(bad_body)?;
     let columns = stream.columns().to_vec();
-    let mut records = Vec::new();
-    while let Some(record) = stream.next_record() {
-        let record = record.map_err(bad_body)?;
-        records.push(RawRecord::new(record.source, record.fields));
-    }
+    let records = stream.collect_records().map_err(bad_body)?;
 
     // One session per server; batches serialize on the lock (see the field
     // docs — delta correctness is defined over a batch *sequence*).
